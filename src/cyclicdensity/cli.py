@@ -165,10 +165,10 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
     census = cyclic_subgroups(g)
     a_enum = alpha(g)
     a_tot = alpha_via_totient(g)
-    zg = center(g).as_group(f"center of {g.label}")
-    a_z = alpha(zg)
+    z = center(g)
+    a_z = alpha(g, z)
     avg = average_order(g)
-    avg_z = average_order(zg)
+    avg_z = average_order(g, z)
     if args.json:
         payload = {
             "label": g.label,

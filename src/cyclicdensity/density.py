@@ -1,67 +1,73 @@
 """Cyclic-subgroup census and the density invariants derived from it.
 
-Two deliberately independent routes to the same quantity: alpha() counts
-distinct cyclic subgroups by explicit enumeration, alpha_via_totient()
-sums 1/phi(o(x)) over elements.  Their agreement is itself one of the
+Two deliberately independent routes to the same quantity: alpha() names
+each cyclic subgroup by its least generator, alpha_via_totient() sums
+1/phi(o(x)) over elements.  Their agreement is itself one of the
 identities under test, so neither is implemented in terms of the other.
+A cyclic subgroup lies in a subgroup H (such as the center) exactly when
+its generators do, so the invariants of H are read off G's census.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
 from .arith import euler_phi
-from .groups import FiniteGroup
+from .errors import InvalidArgument, NotClosed
+from .groups import FiniteGroup, Subgroup, _element_orders, _least_generators
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CyclicCensus:
-    """All cyclic subgroups of a group, as frozensets of element ids."""
+    """Cyclic subgroups of a group; roots[x] holds when x is the least id
+    generating <x>, so the roots name the cyclic subgroups one to one."""
 
     group: FiniteGroup
-    subgroups: frozenset[frozenset[int]]
+    count: int
     by_order: dict[int, int]  # subgroup order -> how many cyclic subgroups
-
-    @property
-    def count(self) -> int:
-        return len(self.subgroups)
+    roots: np.ndarray  # read-only bool mask over element ids
 
 
 def cyclic_subgroups(g: FiniteGroup) -> CyclicCensus:
-    """Enumerate <x> for every x and deduplicate by the underlying set.
+    """Census of the cyclic subgroups by least generator, in O(n) memory.
 
-    All n power walks advance in lockstep (cur[x] holds x^k), filling a
-    membership matrix that is then deduplicated row-wise.
+    g.ord only steers the walk, which proves every entry; if one is wrong
+    the census reruns on orders recomputed from the table, so the count
+    never rests on g.ord.
     """
     if g._census is not None:
         return g._census
-    n = g.n
-    ar = np.arange(n, dtype=np.int32)
-    member = np.zeros((n, n), dtype=bool)  # member[x, y] <=> y lies in <x>
-    member[:, 0] = True
-    cur = ar.copy()
-    while (cur != 0).any():
-        member[ar, cur] = True
-        cur = g.table[cur, ar]
-    rows = np.unique(member, axis=0)
-    seen = frozenset(
-        frozenset(int(y) for y in np.nonzero(row)[0]) for row in rows
-    )
-    assert len(seen) == rows.shape[0]
-    by_order: dict[int, int] = {}
-    for s in seen:
-        by_order[len(s)] = by_order.get(len(s), 0) + 1
-    census = CyclicCensus(group=g, subgroups=frozenset(seen), by_order=by_order)
-    g._census = census
-    return census
+    ords = g.ord
+    try:
+        key = _least_generators(g.table, ords)
+    except NotClosed:
+        ords = _element_orders(g.table)
+        key = _least_generators(g.table, ords)
+    roots = key == np.arange(g.n)
+    roots.setflags(write=False)
+    orders, counts = np.unique(ords[roots], return_counts=True)
+    by_order = {int(d): int(c) for d, c in zip(orders, counts)}
+    g._census = CyclicCensus(g, int(counts.sum()), by_order, roots)
+    return g._census
 
 
-def alpha(g: FiniteGroup) -> Fraction:
-    """Cyclic-subgroup density |C(G)| / |G| by explicit enumeration."""
-    return Fraction(cyclic_subgroups(g).count, g.n)
+def _members(g: FiniteGroup, sub: Optional[Subgroup]) -> np.ndarray:
+    if sub is None:
+        return np.arange(g.n)
+    if sub.parent is not g:
+        raise InvalidArgument("subgroup does not belong to this group")
+    return sub.members
+
+
+def alpha(g: FiniteGroup, sub: Optional[Subgroup] = None) -> Fraction:
+    """Cyclic-subgroup density |C(G)| / |G| from the census; with sub, the
+    density |C(H)| / |H| of that subgroup, from the census roots in H."""
+    members = _members(g, sub)
+    return Fraction(int(cyclic_subgroups(g).roots[members].sum()), members.size)
 
 
 def alpha_via_totient(g: FiniteGroup) -> Fraction:
@@ -94,9 +100,10 @@ def subgroup_count_identity_check(g: FiniteGroup) -> tuple[bool, str]:
     )
 
 
-def average_order(g: FiniteGroup) -> Fraction:
-    """Mean element order o(G) = (1/|G|) * sum of o(x)."""
-    return Fraction(int(g.ord.sum(dtype=np.int64)), g.n)
+def average_order(g: FiniteGroup, sub: Optional[Subgroup] = None) -> Fraction:
+    """Mean element order o(G) = (1/|G|) * sum of o(x); over sub when given."""
+    ords = g.ord[_members(g, sub)]
+    return Fraction(int(ords.sum(dtype=np.int64)), ords.size)
 
 
 def census_matches_orders(g: FiniteGroup) -> bool:

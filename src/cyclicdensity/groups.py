@@ -133,7 +133,10 @@ class Subgroup:
         if not bitmap[parent.inv[arr]].all():
             a = int(arr[~bitmap[parent.inv[arr]]][0])
             raise NotASubgroup(f"inverse of {a} is outside the set", witness=(a, a))
-        assert parent.n % arr.size == 0, "subgroup order must divide the group order"
+        if parent.n % arr.size:
+            raise NotASubgroup(
+                f"closed set of {arr.size} elements does not divide the order {parent.n}"
+            )
         self.parent = parent
         self.members = arr
         self.bitmap = bitmap
@@ -276,6 +279,36 @@ def _element_orders(table: np.ndarray) -> np.ndarray:
     return ord_
 
 
+def _least_generators(table: np.ndarray, ords: np.ndarray) -> np.ndarray:
+    """key[x] = min{x^k : 1 <= k <= o(x), gcd(k, o(x)) = 1} with o = ords.
+
+    The power walks advance in lockstep (cur holds x^k) and each leaves the
+    walk when k reaches its order.  That proves each order: x^k must be the
+    identity exactly at k = o(x), else NotClosed names x.
+    """
+    n = table.shape[0]
+    key = np.arange(n, dtype=np.int32)
+    xs, cur, kx, o = key.copy(), key.copy(), key.copy(), ords.astype(np.int64)
+    flat = table.ravel()
+    row = xs.astype(np.intp) * n  # x^(k+1) = x * x^k = flat[row + cur]
+    for k in range(1, n + 1):
+        done = o == k
+        bad = np.flatnonzero((cur == 0) != done)
+        if bad.size:
+            i = int(bad[0])
+            raise NotClosed(f"element {int(xs[i])} has recorded order {int(o[i])}, "
+                            f"but x^{k} is {'' if cur[i] == 0 else 'not '}the identity")
+        if done.any():
+            key[xs[done]] = kx[done]  # kx: least generator met so far
+            live = ~done
+            xs, o, row, cur, kx = xs[live], o[live], row[live], cur[live], kx[live]
+            if not xs.size:
+                return key
+        cur = flat.take(row + cur)
+        np.minimum(kx, cur, out=kx, where=np.gcd(k + 1, o) == 1)
+    raise NotClosed(f"powers of element {int(xs[0])} never reach the identity")
+
+
 def _build(table: np.ndarray, label: str) -> FiniteGroup:
     """Internal builder for tables that are associative by construction.
 
@@ -374,11 +407,13 @@ def coset_partition(g: FiniteGroup, z: Subgroup) -> CosetPartition:
     cmin = g.table[:, z.members].min(axis=1)
     reps_min, coset_of = np.unique(cmin, return_inverse=True)
     m = reps_min.size
-    assert m * len(z) == g.n
+    if m * len(z) != g.n:
+        raise NotASubgroup(f"{m} cosets of order {len(z)} do not cover {g.n} elements")
     order_key = np.lexsort((np.arange(g.n), coset_of))
     grouped = order_key.reshape(m, len(z))
     cosets = tuple(tuple(int(x) for x in row) for row in grouped)
-    assert cosets[0] == tuple(int(x) for x in z.members)
+    if cosets[0] != tuple(int(x) for x in z.members):
+        raise NotASubgroup("the first coset by smallest member is not the subgroup itself")
     reps = []
     for i, row in enumerate(grouped):
         ords = g.ord[row]
@@ -431,8 +466,8 @@ def verify_group_invariants(g: FiniteGroup, *, assoc: str = "full") -> None:
     """Re-derive every structural invariant from the raw table; raises on failure.
 
     Exhaustive by default: Latin-square rows and columns, identity at 0,
-    associativity, two-sided inverses, and an independent per-element order
-    recomputation.  Meant for tests and post-import auditing.
+    associativity, two-sided inverses, and a power walk proving each stored
+    order.  Meant for tests and post-import auditing.
     """
     n = g.n
     t = g.table
@@ -450,18 +485,10 @@ def verify_group_invariants(g: FiniteGroup, *, assoc: str = "full") -> None:
         raise InvalidArgument(f"assoc must be full or sampled, got {assoc!r}")
     if not ((t[ar, g.inv] == 0).all() and (t[g.inv, ar] == 0).all()):
         raise NoInverse("stored inverses are wrong")
-    for a in range(n):
-        # scalar power walk, independent of the vectorized computation
-        cur, k = a, 1
-        while cur != 0:
-            cur = int(t[cur, a])
-            k += 1
-            if k > n:
-                raise NotClosed(f"element {a} has unbounded order")
-        if int(g.ord[a]) != k or n % k:
-            raise NotClosed(
-                f"stored order {int(g.ord[a])} of element {a} disagrees with recomputed {k}"
-            )
+    _least_generators(t, g.ord)  # proves every stored order from the table
+    if (n % g.ord).any():
+        a = int(np.nonzero(n % g.ord)[0][0])
+        raise NotClosed(f"order {int(g.ord[a])} of element {a} does not divide {n}")
 
 
 __all__ = [

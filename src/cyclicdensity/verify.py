@@ -123,14 +123,14 @@ class AlphaReport:
 def verify_alpha_inequality(g: FiniteGroup) -> tuple[Fraction, Fraction, bool]:
     """alpha(G), alpha(Z(G)), and whether alpha(G) <= alpha(Z(G))."""
     a_g = alpha(g)
-    a_z = alpha(center(g).as_group(f"center of {g.label}"))
+    a_z = alpha(g, center(g))
     return a_g, a_z, a_g <= a_z
 
 
 def verify_average_order_inequality(g: FiniteGroup) -> tuple[Fraction, Fraction, bool]:
     """o(G), o(Z(G)), and whether o(G) >= o(Z(G))."""
     avg_g = average_order(g)
-    avg_z = average_order(center(g).as_group(f"center of {g.label}"))
+    avg_z = average_order(g, center(g))
     return avg_g, avg_z, avg_g >= avg_z
 
 
@@ -233,16 +233,23 @@ def structural_condition(g: FiniteGroup) -> StructuralResult:
             f"parts do not factor the group: |T| = {len(two_part)}, "
             f"|O| = {len(odd_part)}, |T meet O| = {overlap}, |G| = {g.n}",
         )
-    tg = two_part.as_group(f"2-part of {g.label}")
-    part = coset_partition(tg, center(tg))
-    for rep in part.reps:
-        if rep.k > 2:
-            orig = int(two_part.members[rep.y])
-            return StructuralResult(
-                False, two_part, odd_part,
-                f"coset of {orig} in the 2-part has minimal order {rep.k}, "
-                f"no element of order <= 2",
-            )
+    # G = T x O with O central, so Z(T) = Z(G) meet T, and the cosets of
+    # Z(T) that hold an element of order <= 2 cover a union of cosets.
+    tmem = two_part.members
+    zt = np.nonzero(zbit & two_mask)[0]
+    covered = np.zeros(g.n, dtype=bool)
+    covered[g.table[np.ix_(tmem[ords[tmem] <= 2], zt)]] = True
+    bare = tmem[~covered[tmem]]
+    if bare.size:
+        # bare[0] is the smallest member of the first uncovered coset
+        coset = np.sort(g.table[bare[0], zt])
+        k = int(ords[coset].min())
+        y = int(coset[ords[coset] == k][0])
+        return StructuralResult(
+            False, two_part, odd_part,
+            f"coset of {y} in the 2-part has minimal order {k}, "
+            f"no element of order <= 2",
+        )
     return StructuralResult(True, two_part, odd_part, "")
 
 
@@ -282,16 +289,14 @@ def is_4_abelian(g: FiniteGroup) -> bool:
 def full_report(g: FiniteGroup, label: Optional[str] = None) -> AlphaReport:
     """Run every check on one group and fold the results into an AlphaReport."""
     census = cyclic_subgroups(g)
-    a_g = alpha(g)
+    a_g, a_z, _ = verify_alpha_inequality(g)
+    avg_g, avg_z, _ = verify_average_order_inequality(g)
     count_ok, count_msg = subgroup_count_identity_check(g)
-    zg = center(g).as_group(f"center of {g.label}")
-    a_z = alpha(zg)
-    avg_g = average_order(g)
-    avg_z = average_order(zg)
+    z = center(g)
     pc = per_coset_analysis(g)
     eq = a_g == a_z
     st = structural_condition(g)
-    qexp = group_exponent(quotient_by_central(g, center(g)))
+    qexp = group_exponent(quotient_by_central(g, z))
     two_c = is_2_central(g)
     four_ab, four_witness = is_4_abelian_witness(g)
 
@@ -345,7 +350,7 @@ def full_report(g: FiniteGroup, label: Optional[str] = None) -> AlphaReport:
     return AlphaReport(
         label=label or g.label,
         order=g.n,
-        center_order=zg.n,
+        center_order=len(z),
         cyclic_count=census.count,
         alpha_g=a_g,
         alpha_z=a_z,

@@ -4,11 +4,14 @@ element sets), plus cross-route identities."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from census_oracle import cyclic_subgroup_sets, least_generator
 from cyclicdensity import (
     FiniteGroup,
+    NotClosed,
     alpha,
     alpha_via_totient,
     average_order,
@@ -21,14 +24,17 @@ from cyclicdensity import (
     make_cyclic,
     subgroup_count_identity_check,
 )
+from cyclicdensity.groups import _least_generators
 
 
 def test_census_d8(d8):
     census = cyclic_subgroups(d8)
     assert census.count == 7
     assert census.by_order == {1: 1, 2: 5, 4: 1}
-    assert frozenset({0, 1, 2, 3}) in census.subgroups  # the rotation subgroup
-    assert frozenset({0}) in census.subgroups
+    sets = cyclic_subgroup_sets(d8)
+    for members in (frozenset({0, 1, 2, 3}), frozenset({0})):  # rotations, trivial
+        assert members in sets
+        assert census.roots[least_generator(d8, members)]
 
 
 def test_census_q8(q8):
@@ -125,6 +131,37 @@ def test_count_identity_report_discrepancy(d8):
     assert not ok
     assert "enumeration finds 7" in message
     assert "totient sum gives" in message
+
+
+def test_census_proves_stored_orders(d8):
+    # one tampered order: the walk names the element instead of trusting it
+    bad_ord = d8.ord.copy()
+    bad_ord[4] = 4  # reflection 4 really has order 2
+    with pytest.raises(NotClosed, match=r"element 4 has recorded order 4, but x\^2 is the identity"):
+        _least_generators(d8.table, bad_ord)
+    bad_ord[4] = 1
+    with pytest.raises(NotClosed, match=r"element 4 has recorded order 1, but x\^1 is not the identity"):
+        _least_generators(d8.table, bad_ord)
+    bad_ord[4] = 0
+    with pytest.raises(NotClosed, match=r"element 4 has recorded order 0"):
+        _least_generators(d8.table, bad_ord)
+    z4 = make_cyclic(4)  # no other walk ends when 2^2 reaches the identity
+    with pytest.raises(NotClosed, match=r"element 2 has recorded order 4, but x\^2 is the identity"):
+        _least_generators(z4.table, np.array([1, 4, 4, 4], dtype=np.int32))
+    # the census then counts from the table, never from the tampered order
+    fake = FiniteGroup(d8.table, d8.inv, bad_ord, "tampered:dihedral:8")
+    census = cyclic_subgroups(fake)
+    assert (census.count, census.by_order) == (7, {1: 1, 2: 5, 4: 1})
+    assert not census_matches_orders(fake)
+
+
+def test_census_raises_when_powers_never_reach_identity():
+    # not a group: 2 * 2 = 2, so no recomputed order can rescue the census
+    table = np.array([[0, 1, 2], [1, 0, 2], [2, 2, 2]], dtype=np.int32)
+    broken = FiniteGroup(table, np.arange(3, dtype=np.int32),
+                         np.array([1, 2, 3], dtype=np.int32), "broken")
+    with pytest.raises(NotClosed, match="element 2"):
+        cyclic_subgroups(broken)
 
 
 def test_alpha_range_and_exponent_two_characterization():
