@@ -7,7 +7,6 @@ from .catalog import (
     GroupSpec,
     build_group,
     central_product_mod_involution,
-    load_table,
     load_table_with_report,
     make_abelian,
     make_almost_extraspecial,
@@ -60,7 +59,6 @@ from .groups import (
     relabeled_copy,
     size_cap,
     subgroup_from_set,
-    validate_table,
     validate_table_with_report,
     verify_group_invariants,
 )

@@ -254,14 +254,8 @@ def make_almost_extraspecial(order: int, *, max_size: Optional[int] = None) -> F
     )
 
 
-def load_table(path: Union[str, Path], *, assoc: str = "full",
-               max_size: Optional[int] = None) -> FiniteGroup:
-    group, _ = load_table_with_report(path, assoc=assoc, max_size=max_size)
-    return group
-
-
 def load_table_with_report(
-    path: Union[str, Path], *, assoc: str = "full", max_size: Optional[int] = None
+    path: Union[str, Path], *, max_size: Optional[int] = None
 ) -> tuple[FiniteGroup, list[int]]:
     """Read a Cayley-table text file and validate it.
 
@@ -317,7 +311,7 @@ def load_table_with_report(
         raise ParseError(f"{p}: empty file")
     if len(rows) != n:
         raise ParseError(f"{p}: expected {n} table rows, found {len(rows)}")
-    return validate_table_with_report(rows, f"table:{p}", assoc=assoc, max_size=max_size)
+    return validate_table_with_report(rows, f"table:{p}", max_size=max_size)
 
 
 ParamsType = Union[tuple[int, ...], tuple[int, str], tuple[str], tuple["GroupSpec", "GroupSpec"]]
@@ -433,9 +427,8 @@ def parse_group_spec(text: str, _pos: int = 0) -> GroupSpec:
     return GroupSpec(family, (value,))
 
 
-def build_group(spec: Union[str, GroupSpec], *, max_size: Optional[int] = None,
-                table_assoc: str = "full") -> FiniteGroup:
-    """Build the group a spec describes; table_assoc controls import validation."""
+def build_group(spec: Union[str, GroupSpec], *, max_size: Optional[int] = None) -> FiniteGroup:
+    """Build the group a spec describes."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     f, p = spec.family, spec.params
@@ -456,12 +449,12 @@ def build_group(spec: Union[str, GroupSpec], *, max_size: Optional[int] = None,
     if f == "heisenberg":
         return make_heisenberg(p[0], max_size=max_size)
     if f == "product":
-        left = build_group(p[0], max_size=max_size, table_assoc=table_assoc)
-        right = build_group(p[1], max_size=max_size, table_assoc=table_assoc)
+        left = build_group(p[0], max_size=max_size)
+        right = build_group(p[1], max_size=max_size)
         return direct_product(left, right, max_size=max_size,
                               label=spec.canonical())
     if f == "table":
-        return load_table(p[0], assoc=table_assoc, max_size=max_size)
+        return load_table_with_report(p[0], max_size=max_size)[0]
     raise UnknownFamily(f"unknown group family {f!r}")
 
 
@@ -480,6 +473,5 @@ __all__ = [
     "make_extraspecial",
     "make_almost_extraspecial",
     "central_product_mod_involution",
-    "load_table",
     "load_table_with_report",
 ]

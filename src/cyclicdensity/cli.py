@@ -156,8 +156,7 @@ def _report_text(report: AlphaReport) -> str:
 
 def _build_from_args(args: argparse.Namespace) -> FiniteGroup:
     max_size = _UNCAPPED if getattr(args, "size_override", False) else None
-    assoc = "sampled" if getattr(args, "trust_table", False) else "full"
-    return build_group(args.group, max_size=max_size, table_assoc=assoc)
+    return build_group(args.group, max_size=max_size)
 
 
 def _cmd_alpha(args: argparse.Namespace) -> int:
@@ -260,8 +259,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_import(args: argparse.Namespace) -> int:
     max_size = _UNCAPPED if args.size_override else None
-    assoc = "sampled" if args.trust_table else "full"
-    group, reindex = load_table_with_report(args.table, assoc=assoc, max_size=max_size)
+    group, reindex = load_table_with_report(args.table, max_size=max_size)
     moved = [f"{old}->{new}" for old, new in enumerate(reindex) if old != new]
     if args.json:
         payload = {
@@ -304,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_alpha.add_argument("--group", required=True, help="group spec, e.g. dihedral:8")
     p_alpha.add_argument("--size-override", action="store_true",
                          help=f"allow groups over the size cap ({size_cap()})")
-    p_alpha.add_argument("--trust-table", action="store_true",
-                         help="sampled instead of exhaustive associativity on imports")
     _add_format_flags(p_alpha, csv_too=False)
     p_alpha.set_defaults(func=_cmd_alpha)
 
@@ -315,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--group", required=True, help="group spec, e.g. quaternion:16")
     p_verify.add_argument("--size-override", action="store_true",
                           help=f"allow groups over the size cap ({size_cap()})")
-    p_verify.add_argument("--trust-table", action="store_true",
-                          help="sampled instead of exhaustive associativity on imports")
     _add_format_flags(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -344,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_import.add_argument("--table", required=True, help="path to the table file")
     p_import.add_argument("--size-override", action="store_true",
                           help=f"allow tables over the size cap ({size_cap()})")
-    p_import.add_argument("--trust-table", action="store_true",
-                          help="sampled instead of exhaustive associativity")
     _add_format_flags(p_import, csv_too=False)
     p_import.set_defaults(func=_cmd_import)
 

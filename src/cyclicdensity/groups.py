@@ -29,10 +29,6 @@ from .errors import (
 DEFAULT_SIZE_CAP = 4096
 SIZE_CAP_ENV = "CYCLIC_DENSITY_MAX_ORDER"
 
-# Element budget per temporary in the blocked associativity check (~32 MB).
-_ASSOC_BLOCK_ELEMENTS = 1 << 23
-_ASSOC_SAMPLE_TRIPLES = 200_000
-
 
 def size_cap() -> int:
     """Effective size cap: the env override or the 4096 default."""
@@ -65,8 +61,9 @@ def _check_cap(n: int, max_size: Optional[int], what: str) -> None:
 class FiniteGroup:
     """Immutable finite group on ids 0..n-1, identity at 0.
 
-    Construct via validate_table or the catalog builders; the constructor
-    assumes its arguments are consistent and is not part of the public API.
+    Construct via validate_table_with_report or the catalog builders; the
+    constructor assumes its arguments are consistent and is not part of the
+    public API.
     """
 
     __slots__ = ("n", "table", "inv", "ord", "label", "_center", "_census")
@@ -227,37 +224,45 @@ def _compute_inverses(table: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _check_associativity_full(table: np.ndarray) -> None:
+def _check_associativity(table: np.ndarray) -> None:
+    """Exact associativity check (Light's test) for a table whose two-sided
+    identity sits at 0; raises NotAssociative with a witness triple.
+
+    R = {c : (ab)c = a(bc) for all a, b} contains the identity 0 and is
+    closed under products in any magma: for c, d in R,
+    (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)).  So once every
+    generator passes, every word reached from 0 by right-multiplying
+    generators lies in R, and when those words cover all n ids the table is
+    associative.  Generators are taken greedily (the least unreached id),
+    each checked with two n^2 gathers.  In a group each new generator at
+    least doubles the reached subgroup, so at most log2 n are needed; a
+    non-group magma may need up to n, which costs O(n^3), no worse than
+    checking every triple.  The reached set grows incrementally: only the
+    old set times the new generator and each newly reached element times
+    every generator are multiplied.
+    """
     n = table.shape[0]
-    block = max(1, _ASSOC_BLOCK_ELEMENTS // (n * n))
-    for start in range(0, n, block):
-        rows = table[start : start + block]
-        lhs = table[rows]  # lhs[i,b,c] = (a_i * b) * c
-        rhs = rows[:, table]  # rhs[i,b,c] = a_i * (b * c)
-        if not np.array_equal(lhs, rhs):
-            i, b, c = (int(v) for v in np.argwhere(lhs != rhs)[0])
-            a = start + i
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while not reached.all():
+        c = int(reached.argmin())
+        col = table[:, c]
+        left = col.take(table)  # left[a, b] = (a*b)*c
+        right = table.take(col, axis=1)  # right[a, b] = a*(b*c)
+        bad = left != right
+        if bad.any():
+            a, b = divmod(int(bad.argmax()), n)
             raise NotAssociative(
-                f"({a}*{b})*{c} = {int(lhs[i, b, c])} but {a}*({b}*{c}) = {int(rhs[i, b, c])}",
+                f"({a}*{b})*{c} = {int(left[a, b])} but {a}*({b}*{c}) = {int(right[a, b])}",
                 triple=(a, b, c),
             )
-
-
-def _check_associativity_sampled(table: np.ndarray, seed: int) -> None:
-    n = table.shape[0]
-    rng = np.random.default_rng(seed)
-    k = min(_ASSOC_SAMPLE_TRIPLES, n * n * n)
-    a, b, c = rng.integers(0, n, size=(3, k))
-    lhs = table[table[a, b], c]
-    rhs = table[a, table[b, c]]
-    bad = np.nonzero(lhs != rhs)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise NotAssociative(
-            f"({int(a[i])}*{int(b[i])})*{int(c[i])} = {int(lhs[i])} "
-            f"but {int(a[i])}*({int(b[i])}*{int(c[i])}) = {int(rhs[i])}",
-            triple=(int(a[i]), int(b[i]), int(c[i])),
-        )
+        gens.append(c)
+        frontier = col[reached]
+        while frontier.size:
+            fresh = np.unique(frontier[~reached[frontier]])
+            reached[fresh] = True
+            frontier = table[np.ix_(fresh, gens)].ravel()
 
 
 def _element_orders(table: np.ndarray) -> np.ndarray:
@@ -314,7 +319,7 @@ def _build(table: np.ndarray, label: str) -> FiniteGroup:
 
     Still performs the O(n^2) checks (identity at 0, two-sided inverses,
     orders terminate and divide n) so constructor bugs cannot slip through
-    silently; the full O(n^3) associativity check is validate_table's job.
+    silently; the associativity check is validate_table_with_report's job.
     """
     n = table.shape[0]
     ar = np.arange(n, dtype=np.int32)
@@ -328,34 +333,16 @@ def _build(table: np.ndarray, label: str) -> FiniteGroup:
     return FiniteGroup(np.ascontiguousarray(table), inv, ord_, label)
 
 
-def validate_table(
-    raw,
-    label: str = "table",
-    *,
-    assoc: str = "full",
-    max_size: Optional[int] = None,
-) -> FiniteGroup:
-    """Validate a raw Cayley table and wrap it as a group.
-
-    assoc is "full" (exhaustive O(n^3)), "sampled" (deterministic random
-    triples, for tables the caller already trusts), or "skip".
-    """
-    group, _ = validate_table_with_report(raw, label, assoc=assoc, max_size=max_size)
-    return group
-
-
 def validate_table_with_report(
     raw,
     label: str = "table",
     *,
-    assoc: str = "full",
     max_size: Optional[int] = None,
 ) -> tuple[FiniteGroup, list[int]]:
-    """Like validate_table but also returns the old->new re-index map
-    applied to move the identity to id 0 (the identity map when it was
-    already there)."""
-    if assoc not in ("full", "sampled", "skip"):
-        raise InvalidArgument(f"assoc must be full, sampled or skip, got {assoc!r}")
+    """Validate a raw Cayley table and wrap it as a group.
+
+    Also returns the old->new re-index map applied to move the identity to
+    id 0 (the identity map when it was already there)."""
     table = _as_table(raw)
     n = table.shape[0]
     _check_cap(n, max_size, f"table {label!r}")
@@ -363,10 +350,7 @@ def validate_table_with_report(
     sigma = np.arange(n, dtype=np.int32)
     if e != 0:
         table, sigma = _swap_to_zero(table, e)
-    if assoc == "full":
-        _check_associativity_full(table)
-    elif assoc == "sampled":
-        _check_associativity_sampled(table, seed=0xC0FFEE ^ n)
+    _check_associativity(table)
     group = _build(table, label)
     return group, [int(v) for v in sigma]
 
@@ -459,15 +443,15 @@ def relabeled_copy(g: FiniteGroup, perm: Sequence[int], label: Optional[str] = N
     inv_sigma = np.empty(g.n, dtype=np.int32)
     inv_sigma[sigma] = np.arange(g.n, dtype=np.int32)
     table = sigma[g.table][np.ix_(inv_sigma, inv_sigma)]
-    return validate_table(table, label or f"{g.label} (relabeled)", assoc="skip")
+    return validate_table_with_report(table, label or f"{g.label} (relabeled)")[0]
 
 
-def verify_group_invariants(g: FiniteGroup, *, assoc: str = "full") -> None:
+def verify_group_invariants(g: FiniteGroup) -> None:
     """Re-derive every structural invariant from the raw table; raises on failure.
 
-    Exhaustive by default: Latin-square rows and columns, identity at 0,
-    associativity, two-sided inverses, and a power walk proving each stored
-    order.  Meant for tests and post-import auditing.
+    Checks Latin-square rows and columns, identity at 0, associativity,
+    two-sided inverses, and a power walk proving each stored order.  Meant
+    for tests and post-import auditing.
     """
     n = g.n
     t = g.table
@@ -477,12 +461,7 @@ def verify_group_invariants(g: FiniteGroup, *, assoc: str = "full") -> None:
     if not (np.array_equal(np.sort(t, axis=1), np.tile(ar, (n, 1)))
             and np.array_equal(np.sort(t, axis=0), np.tile(ar[:, None], (1, n)))):
         raise NotClosed("some row or column is not a permutation")
-    if assoc == "full":
-        _check_associativity_full(t)
-    elif assoc == "sampled":
-        _check_associativity_sampled(t, seed=0xC0FFEE ^ n)
-    else:
-        raise InvalidArgument(f"assoc must be full or sampled, got {assoc!r}")
+    _check_associativity(t)
     if not ((t[ar, g.inv] == 0).all() and (t[g.inv, ar] == 0).all()):
         raise NoInverse("stored inverses are wrong")
     _least_generators(t, g.ord)  # proves every stored order from the table
@@ -499,7 +478,6 @@ __all__ = [
     "Subgroup",
     "MinimalRep",
     "CosetPartition",
-    "validate_table",
     "validate_table_with_report",
     "center",
     "subgroup_from_set",

@@ -274,10 +274,9 @@ def is_4_abelian_witness(g: FiniteGroup) -> tuple[bool, Optional[tuple[int, int]
     f4 = sq[sq]
     lhs = f4[g.table]
     rhs = g.table[np.ix_(f4, f4)]
-    mismatch = np.argwhere(lhs != rhs)
-    if mismatch.size:
-        x, y = mismatch[0]
-        return False, (int(x), int(y))
+    mismatch = lhs != rhs
+    if mismatch.any():
+        return False, divmod(int(mismatch.argmax()), g.n)
     return True, None
 
 

@@ -17,7 +17,6 @@ from cyclicdensity import (
     center,
     central_product_mod_involution,
     group_exponent,
-    load_table,
     load_table_with_report,
     make_abelian,
     make_almost_extraspecial,
@@ -307,39 +306,39 @@ def test_load_table_reindexes_identity(tmp_path):
 def test_load_table_blank_lines_ok(tmp_path):
     f = tmp_path / "z2.txt"
     f.write_text("\n2\n\n0 1\n1 0\n\n")
-    assert load_table(f).n == 2
+    assert load_table_with_report(f)[0].n == 2
 
 
 def test_load_table_errors_carry_positions(tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("2\n0 1\n1 x\n")
     with pytest.raises(ParseError) as err:
-        load_table(f)
+        load_table_with_report(f)
     assert err.value.line == 3 and err.value.column == 2
 
     f.write_text("2\n0 1 1\n1 0\n")
     with pytest.raises(ParseError) as err:
-        load_table(f)
+        load_table_with_report(f)
     assert err.value.line == 2
 
     f.write_text("2\n0 1\n1 0\n0 1\n")
     with pytest.raises(ParseError) as err:
-        load_table(f)
+        load_table_with_report(f)
     assert err.value.line == 4
 
     f.write_text("2\n0 1\n")
     with pytest.raises(ParseError):
-        load_table(f)
+        load_table_with_report(f)
 
     f.write_text("2\n0 1\n1 2\n")
     with pytest.raises(ParseError) as err:
-        load_table(f)
+        load_table_with_report(f)
     assert err.value.line == 3
 
 
 def test_load_table_missing_file():
     with pytest.raises(ParseError):
-        load_table("/nonexistent/nowhere.txt")
+        load_table_with_report("/nonexistent/nowhere.txt")
 
 
 def test_build_group_from_table_spec(tmp_path, q8):
@@ -370,4 +369,4 @@ def test_every_spec_builds_a_valid_group(text):
     assert parse_group_spec(spec.canonical()) == spec
     g = build_group(spec)
     assert g.label == spec.canonical()
-    verify_group_invariants(g, assoc="sampled")
+    verify_group_invariants(g)

@@ -26,7 +26,6 @@ from cyclicdensity import (
     quotient_by_central,
     relabeled_copy,
     subgroup_from_set,
-    validate_table,
     validate_table_with_report,
     verify_group_invariants,
 )
@@ -38,7 +37,7 @@ def z3_table():
 
 
 def test_validate_accepts_z3():
-    g = validate_table(z3_table(), "z3")
+    g, _ = validate_table_with_report(z3_table(), "z3")
     assert g.n == 3
     assert g.compose(1, 2) == 0
     assert g.inverse(1) == 2
@@ -56,17 +55,17 @@ def test_validate_moves_identity_to_zero():
 
 def test_validate_rejects_nonsquare():
     with pytest.raises(NotClosed):
-        validate_table([[0, 1], [1, 0], [0, 1]])
+        validate_table_with_report([[0, 1], [1, 0], [0, 1]])
 
 
 def test_validate_rejects_out_of_range_entry():
     with pytest.raises(NotClosed):
-        validate_table([[0, 1], [1, 7]])
+        validate_table_with_report([[0, 1], [1, 7]])
 
 
 def test_validate_rejects_missing_identity():
     with pytest.raises(NoIdentityAtZero):
-        validate_table([[1, 1], [1, 1]])
+        validate_table_with_report([[1, 1], [1, 1]])
 
 
 def test_validate_finds_identity_anywhere():
@@ -79,7 +78,7 @@ def test_validate_finds_identity_anywhere():
 def test_validate_rejects_nonassociative_with_witness():
     raw = [[0, 1, 2], [1, 2, 0], [2, 0, 2]]
     with pytest.raises(NotAssociative) as err:
-        validate_table(raw)
+        validate_table_with_report(raw)
     a, b, c = err.value.triple
     t = np.asarray(raw)
     assert t[t[a, b], c] != t[a, t[b, c]]
@@ -89,15 +88,14 @@ def test_validate_rejects_no_inverse():
     # identity present, associativity holds (idempotent monoid), but 1 has no inverse
     raw = [[0, 1], [1, 1]]
     with pytest.raises(NoInverse) as err:
-        validate_table(raw)
+        validate_table_with_report(raw)
     assert err.value.element == 1
 
 
-def test_sampled_assoc_mode_accepts_good_table():
-    g = validate_table(z3_table(), assoc="sampled")
+def test_exact_assoc_check_accepts_good_table():
+    g, _ = validate_table_with_report(z3_table())
     assert g.n == 3
-    with pytest.raises(InvalidArgument):
-        validate_table(z3_table(), assoc="sometimes")
+    verify_group_invariants(g)
 
 
 def test_size_cap_env_override(monkeypatch):

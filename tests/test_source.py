@@ -1,6 +1,7 @@
 """Source-level rules for the library under src/."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -15,3 +16,15 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src/: {found}"
+
+
+def test_no_random_sampling_in_src():
+    # every verdict is exact: a sampled check would bring randomness back
+    pattern = re.compile(r"^\s*(import random\b|from random import)|\b(np|numpy)\.random\b|default_rng")
+    found = [
+        f"{path.relative_to(SRC)}:{lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert not found, f"random sampling in src/: {found}"

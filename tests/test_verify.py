@@ -190,6 +190,9 @@ def test_is_4_abelian(d8, q8, s3, s4, z12, pauli16, es32_plus, heis3):
         lhs = _pow4(g, g.compose(x, y))
         rhs = g.compose(_pow4(g, x), _pow4(g, y))
         assert lhs != rhs, g.label
+        first = next((a, b) for a in range(g.n) for b in range(g.n)
+                     if _pow4(g, g.compose(a, b)) != g.compose(_pow4(g, a), _pow4(g, b)))
+        assert witness == first, g.label
 
 
 def test_is_4_abelian_s3_witness_shape(s3):
