@@ -13,7 +13,6 @@ from .catalog import (
     make_cyclic,
     make_dihedral,
     make_extraspecial,
-    make_generalized_quaternion,
     make_heisenberg,
     make_quaternion,
     make_symmetric,
@@ -25,7 +24,6 @@ from .density import (
     alpha_via_totient,
     average_order,
     census_matches_orders,
-    count_identity_holds,
     cyclic_subgroups,
     subgroup_count_identity_check,
 )
@@ -58,7 +56,6 @@ from .groups import (
     quotient_by_central,
     relabeled_copy,
     size_cap,
-    subgroup_from_set,
     validate_table_with_report,
     verify_group_invariants,
 )
@@ -68,16 +65,11 @@ from .verify import (
     CosetCheck,
     PerCosetFindings,
     StructuralResult,
-    equality_holds,
     full_report,
     is_2_central,
-    is_4_abelian,
     is_4_abelian_witness,
     per_coset_analysis,
     structural_condition,
-    verify_alpha_inequality,
-    verify_average_order_inequality,
-    verify_equality_equivalence,
 )
 
 __version__ = "1.0.0"

@@ -33,6 +33,7 @@ from .groups import (
     Subgroup,
     _build,
     _check_cap,
+    _product_of_tables,
     center,
     direct_product,
     quotient_by_central,
@@ -64,13 +65,6 @@ def make_cyclic(n: int, *, max_size: Optional[int] = None) -> FiniteGroup:
     return _build((ar[:, None] + ar[None, :]) % n, f"cyclic:{n}")
 
 
-def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    n2 = t2.shape[0]
-    n = t1.shape[0] * n2
-    out = t1.astype(np.int64)[:, None, :, None] * n2 + t2[None, :, None, :]
-    return out.reshape(n, n).astype(np.int32)
-
-
 def make_abelian(orders: tuple[int, ...], *, max_size: Optional[int] = None) -> FiniteGroup:
     """Direct sum of cyclic groups Z_n1 + Z_n2 + ... in the given order."""
     if not orders:
@@ -82,7 +76,7 @@ def make_abelian(orders: tuple[int, ...], *, max_size: Optional[int] = None) -> 
     table = np.zeros((1, 1), dtype=np.int32)
     for n in orders:
         ar = np.arange(n, dtype=np.int32)
-        table = _product_table(table, (ar[:, None] + ar[None, :]) % n)
+        table = _product_of_tables(table, (ar[:, None] + ar[None, :]) % n)
     return _build(table, f"abelian:{','.join(map(str, orders))}")
 
 
@@ -121,10 +115,6 @@ def make_quaternion(order: int, *, max_size: Optional[int] = None) -> FiniteGrou
     t[two_n:, :two_n] = two_n + (a - b) % two_n        # (a^i b) a^j = a^(i-j) b
     t[two_n:, two_n:] = (a - b + n) % two_n            # (a^i b)(a^j b) = a^(i-j+n)
     return _build(t, f"quaternion:{order}")
-
-
-# long-form name for the same constructor
-make_generalized_quaternion = make_quaternion
 
 
 def make_symmetric(degree: int, *, max_size: Optional[int] = None) -> FiniteGroup:
@@ -467,7 +457,6 @@ __all__ = [
     "make_abelian",
     "make_dihedral",
     "make_quaternion",
-    "make_generalized_quaternion",
     "make_symmetric",
     "make_heisenberg",
     "make_extraspecial",

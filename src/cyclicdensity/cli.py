@@ -2,8 +2,9 @@
 
 Exit codes: 0 when all requested checks pass, 1 when a verified group
 violates a checked identity (a mathematical counterexample), 2 for usage,
-parse, or I/O errors.  Output is deterministic: the same invocation yields
-byte-identical bytes regardless of parallelism.
+parse, or I/O errors, 3 for an internal fault (any other exception, such
+as running out of memory).  Output is deterministic: the same invocation
+yields byte-identical bytes regardless of parallelism.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .verify import AlphaReport, full_report
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 _UNCAPPED = 10 ** 9  # effective "no cap" when --size-override is given
 
@@ -355,7 +357,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except Exception as exc:  # a fault of the program, not a counterexample
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 __all__ = ["main", "build_parser", "report_to_dict", "EXIT_OK",
-           "EXIT_COUNTEREXAMPLE", "EXIT_USAGE"]
+           "EXIT_COUNTEREXAMPLE", "EXIT_USAGE", "EXIT_INTERNAL"]

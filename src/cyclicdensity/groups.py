@@ -79,24 +79,6 @@ class FiniteGroup:
         self._center: Optional[Subgroup] = None
         self._census = None  # filled lazily by density.cyclic_subgroups
 
-    def compose(self, a: int, b: int) -> int:
-        if not (0 <= a < self.n and 0 <= b < self.n):
-            raise InvalidArgument(f"element ids must lie in [0, {self.n}), got ({a}, {b})")
-        return int(self.table[a, b])
-
-    def element_order(self, a: int) -> int:
-        if not (0 <= a < self.n):
-            raise InvalidArgument(f"element id must lie in [0, {self.n}), got {a}")
-        return int(self.ord[a])
-
-    def inverse(self, a: int) -> int:
-        if not (0 <= a < self.n):
-            raise InvalidArgument(f"element id must lie in [0, {self.n}), got {a}")
-        return int(self.inv[a])
-
-    def elements(self) -> range:
-        return range(self.n)
-
     def is_abelian(self) -> bool:
         return bool((self.table == self.table.T).all())
 
@@ -265,23 +247,29 @@ def _check_associativity(table: np.ndarray) -> None:
             frontier = table[np.ix_(fresh, gens)].ravel()
 
 
-def _element_orders(table: np.ndarray) -> np.ndarray:
-    """Orders of all elements at once via repeated right-multiplication."""
+def _element_orders(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """For every x at once, the least k >= 1 with x^k in mask.
+
+    With the identity mask these are the element orders; with the mask of a
+    central subgroup Z they are the orders of the cosets xZ in G/Z.  The
+    power walks advance in lockstep and each leaves once it hits the mask.
+    """
     n = table.shape[0]
-    ar = np.arange(n, dtype=np.int32)
-    ord_ = np.zeros(n, dtype=np.int32)
-    ord_[0] = 1
-    cur = ar.copy()
-    k = 1
-    while (ord_ == 0).any():
-        if k > n:
-            a = int(np.nonzero(ord_ == 0)[0][0])
-            raise NotClosed(f"powers of element {a} never reach the identity")
-        cur = table[cur, ar]
-        k += 1
-        newly = (cur == 0) & (ord_ == 0)
-        ord_[newly] = k
-    return ord_
+    out = np.zeros(n, dtype=np.int32)
+    xs = np.arange(n, dtype=np.int32)
+    cur = xs.copy()  # cur holds x^k
+    flat = table.ravel()
+    row = xs.astype(np.intp) * n  # x^(k+1) = x * x^k = flat[row + cur]
+    for k in range(1, n + 1):
+        hit = mask[cur]
+        if hit.any():
+            out[xs[hit]] = k
+            live = ~hit
+            xs, row, cur = xs[live], row[live], cur[live]
+            if not xs.size:
+                return out
+        cur = flat.take(row + cur)
+    raise NotClosed(f"powers of element {int(xs[0])} never reach the identity")
 
 
 def _least_generators(table: np.ndarray, ords: np.ndarray) -> np.ndarray:
@@ -326,7 +314,7 @@ def _build(table: np.ndarray, label: str) -> FiniteGroup:
     if not ((table[0] == ar).all() and (table[:, 0] == ar).all()):
         raise NoIdentityAtZero(f"constructed table for {label!r} lacks identity at 0")
     inv = _compute_inverses(table)
-    ord_ = _element_orders(table)
+    ord_ = _element_orders(table, ar == 0)
     if (n % ord_ != 0).any():
         a = int(np.nonzero(n % ord_)[0][0])
         raise NotClosed(f"order {int(ord_[a])} of element {a} does not divide {n}")
@@ -361,11 +349,6 @@ def center(g: FiniteGroup) -> Subgroup:
         mask = (g.table == g.table.T).all(axis=1)
         g._center = Subgroup(g, np.nonzero(mask)[0])
     return g._center
-
-
-def subgroup_from_set(g: FiniteGroup, members: Iterable[int]) -> Subgroup:
-    """Wrap a member set as a Subgroup, raising NotASubgroup with a witness."""
-    return Subgroup(g, members)
 
 
 def _require_central(g: FiniteGroup, z: Subgroup) -> None:
@@ -424,15 +407,20 @@ def group_exponent(g: FiniteGroup) -> int:
     return math.lcm(*(int(v) for v in np.unique(g.ord)))
 
 
+def _product_of_tables(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """Cayley table of the direct product, pairs (a, b) encoded as a * n2 + b."""
+    n2 = t2.shape[0]
+    n = t1.shape[0] * n2
+    out = t1.astype(np.int64)[:, None, :, None] * n2 + t2[None, :, None, :]
+    return out.reshape(n, n).astype(np.int32)
+
+
 def direct_product(g: FiniteGroup, h: FiniteGroup, *, max_size: Optional[int] = None,
                    label: Optional[str] = None) -> FiniteGroup:
     """Direct product with pairs (a, b) encoded as a * |H| + b."""
-    n = g.n * h.n
-    _check_cap(n, max_size, f"product of {g.label!r} and {h.label!r}")
-    gt = g.table.astype(np.int64)
-    table = gt[:, None, :, None] * h.n + h.table[None, :, None, :]
-    table = table.reshape(n, n).astype(np.int32)
-    return _build(table, label or f"product:({g.label})x({h.label})")
+    _check_cap(g.n * h.n, max_size, f"product of {g.label!r} and {h.label!r}")
+    return _build(_product_of_tables(g.table, h.table),
+                  label or f"product:({g.label})x({h.label})")
 
 
 def relabeled_copy(g: FiniteGroup, perm: Sequence[int], label: Optional[str] = None) -> FiniteGroup:
@@ -480,7 +468,6 @@ __all__ = [
     "CosetPartition",
     "validate_table_with_report",
     "center",
-    "subgroup_from_set",
     "coset_partition",
     "quotient_by_central",
     "group_exponent",

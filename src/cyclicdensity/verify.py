@@ -25,14 +25,7 @@ from .density import (
     subgroup_count_identity_check,
 )
 from .errors import NotASubgroup
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    center,
-    coset_partition,
-    group_exponent,
-    quotient_by_central,
-)
+from .groups import FiniteGroup, Subgroup, _element_orders, center, coset_partition
 
 
 @dataclass(frozen=True)
@@ -118,25 +111,6 @@ class AlphaReport:
     @property
     def clean(self) -> bool:
         return not self.findings
-
-
-def verify_alpha_inequality(g: FiniteGroup) -> tuple[Fraction, Fraction, bool]:
-    """alpha(G), alpha(Z(G)), and whether alpha(G) <= alpha(Z(G))."""
-    a_g = alpha(g)
-    a_z = alpha(g, center(g))
-    return a_g, a_z, a_g <= a_z
-
-
-def verify_average_order_inequality(g: FiniteGroup) -> tuple[Fraction, Fraction, bool]:
-    """o(G), o(Z(G)), and whether o(G) >= o(Z(G))."""
-    avg_g = average_order(g)
-    avg_z = average_order(g, center(g))
-    return avg_g, avg_z, avg_g >= avg_z
-
-
-def equality_holds(g: FiniteGroup) -> bool:
-    a_g, a_z, _ = verify_alpha_inequality(g)
-    return a_g == a_z
 
 
 def per_coset_analysis(g: FiniteGroup) -> PerCosetFindings:
@@ -253,13 +227,6 @@ def structural_condition(g: FiniteGroup) -> StructuralResult:
     return StructuralResult(True, two_part, odd_part, "")
 
 
-def verify_equality_equivalence(g: FiniteGroup) -> tuple[bool, bool, bool]:
-    """(equality, structural verdict, whether the two agree)."""
-    eq = equality_holds(g)
-    st = structural_condition(g)
-    return eq, st.holds, eq == st.holds
-
-
 def is_2_central(g: FiniteGroup) -> bool:
     """True when every square lies in the center."""
     ar = np.arange(g.n)
@@ -280,22 +247,18 @@ def is_4_abelian_witness(g: FiniteGroup) -> tuple[bool, Optional[tuple[int, int]
     return True, None
 
 
-def is_4_abelian(g: FiniteGroup) -> bool:
-    ok, _ = is_4_abelian_witness(g)
-    return ok
-
-
 def full_report(g: FiniteGroup, label: Optional[str] = None) -> AlphaReport:
     """Run every check on one group and fold the results into an AlphaReport."""
     census = cyclic_subgroups(g)
-    a_g, a_z, _ = verify_alpha_inequality(g)
-    avg_g, avg_z, _ = verify_average_order_inequality(g)
-    count_ok, count_msg = subgroup_count_identity_check(g)
     z = center(g)
+    a_g, a_z = alpha(g), alpha(g, z)
+    avg_g, avg_z = average_order(g), average_order(g, z)
+    count_ok, count_msg = subgroup_count_identity_check(g)
     pc = per_coset_analysis(g)
     eq = a_g == a_z
     st = structural_condition(g)
-    qexp = group_exponent(quotient_by_central(g, z))
+    # the coset xZ has order min{k : x^k in Z}, so exp(G/Z) is their lcm
+    qexp = math.lcm(*np.unique(_element_orders(g.table, z.bitmap)).tolist())
     two_c = is_2_central(g)
     four_ab, four_witness = is_4_abelian_witness(g)
 
@@ -373,14 +336,9 @@ __all__ = [
     "PerCosetFindings",
     "StructuralResult",
     "AlphaReport",
-    "verify_alpha_inequality",
-    "verify_average_order_inequality",
-    "equality_holds",
     "per_coset_analysis",
     "structural_condition",
-    "verify_equality_equivalence",
     "is_2_central",
-    "is_4_abelian",
     "is_4_abelian_witness",
     "full_report",
 ]

@@ -23,6 +23,8 @@ from cyclicdensity import (
     cyclic_subgroups,
     direct_product,
     full_report,
+    group_exponent,
+    quotient_by_central,
     relabeled_copy,
     structural_condition,
 )
@@ -42,6 +44,8 @@ def assert_matches_oracle(g):
     report = full_report(g)
     assert (report.alpha_z, report.avg_order_z, report.center_order) == (
         a_z, avg_z, z_order), g.label
+    # exp(G/Z) from the power walk on G's table, against the rebuilt G/Z
+    assert report.quotient_exponent == group_exponent(quotient_by_central(g, z)), g.label
 
     st_result = structural_condition(g)
     if st_result.holds or st_result.witness.startswith("coset of"):

@@ -214,3 +214,17 @@ def test_verify_table_spec(tmp_path):
     payload = json.loads(proc.stdout)
     assert payload["cyclic_count"] == 7
     assert payload["label"] == f"table:{f}"
+
+
+def test_internal_fault_exits_3(monkeypatch, capsys):
+    # exit 1 is reserved for a counterexample, so an internal fault is 3
+    from cyclicdensity import cli
+
+    def out_of_memory(g):
+        raise MemoryError("table too large")
+
+    monkeypatch.setattr(cli, "full_report", out_of_memory)
+    assert cli.main(["verify", "--group", "dihedral:8"]) == cli.EXIT_INTERNAL == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: MemoryError: table too large\n"

@@ -13,6 +13,7 @@ from cyclicdensity import (
     NotCentral,
     NotClosed,
     SizeLimitExceeded,
+    Subgroup,
     center,
     coset_partition,
     direct_product,
@@ -25,7 +26,6 @@ from cyclicdensity import (
     make_symmetric,
     quotient_by_central,
     relabeled_copy,
-    subgroup_from_set,
     validate_table_with_report,
     verify_group_invariants,
 )
@@ -39,16 +39,16 @@ def z3_table():
 def test_validate_accepts_z3():
     g, _ = validate_table_with_report(z3_table(), "z3")
     assert g.n == 3
-    assert g.compose(1, 2) == 0
-    assert g.inverse(1) == 2
-    assert [g.element_order(a) for a in range(3)] == [1, 3, 3]
+    assert g.table[1, 2] == 0
+    assert g.inv[1] == 2
+    assert g.ord.tolist() == [1, 3, 3]
 
 
 def test_validate_moves_identity_to_zero():
     # same Z3 but with the identity living at id 2
     raw = [[1, 2, 0], [2, 0, 1], [0, 1, 2]]
     g, reindex = validate_table_with_report(raw, "z3-shifted")
-    assert g.compose(0, 0) == 0 and g.element_order(0) == 1
+    assert g.table[0, 0] == 0 and g.ord[0] == 1
     assert reindex[2] == 0 and len(reindex) == 3
     assert sorted(reindex) == [0, 1, 2]
 
@@ -71,7 +71,7 @@ def test_validate_rejects_missing_identity():
 def test_validate_finds_identity_anywhere():
     # Z2 written with the identity at id 1
     g, reindex = validate_table_with_report([[1, 0], [0, 1]])
-    assert g.n == 2 and g.compose(1, 1) == 0
+    assert g.n == 2 and g.table[1, 1] == 0
     assert reindex == [1, 0]
 
 
@@ -117,7 +117,7 @@ def test_explicit_max_size_beats_env():
 def test_center_of_dihedral8(d8):
     z = center(d8)
     assert sorted(int(x) for x in z.members) == [0, 2]
-    assert d8.element_order(2) == 2
+    assert d8.ord[2] == 2
 
 
 def test_center_of_abelian_is_everything(z12):
@@ -130,13 +130,13 @@ def test_center_of_symmetric_is_trivial(s4):
 
 def test_subgroup_rejects_unclosed_set(d8):
     with pytest.raises(NotASubgroup) as err:
-        subgroup_from_set(d8, [0, 1])  # 1 is a rotation of order 4
+        Subgroup(d8, [0, 1])  # 1 is a rotation of order 4
     assert err.value.witness is not None
 
 
 def test_subgroup_requires_identity(d8):
     with pytest.raises(NotASubgroup):
-        subgroup_from_set(d8, [2, 4])
+        Subgroup(d8, [2, 4])
 
 
 def test_subgroup_order_must_divide_group_order():
@@ -148,11 +148,11 @@ def test_subgroup_order_must_divide_group_order():
     fake = FiniteGroup(table, np.arange(3, dtype=np.int32),
                        np.array([1, 2, 2], dtype=np.int32), "not-a-group")
     with pytest.raises(NotASubgroup, match="does not divide the order 3"):
-        subgroup_from_set(fake, [0, 1])
+        Subgroup(fake, [0, 1])
 
 
 def test_subgroup_as_group_roundtrip(d8):
-    z = subgroup_from_set(d8, [0, 1, 2, 3])  # the rotation subgroup
+    z = Subgroup(d8, [0, 1, 2, 3])  # the rotation subgroup
     rot = z.as_group("rotations")
     assert rot.n == 4 and group_exponent(rot) == 4
     verify_group_invariants(rot)
@@ -170,7 +170,7 @@ def test_coset_partition_of_d8(d8):
 
 
 def test_coset_partition_requires_central(s4):
-    sub = subgroup_from_set(s4, [0, 1])  # a transposition: not central
+    sub = Subgroup(s4, [0, 1])  # a transposition: not central
     with pytest.raises(NotCentral):
         coset_partition(s4, sub)
 

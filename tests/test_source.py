@@ -28,3 +28,16 @@ def test_no_random_sampling_in_src():
         if pattern.search(line)
     ]
     assert not found, f"random sampling in src/: {found}"
+
+
+def test_verify_path_rebuilds_no_group():
+    # quantities of Z(G) and G/Z are read off G's own arrays
+    pattern = re.compile(r"\b(quotient_by_central|as_group|_build)\b")
+    found = [
+        f"{name}:{lineno}"
+        for name in ("verify.py", "density.py")
+        for lineno, line in enumerate(
+            (SRC / "cyclicdensity" / name).read_text().splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert not found, f"group rebuilt on the verify path: {found}"

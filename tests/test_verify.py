@@ -8,62 +8,62 @@ import pytest
 
 from cyclicdensity import (
     AlphaReport,
+    alpha,
+    average_order,
     build_group,
-    equality_holds,
+    center,
     full_report,
     is_2_central,
-    is_4_abelian,
     is_4_abelian_witness,
     make_abelian,
     make_cyclic,
     per_coset_analysis,
     relabeled_copy,
     structural_condition,
-    verify_alpha_inequality,
-    verify_average_order_inequality,
-    verify_equality_equivalence,
 )
 from cyclicdensity.groups import FiniteGroup
 
 
 def test_inequality_d8(d8):
-    a_g, a_z, holds = verify_alpha_inequality(d8)
-    assert (a_g, a_z, holds) == (Fraction(7, 8), Fraction(1), True)
+    a_g, a_z = alpha(d8), alpha(d8, center(d8))
+    assert (a_g, a_z, a_g <= a_z) == (Fraction(7, 8), Fraction(1), True)
 
 
 def test_inequality_q8(q8):
-    a_g, a_z, holds = verify_alpha_inequality(q8)
+    a_g, a_z = alpha(q8), alpha(q8, center(q8))
     # center is {1, -1}, a copy of Z2, whose density is 1
-    assert (a_g, a_z, holds) == (Fraction(5, 8), Fraction(1), True)
+    assert (a_g, a_z, a_g <= a_z) == (Fraction(5, 8), Fraction(1), True)
 
 
 def test_inequality_pauli16_is_equality(pauli16):
-    a_g, a_z, holds = verify_alpha_inequality(pauli16)
+    a_g, a_z = alpha(pauli16), alpha(pauli16, center(pauli16))
     assert a_g == a_z == Fraction(3, 4)
-    assert holds and equality_holds(pauli16)
+    assert a_g <= a_z and a_g == a_z
 
 
 def test_inequality_heisenberg_strict(heis3):
-    a_g, a_z, holds = verify_alpha_inequality(heis3)
+    a_g, a_z = alpha(heis3), alpha(heis3, center(heis3))
     assert a_g == Fraction(14, 27)
     assert a_z == Fraction(2, 3)
-    assert holds and not equality_holds(heis3)
+    assert a_g <= a_z and a_g != a_z
 
 
 def test_inequality_symmetric(s3, s4):
     for g in (s3, s4):
-        a_g, a_z, holds = verify_alpha_inequality(g)
+        a_g, a_z = alpha(g), alpha(g, center(g))
         assert a_z == Fraction(1)  # trivial center
-        assert holds and a_g < a_z
+        assert a_g <= a_z and a_g < a_z
 
 
 def test_average_order_inequality(d8, q8, pauli16, heis3):
-    assert verify_average_order_inequality(d8) == (Fraction(19, 8), Fraction(3, 2), True)
-    assert verify_average_order_inequality(q8) == (Fraction(27, 8), Fraction(3, 2), True)
-    assert verify_average_order_inequality(pauli16) == (
-        Fraction(47, 16), Fraction(11, 4), True)
-    avg_g, avg_z, holds = verify_average_order_inequality(heis3)
-    assert avg_g == Fraction(79, 27) and avg_z == Fraction(7, 3) and holds
+    expected = ((d8, Fraction(19, 8), Fraction(3, 2)),
+                (q8, Fraction(27, 8), Fraction(3, 2)),
+                (pauli16, Fraction(47, 16), Fraction(11, 4)),
+                (heis3, Fraction(79, 27), Fraction(7, 3)))
+    for g, want_g, want_z in expected:
+        avg_g, avg_z = average_order(g), average_order(g, center(g))
+        assert (avg_g, avg_z) == (want_g, want_z), g.label
+        assert avg_g >= avg_z, g.label
 
 
 # ---------------------------------------------------------------- per coset
@@ -158,8 +158,8 @@ def test_equivalence_on_named_groups(d8, q8, q16, s3, s4, pauli16,
                                      es32_plus, es32_minus, heis3, z12, klein):
     expect_equal = {id(pauli16), id(z12), id(klein)}
     for g in (d8, q8, q16, s3, s4, pauli16, es32_plus, es32_minus, heis3, z12, klein):
-        eq, st, match = verify_equality_equivalence(g)
-        assert match, g.label
+        eq = alpha(g) == alpha(g, center(g))
+        assert eq == structural_condition(g).holds, g.label
         assert eq == (id(g) in expect_equal), g.label
 
 
@@ -174,24 +174,24 @@ def test_is_2_central(d8, q8, s3, heis3, pauli16):
 
 
 def _pow4(g, x: int) -> int:
-    x2 = g.compose(x, x)
-    return g.compose(x2, x2)
+    x2 = g.table[x, x]
+    return int(g.table[x2, x2])
 
 
 def test_is_4_abelian(d8, q8, s3, s4, z12, pauli16, es32_plus, heis3):
     # exponent <= 4 makes every fourth power trivial; abelian and
     # exponent-3 groups satisfy the identity outright
     for g in (d8, q8, z12, pauli16, es32_plus, heis3):
-        assert is_4_abelian(g), g.label
+        assert is_4_abelian_witness(g) == (True, None), g.label
     for g in (s3, s4):
         ok, witness = is_4_abelian_witness(g)
         assert not ok, g.label
         x, y = witness
-        lhs = _pow4(g, g.compose(x, y))
-        rhs = g.compose(_pow4(g, x), _pow4(g, y))
+        lhs = _pow4(g, g.table[x, y])
+        rhs = g.table[_pow4(g, x), _pow4(g, y)]
         assert lhs != rhs, g.label
         first = next((a, b) for a in range(g.n) for b in range(g.n)
-                     if _pow4(g, g.compose(a, b)) != g.compose(_pow4(g, a), _pow4(g, b)))
+                     if _pow4(g, g.table[a, b]) != g.table[_pow4(g, a), _pow4(g, b)])
         assert witness == first, g.label
 
 
@@ -200,7 +200,7 @@ def test_is_4_abelian_s3_witness_shape(s3):
     # while the pair's own fourth powers collapse to the identity
     ok, (x, y) = is_4_abelian_witness(s3)
     assert not ok
-    assert s3.element_order(s3.compose(x, y)) == 3
+    assert s3.ord[s3.table[x, y]] == 3
     assert _pow4(s3, x) == 0 and _pow4(s3, y) == 0
 
 
@@ -276,4 +276,4 @@ def test_odd_order_groups_equality_iff_abelian():
                  "heisenberg:3", "heisenberg:5"):
         g = build_group(spec)
         assert g.n % 2 == 1
-        assert equality_holds(g) == g.is_abelian(), spec
+        assert (alpha(g) == alpha(g, center(g))) == g.is_abelian(), spec
