@@ -2,8 +2,10 @@
 
 The digests in golden_output.json pin every output byte of `alpha` (text
 and JSON), `verify` (text, JSON and CSV) on a fixed group panel, and
-`sweep --max-order 64` in all three formats.  A refactor that changes no
-behaviour leaves them all equal.  When output is meant to change,
+`sweep --max-order 64` in all three formats.  One more digest per catalog
+family pins the Cayley table and the element orders of every default-sweep
+group (order <= 256), so the ids that witnesses quote cannot drift either.
+A refactor that changes no behaviour leaves them all equal.  When output is meant to change,
 re-record with
 
     PYTHONPATH=src python tests/test_golden_output.py
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclicdensity import cli
+from cyclicdensity import SweepConfig, build_group, cli, corpus_specs
 
 GOLDEN = Path(__file__).resolve().parent / "golden_output.json"
 
@@ -50,6 +52,20 @@ CALLS = (
 )
 
 
+FAMILIES = sorted({spec.split(":")[0] for spec in corpus_specs(SweepConfig())})
+
+
+def _tables_digest(family):
+    """sha256 over spec, table and orders of the family's default-sweep groups."""
+    h = hashlib.sha256()
+    for spec in corpus_specs(SweepConfig(families=(family,))):
+        g = build_group(spec)
+        h.update(spec.encode() + b"\n")
+        h.update(g.table.astype("<i4").tobytes())
+        h.update(g.ord.astype("<i4").tobytes())
+    return h.hexdigest()
+
+
 def _run(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -67,11 +83,19 @@ def test_stdout_and_exit_code_match_golden(argv, golden):
     assert _run(argv) == golden[" ".join(argv)]
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cayley_tables_match_golden(family, golden):
+    assert _tables_digest(family) == golden[f"tables {family}"]["sha256"]
+
+
 def test_golden_file_covers_exactly_these_calls(golden):
-    assert sorted(golden) == sorted(" ".join(argv) for argv in CALLS)
+    assert sorted(golden) == sorted([" ".join(argv) for argv in CALLS]
+                                    + [f"tables {family}" for family in FAMILIES])
 
 
 if __name__ == "__main__":
     record = {" ".join(argv): _run(argv) for argv in CALLS}
+    record.update({f"tables {family}": {"sha256": _tables_digest(family)}
+                   for family in FAMILIES})
     GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     sys.stderr.write(f"recorded {len(record)} digests in {GOLDEN}\n")
