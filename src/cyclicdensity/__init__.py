@@ -45,12 +45,9 @@ from .errors import (
     UnknownFamily,
 )
 from .groups import (
-    CosetPartition,
     FiniteGroup,
-    MinimalRep,
     Subgroup,
     center,
-    coset_partition,
     direct_product,
     group_exponent,
     quotient_by_central,

@@ -25,7 +25,7 @@ from .density import (
     cyclic_subgroups,
 )
 from .errors import GroupError
-from .groups import FiniteGroup, center, size_cap
+from .groups import DEFAULT_SIZE_CAP, SIZE_CAP_ENV, FiniteGroup, center
 from .sweep import SWEEP_FAMILIES, SweepConfig, SweepResult, run_sweep
 from .verify import AlphaReport, full_report
 
@@ -35,6 +35,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 _UNCAPPED = 10 ** 9  # effective "no cap" when --size-override is given
+_CAP_HELP = f"the size cap ({DEFAULT_SIZE_CAP}, or ${SIZE_CAP_ENV} when set)"
 
 _REPORT_COLUMNS = (
     "label",
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_alpha.add_argument("--group", required=True, help="group spec, e.g. dihedral:8")
     p_alpha.add_argument("--size-override", action="store_true",
-                         help=f"allow groups over the size cap ({size_cap()})")
+                         help=f"allow groups over {_CAP_HELP}")
     _add_format_flags(p_alpha, csv_too=False)
     p_alpha.set_defaults(func=_cmd_alpha)
 
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--group", required=True, help="group spec, e.g. quaternion:16")
     p_verify.add_argument("--size-override", action="store_true",
-                          help=f"allow groups over the size cap ({size_cap()})")
+                          help=f"allow groups over {_CAP_HELP}")
     _add_format_flags(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stop at the first counterexample")
     p_sweep.add_argument("--parallelism", type=int, default=1)
     p_sweep.add_argument("--size-override", action="store_true",
-                         help=f"allow max-order over the size cap ({size_cap()})")
+                         help=f"allow max-order over {_CAP_HELP}")
     _add_format_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_import.add_argument("--table", required=True, help="path to the table file")
     p_import.add_argument("--size-override", action="store_true",
-                          help=f"allow tables over the size cap ({size_cap()})")
+                          help=f"allow tables over {_CAP_HELP}")
     _add_format_flags(p_import, csv_too=False)
     p_import.set_defaults(func=_cmd_import)
 

@@ -26,7 +26,6 @@ class CyclicCensus:
     """Cyclic subgroups of a group; roots[x] holds when x is the least id
     generating <x>, so the roots name the cyclic subgroups one to one."""
 
-    group: FiniteGroup
     count: int
     by_order: dict[int, int]  # subgroup order -> how many cyclic subgroups
     roots: np.ndarray  # read-only bool mask over element ids
@@ -51,7 +50,7 @@ def cyclic_subgroups(g: FiniteGroup) -> CyclicCensus:
     roots.setflags(write=False)
     orders, counts = np.unique(ords[roots], return_counts=True)
     by_order = {int(d): int(c) for d, c in zip(orders, counts)}
-    g._census = CyclicCensus(g, int(counts.sum()), by_order, roots)
+    g._census = CyclicCensus(int(counts.sum()), by_order, roots)
     return g._census
 
 

@@ -1,6 +1,6 @@
 """Finite groups as dense Cayley tables, plus the structural operations
-(center, central quotients, coset partitions, direct products) that the
-density checks are built on.
+(center, cosets of a central subgroup, central quotients, direct products)
+that the density checks are built on.
 
 Element ids are 0..n-1 with the identity always at 0.  Tables loaded from
 external sources are re-indexed to honor that convention.
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -137,29 +136,6 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(order={len(self)} of {self.parent.label!r})"
-
-
-@dataclass(frozen=True)
-class MinimalRep:
-    """Distinguished representative of one coset: minimal order k, smallest id y."""
-
-    coset_index: int
-    y: int
-    k: int
-
-
-@dataclass(frozen=True)
-class CosetPartition:
-    """Cosets of a central subgroup, ordered by smallest member; index 0 is the kernel."""
-
-    parent: FiniteGroup
-    kernel: Subgroup
-    cosets: tuple[tuple[int, ...], ...]
-    reps: tuple[MinimalRep, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.cosets)
 
 
 def _as_table(raw) -> np.ndarray:
@@ -363,41 +339,39 @@ def _require_central(g: FiniteGroup, z: Subgroup) -> None:
         )
 
 
-def coset_partition(g: FiniteGroup, z: Subgroup) -> CosetPartition:
-    """Partition of g into cosets of the central subgroup z.
+def _central_cosets(g: FiniteGroup, zmem: np.ndarray,
+                    members: Optional[np.ndarray] = None) -> np.ndarray:
+    """Cosets yZ of a central subgroup Z (sorted ids zmem) inside a subgroup
+    U (sorted ids members, all of g by default), one row g.table[y, zmem]
+    per coset, in one pass over U.
 
-    Cosets are ordered by smallest member, so the kernel (which contains 0)
-    comes first.  Each coset carries a minimal representative: the least
-    element order k within the coset and the smallest id attaining it.
+    U is walked in increasing id order and each id not yet covered starts
+    the next row, so the rows are ordered by smallest member and row 0 is Z.
     """
-    _require_central(g, z)
-    cmin = g.table[:, z.members].min(axis=1)
-    reps_min, coset_of = np.unique(cmin, return_inverse=True)
-    m = reps_min.size
-    if m * len(z) != g.n:
-        raise NotASubgroup(f"{m} cosets of order {len(z)} do not cover {g.n} elements")
-    order_key = np.lexsort((np.arange(g.n), coset_of))
-    grouped = order_key.reshape(m, len(z))
-    cosets = tuple(tuple(int(x) for x in row) for row in grouped)
-    if cosets[0] != tuple(int(x) for x in z.members):
+    members = np.arange(g.n) if members is None else members
+    seen = np.zeros(g.n, dtype=bool)
+    rows = []
+    for y in members.tolist():
+        if not seen[y]:
+            row = g.table[y, zmem]
+            seen[row] = True
+            rows.append(row)
+    cosets = np.stack(rows)
+    if not np.array_equal(np.sort(cosets, axis=None), members):
+        raise NotASubgroup(f"{len(rows)} cosets of order {zmem.size} do not "
+                           f"partition {members.size} elements")
+    if not np.array_equal(cosets[0], zmem):
         raise NotASubgroup("the first coset by smallest member is not the subgroup itself")
-    reps = []
-    for i, row in enumerate(grouped):
-        ords = g.ord[row]
-        k = int(ords.min())
-        y = int(row[np.nonzero(ords == k)[0][0]])
-        reps.append(MinimalRep(coset_index=i, y=y, k=k))
-    return CosetPartition(parent=g, kernel=z, cosets=cosets, reps=tuple(reps))
+    return cosets
 
 
 def quotient_by_central(g: FiniteGroup, z: Subgroup, label: Optional[str] = None) -> FiniteGroup:
     """Quotient group G/Z for central Z, on coset ids ordered by smallest member."""
     _require_central(g, z)
-    cmin = g.table[:, z.members].min(axis=1)
-    reps = np.unique(cmin)
-    idx = np.full(g.n, -1, dtype=np.int32)
-    idx[reps] = np.arange(reps.size, dtype=np.int32)
-    coset_of = idx[cmin]
+    cosets = _central_cosets(g, z.members)
+    reps = cosets[:, 0]  # smallest members, since zmem[0] is the identity
+    coset_of = np.empty(g.n, dtype=np.int32)
+    coset_of[cosets] = np.arange(reps.size, dtype=np.int32)[:, None]
     qtable = coset_of[g.table[np.ix_(reps, reps)]]
     return _build(qtable, label or f"({g.label})/Z")
 
@@ -464,11 +438,8 @@ __all__ = [
     "size_cap",
     "FiniteGroup",
     "Subgroup",
-    "MinimalRep",
-    "CosetPartition",
     "validate_table_with_report",
     "center",
-    "coset_partition",
     "quotient_by_central",
     "group_exponent",
     "direct_product",

@@ -25,7 +25,14 @@ from .density import (
     subgroup_count_identity_check,
 )
 from .errors import NotASubgroup
-from .groups import FiniteGroup, Subgroup, _element_orders, center, coset_partition
+from .groups import (
+    FiniteGroup,
+    Subgroup,
+    _central_cosets,
+    _element_orders,
+    _require_central,
+    center,
+)
 
 
 @dataclass(frozen=True)
@@ -113,54 +120,67 @@ class AlphaReport:
         return not self.findings
 
 
+def _minimal_reps(ords: np.ndarray, cosets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per coset row: the least element order k, and the smallest id y of order k."""
+    cords = ords[cosets]
+    k = cords.min(axis=1)
+    y = np.where(cords == k[:, None], cosets, ords.size).min(axis=1)
+    return y, k
+
+
 def per_coset_analysis(g: FiniteGroup) -> PerCosetFindings:
     """Check the three proof obligations on every coset of the center.
 
     For each coset with minimal representative y of order k, and every
     central x: the product order identity, totient divisibility, and the
-    per-coset sum bound against the center's own sum.
+    per-coset sum bound against the center's own sum.  The obligations are
+    checked on whole m x |Z| arrays of products y x, and the sums of
+    1/phi(o) are exact integer numerators over one common denominator L.
     """
     z = center(g)
-    part = coset_partition(g, z)
+    _require_central(g, z)
     zmem = z.members
-    zords = [int(v) for v in g.ord[zmem]]
-    phi = {d: euler_phi(d) for d in set(int(v) for v in np.unique(g.ord))}
-    center_sum = sum(Fraction(1, phi[o]) for o in zords)
+    ords = g.ord.astype(np.int64)
+    y, k = _minimal_reps(ords, _central_cosets(g, zmem))
+    prods = g.table[np.ix_(y, zmem)]  # row i: y_i x for every central x
+    ox, oyx, kk = ords[zmem], ords[prods], k[:, None]
+    ok_identity = (oyx == kk // np.gcd(kk, ox) * ox).all(axis=1)
+    orders, at = np.unique(ords, return_inverse=True)  # ords == orders[at]
+    phis = [euler_phi(int(d)) for d in orders]
+    phi = np.array(phis, dtype=np.int64)
+    ok_divides = (phi[at[prods]] % phi[at[zmem]] == 0).all(axis=1)
+    # 1/phi(d) = (L // phi(d)) / L; Python ints, since a tampered g.ord can
+    # push L far beyond n
+    L = math.lcm(*phis)
+    numer = np.array([L // p for p in phis], dtype=object)
+    sums = numer[at[prods]].sum(axis=1).tolist()
+    center_numer = numer[at[zmem]].sum()
+    center_sum = Fraction(center_numer, L)
     checks: list[CosetCheck] = []
     findings: list[str] = []
-    total = Fraction(0)
-    for rep, coset in zip(part.reps, part.cosets):
-        y, k = rep.y, rep.k
-        prod_orders = [int(v) for v in g.ord[g.table[y, zmem]]]
-        coset_sum = sum(Fraction(1, phi[o]) for o in prod_orders)
-        ok_identity = all(
-            oyx == (k // math.gcd(k, ox)) * ox for ox, oyx in zip(zords, prod_orders)
-        )
-        ok_divides = all(
-            phi[oyx] % phi[ox] == 0 for ox, oyx in zip(zords, prod_orders)
-        )
-        ok_bound = coset_sum <= center_sum
-        if not ok_identity:
+    for i, (yi, ki, s, ok_i, ok_d) in enumerate(zip(
+            y.tolist(), k.tolist(), sums, ok_identity.tolist(), ok_divides.tolist())):
+        coset_sum = Fraction(s, L)
+        ok_bound = s <= center_numer
+        if not ok_i:
             findings.append(
-                f"order-identity: coset of {y} (k = {k}) violates "
+                f"order-identity: coset of {yi} (k = {ki}) violates "
                 f"o(y x) = (k / gcd(k, o(x))) o(x) for some central x"
             )
-        if not ok_divides:
+        if not ok_d:
             findings.append(
-                f"totient-divisibility: coset of {y} has some phi(o(x)) "
+                f"totient-divisibility: coset of {yi} has some phi(o(x)) "
                 f"not dividing phi(o(y x))"
             )
         if not ok_bound:
             findings.append(
-                f"coset-inequality: coset of {y} sums to {coset_sum}, "
+                f"coset-inequality: coset of {yi} sums to {coset_sum}, "
                 f"over the center sum {center_sum}"
             )
         checks.append(CosetCheck(
-            k=k, coset_sum=coset_sum, order_identity=ok_identity,
-            divisibility=ok_divides, coset_inequality=ok_bound,
-            is_center=(rep.coset_index == 0),
+            k=ki, coset_sum=coset_sum, order_identity=ok_i,
+            divisibility=ok_d, coset_inequality=ok_bound, is_center=(i == 0),
         ))
-        total += coset_sum
     head, rest = checks[0], checks[1:]
     rest.sort(key=lambda c: (c.k, c.coset_sum, c.order_identity,
                              c.divisibility, c.coset_inequality))
@@ -169,7 +189,7 @@ def per_coset_analysis(g: FiniteGroup) -> PerCosetFindings:
         group_label=g.label,
         center_sum=center_sum,
         per_coset=ordered,
-        total=total,
+        total=Fraction(sum(sums), L),
         all_hold=not findings,
         findings=tuple(findings),
     )
@@ -207,18 +227,12 @@ def structural_condition(g: FiniteGroup) -> StructuralResult:
             f"parts do not factor the group: |T| = {len(two_part)}, "
             f"|O| = {len(odd_part)}, |T meet O| = {overlap}, |G| = {g.n}",
         )
-    # G = T x O with O central, so Z(T) = Z(G) meet T, and the cosets of
-    # Z(T) that hold an element of order <= 2 cover a union of cosets.
-    tmem = two_part.members
+    # G = T x O with O central, so Z(T) = Z(G) meet T
     zt = np.nonzero(zbit & two_mask)[0]
-    covered = np.zeros(g.n, dtype=bool)
-    covered[g.table[np.ix_(tmem[ords[tmem] <= 2], zt)]] = True
-    bare = tmem[~covered[tmem]]
+    y, k = _minimal_reps(ords, _central_cosets(g, zt, two_part.members))
+    bare = np.flatnonzero(k > 2)
     if bare.size:
-        # bare[0] is the smallest member of the first uncovered coset
-        coset = np.sort(g.table[bare[0], zt])
-        k = int(ords[coset].min())
-        y = int(coset[ords[coset] == k][0])
+        y, k = int(y[bare[0]]), int(k[bare[0]])
         return StructuralResult(
             False, two_part, odd_part,
             f"coset of {y} in the 2-part has minimal order {k}, "

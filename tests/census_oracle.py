@@ -5,15 +5,27 @@ cyclic_subgroup_sets() enumerates every <x> as an explicit element set:
 an n x n membership matrix filled by a lockstep power walk, deduplicated
 row-wise.  The center and 2-part routes rebuild those subgroups as
 standalone groups and recount them, instead of reading them off G.
+
+coset_partition() labels each element by the least member of its coset
+under a central subgroup Z, from the n x |Z| gather of every product g*z,
+and per_coset_findings() adds up the per-coset totient sums one Fraction
+per element; they check the one-pass coset walk of the library.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from cyclicdensity import Subgroup, center, coset_partition
+from cyclicdensity import (
+    CosetCheck,
+    PerCosetFindings,
+    Subgroup,
+    center,
+    euler_phi,
+)
 
 
 def cyclic_subgroup_sets(g) -> frozenset[frozenset[int]]:
@@ -60,8 +72,76 @@ def rebuilt_two_part_witness(two_part: Subgroup) -> str:
     """Step (c) of the structural criterion on the 2-part T rebuilt as a
     group: the first coset of Z(T) whose minimal order exceeds 2, or ""."""
     tg = two_part.as_group()
-    for rep in coset_partition(tg, center(tg)).reps:
-        if rep.k > 2:
-            return (f"coset of {int(two_part.members[rep.y])} in the 2-part "
-                    f"has minimal order {rep.k}, no element of order <= 2")
+    _, _, reps = coset_partition(tg, center(tg).members)
+    for y, k in reps:
+        if k > 2:
+            return (f"coset of {int(two_part.members[y])} in the 2-part "
+                    f"has minimal order {k}, no element of order <= 2")
     return ""
+
+
+def coset_partition(g, zmem):
+    """Cosets of the central subgroup with members zmem, labelled by the
+    minimum of each row of g.table[:, zmem].
+
+    Returns coset_of (index of each element's coset, ordered by smallest
+    member), the cosets as sorted tuples, and each coset's minimal
+    representative (y, k): its least element order k and the smallest id
+    y of that order.
+    """
+    cmin = g.table[:, zmem].min(axis=1)
+    _, coset_of = np.unique(cmin, return_inverse=True)
+    cosets = [[] for _ in range(int(coset_of.max()) + 1)]
+    for x in range(g.n):
+        cosets[coset_of[x]].append(x)
+    reps = []
+    for coset in cosets:
+        k = min(int(g.ord[x]) for x in coset)
+        reps.append((min(x for x in coset if g.ord[x] == k), k))
+    return coset_of, [tuple(c) for c in cosets], reps
+
+
+def quotient_table(g, zmem) -> np.ndarray:
+    """Cayley table of G/Z on coset ids ordered by smallest member."""
+    coset_of, cosets, _ = coset_partition(g, zmem)
+    firsts = [c[0] for c in cosets]
+    return coset_of[g.table[np.ix_(firsts, firsts)]]
+
+
+def per_coset_findings(g) -> PerCosetFindings:
+    """The three per-coset proof obligations on the cosets of Z(G), with
+    one exact Fraction per element and one scalar check per central x."""
+    zmem = center(g).members
+    _, _, reps = coset_partition(g, zmem)
+    zords = [int(v) for v in g.ord[zmem]]
+    center_sum = sum(Fraction(1, euler_phi(o)) for o in zords)
+    checks, findings, total = [], [], Fraction(0)
+    for i, (y, k) in enumerate(reps):
+        prod_orders = [int(g.ord[g.table[y, x]]) for x in zmem]
+        coset_sum = sum(Fraction(1, euler_phi(o)) for o in prod_orders)
+        ok_identity = all(oyx == (k // math.gcd(k, ox)) * ox
+                          for ox, oyx in zip(zords, prod_orders))
+        ok_divides = all(euler_phi(oyx) % euler_phi(ox) == 0
+                         for ox, oyx in zip(zords, prod_orders))
+        ok_bound = coset_sum <= center_sum
+        if not ok_identity:
+            findings.append(
+                f"order-identity: coset of {y} (k = {k}) violates "
+                f"o(y x) = (k / gcd(k, o(x))) o(x) for some central x")
+        if not ok_divides:
+            findings.append(
+                f"totient-divisibility: coset of {y} has some phi(o(x)) "
+                f"not dividing phi(o(y x))")
+        if not ok_bound:
+            findings.append(
+                f"coset-inequality: coset of {y} sums to {coset_sum}, "
+                f"over the center sum {center_sum}")
+        checks.append(CosetCheck(
+            k=k, coset_sum=coset_sum, order_identity=ok_identity,
+            divisibility=ok_divides, coset_inequality=ok_bound, is_center=(i == 0)))
+        total += coset_sum
+    rest = sorted(checks[1:], key=lambda c: (c.k, c.coset_sum, c.order_identity,
+                                             c.divisibility, c.coset_inequality))
+    return PerCosetFindings(
+        group_label=g.label, center_sum=center_sum, per_coset=(checks[0], *rest),
+        total=total, all_hold=not findings, findings=tuple(findings))

@@ -1,5 +1,6 @@
-"""The least-generator census and the values read off G's own arrays,
-against the explicit-enumeration and rebuilt-subgroup oracles."""
+"""The least-generator census, the one-pass coset walk and the values read
+off G's own arrays, against the explicit-enumeration, n x |Z| coset
+partition and rebuilt-subgroup oracles."""
 
 from __future__ import annotations
 
@@ -10,10 +11,13 @@ from hypothesis import given, settings, strategies as st
 from census_oracle import (
     by_order,
     cyclic_subgroup_sets,
+    per_coset_findings,
+    quotient_table,
     rebuilt_center_values,
     rebuilt_two_part_witness,
 )
 from cyclicdensity import (
+    FiniteGroup,
     SweepConfig,
     alpha,
     average_order,
@@ -24,6 +28,7 @@ from cyclicdensity import (
     direct_product,
     full_report,
     group_exponent,
+    per_coset_analysis,
     quotient_by_central,
     relabeled_copy,
     structural_condition,
@@ -45,7 +50,10 @@ def assert_matches_oracle(g):
     assert (report.alpha_z, report.avg_order_z, report.center_order) == (
         a_z, avg_z, z_order), g.label
     # exp(G/Z) from the power walk on G's table, against the rebuilt G/Z
-    assert report.quotient_exponent == group_exponent(quotient_by_central(g, z)), g.label
+    quotient = quotient_by_central(g, z)
+    assert report.quotient_exponent == group_exponent(quotient), g.label
+    assert np.array_equal(quotient.table, quotient_table(g, z.members)), g.label
+    assert per_coset_analysis(g) == per_coset_findings(g), g.label
 
     st_result = structural_condition(g)
     if st_result.holds or st_result.witness.startswith("coset of"):
@@ -84,3 +92,39 @@ def test_census_matches_oracle_on_relabelings(spec, seed):
     assert cyclic_subgroups(h).count == cyclic_subgroups(g).count
     assert alpha(h, center(h)) == alpha(g, center(g))
 
+
+
+def tampered(g, changes):
+    ords = g.ord.copy()
+    for x, o in changes.items():
+        ords[x] = o
+    return FiniteGroup(g.table, g.inv, ords, f"tampered:{g.label}")
+
+
+def reversed_ids(g):
+    """Relabel ids 1..n-1 in reverse, so a coset's least id of minimal
+    order is not always the first of them in the order of Z."""
+    return relabeled_copy(g, [0, *range(g.n - 1, 0, -1)])
+
+
+@pytest.mark.parametrize("spec, changes", [
+    ("dihedral:8", {4: 4}),  # reflection 4 really has order 2
+    ("dihedral:8", {5: 1009}),  # common denominator 1008 > n
+    ("quaternion:8", {1: 1009, 3: 997}),  # a central and a non-central element
+    ("dihedral:16", {2: 3}),
+    # phi of these primes has lcm over 2^80, so no int64 sum can hold it
+    ("dihedral:8", {4: 2147483647, 5: 2147483629, 6: 2147483587, 7: 2147483579}),
+    # central 22 really has order 2; every coset then names its y
+    ("reversed:product:(dihedral:8)x(cyclic:4)", {22: 6}),
+])
+def test_per_coset_matches_oracle_on_tampered_orders(spec, changes):
+    if spec.startswith("reversed:"):
+        g = reversed_ids(build_group(spec.removeprefix("reversed:")))
+    else:
+        g = build_group(spec)
+    fake = tampered(g, changes)
+    found = per_coset_analysis(fake)
+    assert found == per_coset_findings(fake)
+    assert found.findings
+    z = center(fake)
+    assert np.array_equal(quotient_by_central(fake, z).table, quotient_table(fake, z.members))

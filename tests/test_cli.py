@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from cyclicdensity import make_dihedral, make_quaternion
 
 REPORT_KEYS = [
@@ -198,6 +200,20 @@ def test_size_cap_and_override():
     )
     assert allowed.returncode == 0
     assert "order: 32" in allowed.stdout
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("argv", [["verify", "--group", "cyclic:4"],
+                                  ["alpha", "--group", "cyclic:4"]])
+def test_malformed_size_cap_exits_2(argv, value, monkeypatch, capsys):
+    # a bad cap is a usage error, never exit 1 (the counterexample code)
+    from cyclicdensity import cli
+
+    monkeypatch.setenv("CYCLIC_DENSITY_MAX_ORDER", value)
+    assert cli.main(argv) == cli.EXIT_USAGE == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: CYCLIC_DENSITY_MAX_ORDER must be")
 
 
 def test_missing_subcommand_exits_2():

@@ -15,7 +15,6 @@ from cyclicdensity import (
     SizeLimitExceeded,
     Subgroup,
     center,
-    coset_partition,
     direct_product,
     group_exponent,
     make_abelian,
@@ -158,21 +157,10 @@ def test_subgroup_as_group_roundtrip(d8):
     verify_group_invariants(rot)
 
 
-def test_coset_partition_of_d8(d8):
-    part = coset_partition(d8, center(d8))
-    assert part.m == 4
-    assert part.cosets[0] == (0, 2)
-    assert all(len(c) == 2 for c in part.cosets)
-    # minimal representative orders: center 1, rotation coset 4, reflections 2
-    ks = sorted(rep.k for rep in part.reps)
-    assert ks == [1, 2, 2, 4]
-    assert part.reps[0].k == 1 and part.reps[0].y == 0
-
-
-def test_coset_partition_requires_central(s4):
+def test_quotient_by_central_requires_central(s4):
     sub = Subgroup(s4, [0, 1])  # a transposition: not central
     with pytest.raises(NotCentral):
-        coset_partition(s4, sub)
+        quotient_by_central(s4, sub)
 
 
 def test_quotient_of_d8_is_klein(d8):
