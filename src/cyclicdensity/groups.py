@@ -4,13 +4,20 @@ that the density checks are built on.
 
 Element ids are 0..n-1 with the identity always at 0.  Tables loaded from
 external sources are re-indexed to honor that convention.
+
+Each group carries one greedy generating set S (see _generate), and the
+center, the centrality check and subgroup closure work from it in
+O(n |S|) instead of comparing all n^2 products.  Those arguments assume an
+associative table: validate_table_with_report proves that for imported
+tables (and S is the set its test found), and the catalog builds its tables
+associative by construction.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -65,7 +72,8 @@ class FiniteGroup:
     public API.
     """
 
-    __slots__ = ("n", "table", "inv", "ord", "label", "_center", "_census")
+    __slots__ = ("n", "table", "inv", "ord", "label", "_gens", "_center", "_census",
+                 "__weakref__")
 
     def __init__(self, table: np.ndarray, inv: np.ndarray, ord_: np.ndarray, label: str):
         self.n = int(table.shape[0])
@@ -75,11 +83,12 @@ class FiniteGroup:
         self.label = label
         for arr in (table, inv, ord_):
             arr.setflags(write=False)
-        self._center: Optional[Subgroup] = None
+        self._gens: Optional[np.ndarray] = None  # filled lazily by _generators
+        self._center: Optional[np.ndarray] = None  # read-only mask, filled by center
         self._census = None  # filled lazily by density.cyclic_subgroups
 
     def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
+        return len(center(self)) == self.n
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, n={self.n})"
@@ -98,10 +107,10 @@ class Subgroup:
             raise NotASubgroup(f"member {int(arr[-1])} outside parent of order {parent.n}")
         bitmap = np.zeros(parent.n, dtype=bool)
         bitmap[arr] = True
-        products = parent.table[np.ix_(arr, arr)]
-        closed = bitmap[products]
-        if not closed.all():
-            i, j = np.argwhere(~closed)[0]
+        if arr.size < parent.n and _generate(parent.table, bitmap) is None:
+            # name the first pair in row-major order whose product leaves the set
+            i, j = _first_failure(
+                arr.size, arr.size, lambda lo, hi: ~bitmap[parent.table[np.ix_(arr[lo:hi], arr)]])
             a, b = int(arr[i]), int(arr[j])
             raise NotASubgroup(
                 f"set is not closed: {a}*{b} = {int(parent.table[a, b])} is outside it",
@@ -115,10 +124,13 @@ class Subgroup:
             raise NotASubgroup(
                 f"closed set of {arr.size} elements does not divide the order {parent.n}"
             )
+        self._set(parent, arr, bitmap)
+
+    def _set(self, parent: FiniteGroup, members: np.ndarray, bitmap: np.ndarray) -> None:
         self.parent = parent
-        self.members = arr
+        self.members = members
         self.bitmap = bitmap
-        arr.setflags(write=False)
+        members.setflags(write=False)
         bitmap.setflags(write=False)
 
     def __len__(self) -> int:
@@ -182,29 +194,82 @@ def _compute_inverses(table: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _check_associativity(table: np.ndarray) -> None:
-    """Exact associativity check (Light's test) for a table whose two-sided
-    identity sits at 0; raises NotAssociative with a witness triple.
+def _generate(table: np.ndarray, inside: Optional[np.ndarray] = None,
+              check: Optional[Callable[[int], None]] = None) -> Optional[np.ndarray]:
+    """Greedy generating set of the ids where inside holds (all ids by
+    default), or None if a product of reached ids leaves that set.
 
-    R = {c : (ab)c = a(bc) for all a, b} contains the identity 0 and is
-    closed under products in any magma: for c, d in R,
-    (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)).  So once every
-    generator passes, every word reached from 0 by right-multiplying
-    generators lies in R, and when those words cover all n ids the table is
-    associative.  Generators are taken greedily (the least unreached id),
-    each checked with two n^2 gathers.  In a group each new generator at
-    least doubles the reached subgroup, so at most log2 n are needed; a
-    non-group magma may need up to n, which costs O(n^3), no worse than
-    checking every triple.  The reached set grows incrementally: only the
-    old set times the new generator and each newly reached element times
-    every generator are multiplied.
+    The least id of the set not yet reached becomes the next generator c,
+    and check(c) runs before c is used.  The reached set R then grows to
+    R<c>: it is multiplied on the right by c, c^2, c^4, ... (each the square
+    of the last) while that adds ids, and the ids added since c are then
+    multiplied by every generator, layer by layer, until a layer adds none.
+    So a cyclic group of order n takes about log2 n steps, not n.
+
+    Every reached id is a product of generators.  In a group table the
+    reached set is the subgroup the generators generate, so the result
+    proves the set is that subgroup, and None proves it is not closed; both
+    rest on associativity.  Each new generator at least doubles a group's
+    reached subgroup, so a group needs at most log2 n of them.
     """
     n = table.shape[0]
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
     gens: list[int] = []
-    while not reached.all():
-        c = int(reached.argmin())
+
+    def absorb(products: np.ndarray) -> Optional[np.ndarray]:
+        """Mark the products not yet reached and return them, each once."""
+        new = np.zeros(n, dtype=bool)
+        new[products] = True
+        new &= ~reached
+        if inside is not None and (new & ~inside).any():
+            return None
+        reached[new] = True
+        return np.flatnonzero(new)
+
+    while True:
+        left = ~reached if inside is None else inside & ~reached
+        if not left.any():
+            out = np.array(gens, dtype=np.intp)
+            out.setflags(write=False)
+            return out
+        c = int(left.argmax())
+        if check is not None:
+            check(c)
+        gens.append(c)
+        added, power = [], c
+        while power:  # the identity as a power adds nothing
+            fresh = absorb(table[np.flatnonzero(reached), power])
+            if fresh is None:
+                return None
+            if not fresh.size:
+                break
+            added.append(fresh)
+            power = int(table[power, power])
+        fresh = np.concatenate(added)
+        while fresh.size:
+            fresh = absorb(table[np.ix_(fresh, gens)].ravel())
+            if fresh is None:
+                return None
+
+
+def _check_associativity(table: np.ndarray) -> np.ndarray:
+    """Exact associativity check (Light's test) for a table whose two-sided
+    identity sits at 0; raises NotAssociative with a witness triple, and
+    returns the greedy generating set it checked.
+
+    R = {c : (ab)c = a(bc) for all a, b} contains the identity 0 and is
+    closed under products in any magma: for c, d in R,
+    (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)).  So once every
+    generator of _generate passes, every id it reaches lies in R, and when
+    those cover all n ids the table is associative.  Each generator is
+    checked with two n^2 gathers.  A group needs at most log2 n generators;
+    a non-group magma may need up to n, which costs O(n^3), no worse than
+    checking every triple.
+    """
+    n = table.shape[0]
+
+    def light(c: int) -> None:
         col = table[:, c]
         left = col.take(table)  # left[a, b] = (a*b)*c
         right = table.take(col, axis=1)  # right[a, b] = a*(b*c)
@@ -215,12 +280,25 @@ def _check_associativity(table: np.ndarray) -> None:
                 f"({a}*{b})*{c} = {int(left[a, b])} but {a}*({b}*{c}) = {int(right[a, b])}",
                 triple=(a, b, c),
             )
-        gens.append(c)
-        frontier = col[reached]
-        while frontier.size:
-            fresh = np.unique(frontier[~reached[frontier]])
-            reached[fresh] = True
-            frontier = table[np.ix_(fresh, gens)].ravel()
+
+    return _generate(table, check=light)
+
+
+_SCAN_BLOCK = 1 << 14  # elements per row block of a failure-path scan
+
+
+def _first_failure(rows: int, cols: int,
+                   bad: Callable[[int, int], np.ndarray]) -> tuple[int, int]:
+    """Row-major first True entry (i, j) of a rows x cols bool matrix whose
+    rows lo..hi-1 are bad(lo, hi); built one block of rows at a time,
+    stopping at the first block that holds one.  The matrix must hold one."""
+    step = max(1, _SCAN_BLOCK // cols)
+    for lo in range(0, rows, step):
+        block = bad(lo, min(lo + step, rows))
+        if block.any():
+            i, j = divmod(int(block.argmax()), cols)
+            return lo + i, j
+    raise ValueError("no failing entry to report")
 
 
 def _element_orders(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -314,29 +392,45 @@ def validate_table_with_report(
     sigma = np.arange(n, dtype=np.int32)
     if e != 0:
         table, sigma = _swap_to_zero(table, e)
-    _check_associativity(table)
+    gens = _check_associativity(table)
     group = _build(table, label)
+    group._gens = gens
     return group, [int(v) for v in sigma]
 
 
+def _generators(g: FiniteGroup) -> np.ndarray:
+    """g's greedy generating set, found once per group."""
+    if g._gens is None:
+        g._gens = _generate(g.table)
+    return g._gens
+
+
 def center(g: FiniteGroup) -> Subgroup:
-    """Subgroup of elements commuting with everything (cached per group)."""
+    """Subgroup of elements commuting with everything.
+
+    Z(G) is the centralizer of a generating set S: an x with xs = sx for
+    every s in S commutes with every product of them, by associativity.
+    The subgroup proof runs once; g caches only the read-only mask.
+    """
     if g._center is None:
-        mask = (g.table == g.table.T).all(axis=1)
-        g._center = Subgroup(g, np.nonzero(mask)[0])
-    return g._center
+        s = _generators(g)
+        mask = (g.table[:, s] == g.table[s].T).all(axis=1)
+        g._center = Subgroup(g, np.flatnonzero(mask)).bitmap
+    z = Subgroup.__new__(Subgroup)
+    z._set(g, np.flatnonzero(g._center).astype(np.int32), g._center)
+    return z
 
 
 def _require_central(g: FiniteGroup, z: Subgroup) -> None:
+    """Raise NotCentral unless z commutes with all of g, which holds when
+    it commutes with g's generating set (the premise is associativity)."""
     if z.parent is not g:
         raise InvalidArgument("subgroup does not belong to this group")
-    rows = g.table[z.members]
-    cols = g.table[:, z.members].T
-    if not np.array_equal(rows, cols):
-        i, b = np.argwhere(rows != cols)[0]
-        raise NotCentral(
-            f"element {int(z.members[i])} does not commute with {int(b)}"
-        )
+    s, zmem = _generators(g), z.members
+    if not np.array_equal(g.table[np.ix_(zmem, s)], g.table[np.ix_(s, zmem)].T):
+        i, b = _first_failure(zmem.size, g.n, lambda lo, hi: (
+            g.table[zmem[lo:hi]] != g.table[:, zmem[lo:hi]].T))
+        raise NotCentral(f"element {int(zmem[i])} does not commute with {b}")
 
 
 def _central_cosets(g: FiniteGroup, zmem: np.ndarray,

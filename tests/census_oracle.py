@@ -10,12 +10,16 @@ coset_partition() labels each element by the least member of its coset
 under a central subgroup Z, from the n x |Z| gather of every product g*z,
 and per_coset_findings() adds up the per-coset totient sums one Fraction
 per element; they check the one-pass coset walk of the library.
+structural() decides the equality criterion with the n^2 center and
+closure routes of table_oracle and the rebuilt 2-part.  Every center here
+is table_oracle's, not the library's.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -23,9 +27,9 @@ from cyclicdensity import (
     CosetCheck,
     PerCosetFindings,
     Subgroup,
-    center,
     euler_phi,
 )
+from table_oracle import center_members, closure_failure
 
 
 def cyclic_subgroup_sets(g) -> frozenset[frozenset[int]]:
@@ -63,7 +67,7 @@ def least_generator(g, members: frozenset[int]) -> int:
 
 def rebuilt_center_values(g) -> tuple[Fraction, Fraction, int]:
     """alpha(Z), o(Z) and |Z| with Z(G) rebuilt as a group of its own."""
-    zg = center(g).as_group()
+    zg = Subgroup(g, center_members(g)).as_group()
     return (Fraction(len(cyclic_subgroup_sets(zg)), zg.n),
             Fraction(int(zg.ord.sum()), zg.n), zg.n)
 
@@ -72,7 +76,7 @@ def rebuilt_two_part_witness(two_part: Subgroup) -> str:
     """Step (c) of the structural criterion on the 2-part T rebuilt as a
     group: the first coset of Z(T) whose minimal order exceeds 2, or ""."""
     tg = two_part.as_group()
-    _, _, reps = coset_partition(tg, center(tg).members)
+    _, _, reps = coset_partition(tg, center_members(tg))
     for y, k in reps:
         if k > 2:
             return (f"coset of {int(two_part.members[y])} in the 2-part "
@@ -111,7 +115,7 @@ def quotient_table(g, zmem) -> np.ndarray:
 def per_coset_findings(g) -> PerCosetFindings:
     """The three per-coset proof obligations on the cosets of Z(G), with
     one exact Fraction per element and one scalar check per central x."""
-    zmem = center(g).members
+    zmem = center_members(g)
     _, _, reps = coset_partition(g, zmem)
     zords = [int(v) for v in g.ord[zmem]]
     center_sum = sum(Fraction(1, euler_phi(o)) for o in zords)
@@ -145,3 +149,33 @@ def per_coset_findings(g) -> PerCosetFindings:
     return PerCosetFindings(
         group_label=g.label, center_sum=center_sum, per_coset=(checks[0], *rest),
         total=total, all_hold=not findings, findings=tuple(findings))
+
+
+def structural(g) -> tuple[bool, str, Optional[list[int]], Optional[list[int]]]:
+    """(holds, witness, members of T, members of O) of the equality
+    criterion, with the center and every closure taken by table_oracle."""
+    zbit = np.zeros(g.n, dtype=bool)
+    zbit[center_members(g)] = True
+    ords = g.ord
+    odd_mask = (ords % 2) == 1
+    bad = np.nonzero(odd_mask & ~zbit)[0]
+    if bad.size:
+        x = int(bad[0])
+        return False, f"element {x} has odd order {int(ords[x])} but is not central", None, None
+    odd = np.nonzero(odd_mask)[0]
+    why = closure_failure(g, odd)
+    if why is not None:
+        return False, f"odd-order elements do not form a subgroup: {why}", None, None
+    two_mask = (ords & (ords - 1)) == 0
+    two = np.nonzero(two_mask)[0]
+    why = closure_failure(g, two)
+    if why is not None:
+        return (False, f"2-power-order elements do not form a subgroup: {why}",
+                None, odd.tolist())
+    overlap = int((two_mask & odd_mask).sum())
+    if overlap != 1 or two.size * odd.size != g.n:
+        return (False, f"parts do not factor the group: |T| = {two.size}, "
+                f"|O| = {odd.size}, |T meet O| = {overlap}, |G| = {g.n}",
+                two.tolist(), odd.tolist())
+    witness = rebuilt_two_part_witness(Subgroup(g, two))
+    return witness == "", witness, two.tolist(), odd.tolist()

@@ -1,6 +1,7 @@
-"""The least-generator census, the one-pass coset walk and the values read
-off G's own arrays, against the explicit-enumeration, n x |Z| coset
-partition and rebuilt-subgroup oracles."""
+"""The least-generator census, the one-pass coset walk, the generating-set
+checks and the values read off G's own arrays, against the
+explicit-enumeration, n x |Z| coset partition, n^2 table and
+rebuilt-subgroup oracles."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from census_oracle import (
     per_coset_findings,
     quotient_table,
     rebuilt_center_values,
-    rebuilt_two_part_witness,
+    structural,
 )
 from cyclicdensity import (
     FiniteGroup,
@@ -28,11 +29,17 @@ from cyclicdensity import (
     direct_product,
     full_report,
     group_exponent,
+    is_4_abelian_witness,
     per_coset_analysis,
     quotient_by_central,
     relabeled_copy,
     structural_condition,
 )
+from table_oracle import center_members, centrality_failure, four_abelian_witness
+
+
+def members(sub):
+    return None if sub is None else sub.members.tolist()
 
 
 def assert_matches_oracle(g):
@@ -44,6 +51,8 @@ def assert_matches_oracle(g):
 
     a_z, avg_z, z_order = rebuilt_center_values(g)
     z = center(g)
+    assert z.members.tolist() == center_members(g), g.label
+    assert centrality_failure(g, z.members) is None, g.label
     assert alpha(g, z) == a_z, g.label
     assert average_order(g, z) == avg_z, g.label
     report = full_report(g)
@@ -55,12 +64,10 @@ def assert_matches_oracle(g):
     assert np.array_equal(quotient.table, quotient_table(g, z.members)), g.label
     assert per_coset_analysis(g) == per_coset_findings(g), g.label
 
+    assert is_4_abelian_witness(g) == four_abelian_witness(g), g.label
     st_result = structural_condition(g)
-    if st_result.holds or st_result.witness.startswith("coset of"):
-        # (a) and (b) held, so step (c) decided the verdict
-        expected = rebuilt_two_part_witness(st_result.two_part)
-        assert st_result.witness == expected, g.label
-        assert st_result.holds == (expected == ""), g.label
+    assert (st_result.holds, st_result.witness, members(st_result.two_part),
+            members(st_result.odd_part)) == structural(g), g.label
 
 
 @pytest.mark.parametrize("spec", corpus_specs(SweepConfig(max_order=64)))

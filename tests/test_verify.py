@@ -2,6 +2,9 @@
 obligations, and the corollaries, on groups with independently frozen values."""
 
 import dataclasses
+import gc
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -277,3 +280,32 @@ def test_odd_order_groups_equality_iff_abelian():
         g = build_group(spec)
         assert g.n % 2 == 1
         assert (alpha(g) == alpha(g, center(g))) == g.is_abelian(), spec
+
+
+@pytest.mark.parametrize("spec", [
+    "abelian:2,2,2,2,2,2,2,2,2,2", "dihedral:1024", "cyclic:1024",
+    "almost-extraspecial:1024", "symmetric:6",
+])
+def test_full_report_allocates_under_half_the_table(spec):
+    # no check on the report path may make an n^2 temporary
+    g = build_group(spec)
+    tracemalloc.start()
+    try:
+        full_report(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.table.nbytes // 2, (spec, peak, g.table.nbytes)
+
+
+def test_reported_group_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        g = build_group("dihedral:64")
+        full_report(g)
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
+
