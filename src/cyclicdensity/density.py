@@ -44,7 +44,7 @@ def cyclic_subgroups(g: FiniteGroup) -> CyclicCensus:
     try:
         key = _least_generators(g.table, ords)
     except NotClosed:
-        ords = _element_orders(g.table, np.arange(g.n) == 0)
+        ords = _element_orders(g.table, np.arange(g.n) == 0)[0]
         key = _least_generators(g.table, ords)
     roots = key == np.arange(g.n)
     roots.setflags(write=False)

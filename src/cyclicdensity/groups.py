@@ -182,18 +182,6 @@ def _swap_to_zero(table: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(sigma[table][np.ix_(sigma, sigma)]), sigma
 
 
-def _compute_inverses(table: np.ndarray) -> np.ndarray:
-    n = table.shape[0]
-    eq0 = table == 0
-    both = eq0 & eq0.T
-    inv = np.argmax(both, axis=1).astype(np.int32)
-    ok = both[np.arange(n), inv]
-    if not ok.all():
-        a = int(np.nonzero(~ok)[0][0])
-        raise NoInverse(f"element {a} has no two-sided inverse", element=a)
-    return inv
-
-
 def _generate(table: np.ndarray, inside: Optional[np.ndarray] = None,
               check: Optional[Callable[[int], None]] = None) -> Optional[np.ndarray]:
     """Greedy generating set of the ids where inside holds (all ids by
@@ -284,7 +272,7 @@ def _check_associativity(table: np.ndarray) -> np.ndarray:
     return _generate(table, check=light)
 
 
-_SCAN_BLOCK = 1 << 14  # elements per row block of a failure-path scan
+_SCAN_BLOCK = 1 << 14  # ids per block of a failure-path scan; the least power-walk budget
 
 
 def _first_failure(rows: int, cols: int,
@@ -301,74 +289,121 @@ def _first_failure(rows: int, cols: int,
     raise ValueError("no failing entry to report")
 
 
-def _element_orders(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """For every x at once, the least k >= 1 with x^k in mask.
+def _power_walk(table: np.ndarray, visit: Callable) -> np.ndarray:
+    """Walk the powers x^1..x^n of every id x, a block of exponents at a time.
 
-    With the identity mask these are the element orders; with the mask of a
-    central subgroup Z they are the orders of the cosets xZ in G/Z.  The
-    power walks advance in lockstep and each leaves once it hits the mask.
+    visit(k, ids, block, prev) sees the live ids, block[i, j] = x^(k+j) and
+    prev[i] = x^(k-1) for x = ids[i], and returns the mask of rows that stay
+    live.  P holds x^1..x^w, so the next block x^(c+1)..x^(c+w) after x^c is
+    the one gather flat.take(x^c * n + P).  While the live rows times 2w fit
+    a budget of max(_SCAN_BLOCK, n^2 / 64) ids, P absorbs each new block and
+    w doubles; after that w stays fixed.  No block goes past x^n.  Returns
+    the ids still live after x^n.
     """
     n = table.shape[0]
-    out = np.zeros(n, dtype=np.int32)
-    xs = np.arange(n, dtype=np.int32)
-    cur = xs.copy()  # cur holds x^k
     flat = table.ravel()
-    row = xs.astype(np.intp) * n  # x^(k+1) = x * x^k = flat[row + cur]
-    for k in range(1, n + 1):
-        hit = mask[cur]
-        if hit.any():
-            out[xs[hit]] = k
-            live = ~hit
-            xs, row, cur = xs[live], row[live], cur[live]
-            if not xs.size:
-                return out
-        cur = flat.take(row + cur)
-    raise NotClosed(f"powers of element {int(xs[0])} never reach the identity")
+    budget = max(_SCAN_BLOCK, n * n // 64)
+    ids = np.arange(n, dtype=np.int32)
+    pw = ids[:, None]  # P: pw[i, j] = x^(j+1)
+    block, prev, k, grow = pw, np.zeros(n, dtype=np.int32), 1, True
+    while True:
+        block = block[:, :n + 1 - k]
+        live = visit(k, ids, block, prev)
+        k, prev = k + block.shape[1], block[:, -1]
+        if not live.all():
+            ids, pw, prev = ids[live], pw[live], prev[live]
+        if not ids.size or k > n:
+            return ids
+        grow = grow and 2 * pw.size <= budget
+        block = flat.take((prev.astype(np.intp) * n)[:, None] + pw)
+        if grow:
+            pw = np.hstack([pw, block])
+
+
+def _element_orders(table: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For every x, the least k >= 1 with x^k in mask (0 if there is none)
+    and the power x^(k-1) before it.
+
+    With the identity mask these are the element orders and x^(o-1), the
+    inverse of x in a group; with the mask of a central subgroup Z the
+    orders are those of the cosets xZ in G/Z.
+    """
+    n = table.shape[0]
+    ords = np.zeros(n, dtype=np.int32)
+    before = np.zeros(n, dtype=np.int32)
+
+    def visit(k, ids, block, prev):
+        hit = mask[block]
+        done = hit.any(axis=1)
+        j = hit[done].argmax(axis=1)
+        rows = block[done]
+        ords[ids[done]] = k + j
+        before[ids[done]] = np.where(j > 0, rows[np.arange(j.size), j - 1], prev[done])
+        return ~done
+
+    _power_walk(table, visit)
+    return ords, before
 
 
 def _least_generators(table: np.ndarray, ords: np.ndarray) -> np.ndarray:
     """key[x] = min{x^k : 1 <= k <= o(x), gcd(k, o(x)) = 1} with o = ords.
 
-    The power walks advance in lockstep (cur holds x^k) and each leaves the
-    walk when k reaches its order.  That proves each order: x^k must be the
-    identity exactly at k = o(x), else NotClosed names x.
+    Each block of powers adds its row minimum over the columns k <= o(x)
+    coprime to o(x), read off one lookup row per distinct order, and x
+    leaves the walk once k reaches its order.  That proves each order: x^k
+    must be the identity exactly at k = o(x), else NotClosed names the first
+    (k, x) that breaks it.  An order below 1 never ends the walk of x.
     """
     n = table.shape[0]
+    o = ords.astype(np.int64)
+    dist, lrow = np.unique(np.clip(o, 1, n), return_inverse=True)
+    ks = np.arange(n + 1)
+    usable = (np.gcd(ks, dist[:, None]) == 1) & (ks <= dist[:, None])
     key = np.arange(n, dtype=np.int32)
-    xs, cur, kx, o = key.copy(), key.copy(), key.copy(), ords.astype(np.int64)
-    flat = table.ravel()
-    row = xs.astype(np.intp) * n  # x^(k+1) = x * x^k = flat[row + cur]
-    for k in range(1, n + 1):
-        done = o == k
-        bad = np.flatnonzero((cur == 0) != done)
-        if bad.size:
-            i = int(bad[0])
-            raise NotClosed(f"element {int(xs[i])} has recorded order {int(o[i])}, "
-                            f"but x^{k} is {'' if cur[i] == 0 else 'not '}the identity")
-        if done.any():
-            key[xs[done]] = kx[done]  # kx: least generator met so far
-            live = ~done
-            xs, o, row, cur, kx = xs[live], o[live], row[live], cur[live], kx[live]
-            if not xs.size:
-                return key
-        cur = flat.take(row + cur)
-        np.minimum(kx, cur, out=kx, where=np.gcd(k + 1, o) == 1)
-    raise NotClosed(f"powers of element {int(xs[0])} never reach the identity")
+
+    def visit(k, ids, block, prev):
+        w = block.shape[1]
+        ox = o[ids]
+        is_id = block == 0
+        first = np.where(is_id.any(axis=1), is_id.argmax(axis=1), w)  # first identity
+        due = np.where((ox >= k) & (ox < k + w), ox - k, w)  # column of x^o(x)
+        bad = first != due
+        if bad.any():
+            col = np.minimum(first, due)
+            j = int(col[bad].min())
+            i = int((bad & (col == j)).argmax())
+            raise NotClosed(f"element {int(ids[i])} has recorded order {int(ox[i])}, "
+                            f"but x^{k + j} is {'' if is_id[i, j] else 'not '}the identity")
+        use = usable[lrow[ids], k:k + w]
+        key[ids] = np.minimum(key[ids], np.where(use, block, n).min(axis=1))
+        return due == w
+
+    left = _power_walk(table, visit)
+    if left.size:
+        raise NotClosed(f"powers of element {int(left[0])} never reach the identity")
+    return key
 
 
 def _build(table: np.ndarray, label: str) -> FiniteGroup:
     """Internal builder for tables that are associative by construction.
 
-    Still performs the O(n^2) checks (identity at 0, two-sided inverses,
-    orders terminate and divide n) so constructor bugs cannot slip through
-    silently; the associativity check is validate_table_with_report's job.
+    Still checks the identity at 0, that every power walk reaches it, that
+    x^(o-1) is a two-sided inverse and that orders divide n, so constructor
+    bugs cannot slip through silently; the associativity check is
+    validate_table_with_report's job.
     """
     n = table.shape[0]
     ar = np.arange(n, dtype=np.int32)
     if not ((table[0] == ar).all() and (table[:, 0] == ar).all()):
         raise NoIdentityAtZero(f"constructed table for {label!r} lacks identity at 0")
-    inv = _compute_inverses(table)
-    ord_ = _element_orders(table, ar == 0)
+    ord_, inv = _element_orders(table, ar == 0)
+    if not ord_.all():
+        a = int(ord_.argmin())
+        raise NoInverse(f"element {a} has no two-sided inverse", element=a)
+    one_sided = (table[ar, inv] != 0) | (table[inv, ar] != 0)
+    if one_sided.any():
+        a = int(one_sided.argmax())
+        raise NoInverse(f"element {a} has only a one-sided inverse {int(inv[a])}", element=a)
     if (n % ord_ != 0).any():
         a = int(np.nonzero(n % ord_)[0][0])
         raise NotClosed(f"order {int(ord_[a])} of element {a} does not divide {n}")
@@ -477,10 +512,10 @@ def group_exponent(g: FiniteGroup) -> int:
 
 def _product_of_tables(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """Cayley table of the direct product, pairs (a, b) encoded as a * n2 + b."""
-    n2 = t2.shape[0]
-    n = t1.shape[0] * n2
-    out = t1.astype(np.int64)[:, None, :, None] * n2 + t2[None, :, None, :]
-    return out.reshape(n, n).astype(np.int32)
+    n1, n2 = t1.shape[0], t2.shape[0]
+    out = np.empty((n1, n2, n1, n2), dtype=np.int32)  # ids stay below n1 * n2 < 2^31
+    np.add((t1 * n2)[:, None, :, None], t2[None, :, None, :], out=out)
+    return out.reshape(n1 * n2, n1 * n2)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, *, max_size: Optional[int] = None,

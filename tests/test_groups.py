@@ -1,5 +1,7 @@
 """Core table machinery: validation, centers, cosets, quotients, products."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from cyclicdensity import (
     NotClosed,
     SizeLimitExceeded,
     Subgroup,
+    build_group,
     center,
     direct_product,
     group_exponent,
@@ -28,7 +31,7 @@ from cyclicdensity import (
     validate_table_with_report,
     verify_group_invariants,
 )
-from cyclicdensity.groups import SIZE_CAP_ENV
+from cyclicdensity.groups import SIZE_CAP_ENV, _build
 
 
 def z3_table():
@@ -261,3 +264,28 @@ def test_random_relabelings_stay_valid(n, rnd):
     h = relabeled_copy(g, perm)
     verify_group_invariants(h)
     assert group_exponent(h) == group_exponent(g)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec", ["cyclic:1024", "dihedral:1024", "abelian:2,2,2,2,2,2,2,2,2,2"])
+def test_build_allocates_under_a_quarter_of_the_table(spec):
+    # orders and inverses come from a walk of bounded blocks, not an n^2 pass
+    table = build_group(spec).table
+    _, peak = traced_peak(_build, table, spec)
+    assert peak < table.nbytes // 4, (spec, peak, table.nbytes)
+
+
+@pytest.mark.parametrize("spec", ["abelian:2,2,2,2,2,2,2,2,2,2",
+                                  "product:(dihedral:64)x(cyclic:64)"])
+def test_product_build_peaks_under_twice_the_table(spec):
+    # the product table is built in place in int32, with no int64 copy
+    g, peak = traced_peak(build_group, spec)
+    assert peak < 2 * g.table.nbytes, (spec, peak, g.table.nbytes)

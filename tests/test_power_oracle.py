@@ -1,0 +1,205 @@
+"""The blocked power walk (orders, inverses, least generators) against the
+lockstep walks and the n^2 inverse pass of power_oracle, and the NoInverse
+contract of the builder."""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import power_oracle
+from cyclicdensity import (
+    NoInverse,
+    NotClosed,
+    SweepConfig,
+    build_group,
+    center,
+    corpus_specs,
+    direct_product,
+    relabeled_copy,
+    validate_table_with_report,
+)
+from cyclicdensity.groups import _build, _element_orders, _least_generators, _power_walk
+
+
+def assert_walks_agree(g):
+    t, ident = g.table, np.arange(g.n) == 0
+    ords, inv = _element_orders(t, ident)
+    assert np.array_equal(ords, power_oracle.element_orders(t, ident)), g.label
+    assert np.array_equal(ords, g.ord), g.label
+    assert np.array_equal(inv, power_oracle.inverses(t)), g.label
+    assert np.array_equal(g.inv, inv), g.label
+    zmask = center(g).bitmap
+    assert np.array_equal(_element_orders(t, zmask)[0],
+                          power_oracle.element_orders(t, zmask)), g.label
+    assert np.array_equal(_least_generators(t, ords),
+                          power_oracle.least_generators(t, ords)), g.label
+
+
+@pytest.mark.parametrize("spec", corpus_specs(SweepConfig(max_order=64)))
+def test_walk_matches_oracle_on_corpus(spec):
+    assert_walks_agree(build_group(spec))
+
+
+small_specs = st.sampled_from([
+    "cyclic:2", "cyclic:4", "cyclic:6", "cyclic:9", "abelian:2,2", "dihedral:6",
+    "dihedral:8", "quaternion:8", "quaternion:12", "symmetric:3", "heisenberg:3",
+])
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_specs, small_specs)
+def test_walk_matches_oracle_on_products(left, right):
+    assert_walks_agree(direct_product(build_group(left), build_group(right)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["dihedral:16", "quaternion:16", "almost-extraspecial:16",
+                        "symmetric:4", "extraspecial:32:-", "cyclic:24", "cyclic:64"]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_walk_matches_oracle_on_relabelings(spec, seed):
+    g = build_group(spec)
+    assert_walks_agree(relabeled_copy(g, np.random.default_rng(seed).permutation(g.n)))
+
+
+def outcome(walk, table, ords):
+    """The keys a least-generator walk returns, or the text it raises."""
+    try:
+        return walk(table, ords).tolist()
+    except NotClosed as exc:
+        return str(exc)
+
+
+def assert_same_outcome(table, ords):
+    fast = outcome(_least_generators, table, ords)
+    assert fast == outcome(power_oracle.least_generators, table, ords)
+    return fast
+
+
+@pytest.mark.parametrize("spec, changes", [
+    ("dihedral:8", {4: 4}),
+    ("dihedral:8", {4: 1}),
+    ("dihedral:8", {4: 0}),
+    ("dihedral:8", {4: -3}),
+    ("dihedral:8", {5: 9}),  # order > n
+    ("dihedral:8", {5: 1009, 6: 0}),
+    ("cyclic:4", {1: 1, 2: 4}),
+    ("cyclic:64", {0: 0}),
+    ("cyclic:64", {63: 128, 1: 32}),
+    ("cyclic:64", {2: 0, 3: 65}),
+    ("quaternion:16", {1: 2147483647}),
+])
+def test_tampered_orders_raise_the_oracle_text(spec, changes):
+    g = build_group(spec)
+    ords = g.ord.copy()
+    for x, o in changes.items():
+        ords[x] = o
+    assert isinstance(assert_same_outcome(g.table, ords), str)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["cyclic:12", "cyclic:64", "dihedral:16", "quaternion:16",
+                        "abelian:2,4", "symmetric:4"]), st.data())
+def test_randomly_tampered_orders_match_oracle(spec, data):
+    g = build_group(spec)
+    ords = g.ord.copy()
+    for _ in range(data.draw(st.integers(1, 3), label="changes")):
+        x = data.draw(st.integers(0, g.n - 1), label="x")
+        ords[x] = data.draw(st.integers(-2, 2 * g.n + 2), label="order")
+    assert_same_outcome(g.table, ords)
+
+
+@pytest.mark.parametrize("ords", [[1, 2, 3], [1, 2, 0], [1, 2, 5], [1, 2, -1]])
+def test_powers_that_never_reach_the_identity_raise_the_oracle_text(ords):
+    # 2 * 2 = 2: no power of 2 is the identity
+    table = np.array([[0, 1, 2], [1, 0, 2], [2, 2, 2]], dtype=np.int32)
+    assert "element 2" in assert_same_outcome(table, np.array(ords, dtype=np.int32))
+
+
+def n2_verdict(table: np.ndarray):
+    """The element the n^2 inverse pass names, or None if all have one."""
+    try:
+        power_oracle.inverses(table)
+    except NoInverse as exc:
+        return exc.element
+    return None
+
+
+def assert_no_inverse_as_oracle(table):
+    table = np.ascontiguousarray(table, dtype=np.int32)
+    want = n2_verdict(table)
+    if want is None:
+        g, _ = validate_table_with_report(table)
+        assert np.array_equal(g.inv, power_oracle.inverses(table))
+        return None
+    with pytest.raises(NoInverse) as err:
+        validate_table_with_report(table)
+    assert err.value.element == want
+    return want
+
+
+def test_idempotent_monoid_names_the_oracle_element():
+    assert assert_no_inverse_as_oracle([[0, 1], [1, 1]]) == 1
+
+
+def test_max_monoid_names_the_oracle_element():
+    ids = np.arange(5, dtype=np.int32)
+    assert assert_no_inverse_as_oracle(np.maximum.outer(ids, ids)) == 1
+
+
+@st.composite
+def transformation_monoids(draw) -> np.ndarray:
+    """Cayley table of the monoid that a few self-maps of {0..m-1} generate
+    under composition, identity map at id 0, other ids shuffled."""
+    m = draw(st.integers(2, 3))
+    maps = st.tuples(*[st.integers(0, m - 1)] * m)
+    gens = draw(st.lists(maps, min_size=1, max_size=3))
+    elems, index = [tuple(range(m))], {tuple(range(m)): 0}
+    for f in elems:  # grows while it is walked: breadth-first closure
+        for s in gens:
+            h = tuple(s[f[i]] for i in range(m))
+            if h not in index:
+                index[h] = len(elems)
+                elems.append(h)
+    n = len(elems)
+    table = np.array([[index[tuple(b[a[i]] for i in range(m))] for b in elems]
+                      for a in elems], dtype=np.int32)
+    sigma = np.array([0, *draw(st.permutations(range(1, n)))], dtype=np.int32)
+    inv = np.empty(n, dtype=np.int32)
+    inv[sigma] = np.arange(n, dtype=np.int32)
+    return sigma[table][np.ix_(inv, inv)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(transformation_monoids())
+def test_monoids_name_the_oracle_element(table):
+    assert_no_inverse_as_oracle(table)
+
+
+def test_one_sided_inverse_is_rejected():
+    # 1 * 1 = 2 and 2 * 1 = 0, so o(1) = 3 with x^2 = 2, but 1 * 2 = 1
+    table = np.array([[0, 1, 2], [1, 2, 1], [2, 0, 0]], dtype=np.int32)
+    ords, inv = _element_orders(table, np.arange(3) == 0)
+    assert ords.all() and inv[1] == 2
+    with pytest.raises(NoInverse) as err:
+        _build(table, "one-sided")
+    assert err.value.element == 1
+
+
+def test_blocks_cover_every_exponent_once():
+    # every x^k, k = 1..n, is seen exactly once, whatever the block widths
+    for n in (1, 2, 5, 64, 300):
+        table = (np.add.outer(np.arange(n), np.arange(n)) % n).astype(np.int32)
+        seen = []
+
+        def visit(k, ids, block, prev):
+            assert np.array_equal(prev, (ids * (k - 1)) % n)
+            seen.extend(itertools.product(ids.tolist(), range(k, k + block.shape[1])))
+            assert np.array_equal(block, np.outer(ids, np.arange(k, k + block.shape[1])) % n)
+            return np.ones(ids.size, dtype=bool)
+
+        assert _power_walk(table, visit).size == n
+        assert sorted(seen) == list(itertools.product(range(n), range(1, n + 1)))
