@@ -56,13 +56,21 @@ FAMILY_NAMES = (
 _MAX_SYMMETRIC_DEGREE = 7  # 7! = 5040 is the largest table worth materializing
 
 
+def _circulant(row: np.ndarray, step: int) -> np.ndarray:
+    """The (m, m) table t[a, b] = row[(b + step*a) % m] of an m-element row:
+    row a is `row` rotated left by step*a, copied out of the sliding windows
+    over [row, row], so no n^2 `%` is computed."""
+    m = row.size
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([row, row]), m)
+    return windows[step * np.arange(m) % m]
+
+
 def make_cyclic(n: int, *, max_size: Optional[int] = None) -> FiniteGroup:
     """Cyclic group of order n; id i is the i-th power of the generator."""
     if n < 1:
         raise InvalidArgument(f"cyclic order must be >= 1, got {n}")
     _check_cap(n, max_size, f"cyclic:{n}")
-    ar = np.arange(n, dtype=np.int32)
-    return _build((ar[:, None] + ar[None, :]) % n, f"cyclic:{n}")
+    return _build(_circulant(np.arange(n, dtype=np.int32), 1), f"cyclic:{n}")
 
 
 def make_abelian(orders: tuple[int, ...], *, max_size: Optional[int] = None) -> FiniteGroup:
@@ -75,8 +83,7 @@ def make_abelian(orders: tuple[int, ...], *, max_size: Optional[int] = None) -> 
     _check_cap(total, max_size, f"abelian:{','.join(map(str, orders))}")
     table = np.zeros((1, 1), dtype=np.int32)
     for n in orders:
-        ar = np.arange(n, dtype=np.int32)
-        table = _product_of_tables(table, (ar[:, None] + ar[None, :]) % n)
+        table = _product_of_tables(table, _circulant(np.arange(n, dtype=np.int32), 1))
     return _build(table, f"abelian:{','.join(map(str, orders))}")
 
 
@@ -87,12 +94,11 @@ def make_dihedral(order: int, *, max_size: Optional[int] = None) -> FiniteGroup:
     _check_cap(order, max_size, f"dihedral:{order}")
     n = order // 2
     i = np.arange(n, dtype=np.int32)
-    a, b = i[:, None], i[None, :]
     t = np.empty((order, order), dtype=np.int32)
-    t[:n, :n] = (a + b) % n          # r^a r^b
-    t[:n, n:] = n + (b - a) % n      # r^a (s r^b) = s r^(b-a)
-    t[n:, :n] = n + (a + b) % n      # (s r^a) r^b = s r^(a+b)
-    t[n:, n:] = (b - a) % n          # (s r^a)(s r^b) = r^(b-a)
+    t[:n, :n] = _circulant(i, 1)           # r^a r^b
+    t[:n, n:] = _circulant(n + i, -1)      # r^a (s r^b) = s r^(b-a)
+    t[n:, :n] = _circulant(n + i, 1)       # (s r^a) r^b = s r^(a+b)
+    t[n:, n:] = _circulant(i, -1)          # (s r^a)(s r^b) = r^(b-a)
     return _build(t, f"dihedral:{order}")
 
 
@@ -108,12 +114,11 @@ def make_quaternion(order: int, *, max_size: Optional[int] = None) -> FiniteGrou
     n = order // 4
     two_n = 2 * n
     i = np.arange(two_n, dtype=np.int32)
-    a, b = i[:, None], i[None, :]
     t = np.empty((order, order), dtype=np.int32)
-    t[:two_n, :two_n] = (a + b) % two_n                # a^i a^j
-    t[:two_n, two_n:] = two_n + (a + b) % two_n        # a^i (a^j b) = a^(i+j) b
-    t[two_n:, :two_n] = two_n + (a - b) % two_n        # (a^i b) a^j = a^(i-j) b
-    t[two_n:, two_n:] = (a - b + n) % two_n            # (a^i b)(a^j b) = a^(i-j+n)
+    t[:two_n, :two_n] = _circulant(i, 1)                        # a^i a^j
+    t[:two_n, two_n:] = _circulant(two_n + i, 1)                # a^i (a^j b) = a^(i+j) b
+    t[two_n:, :two_n] = _circulant(two_n + (-i) % two_n, -1)    # (a^i b) a^j = a^(i-j) b
+    t[two_n:, two_n:] = _circulant((n - i) % two_n, -1)         # (a^i b)(a^j b) = a^(i-j+n)
     return _build(t, f"quaternion:{order}")
 
 
@@ -244,20 +249,48 @@ def make_almost_extraspecial(order: int, *, max_size: Optional[int] = None) -> F
     )
 
 
-def load_table_with_report(
-    path: Union[str, Path], *, max_size: Optional[int] = None
-) -> tuple[FiniteGroup, list[int]]:
-    """Read a Cayley-table text file and validate it.
+_MAX_TOKEN_DIGITS = 9  # longer tokens (leading zeros) take the line loop
 
-    Format: first non-blank line is n; the next n non-blank lines hold n
-    space-separated element ids each.  The identity may sit anywhere; the
-    returned old->new map records the re-indexing that moved it to id 0.
+
+def _canonical_table(data: bytes, max_size: Optional[int], label: str) -> Optional[np.ndarray]:
+    """The (n, n) table of a canonical file, by whole-array operations, or
+    None for any other file.
+
+    Canonical: every byte is an ASCII digit, ' ' or '\\n'; the first
+    non-blank line holds one token n >= 1; exactly n non-blank lines follow
+    with n tokens each; no token is longer than _MAX_TOKEN_DIGITS and every
+    entry is below n.  _table_rows returns the same values on such a file,
+    and only it names the line and column of an error, so a file that fails
+    any of these tests goes to it.  n meets the size cap before the body is
+    converted.
     """
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {p}: {exc}") from exc
+    b = np.frombuffer(data, dtype=np.uint8)
+    digit = (b >= ord("0")) & (b <= ord("9"))
+    blank = np.count_nonzero(b == ord(" ")) + np.count_nonzero(b == ord("\n"))
+    if np.count_nonzero(digit) + blank != b.size:
+        return None
+    bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    starts, ends = bounds[::2], bounds[1::2]  # token k is data[starts[k]:ends[k]]
+    if starts.size == 0 or (ends - starts).max() > _MAX_TOKEN_DIGITS:
+        return None
+    before_newline = np.searchsorted(starts, np.flatnonzero(b == ord("\n")))
+    per_line = np.diff(before_newline, prepend=0, append=starts.size)
+    per_line = per_line[per_line > 0]  # tokens on each non-blank line
+    n = int(data[starts[0]:ends[0]])
+    if per_line[0] != 1 or n < 1:
+        return None
+    _check_cap(n, max_size, f"table {label!r}")
+    if per_line.size != n + 1 or (per_line[1:] != n).any():
+        return None
+    values = np.fromstring(data, dtype=np.int64, sep=" ")[1:]
+    if values.max() >= n:
+        return None
+    return values.reshape(n, n)
+
+
+def _table_rows(text: str, p: Path, max_size: Optional[int], label: str) -> list[list[int]]:
+    """The table rows of a file's text by a per-token loop; ParseError names
+    the line and column of the first fault."""
     rows: list[list[int]] = []
     n: Optional[int] = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -278,6 +311,7 @@ def load_table_with_report(
             if n < 1:
                 raise ParseError(f"line {lineno}: order must be >= 1, got {n}",
                                  line=lineno, column=1)
+            _check_cap(n, max_size, f"table {label!r}")
             continue
         if len(rows) == n:
             raise ParseError(f"line {lineno}: extra content after {n} table rows",
@@ -301,7 +335,36 @@ def load_table_with_report(
         raise ParseError(f"{p}: empty file")
     if len(rows) != n:
         raise ParseError(f"{p}: expected {n} table rows, found {len(rows)}")
-    return validate_table_with_report(rows, f"table:{p}", max_size=max_size)
+    return rows
+
+
+def load_table_with_report(
+    path: Union[str, Path], *, max_size: Optional[int] = None
+) -> tuple[FiniteGroup, list[int]]:
+    """Read a Cayley-table text file and validate it.
+
+    Format: UTF-8 text; the first non-blank line is n; the next n non-blank
+    lines hold n whitespace-separated element ids each.  The identity may
+    sit anywhere; the returned old->new map records the re-indexing that
+    moved it to id 0.  An n over the size cap is refused before the rows
+    are parsed.
+    """
+    p = Path(path)
+    try:
+        data = p.read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read {p}: {exc}") from exc
+    label = f"table:{p}"
+    table = _canonical_table(data, max_size, label)
+    if table is None:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+            raise ParseError(f"{p}: byte {exc.start} is not valid UTF-8",
+                             line=line) from None
+        table = _table_rows(text, p, max_size, label)
+    return validate_table_with_report(table, label, max_size=max_size)
 
 
 ParamsType = Union[tuple[int, ...], tuple[int, str], tuple[str], tuple["GroupSpec", "GroupSpec"]]

@@ -209,6 +209,51 @@ def test_central_product_d8_d8_is_es32_plus(d8, es32_plus):
     assert int((g.ord == 2).sum()) == int((es32_plus.ord == 2).sum())
 
 
+# The n^2 `%` forms that the circulant fills of make_cyclic, make_dihedral
+# and make_quaternion replaced, kept here as their reference.
+
+def cyclic_mod_form(n):
+    ar = np.arange(n, dtype=np.int32)
+    return (ar[:, None] + ar[None, :]) % n
+
+
+def dihedral_mod_form(order):
+    n = order // 2
+    i = np.arange(n, dtype=np.int32)
+    a, b = i[:, None], i[None, :]
+    t = np.empty((order, order), dtype=np.int32)
+    t[:n, :n] = (a + b) % n
+    t[:n, n:] = n + (b - a) % n
+    t[n:, :n] = n + (a + b) % n
+    t[n:, n:] = (b - a) % n
+    return t
+
+
+def quaternion_mod_form(order):
+    n = order // 4
+    two_n = 2 * n
+    i = np.arange(two_n, dtype=np.int32)
+    a, b = i[:, None], i[None, :]
+    t = np.empty((order, order), dtype=np.int32)
+    t[:two_n, :two_n] = (a + b) % two_n
+    t[:two_n, two_n:] = two_n + (a + b) % two_n
+    t[two_n:, :two_n] = two_n + (a - b) % two_n
+    t[two_n:, two_n:] = (a - b + n) % two_n
+    return t
+
+
+@pytest.mark.parametrize("make, mod_form, orders", [
+    (make_cyclic, cyclic_mod_form, (1, 2, 4, 5, 12, 63, 256, 1000, 4096)),
+    (make_dihedral, dihedral_mod_form, (4, 6, 8, 12, 62, 256, 1002, 4096)),
+    (make_quaternion, quaternion_mod_form, (8, 12, 16, 20, 64, 252, 1024, 4096)),
+], ids=["cyclic", "dihedral", "quaternion"])
+def test_circulant_fills_match_the_mod_form(make, mod_form, orders):
+    for order in orders:
+        table = make(order).table
+        assert table.dtype == np.int32
+        assert np.array_equal(table, mod_form(order)), order
+
+
 # ---------------------------------------------------------------- grammar
 
 def test_parse_round_trips():
@@ -328,6 +373,17 @@ def test_load_table_errors_carry_positions(tmp_path):
     with pytest.raises(ParseError) as err:
         load_table_with_report(f)
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize("body", ["0 1\n", "0 1 junk\n"])  # whole-array path, line loop
+def test_load_table_checks_the_cap_on_the_header(tmp_path, body):
+    f = tmp_path / "big.txt"
+    f.write_text("4097\n" + body)
+    with pytest.raises(SizeLimitExceeded, match="has order 4097, over the cap 4096"):
+        load_table_with_report(f)
+    with pytest.raises(ParseError) as err:
+        load_table_with_report(f, max_size=10 ** 9)
+    assert err.value.line == 2
 
 
 def test_load_table_missing_file():

@@ -167,6 +167,32 @@ def test_import_rejects_nonassociative(tmp_path):
     assert "error:" in proc.stderr
 
 
+TABLE_COMMANDS = [lambda f: ["import", "--table", str(f)],
+                  lambda f: ["verify", "--group", f"table:{f}"]]
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=["import", "verify"])
+def test_undecodable_table_exits_2(tmp_path, argv):
+    f = tmp_path / "bad.txt"
+    f.write_bytes(b"2\n0 1\n1 \xff0\n")
+    proc = run_cli(*argv(f))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {f}: byte 8 is not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=["import", "verify"])
+def test_table_over_cap_is_refused_before_its_rows(tmp_path, argv):
+    f = tmp_path / "big.txt"
+    f.write_text("4097\n0 1 junk\n")
+    proc = run_cli(*argv(f))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: table 'table:{f}' has order 4097, over the cap 4096\n"
+    proc = run_cli(*argv(f), "--size-override")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: line 2: token 'junk' is not an integer\n"
+
+
 def test_import_missing_file_exits_2():
     proc = run_cli("import", "--table", "/nonexistent/zzz.txt")
     assert proc.returncode == 2
