@@ -56,13 +56,13 @@ FAMILY_NAMES = (
 _MAX_SYMMETRIC_DEGREE = 7  # 7! = 5040 is the largest table worth materializing
 
 
-def _circulant(row: np.ndarray, step: int) -> np.ndarray:
-    """The (m, m) table t[a, b] = row[(b + step*a) % m] of an m-element row:
-    row a is `row` rotated left by step*a, copied out of the sliding windows
-    over [row, row], so no n^2 `%` is computed."""
+def _circulant(row: np.ndarray, sign: int) -> np.ndarray:
+    """The (m, m) table t[a, b] = row[(b + sign*a) % m] for sign +1 or -1:
+    a copy of the m sliding windows over [row, row] that start at 0, 1, ...
+    (sign +1) or at m, m-1, ... (sign -1), so no n^2 `%` is computed."""
     m = row.size
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([row, row]), m)
-    return windows[step * np.arange(m) % m]
+    return (windows[:m] if sign > 0 else windows[m:0:-1]).copy()
 
 
 def make_cyclic(n: int, *, max_size: Optional[int] = None) -> FiniteGroup:
