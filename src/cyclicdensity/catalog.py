@@ -61,7 +61,11 @@ def _circulant(row: np.ndarray, sign: int) -> np.ndarray:
     a copy of the m sliding windows over [row, row] that start at 0, 1, ...
     (sign +1) or at m, m-1, ... (sign -1), so no n^2 `%` is computed."""
     m = row.size
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([row, row]), m)
+    rr = np.concatenate([row, row])
+    # the m + 1 windows rr[k:k+m]; sliding_window_view makes the same view
+    # at about twice the per-call time and memory churn, paid by every small
+    # group of a sweep
+    windows = np.lib.stride_tricks.as_strided(rr, (m + 1, m), rr.strides * 2, writeable=False)
     return (windows[:m] if sign > 0 else windows[m:0:-1]).copy()
 
 
