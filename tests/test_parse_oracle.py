@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,9 +100,11 @@ def table_texts(draw):
             if draw(st.integers(0, 7)) == 0:
                 line[i] = draw(zeros) + tok
     for _ in range(draw(st.integers(0, 2))):
+        if not tokens:
+            break
         kind = draw(st.sampled_from(["add token", "drop token", "add line", "drop line"]))
         k = draw(st.integers(0, len(tokens) - 1))
-        if kind == "add token":
+        if kind == "add token" and tokens[k]:
             tokens[k].append(draw(st.sampled_from(tokens[k])))
         elif kind == "drop token" and tokens[k]:
             tokens[k].pop()
