@@ -86,8 +86,8 @@ def make_abelian(orders: tuple[int, ...], *, max_size: Optional[int] = None) -> 
     total = math.prod(orders)
     _check_cap(total, max_size, f"abelian:{','.join(map(str, orders))}")
     table = np.zeros((1, 1), dtype=np.int32)
-    for n in orders:
-        table = _product_of_tables(table, _circulant(np.arange(n, dtype=np.int32), 1))
+    for n in reversed(orders):  # the accumulated table is the broadcast's inner axis
+        table = _product_of_tables(_circulant(np.arange(n, dtype=np.int32), 1), table)
     return _build(table, f"abelian:{','.join(map(str, orders))}")
 
 

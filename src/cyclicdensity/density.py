@@ -18,7 +18,7 @@ import numpy as np
 
 from .arith import euler_phi
 from .errors import InvalidArgument, NotClosed
-from .groups import FiniteGroup, Subgroup, _element_orders, _least_generators
+from .groups import FiniteGroup, Subgroup, _element_orders, _power_walk, _walk_budget
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,19 +34,39 @@ class CyclicCensus:
 def cyclic_subgroups(g: FiniteGroup) -> CyclicCensus:
     """Census of the cyclic subgroups by least generator, in O(n) memory.
 
-    g.ord only steers the walk, which proves every entry; if one is wrong
-    the census reruns on orders recomputed from the table, so the count
-    never rests on g.ord.
+    Orders come from the table by divisor descent, never from g.ord.  A
+    sieve walks the powers of only the ids not yet covered, in batches of
+    the least of them that fit the walk budget (rows x largest order).  A
+    walked x finds min{x^k : k <= o(x), gcd(k, o(x)) = 1}, the least
+    generator of <x>, and covers every generator x^k of <x>.  An id is
+    covered only once a generator of its cyclic subgroup has been walked,
+    so when all are covered each cyclic subgroup's least generator is found.
     """
     if g._census is not None:
         return g._census
-    ords = g.ord
-    try:
-        key = _least_generators(g.table, ords)
-    except NotClosed:
-        ords = _element_orders(g.table, np.arange(g.n) == 0)[0]
-        key = _least_generators(g.table, ords)
-    roots = key == np.arange(g.n)
+    n = g.n
+    ords = _element_orders(g.table, np.arange(n) == 0)[0]
+    if not ords.all():
+        raise NotClosed(f"powers of element {int(ords.argmin())} never reach the identity")
+    dist, lrow = np.unique(ords, return_inverse=True)
+    ks = np.arange(n + 1)
+    usable = (np.gcd(ks, dist[:, None]) == 1) & (ks <= dist[:, None])
+    key = np.arange(n, dtype=np.int32)
+    covered = ks == n  # id n stands in for the unusable columns
+
+    def visit(k, ids, block, prev):
+        gens = np.where(usable[lrow[ids], k:k + block.shape[1]], block, n)
+        key[ids] = np.minimum(key[ids], gens.min(axis=1))
+        covered[gens] = True
+        return ords[ids] >= k + block.shape[1]
+
+    roots = np.zeros(n, dtype=bool)
+    while not covered.all():
+        ids = np.flatnonzero(~covered)
+        fits = np.maximum.accumulate(ords[ids]) * np.arange(1, ids.size + 1) <= _walk_budget(n)
+        ids = ids[:max(1, int(fits.sum()))]
+        _power_walk(g.table, visit, ids)
+        roots[key[ids]] = True
     roots.setflags(write=False)
     orders, counts = np.unique(ords[roots], return_counts=True)
     by_order = {int(d): int(c) for d, c in zip(orders, counts)}

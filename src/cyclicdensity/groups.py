@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .arith import factorize
 from .errors import (
     InvalidArgument,
     NoIdentityAtZero,
@@ -289,23 +290,29 @@ def _first_failure(rows: int, cols: int,
     raise ValueError("no failing entry to report")
 
 
-def _power_walk(table: np.ndarray, visit: Callable) -> np.ndarray:
-    """Walk the powers x^1..x^n of every id x, a block of exponents at a time.
+def _walk_budget(n: int) -> int:  # ids a power walk holds per block
+    return max(_SCAN_BLOCK, n * n // 64)
+
+
+def _power_walk(table: np.ndarray, visit: Callable,
+                ids: Optional[np.ndarray] = None) -> np.ndarray:
+    """Walk the powers x^1..x^n of each x in ids (default: all ids), a block
+    of exponents at a time.
 
     visit(k, ids, block, prev) sees the live ids, block[i, j] = x^(k+j) and
     prev[i] = x^(k-1) for x = ids[i], and returns the mask of rows that stay
     live.  P holds x^1..x^w, so the next block x^(c+1)..x^(c+w) after x^c is
     the one gather flat.take(x^c * n + P).  While the live rows times 2w fit
-    a budget of max(_SCAN_BLOCK, n^2 / 64) ids, P absorbs each new block and
-    w doubles; after that w stays fixed.  No block goes past x^n.  Returns
-    the ids still live after x^n.
+    _walk_budget(n) ids, P absorbs each new block and w doubles; after that
+    w stays fixed.  No block goes past x^n.  Returns the ids still live
+    after x^n.
     """
     n = table.shape[0]
     flat = table.ravel()
-    budget = max(_SCAN_BLOCK, n * n // 64)
-    ids = np.arange(n, dtype=np.int32)
+    budget = _walk_budget(n)
+    ids = np.arange(n, dtype=np.int32) if ids is None else ids.astype(np.int32)
     pw = ids[:, None]  # P: pw[i, j] = x^(j+1)
-    block, prev, k, grow = pw, np.zeros(n, dtype=np.int32), 1, True
+    block, prev, k, grow = pw, np.zeros(ids.size, dtype=np.int32), 1, True
     while True:
         block = block[:, :n + 1 - k]
         live = visit(k, ids, block, prev)
@@ -320,17 +327,44 @@ def _power_walk(table: np.ndarray, visit: Callable) -> np.ndarray:
             pw = np.hstack([pw, block])
 
 
-def _element_orders(table: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For every x, the least k >= 1 with x^k in mask (0 if there is none)
-    and the power x^(k-1) before it.
+def _powers(table: np.ndarray, xs: np.ndarray, e: int) -> np.ndarray:
+    """x^e for every x in xs, by square-and-multiply on the bits of e >= 0."""
+    n, flat, out = table.shape[0], table.ravel(), xs if e else np.zeros_like(xs)
+    for bit in bin(e)[3:]:  # one gather of xs.size ids per step
+        out = flat.take(out.astype(np.intp) * n + out)
+        if bit == "1":
+            out = flat.take(out.astype(np.intp) * n + xs)
+    return out
 
-    With the identity mask these are the element orders and x^(o-1), the
-    inverse of x in a group; with the mask of a central subgroup Z the
-    orders are those of the cosets xZ in G/Z.
+
+def _element_orders(table: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For every x, the least k >= 1 with x^k in mask (0 if there is none),
+    and the inverse candidate x^(n-1) of every x outside mask (0 inside);
+    mask is {0} or a central subgroup Z, and its x have k = 1.
+
+    Divisor descent (Cohen, A Course in Computational Algebraic Number
+    Theory, 1993, 1.4): for each p^a exactly dividing n, with y = x^(n/p^a),
+    the least b <= a with y^(p^b) in mask makes p^b the p-part of k.  The
+    premise is that every x^n lies in mask: as mask is a subgroup, the j
+    with x^j in mask are then the multiples of k, which divides n.  If some
+    x^n misses mask the table is no group, and one power walk gives k and
+    x^(k-1) instead, so callers name the same element as before.
     """
     n = table.shape[0]
-    ords = np.zeros(n, dtype=np.int32)
-    before = np.zeros(n, dtype=np.int32)
+    xs = np.flatnonzero(~mask).astype(np.int32)
+    ords, inv = np.ones(n, dtype=np.int32), np.zeros(n, dtype=np.int32)
+    for p, a in factorize(n).items():
+        y, pb = _powers(table, xs, n // p ** a), np.zeros(xs.size, dtype=np.int32)
+        for b in range(a + 1):
+            y = _powers(table, y, p) if b else y
+            pb[(pb == 0) & mask[y]] = p ** b  # p^b once y^(p^b) is in mask
+        if not mask[y].all():  # y is now x^n
+            break
+        ords[xs] *= pb
+    else:
+        inv[xs] = _powers(table, xs, n - 1)
+        return ords, inv
+    ords, before = np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int32)
 
     def visit(k, ids, block, prev):
         hit = mask[block]
@@ -345,52 +379,30 @@ def _element_orders(table: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np
     return ords, before
 
 
-def _least_generators(table: np.ndarray, ords: np.ndarray) -> np.ndarray:
-    """key[x] = min{x^k : 1 <= k <= o(x), gcd(k, o(x)) = 1} with o = ords.
-
-    Each block of powers adds its row minimum over the columns k <= o(x)
-    coprime to o(x), read off one lookup row per distinct order, and x
-    leaves the walk once k reaches its order.  That proves each order: x^k
-    must be the identity exactly at k = o(x), else NotClosed names the first
-    (k, x) that breaks it.  An order below 1 never ends the walk of x.
-    """
+def _prove_orders(table: np.ndarray, ords: np.ndarray) -> None:
+    """Raise NotClosed unless ords holds the element orders of table, naming
+    the first mismatch that walking x^1, x^2, ... of all x in lockstep meets
+    (least k, then least x), else an x whose powers never reach 0."""
     n = table.shape[0]
-    o = ords.astype(np.int64)
-    dist, lrow = np.unique(np.clip(o, 1, n), return_inverse=True)
-    ks = np.arange(n + 1)
-    usable = (np.gcd(ks, dist[:, None]) == 1) & (ks <= dist[:, None])
-    key = np.arange(n, dtype=np.int32)
-
-    def visit(k, ids, block, prev):
-        w = block.shape[1]
-        ox = o[ids]
-        is_id = block == 0
-        first = np.where(is_id.any(axis=1), is_id.argmax(axis=1), w)  # first identity
-        due = np.where((ox >= k) & (ox < k + w), ox - k, w)  # column of x^o(x)
-        bad = first != due
-        if bad.any():
-            col = np.minimum(first, due)
-            j = int(col[bad].min())
-            i = int((bad & (col == j)).argmax())
-            raise NotClosed(f"element {int(ids[i])} has recorded order {int(ox[i])}, "
-                            f"but x^{k + j} is {'' if is_id[i, j] else 'not '}the identity")
-        use = usable[lrow[ids], k:k + w]
-        key[ids] = np.minimum(key[ids], np.where(use, block, n).min(axis=1))
-        return due == w
-
-    left = _power_walk(table, visit)
-    if left.size:
-        raise NotClosed(f"powers of element {int(left[0])} never reach the identity")
-    return key
+    true = _element_orders(table, np.arange(n) == 0)[0]
+    true = np.where(true >= 1, true, n + 1)  # n + 1: never
+    rec = np.where((ords >= 1) & (ords <= n), ords, n + 1)
+    k = np.where(true != rec, np.minimum(true, rec), n + 1)
+    x = int(k.argmin())
+    if k[x] <= n:
+        raise NotClosed(f"element {x} has recorded order {int(ords[x])}, but x^{int(k[x])} "
+                        f"is {'' if true[x] == k[x] else 'not '}the identity")
+    if true.max() > n:
+        raise NotClosed(f"powers of element {int(true.argmax())} never reach the identity")
 
 
 def _build(table: np.ndarray, label: str) -> FiniteGroup:
     """Internal builder for tables that are associative by construction.
 
-    Still checks the identity at 0, that every power walk reaches it, that
-    x^(o-1) is a two-sided inverse and that orders divide n, so constructor
-    bugs cannot slip through silently; the associativity check is
-    validate_table_with_report's job.
+    Still checks the identity at 0, that the powers of every element reach
+    it, that the inverse candidate of _element_orders is two-sided and that
+    orders divide n, so constructor bugs cannot slip through silently; the
+    associativity check is validate_table_with_report's job.
     """
     n = table.shape[0]
     ar = np.arange(n, dtype=np.int32)
@@ -541,8 +553,8 @@ def verify_group_invariants(g: FiniteGroup) -> None:
     """Re-derive every structural invariant from the raw table; raises on failure.
 
     Checks Latin-square rows and columns, identity at 0, associativity,
-    two-sided inverses, and a power walk proving each stored order.  Meant
-    for tests and post-import auditing.
+    two-sided inverses, and each stored order against divisor descent.
+    Meant for tests and post-import auditing.
     """
     n = g.n
     t = g.table
@@ -555,10 +567,7 @@ def verify_group_invariants(g: FiniteGroup) -> None:
     _check_associativity(t)
     if not ((t[ar, g.inv] == 0).all() and (t[g.inv, ar] == 0).all()):
         raise NoInverse("stored inverses are wrong")
-    _least_generators(t, g.ord)  # proves every stored order from the table
-    if (n % g.ord).any():
-        a = int(np.nonzero(n % g.ord)[0][0])
-        raise NotClosed(f"order {int(g.ord[a])} of element {a} does not divide {n}")
+    _prove_orders(t, g.ord)  # the orders of a group divide n
 
 
 __all__ = [

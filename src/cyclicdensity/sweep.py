@@ -10,6 +10,7 @@ by label so output is deterministic regardless of parallelism.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -152,8 +153,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     jobs = [(s, max_size) for s in specs]
     reports: list[AlphaReport] = []
     if config.parallelism > 1:
-        chunk = max(1, len(jobs) // (config.parallelism * 8))
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = max(1, min(config.parallelism, len(jobs), cpus or 1))
+        chunk = max(1, len(jobs) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for report in pool.map(_sweep_worker, jobs, chunksize=chunk):
                 reports.append(report)
                 if config.fail_fast and report.findings:

@@ -2,6 +2,7 @@
 (groups realized as permutation/matrix groups, subgroups enumerated as raw
 element sets), plus cross-route identities."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from cyclicdensity import (
     make_cyclic,
     subgroup_count_identity_check,
 )
-from cyclicdensity.groups import _least_generators
+from cyclicdensity.groups import _prove_orders
 
 
 def test_census_d8(d8):
@@ -133,20 +134,20 @@ def test_count_identity_report_discrepancy(d8):
 
 
 def test_census_proves_stored_orders(d8):
-    # one tampered order: the walk names the element instead of trusting it
+    # one tampered order: the proof names the element instead of trusting it
     bad_ord = d8.ord.copy()
     bad_ord[4] = 4  # reflection 4 really has order 2
     with pytest.raises(NotClosed, match=r"element 4 has recorded order 4, but x\^2 is the identity"):
-        _least_generators(d8.table, bad_ord)
+        _prove_orders(d8.table, bad_ord)
     bad_ord[4] = 1
     with pytest.raises(NotClosed, match=r"element 4 has recorded order 1, but x\^1 is not the identity"):
-        _least_generators(d8.table, bad_ord)
+        _prove_orders(d8.table, bad_ord)
     bad_ord[4] = 0
     with pytest.raises(NotClosed, match=r"element 4 has recorded order 0"):
-        _least_generators(d8.table, bad_ord)
-    z4 = make_cyclic(4)  # no other walk ends when 2^2 reaches the identity
+        _prove_orders(d8.table, bad_ord)
+    z4 = make_cyclic(4)  # 2^2 is the identity, so the first mismatch is at k = 2
     with pytest.raises(NotClosed, match=r"element 2 has recorded order 4, but x\^2 is the identity"):
-        _least_generators(z4.table, np.array([1, 4, 4, 4], dtype=np.int32))
+        _prove_orders(z4.table, np.array([1, 4, 4, 4], dtype=np.int32))
     # the census then counts from the table, never from the tampered order
     fake = FiniteGroup(d8.table, d8.inv, bad_ord, "tampered:dihedral:8")
     census = cyclic_subgroups(fake)
@@ -209,3 +210,16 @@ def test_abelian_alpha_equals_center_alpha(orders):
     # abelian: G = Z(G), so the density must equal itself under both routes
     assert alpha(g) == alpha_via_totient(g)
     assert subgroup_count_identity_check(g)[0]
+
+
+@pytest.mark.parametrize("spec", ["cyclic:4096", "dihedral:4096", "abelian:2,3,5,7,11"])
+def test_census_allocates_under_a_quarter_of_the_table(spec):
+    # the sieve walks batches of ids within the walk budget, not every power at once
+    g = build_group(spec)
+    tracemalloc.start()
+    try:
+        cyclic_subgroups(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.table.nbytes // 4, (spec, peak, g.table.nbytes)

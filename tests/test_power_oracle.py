@@ -1,6 +1,7 @@
-"""The blocked power walk (orders, inverses, least generators) against the
-lockstep walks and the n^2 inverse pass of power_oracle, and the NoInverse
-contract of the builder."""
+"""Divisor-descent orders and inverses, the least-generator sieve of the
+census and the order proof, against the lockstep walks and the n^2 inverse
+pass of power_oracle; the blocked power walk; and the NoInverse contract of
+the builder."""
 
 from __future__ import annotations
 
@@ -18,11 +19,12 @@ from cyclicdensity import (
     build_group,
     center,
     corpus_specs,
+    cyclic_subgroups,
     direct_product,
     relabeled_copy,
     validate_table_with_report,
 )
-from cyclicdensity.groups import _build, _element_orders, _least_generators, _power_walk
+from cyclicdensity.groups import _build, _element_orders, _power_walk, _prove_orders
 
 
 def assert_walks_agree(g):
@@ -35,8 +37,11 @@ def assert_walks_agree(g):
     zmask = center(g).bitmap
     assert np.array_equal(_element_orders(t, zmask)[0],
                           power_oracle.element_orders(t, zmask)), g.label
-    assert np.array_equal(_least_generators(t, ords),
-                          power_oracle.least_generators(t, ords)), g.label
+    roots = power_oracle.least_generators(t, ords) == np.arange(g.n)
+    census = cyclic_subgroups(g)
+    assert np.array_equal(census.roots, roots), g.label
+    orders, counts = np.unique(ords[roots], return_counts=True)
+    assert census.by_order == dict(zip(orders.tolist(), counts.tolist())), g.label
 
 
 @pytest.mark.parametrize("spec", corpus_specs(SweepConfig(max_order=64)))
@@ -65,16 +70,27 @@ def test_walk_matches_oracle_on_relabelings(spec, seed):
     assert_walks_agree(relabeled_copy(g, np.random.default_rng(seed).permutation(g.n)))
 
 
-def outcome(walk, table, ords):
-    """The keys a least-generator walk returns, or the text it raises."""
+@pytest.mark.parametrize("spec, seed", [("abelian:2,3,5,7,11", None), ("cyclic:4096", 9)])
+def test_walk_matches_oracle_on_large_groups(spec, seed):
+    # mixed-radix ids put many generators of one subgroup in a sieve batch;
+    # a relabeling scatters the least generators across the batches
+    g = build_group(spec)
+    if seed is not None:
+        g = relabeled_copy(g, np.random.default_rng(seed).permutation(g.n))
+    assert_walks_agree(g)
+
+
+def outcome(prove, table, ords):
+    """The text an order proof raises, or None if it accepts the orders."""
     try:
-        return walk(table, ords).tolist()
+        prove(table, ords)
     except NotClosed as exc:
         return str(exc)
+    return None
 
 
 def assert_same_outcome(table, ords):
-    fast = outcome(_least_generators, table, ords)
+    fast = outcome(_prove_orders, table, ords)
     assert fast == outcome(power_oracle.least_generators, table, ords)
     return fast
 

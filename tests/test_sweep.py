@@ -119,6 +119,45 @@ def test_sweep_parallel_matches_serial():
     assert serial.equality_labels == parallel.equality_labels
 
 
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        SerialPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("parallelism, cpus, workers", [
+    (2, 8, 2), (64, 8, 5), (64, 3, 3), (100000, 1, 1),
+])
+def test_sweep_pool_starts_no_more_workers_than_jobs_or_cpus(monkeypatch, parallelism,
+                                                             cpus, workers):
+    # the corpus below has 5 groups; the pool never really forks here
+    import os
+
+    import cyclicdensity.sweep as sweep_mod
+
+    SerialPool.sizes = []
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    cfg = SweepConfig(max_order=4, families=("cyclic", "dihedral"), parallelism=parallelism)
+    assert len(corpus_specs(cfg)) == 5
+    result = run_sweep(cfg)
+    assert SerialPool.sizes == [workers]
+    serial = run_sweep(SweepConfig(max_order=4, families=("cyclic", "dihedral")))
+    assert result.reports == serial.reports
+
+
 def test_sweep_with_included_table(tmp_path):
     f = tmp_path / "d8.txt"
     from cyclicdensity import make_dihedral
