@@ -1,4 +1,4 @@
-"""Number-theory helpers: trial-division factoring, Euler's totient."""
+"""Number-theory helpers: trial-division factoring, Euler's totient, unit generators."""
 
 from __future__ import annotations
 
@@ -51,4 +51,27 @@ def is_power_of(k: int, base: int) -> bool:
     return k == 1
 
 
-__all__ = ["factorize", "euler_phi", "is_prime", "is_power_of"]
+def unit_generators(n: int) -> tuple[tuple[int, int], ...]:
+    """Generators u of (Z/n)^* with their exact orders m mod n, as ((u, m), ...).
+
+    Per p^a exactly dividing n (Cohen, A Course in Computational Algebraic
+    Number Theory, 1993, 1.4): -1 if a >= 2 and 5 if a >= 3 for p = 2; for
+    odd p the least primitive root g mod p with g^(p-1) != 1 mod p^2, which
+    is primitive mod every p^a.  Each is lifted by CRT to 1 mod n / p^a.
+    """
+    gens: list[tuple[int, int]] = []
+    for p, a in factorize(n).items():
+        pa = p ** a
+        idem = n // pa * pow(n // pa, -1, pa)  # 1 mod p^a, 0 mod n / p^a
+        if p == 2:
+            local = [(pa - 1, 2), (5, pa // 4)][:a - 1]  # -1 if a >= 2, 5 if a >= 3
+        else:
+            g = next(g for g in range(2, 2 * p)  # r or r + p, r the least root
+                     if g % p and all(pow(g, (p - 1) // q, p) != 1 for q in factorize(p - 1))
+                     and pow(g, p - 1, p * p) != 1)
+            local = [(g, pa // p * (p - 1))]
+        gens += [((1 + (g - 1) * idem) % n, m) for g, m in local]
+    return tuple(gens)
+
+
+__all__ = ["factorize", "euler_phi", "is_prime", "is_power_of", "unit_generators"]

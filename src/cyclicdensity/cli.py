@@ -229,6 +229,13 @@ def _sweep_text(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _ChunkedEncoder(json.JSONEncoder):
+    def encode(self, o) -> str:  # a large sweep's chunks go to one buffer, not one list
+        buf = io.StringIO()
+        buf.writelines(self.iterencode(o))
+        return buf.getvalue()
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     families = tuple(args.families.split(",")) if args.families else SWEEP_FAMILIES
     config = SweepConfig(
@@ -250,7 +257,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "counterexamples": list(result.counterexamples),
             "reports": [report_to_dict(r) for r in result.reports],
         }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2, cls=_ChunkedEncoder) + "\n")
     elif args.csv:
         sys.stdout.write(_csv_text([_report_csv_row(r) for r in result.reports]))
     else:

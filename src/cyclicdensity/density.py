@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import euler_phi
+from .arith import euler_phi, unit_generators
 from .errors import InvalidArgument, NotClosed
-from .groups import FiniteGroup, Subgroup, _element_orders, _power_walk, _walk_budget
+from .groups import FiniteGroup, Subgroup, _element_orders, _powers
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,41 +32,31 @@ class CyclicCensus:
 
 
 def cyclic_subgroups(g: FiniteGroup) -> CyclicCensus:
-    """Census of the cyclic subgroups by least generator, in O(n) memory.
+    """Census of the cyclic subgroups by least generator: a minimum over
+    orbits of the unit group (Z/n)^*, in O(n) memory, with no power walk.
 
-    Orders come from the table by divisor descent, never from g.ord.  A
-    sieve walks the powers of only the ids not yet covered, in batches of
-    the least of them that fit the walk budget (rows x largest order).  A
-    walked x finds min{x^k : k <= o(x), gcd(k, o(x)) = 1}, the least
-    generator of <x>, and covers every generator x^k of <x>.  An id is
-    covered only once a generator of its cyclic subgroup has been walked,
-    so when all are covered each cyclic subgroup's least generator is found.
+    Orders come from the table by divisor descent, never from g.ord, and must
+    divide n.  The units mod n map onto the units mod o(x), so the orbit of x
+    under x -> x^u is the set of generators of <x>.  For each generator u of
+    (Z/n)^*, of order m, pi = x -> x^u and ceil(log2 m) steps key = min(key,
+    key[pi]), pi = pi[pi] cover each cycle of pi, whose length divides m.  As
+    (Z/n)^* is abelian, its generators in turn cover each orbit of a group table.
     """
     if g._census is not None:
         return g._census
     n = g.n
-    ords = _element_orders(g.table, np.arange(n) == 0)[0]
+    ords = _element_orders(g.table, np.arange(n) == 0)
     if not ords.all():
         raise NotClosed(f"powers of element {int(ords.argmin())} never reach the identity")
-    dist, lrow = np.unique(ords, return_inverse=True)
-    ks = np.arange(n + 1)
-    usable = (np.gcd(ks, dist[:, None]) == 1) & (ks <= dist[:, None])
-    key = np.arange(n, dtype=np.int32)
-    covered = ks == n  # id n stands in for the unusable columns
-
-    def visit(k, ids, block, prev):
-        gens = np.where(usable[lrow[ids], k:k + block.shape[1]], block, n)
-        key[ids] = np.minimum(key[ids], gens.min(axis=1))
-        covered[gens] = True
-        return ords[ids] >= k + block.shape[1]
-
-    roots = np.zeros(n, dtype=bool)
-    while not covered.all():
-        ids = np.flatnonzero(~covered)
-        fits = np.maximum.accumulate(ords[ids]) * np.arange(1, ids.size + 1) <= _walk_budget(n)
-        ids = ids[:max(1, int(fits.sum()))]
-        _power_walk(g.table, visit, ids)
-        roots[key[ids]] = True
+    if (bad := np.flatnonzero(n % ords)).size:
+        raise NotClosed(f"order {int(ords[bad[0]])} of element {bad[0]} does not divide {n}")
+    key = ids = np.arange(n, dtype=np.int32)
+    for u, m in unit_generators(n):
+        pi = _powers(g.table, ids, u)
+        for _ in range((m - 1).bit_length()):  # ceil(log2 m) doublings
+            key = np.minimum(key, key[pi])
+            pi = pi[pi]
+    roots = key == ids
     roots.setflags(write=False)
     orders, counts = np.unique(ords[roots], return_counts=True)
     by_order = {int(d): int(c) for d, c in zip(orders, counts)}

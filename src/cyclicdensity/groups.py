@@ -290,32 +290,25 @@ def _first_failure(rows: int, cols: int,
     raise ValueError("no failing entry to report")
 
 
-def _walk_budget(n: int) -> int:  # ids a power walk holds per block
-    return max(_SCAN_BLOCK, n * n // 64)
+def _power_walk(table: np.ndarray, visit: Callable) -> np.ndarray:
+    """Walk the powers x^1..x^n of every id x, a block of exponents at a time.
 
-
-def _power_walk(table: np.ndarray, visit: Callable,
-                ids: Optional[np.ndarray] = None) -> np.ndarray:
-    """Walk the powers x^1..x^n of each x in ids (default: all ids), a block
-    of exponents at a time.
-
-    visit(k, ids, block, prev) sees the live ids, block[i, j] = x^(k+j) and
-    prev[i] = x^(k-1) for x = ids[i], and returns the mask of rows that stay
-    live.  P holds x^1..x^w, so the next block x^(c+1)..x^(c+w) after x^c is
-    the one gather flat.take(x^c * n + P).  While the live rows times 2w fit
-    _walk_budget(n) ids, P absorbs each new block and w doubles; after that
-    w stays fixed.  No block goes past x^n.  Returns the ids still live
-    after x^n.
+    visit(k, ids, block) sees the live ids and block[i, j] = x^(k+j) for
+    x = ids[i], and returns the mask of rows that stay live.  P holds x^1..x^w,
+    so the next block x^(c+1)..x^(c+w) after x^c is the one gather
+    flat.take(x^c * n + P).  While the live rows times 2w fit max(_SCAN_BLOCK,
+    n^2/64) ids, P absorbs each new block and w doubles; after that w stays
+    fixed.  No block goes past x^n.  Returns the ids still live after x^n.
     """
     n = table.shape[0]
     flat = table.ravel()
-    budget = _walk_budget(n)
-    ids = np.arange(n, dtype=np.int32) if ids is None else ids.astype(np.int32)
+    budget = max(_SCAN_BLOCK, n * n // 64)
+    ids = np.arange(n, dtype=np.int32)
     pw = ids[:, None]  # P: pw[i, j] = x^(j+1)
-    block, prev, k, grow = pw, np.zeros(ids.size, dtype=np.int32), 1, True
+    block, k, grow = pw, 1, True
     while True:
         block = block[:, :n + 1 - k]
-        live = visit(k, ids, block, prev)
+        live = visit(k, ids, block)
         k, prev = k + block.shape[1], block[:, -1]
         if not live.all():
             ids, pw, prev = ids[live], pw[live], prev[live]
@@ -337,9 +330,8 @@ def _powers(table: np.ndarray, xs: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def _element_orders(table: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For every x, the least k >= 1 with x^k in mask (0 if there is none),
-    and the inverse candidate x^(n-1) of every x outside mask (0 inside);
+def _element_orders(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """For every x, the least k >= 1 with x^k in mask (0 if there is none);
     mask is {0} or a central subgroup Z, and its x have k = 1.
 
     Divisor descent (Cohen, A Course in Computational Algebraic Number
@@ -347,12 +339,11 @@ def _element_orders(table: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np
     the least b <= a with y^(p^b) in mask makes p^b the p-part of k.  The
     premise is that every x^n lies in mask: as mask is a subgroup, the j
     with x^j in mask are then the multiples of k, which divides n.  If some
-    x^n misses mask the table is no group, and one power walk gives k and
-    x^(k-1) instead, so callers name the same element as before.
+    x^n misses mask the table is no group, and one power walk gives k.
     """
     n = table.shape[0]
     xs = np.flatnonzero(~mask).astype(np.int32)
-    ords, inv = np.ones(n, dtype=np.int32), np.zeros(n, dtype=np.int32)
+    ords = np.ones(n, dtype=np.int32)
     for p, a in factorize(n).items():
         y, pb = _powers(table, xs, n // p ** a), np.zeros(xs.size, dtype=np.int32)
         for b in range(a + 1):
@@ -362,21 +353,17 @@ def _element_orders(table: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np
             break
         ords[xs] *= pb
     else:
-        inv[xs] = _powers(table, xs, n - 1)
-        return ords, inv
-    ords, before = np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int32)
+        return ords
+    ords = np.zeros(n, dtype=np.int32)
 
-    def visit(k, ids, block, prev):
+    def visit(k, ids, block):
         hit = mask[block]
         done = hit.any(axis=1)
-        j = hit[done].argmax(axis=1)
-        rows = block[done]
-        ords[ids[done]] = k + j
-        before[ids[done]] = np.where(j > 0, rows[np.arange(j.size), j - 1], prev[done])
+        ords[ids[done]] = k + hit[done].argmax(axis=1)
         return ~done
 
     _power_walk(table, visit)
-    return ords, before
+    return ords
 
 
 def _prove_orders(table: np.ndarray, ords: np.ndarray) -> None:
@@ -384,7 +371,7 @@ def _prove_orders(table: np.ndarray, ords: np.ndarray) -> None:
     the first mismatch that walking x^1, x^2, ... of all x in lockstep meets
     (least k, then least x), else an x whose powers never reach 0."""
     n = table.shape[0]
-    true = _element_orders(table, np.arange(n) == 0)[0]
+    true = _element_orders(table, np.arange(n) == 0)
     true = np.where(true >= 1, true, n + 1)  # n + 1: never
     rec = np.where((ords >= 1) & (ords <= n), ords, n + 1)
     k = np.where(true != rec, np.minimum(true, rec), n + 1)
@@ -400,18 +387,19 @@ def _build(table: np.ndarray, label: str) -> FiniteGroup:
     """Internal builder for tables that are associative by construction.
 
     Still checks the identity at 0, that the powers of every element reach
-    it, that the inverse candidate of _element_orders is two-sided and that
-    orders divide n, so constructor bugs cannot slip through silently; the
-    associativity check is validate_table_with_report's job.
+    it, that the inverse candidate x^(n-1) = x^(o(x)-1) is two-sided and
+    that orders divide n, so constructor bugs cannot slip through silently;
+    the associativity check is validate_table_with_report's job.
     """
     n = table.shape[0]
     ar = np.arange(n, dtype=np.int32)
     if not ((table[0] == ar).all() and (table[:, 0] == ar).all()):
         raise NoIdentityAtZero(f"constructed table for {label!r} lacks identity at 0")
-    ord_, inv = _element_orders(table, ar == 0)
+    ord_ = _element_orders(table, ar == 0)
     if not ord_.all():
         a = int(ord_.argmin())
         raise NoInverse(f"element {a} has no two-sided inverse", element=a)
+    inv = _powers(table, ar, n - 1)
     one_sided = (table[ar, inv] != 0) | (table[inv, ar] != 0)
     if one_sided.any():
         a = int(one_sided.argmax())

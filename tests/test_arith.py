@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclicdensity import InvalidArgument, euler_phi, factorize, is_prime
-from cyclicdensity.arith import is_power_of
+from cyclicdensity.arith import is_power_of, unit_generators
 
 
 def test_phi_small_values():
@@ -55,3 +55,23 @@ def test_phi_by_direct_count(k):
 def test_divisor_phi_sum(n):
     # sum of phi(d) over divisors d of n equals n
     assert sum(euler_phi(d) for d in range(1, n + 1) if n % d == 0) == n
+
+
+def test_unit_generators_generate_the_unit_group():
+    # brute force: coprime, exact order as stated, and {1} closed under the
+    # listed u is all phi(n) units mod n
+    for n in range(1, 513):
+        gens = unit_generators(n)
+        for u, m in gens:
+            assert math.gcd(u, n) == 1, (n, u)
+            powers = [pow(u, k, n) for k in range(1, m + 1)]
+            assert powers[-1] == 1 % n and 1 % n not in powers[:-1], (n, u, m)
+        reached, frontier = {1 % n}, [1 % n]
+        while frontier:
+            x = frontier.pop()
+            for u, _ in gens:
+                if x * u % n not in reached:
+                    reached.add(x * u % n)
+                    frontier.append(x * u % n)
+        assert len(reached) == euler_phi(n), n
+    assert unit_generators(1) == unit_generators(2) == ()

@@ -214,7 +214,7 @@ def test_abelian_alpha_equals_center_alpha(orders):
 
 @pytest.mark.parametrize("spec", ["cyclic:4096", "dihedral:4096", "abelian:2,3,5,7,11"])
 def test_census_allocates_under_a_quarter_of_the_table(spec):
-    # the sieve walks batches of ids within the walk budget, not every power at once
+    # the unit-orbit census holds a few arrays of n ids, never a block of powers
     g = build_group(spec)
     tracemalloc.start()
     try:

@@ -1,4 +1,4 @@
-"""Divisor-descent orders and inverses, the least-generator sieve of the
+"""Divisor-descent orders, the builder's inverses x^(n-1), the unit-orbit
 census and the order proof, against the lockstep walks and the n^2 inverse
 pass of power_oracle; the blocked power walk; and the NoInverse contract of
 the builder."""
@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import power_oracle
 from cyclicdensity import (
+    FiniteGroup,
     NoInverse,
     NotClosed,
     SweepConfig,
@@ -24,18 +25,18 @@ from cyclicdensity import (
     relabeled_copy,
     validate_table_with_report,
 )
-from cyclicdensity.groups import _build, _element_orders, _power_walk, _prove_orders
+from cyclicdensity.groups import _build, _element_orders, _power_walk, _powers, _prove_orders
 
 
 def assert_walks_agree(g):
     t, ident = g.table, np.arange(g.n) == 0
-    ords, inv = _element_orders(t, ident)
+    ords, inv = _element_orders(t, ident), _powers(t, np.arange(g.n), g.n - 1)
     assert np.array_equal(ords, power_oracle.element_orders(t, ident)), g.label
     assert np.array_equal(ords, g.ord), g.label
     assert np.array_equal(inv, power_oracle.inverses(t)), g.label
     assert np.array_equal(g.inv, inv), g.label
     zmask = center(g).bitmap
-    assert np.array_equal(_element_orders(t, zmask)[0],
+    assert np.array_equal(_element_orders(t, zmask),
                           power_oracle.element_orders(t, zmask)), g.label
     roots = power_oracle.least_generators(t, ords) == np.arange(g.n)
     census = cyclic_subgroups(g)
@@ -70,10 +71,12 @@ def test_walk_matches_oracle_on_relabelings(spec, seed):
     assert_walks_agree(relabeled_copy(g, np.random.default_rng(seed).permutation(g.n)))
 
 
-@pytest.mark.parametrize("spec, seed", [("abelian:2,3,5,7,11", None), ("cyclic:4096", 9)])
+@pytest.mark.parametrize("spec, seed", [("abelian:2,3,5,7,11", None), ("cyclic:4096", 9),
+                                        ("dihedral:240", 5), ("quaternion:240", 6)])
 def test_walk_matches_oracle_on_large_groups(spec, seed):
-    # mixed-radix ids put many generators of one subgroup in a sieve batch;
-    # a relabeling scatters the least generators across the batches
+    # abelian:2,3,5,7,11 has five unit generators mod 2310, cyclic:4096 a
+    # 5 of order 1024; (Z/240)^* needs four generators, here on non-abelian
+    # groups, and a relabeling scatters the least generators over the ids
     g = build_group(spec)
     if seed is not None:
         g = relabeled_copy(g, np.random.default_rng(seed).permutation(g.n))
@@ -133,6 +136,22 @@ def test_powers_that_never_reach_the_identity_raise_the_oracle_text(ords):
     # 2 * 2 = 2: no power of 2 is the identity
     table = np.array([[0, 1, 2], [1, 0, 2], [2, 2, 2]], dtype=np.int32)
     assert "element 2" in assert_same_outcome(table, np.array(ords, dtype=np.int32))
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 1, 2], [1, 0, 2], [2, 1, 0]],  # 1 * 1 = 2 * 2 = 0: orders 2 in a table of 3
+    [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+])
+def test_census_rejects_orders_that_do_not_divide_n(table):
+    # not a group: the powers reach the identity, at an order n is no multiple
+    # of, so the unit-orbit premise fails and the census names the least such x
+    table = np.array(table, dtype=np.int32)
+    n = table.shape[0]
+    ords = power_oracle.element_orders(table, np.arange(n) == 0)
+    x = int(np.flatnonzero(n % ords)[0])
+    fake = FiniteGroup(table, np.arange(n, dtype=np.int32), ords, "not-a-group")
+    with pytest.raises(NotClosed, match=f"order {ords[x]} of element {x} does not divide {n}"):
+        cyclic_subgroups(fake)
 
 
 def n2_verdict(table: np.ndarray):
@@ -198,7 +217,7 @@ def test_monoids_name_the_oracle_element(table):
 def test_one_sided_inverse_is_rejected():
     # 1 * 1 = 2 and 2 * 1 = 0, so o(1) = 3 with x^2 = 2, but 1 * 2 = 1
     table = np.array([[0, 1, 2], [1, 2, 1], [2, 0, 0]], dtype=np.int32)
-    ords, inv = _element_orders(table, np.arange(3) == 0)
+    ords, inv = _element_orders(table, np.arange(3) == 0), _powers(table, np.arange(3), 2)
     assert ords.all() and inv[1] == 2
     with pytest.raises(NoInverse) as err:
         _build(table, "one-sided")
@@ -211,8 +230,7 @@ def test_blocks_cover_every_exponent_once():
         table = (np.add.outer(np.arange(n), np.arange(n)) % n).astype(np.int32)
         seen = []
 
-        def visit(k, ids, block, prev):
-            assert np.array_equal(prev, (ids * (k - 1)) % n)
+        def visit(k, ids, block):
             seen.extend(itertools.product(ids.tolist(), range(k, k + block.shape[1])))
             assert np.array_equal(block, np.outer(ids, np.arange(k, k + block.shape[1])) % n)
             return np.ones(ids.size, dtype=bool)

@@ -41,3 +41,16 @@ def test_verify_path_rebuilds_no_group():
         if pattern.search(line)
     ]
     assert not found, f"group rebuilt on the verify path: {found}"
+
+
+def test_census_walks_no_powers():
+    # the census is a minimum over unit-group orbits; the power walk is only
+    # the fallback of the order descent for tables that are no group
+    pattern = re.compile(r"\b_power_walk\b")
+    found = [
+        f"density.py:{lineno}"
+        for lineno, line in enumerate(
+            (SRC / "cyclicdensity" / "density.py").read_text().splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert not found, f"power walk in the census: {found}"
