@@ -74,9 +74,9 @@ def test_walk_matches_oracle_on_relabelings(spec, seed):
 @pytest.mark.parametrize("spec, seed", [("abelian:2,3,5,7,11", None), ("cyclic:4096", 9),
                                         ("dihedral:240", 5), ("quaternion:240", 6)])
 def test_walk_matches_oracle_on_large_groups(spec, seed):
-    # abelian:2,3,5,7,11 has five unit generators mod 2310, cyclic:4096 a
-    # 5 of order 1024; (Z/240)^* needs four generators, here on non-abelian
-    # groups, and a relabeling scatters the least generators over the ids
+    # (Z/2310)^* and (Z/240)^* take four unit generators each, (Z/4096)^* a 5
+    # of order 1024; dihedral:240 and quaternion:240 are non-abelian, and a
+    # relabeling scatters the least generators over the ids
     g = build_group(spec)
     if seed is not None:
         g = relabeled_copy(g, np.random.default_rng(seed).permutation(g.n))
