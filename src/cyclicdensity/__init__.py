@@ -49,12 +49,9 @@ from .groups import (
     Subgroup,
     center,
     direct_product,
-    group_exponent,
     quotient_by_central,
-    relabeled_copy,
     size_cap,
     validate_table_with_report,
-    verify_group_invariants,
 )
 from .sweep import SweepConfig, SweepResult, corpus_specs, run_sweep
 from .verify import (

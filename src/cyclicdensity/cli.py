@@ -103,6 +103,38 @@ def report_to_dict(report: AlphaReport) -> dict:
     }
 
 
+_JSON_BOOL = ("false", "true")
+
+
+def _json_list(items: Sequence[str], pad: str) -> str:
+    """A JSON array of encoded items, laid out as json.dumps(indent=2) lays
+    it out at indent pad."""
+    if not items:
+        return "[]"
+    sep = ",\n" + pad + "  "
+    return "[" + sep[1:] + sep.join(items) + "\n" + pad + "]"
+
+
+def _report_json(r: AlphaReport, label: str, pad: str = "") -> str:
+    """json.dumps(report_to_dict(r), indent=2) at indent pad, with the label
+    already encoded; every other value is an int, a bool or digits/digits."""
+    p, q, b = pad + "  ", pad + "      ", _JSON_BOOL
+    steps = [
+        f'{{\n{q}"k": {c.k},\n{q}"sum": "{_frac(c.coset_sum)}",\n'
+        f'{q}"order_identity": {b[c.order_identity]},\n{q}"divisibility": {b[c.divisibility]},\n'
+        f'{q}"coset_inequality": {b[c.coset_inequality]},\n{q}"is_center": {b[c.is_center]}\n'
+        f'{p}  }}' for c in r.proof_steps]
+    return (
+        f'{{\n{p}"label": {label},\n{p}"order": {r.order},\n{p}"cyclic_count": {r.cyclic_count},\n'
+        f'{p}"alpha_g": "{_frac(r.alpha_g)}",\n{p}"alpha_z": "{_frac(r.alpha_z)}",\n'
+        f'{p}"equality": {b[r.equality]},\n{p}"structural": {b[r.structural]},\n'
+        f'{p}"quotient_exponent": {r.quotient_exponent},\n'
+        f'{p}"two_central": {b[r.two_central]},\n{p}"four_abelian": {b[r.four_abelian]},\n'
+        f'{p}"avg_order_g": "{_frac(r.avg_order_g)}",\n'
+        f'{p}"avg_order_z": "{_frac(r.avg_order_z)}",\n{p}"proof_steps": {_json_list(steps, p)}\n'
+        f'{pad}}}')
+
+
 def _report_csv_row(report: AlphaReport) -> list:
     d = report_to_dict(report)
     d["proof_steps"] = _steps_compact(report)
@@ -203,7 +235,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     g = _build_from_args(args)
     report = full_report(g)
     if args.json:
-        sys.stdout.write(json.dumps(report_to_dict(report), indent=2) + "\n")
+        sys.stdout.write(_report_json(report, json.dumps(report.label)) + "\n")
     elif args.csv:
         sys.stdout.write(_csv_text([_report_csv_row(report)]))
     else:
@@ -229,11 +261,23 @@ def _sweep_text(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _ChunkedEncoder(json.JSONEncoder):
-    def encode(self, o) -> str:  # a large sweep's chunks go to one buffer, not one list
-        buf = io.StringIO()
-        buf.writelines(self.iterencode(o))
-        return buf.getvalue()
+def _write_sweep_json(result: SweepResult) -> None:
+    """json.dumps of the sweep payload (README) with indent=2, plus "\n",
+    written to stdout one report at a time."""
+    label = {r.label: json.dumps(r.label) for r in result.reports}
+    out, reports = sys.stdout, result.reports
+    out.write(
+        f'{{\n  "max_order": {result.config.max_order},\n'
+        f'  "families": {_json_list([json.dumps(f) for f in result.config.families], "  ")},\n'
+        f'  "groups_checked": {len(reports)},\n'
+        f'  "equality_count": {len(result.equality_labels)},\n'
+        f'  "equality_cases": {_json_list([label[s] for s in result.equality_labels], "  ")},\n'
+        f'  "counterexamples": {_json_list([label[s] for s in result.counterexamples], "  ")},\n'
+        f'  "reports": {"[" if reports else "[]"}'
+    )
+    for i, r in enumerate(reports):
+        out.write((",\n    " if i else "\n    ") + _report_json(r, label[r.label], "    "))
+    out.write("\n  ]\n}\n" if reports else "\n}\n")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -248,16 +292,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     result = run_sweep(config)
     if args.json:
-        payload = {
-            "max_order": config.max_order,
-            "families": list(config.families),
-            "groups_checked": len(result.reports),
-            "equality_count": len(result.equality_labels),
-            "equality_cases": list(result.equality_labels),
-            "counterexamples": list(result.counterexamples),
-            "reports": [report_to_dict(r) for r in result.reports],
-        }
-        sys.stdout.write(json.dumps(payload, indent=2, cls=_ChunkedEncoder) + "\n")
+        _write_sweep_json(result)
     elif args.csv:
         sys.stdout.write(_csv_text([_report_csv_row(r) for r in result.reports]))
     else:

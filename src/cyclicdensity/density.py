@@ -10,6 +10,7 @@ its generators do, so the invariants of H are read off G's census.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -79,13 +80,22 @@ def alpha(g: FiniteGroup, sub: Optional[Subgroup] = None) -> Fraction:
     return Fraction(int(cyclic_subgroups(g).roots[members].sum()), members.size)
 
 
+def _order_histogram(g: FiniteGroup) -> tuple[list, np.ndarray, list]:
+    """(orders, at, counts) of g.ord, found once per group: its distinct
+    values, the index of each id's value (g.ord == orders[at]) and how often
+    each occurs."""
+    if g._hist is None:
+        orders, at, counts = np.unique(g.ord, return_inverse=True, return_counts=True)
+        g._hist = (orders.tolist(), at, counts.tolist())
+    return g._hist
+
+
 def alpha_via_totient(g: FiniteGroup) -> Fraction:
     """The same density via the identity |C(G)| = sum over x of 1/phi(o(x))."""
-    orders, counts = np.unique(g.ord, return_counts=True)
-    total = sum(
-        Fraction(int(c), euler_phi(int(d))) for d, c in zip(orders, counts)
-    )
-    return total / g.n
+    orders, _, counts = _order_histogram(g)
+    phis = [euler_phi(d) for d in orders]
+    lcm = math.lcm(*phis)
+    return Fraction(sum(c * (lcm // p) for c, p in zip(counts, phis)), lcm * g.n)
 
 
 def subgroup_count_identity_check(g: FiniteGroup) -> tuple[bool, str]:
@@ -115,8 +125,8 @@ def census_matches_orders(g: FiniteGroup) -> bool:
     """Cross-check: each order-d cyclic subgroup owns phi(d) generators, so
     by_order[d] * phi(d) must equal the number of elements of order d."""
     census = cyclic_subgroups(g)
-    orders, counts = np.unique(g.ord, return_counts=True)
-    have = {int(d): int(c) for d, c in zip(orders, counts)}
+    orders, _, counts = _order_histogram(g)
+    have = dict(zip(orders, counts))
     want = {d: k * euler_phi(d) for d, k in census.by_order.items()}
     return have == want
 

@@ -15,9 +15,8 @@ associative by construction.
 
 from __future__ import annotations
 
-import math
 import os
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -74,7 +73,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("n", "table", "inv", "ord", "label", "_gens", "_center", "_census",
-                 "__weakref__")
+                 "_hist", "__weakref__")
 
     def __init__(self, table: np.ndarray, inv: np.ndarray, ord_: np.ndarray, label: str):
         self.n = int(table.shape[0])
@@ -85,8 +84,9 @@ class FiniteGroup:
         for arr in (table, inv, ord_):
             arr.setflags(write=False)
         self._gens: Optional[np.ndarray] = None  # filled lazily by _generators
-        self._center: Optional[np.ndarray] = None  # read-only mask, filled by center
+        self._center: Optional[tuple] = None  # (members, bitmap, gens), filled by center
         self._census = None  # filled lazily by density.cyclic_subgroups
+        self._hist = None  # filled lazily by density._order_histogram
 
     def is_abelian(self) -> bool:
         return len(center(self)) == self.n
@@ -96,19 +96,33 @@ class FiniteGroup:
 
 
 class Subgroup:
-    """Sorted subset of a parent group, verified closed under product and inverse."""
+    """Sorted subset of a parent group, verified closed under product and
+    inverse.  A set of at most 128 ids is closed when its |H|^2 products
+    (one gather) lie in it; a larger one by _generate, whose greedy
+    generating set is kept as gens.  gens is None for a small set and for
+    the whole parent, which needs no proof."""
 
-    __slots__ = ("parent", "members", "bitmap")
+    __slots__ = ("parent", "members", "bitmap", "gens")
 
-    def __init__(self, parent: FiniteGroup, members: Iterable[int]):
-        arr = np.unique(np.asarray(list(members), dtype=np.int32))
+    def __init__(self, parent: FiniteGroup, members: Union[Iterable[int], np.ndarray]):
+        """members: ids in any order, or a bool mask over the parent's ids."""
+        if isinstance(members, np.ndarray) and members.dtype == bool:
+            arr = members.nonzero()[0].astype(np.int32)
+        else:
+            arr = np.unique(np.asarray(list(members), dtype=np.int32))
         if arr.size == 0 or arr[0] != 0:
             raise NotASubgroup("a subgroup must contain the identity 0")
         if arr[-1] >= parent.n or arr[0] < 0:
             raise NotASubgroup(f"member {int(arr[-1])} outside parent of order {parent.n}")
         bitmap = np.zeros(parent.n, dtype=bool)
         bitmap[arr] = True
-        if arr.size < parent.n and _generate(parent.table, bitmap) is None:
+        gens, closed = None, True
+        if arr.size * arr.size <= _SCAN_BLOCK:
+            closed = bitmap[parent.table[arr[:, None], arr]].all()
+        elif arr.size < parent.n:
+            gens = _generate(parent.table, bitmap)
+            closed = gens is not None
+        if not closed:
             # name the first pair in row-major order whose product leaves the set
             i, j = _first_failure(
                 arr.size, arr.size, lambda lo, hi: ~bitmap[parent.table[np.ix_(arr[lo:hi], arr)]])
@@ -125,14 +139,9 @@ class Subgroup:
             raise NotASubgroup(
                 f"closed set of {arr.size} elements does not divide the order {parent.n}"
             )
-        self._set(parent, arr, bitmap)
-
-    def _set(self, parent: FiniteGroup, members: np.ndarray, bitmap: np.ndarray) -> None:
-        self.parent = parent
-        self.members = members
-        self.bitmap = bitmap
-        members.setflags(write=False)
+        arr.setflags(write=False)
         bitmap.setflags(write=False)
+        self.parent, self.members, self.bitmap, self.gens = parent, arr, bitmap, gens
 
     def __len__(self) -> int:
         return int(self.members.size)
@@ -204,6 +213,7 @@ def _generate(table: np.ndarray, inside: Optional[np.ndarray] = None,
     n = table.shape[0]
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
+    outside = None if inside is None else ~inside
     gens: list[int] = []
 
     def absorb(products: np.ndarray) -> Optional[np.ndarray]:
@@ -211,10 +221,10 @@ def _generate(table: np.ndarray, inside: Optional[np.ndarray] = None,
         new = np.zeros(n, dtype=bool)
         new[products] = True
         new &= ~reached
-        if inside is not None and (new & ~inside).any():
+        if outside is not None and (new & outside).any():
             return None
         reached[new] = True
-        return np.flatnonzero(new)
+        return new.nonzero()[0]
 
     while True:
         left = ~reached if inside is None else inside & ~reached
@@ -228,7 +238,7 @@ def _generate(table: np.ndarray, inside: Optional[np.ndarray] = None,
         gens.append(c)
         added, power = [], c
         while power:  # the identity as a power adds nothing
-            fresh = absorb(table[np.flatnonzero(reached), power])
+            fresh = absorb(table[reached.nonzero()[0], power])
             if fresh is None:
                 return None
             if not fresh.size:
@@ -237,7 +247,7 @@ def _generate(table: np.ndarray, inside: Optional[np.ndarray] = None,
             power = int(table[power, power])
         fresh = np.concatenate(added)
         while fresh.size:
-            fresh = absorb(table[np.ix_(fresh, gens)].ravel())
+            fresh = absorb(table[fresh[:, None], gens].ravel())
             if fresh is None:
                 return None
 
@@ -342,9 +352,9 @@ def _element_orders(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
     x^n misses mask the table is no group, and one power walk gives k.
     """
     n = table.shape[0]
-    xs = np.flatnonzero(~mask).astype(np.int32)
+    xs = (~mask).nonzero()[0].astype(np.int32)
     ords = np.ones(n, dtype=np.int32)
-    for p, a in factorize(n).items():
+    for p, a in factorize(n).items() if xs.size else ():  # mask = all ids: all ones
         y, pb = _powers(table, xs, n // p ** a), np.zeros(xs.size, dtype=np.int32)
         for b in range(a + 1):
             y = _powers(table, y, p) if b else y
@@ -364,23 +374,6 @@ def _element_orders(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
     _power_walk(table, visit)
     return ords
-
-
-def _prove_orders(table: np.ndarray, ords: np.ndarray) -> None:
-    """Raise NotClosed unless ords holds the element orders of table, naming
-    the first mismatch that walking x^1, x^2, ... of all x in lockstep meets
-    (least k, then least x), else an x whose powers never reach 0."""
-    n = table.shape[0]
-    true = _element_orders(table, np.arange(n) == 0)
-    true = np.where(true >= 1, true, n + 1)  # n + 1: never
-    rec = np.where((ords >= 1) & (ords <= n), ords, n + 1)
-    k = np.where(true != rec, np.minimum(true, rec), n + 1)
-    x = int(k.argmin())
-    if k[x] <= n:
-        raise NotClosed(f"element {x} has recorded order {int(ords[x])}, but x^{int(k[x])} "
-                        f"is {'' if true[x] == k[x] else 'not '}the identity")
-    if true.max() > n:
-        raise NotClosed(f"powers of element {int(true.argmax())} never reach the identity")
 
 
 def _build(table: np.ndarray, label: str) -> FiniteGroup:
@@ -445,14 +438,15 @@ def center(g: FiniteGroup) -> Subgroup:
 
     Z(G) is the centralizer of a generating set S: an x with xs = sx for
     every s in S commutes with every product of them, by associativity.
-    The subgroup proof runs once; g caches only the read-only mask.
+    The subgroup proof runs once; g caches its read-only arrays, not the
+    Subgroup, which would refer back to g.
     """
     if g._center is None:
         s = _generators(g)
-        mask = (g.table[:, s] == g.table[s].T).all(axis=1)
-        g._center = Subgroup(g, np.flatnonzero(mask)).bitmap
+        z = Subgroup(g, (g.table[:, s] == g.table[s].T).all(axis=1))
+        g._center = (z.members, z.bitmap, z.gens)
     z = Subgroup.__new__(Subgroup)
-    z._set(g, np.flatnonzero(g._center).astype(np.int32), g._center)
+    z.parent, (z.members, z.bitmap, z.gens) = g, g._center
     return z
 
 
@@ -462,34 +456,43 @@ def _require_central(g: FiniteGroup, z: Subgroup) -> None:
     if z.parent is not g:
         raise InvalidArgument("subgroup does not belong to this group")
     s, zmem = _generators(g), z.members
-    if not np.array_equal(g.table[np.ix_(zmem, s)], g.table[np.ix_(s, zmem)].T):
+    if not np.array_equal(g.table[zmem[:, None], s], g.table[s[:, None], zmem].T):
         i, b = _first_failure(zmem.size, g.n, lambda lo, hi: (
             g.table[zmem[lo:hi]] != g.table[:, zmem[lo:hi]].T))
         raise NotCentral(f"element {int(zmem[i])} does not commute with {b}")
 
 
-def _central_cosets(g: FiniteGroup, zmem: np.ndarray,
-                    members: Optional[np.ndarray] = None) -> np.ndarray:
-    """Cosets yZ of a central subgroup Z (sorted ids zmem) inside a subgroup
-    U (sorted ids members, all of g by default), one row g.table[y, zmem]
-    per coset, in one pass over U.
-
-    U is walked in increasing id order and each id not yet covered starts
-    the next row, so the rows are ordered by smallest member and row 0 is Z.
+def _central_cosets(g: FiniteGroup, z: Subgroup, u: Optional[Subgroup] = None) -> np.ndarray:
+    """Cosets of W = Z meet U, for Z central and U a subgroup (all of g by
+    default): rows g.table[y, W], W in increasing id order, ordered by their
+    least member y, so row 0 is W.  As yW = yZ meet U, y starts a row when it
+    is the least id of U in yZ: a minimum over the orbit of y under the
+    generators of Z acting by x -> x s, by ceil(log2 |Z|) steps key = min(key,
+    key[pi]), pi = pi[pi] per s (Z is abelian, each cycle has o(s) ids).  A
+    small Z (no gens, see Subgroup) takes the minimum over its n x |Z|
+    products, and one coset (W = U, as when Z = G) needs neither.
     """
-    members = np.arange(g.n) if members is None else members
-    seen = np.zeros(g.n, dtype=bool)
-    rows = []
-    for y in members.tolist():
-        if not seen[y]:
-            row = g.table[y, zmem]
-            seen[row] = True
-            rows.append(row)
-    cosets = np.stack(rows)
+    n = g.n
+    members = np.arange(n) if u is None else u.members
+    w = z.members if u is None else (z.bitmap & u.bitmap).nonzero()[0]
+    if w.size == members.size:
+        starts = members[:1]
+    else:
+        key = np.arange(n) if u is None else np.where(u.bitmap, np.arange(n), n)
+        if z.gens is None:
+            key = key[g.table[:, z.members]].min(axis=1)
+        else:
+            for s in z.gens.tolist():
+                pi = g.table[:, s]
+                for _ in range((len(z) - 1).bit_length()):
+                    key = np.minimum(key, key[pi])
+                    pi = pi[pi]
+        starts = members[key[members] == members]
+    cosets = g.table[starts[:, None], w]
     if not np.array_equal(np.sort(cosets, axis=None), members):
-        raise NotASubgroup(f"{len(rows)} cosets of order {zmem.size} do not "
+        raise NotASubgroup(f"{starts.size} cosets of order {w.size} do not "
                            f"partition {members.size} elements")
-    if not np.array_equal(cosets[0], zmem):
+    if not np.array_equal(cosets[0], w):
         raise NotASubgroup("the first coset by smallest member is not the subgroup itself")
     return cosets
 
@@ -497,17 +500,12 @@ def _central_cosets(g: FiniteGroup, zmem: np.ndarray,
 def quotient_by_central(g: FiniteGroup, z: Subgroup, label: Optional[str] = None) -> FiniteGroup:
     """Quotient group G/Z for central Z, on coset ids ordered by smallest member."""
     _require_central(g, z)
-    cosets = _central_cosets(g, z.members)
+    cosets = _central_cosets(g, z)
     reps = cosets[:, 0]  # smallest members, since zmem[0] is the identity
     coset_of = np.empty(g.n, dtype=np.int32)
     coset_of[cosets] = np.arange(reps.size, dtype=np.int32)[:, None]
-    qtable = coset_of[g.table[np.ix_(reps, reps)]]
+    qtable = coset_of[g.table[reps[:, None], reps]]
     return _build(qtable, label or f"({g.label})/Z")
-
-
-def group_exponent(g: FiniteGroup) -> int:
-    """Least common multiple of all element orders."""
-    return math.lcm(*(int(v) for v in np.unique(g.ord)))
 
 
 def _product_of_tables(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -526,38 +524,6 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, *, max_size: Optional[int] = 
                   label or f"product:({g.label})x({h.label})")
 
 
-def relabeled_copy(g: FiniteGroup, perm: Sequence[int], label: Optional[str] = None) -> FiniteGroup:
-    """Isomorphic copy under a permutation of ids (perm[old] = new)."""
-    sigma = np.asarray(perm, dtype=np.int32)
-    if sigma.shape != (g.n,) or not np.array_equal(np.sort(sigma), np.arange(g.n)):
-        raise InvalidArgument(f"perm must be a permutation of 0..{g.n - 1}")
-    inv_sigma = np.empty(g.n, dtype=np.int32)
-    inv_sigma[sigma] = np.arange(g.n, dtype=np.int32)
-    table = sigma[g.table][np.ix_(inv_sigma, inv_sigma)]
-    return validate_table_with_report(table, label or f"{g.label} (relabeled)")[0]
-
-
-def verify_group_invariants(g: FiniteGroup) -> None:
-    """Re-derive every structural invariant from the raw table; raises on failure.
-
-    Checks Latin-square rows and columns, identity at 0, associativity,
-    two-sided inverses, and each stored order against divisor descent.
-    Meant for tests and post-import auditing.
-    """
-    n = g.n
-    t = g.table
-    ar = np.arange(n, dtype=np.int32)
-    if not ((t[0] == ar).all() and (t[:, 0] == ar).all()):
-        raise NoIdentityAtZero("identity is not at id 0")
-    if not (np.array_equal(np.sort(t, axis=1), np.tile(ar, (n, 1)))
-            and np.array_equal(np.sort(t, axis=0), np.tile(ar[:, None], (1, n)))):
-        raise NotClosed("some row or column is not a permutation")
-    _check_associativity(t)
-    if not ((t[ar, g.inv] == 0).all() and (t[g.inv, ar] == 0).all()):
-        raise NoInverse("stored inverses are wrong")
-    _prove_orders(t, g.ord)  # the orders of a group divide n
-
-
 __all__ = [
     "DEFAULT_SIZE_CAP",
     "SIZE_CAP_ENV",
@@ -567,8 +533,5 @@ __all__ = [
     "validate_table_with_report",
     "center",
     "quotient_by_central",
-    "group_exponent",
     "direct_product",
-    "relabeled_copy",
-    "verify_group_invariants",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -153,6 +152,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     jobs = [(s, max_size) for s in specs]
     reports: list[AlphaReport] = []
     if config.parallelism > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not paid by serial runs
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         workers = max(1, min(config.parallelism, len(jobs), cpus or 1))
         chunk = max(1, len(jobs) // (workers * 8))

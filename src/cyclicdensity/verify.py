@@ -10,6 +10,7 @@ always yields an empty findings tuple.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -18,6 +19,7 @@ import numpy as np
 
 from .arith import euler_phi
 from .density import (
+    _order_histogram,
     alpha,
     average_order,
     census_matches_orders,
@@ -32,7 +34,6 @@ from .groups import (
     _element_orders,
     _first_failure,
     _generators,
-    _require_central,
     center,
 )
 
@@ -139,18 +140,17 @@ def per_coset_analysis(g: FiniteGroup) -> PerCosetFindings:
     checked on whole m x |Z| arrays of products y x, and the sums of
     1/phi(o) are exact integer numerators over one common denominator L.
     """
-    z = center(g)
-    _require_central(g, z)
+    z = center(g)  # central by construction: the centralizer of g's generators
     zmem = z.members
+    orders, at, _ = _order_histogram(g)  # g.ord == orders[at]
+    phis = [euler_phi(d) for d in orders]
     ords = g.ord.astype(np.int64)
-    y, k = _minimal_reps(ords, _central_cosets(g, zmem))
-    prods = g.table[np.ix_(y, zmem)]  # row i: y_i x for every central x
-    ox, oyx, kk = ords[zmem], ords[prods], k[:, None]
-    ok_identity = (oyx == kk // np.gcd(kk, ox) * ox).all(axis=1)
-    orders, at = np.unique(ords, return_inverse=True)  # ords == orders[at]
-    phis = [euler_phi(int(d)) for d in orders]
+    y, k = _minimal_reps(ords, _central_cosets(g, z))
+    prods = g.table[y[:, None], zmem]  # row i: y_i x for every central x
+    ox, kk = ords[zmem], k[:, None]
+    ok_identity = (ords[prods] == kk // np.gcd(kk, ox) * ox).all(axis=1).tolist()
     phi = np.array(phis, dtype=np.int64)
-    ok_divides = (phi[at[prods]] % phi[at[zmem]] == 0).all(axis=1)
+    ok_divides = (phi[at[prods]] % phi[at[zmem]] == 0).all(axis=1).tolist()
     # 1/phi(d) = (L // phi(d)) / L; Python ints, since a tampered g.ord can
     # push L far beyond n
     L = math.lcm(*phis)
@@ -158,39 +158,29 @@ def per_coset_analysis(g: FiniteGroup) -> PerCosetFindings:
     sums = numer[at[prods]].sum(axis=1).tolist()
     center_numer = numer[at[zmem]].sum()
     center_sum = Fraction(center_numer, L)
-    checks: list[CosetCheck] = []
-    findings: list[str] = []
-    for i, (yi, ki, s, ok_i, ok_d) in enumerate(zip(
-            y.tolist(), k.tolist(), sums, ok_identity.tolist(), ok_divides.tolist())):
-        coset_sum = Fraction(s, L)
-        ok_bound = s <= center_numer
+    k, findings = k.tolist(), []
+    for yi, ki, s, ok_i, ok_d in zip(y.tolist(), k, sums, ok_identity, ok_divides):
         if not ok_i:
-            findings.append(
-                f"order-identity: coset of {yi} (k = {ki}) violates "
-                f"o(y x) = (k / gcd(k, o(x))) o(x) for some central x"
-            )
+            findings.append(f"order-identity: coset of {yi} (k = {ki}) violates "
+                            f"o(y x) = (k / gcd(k, o(x))) o(x) for some central x")
         if not ok_d:
-            findings.append(
-                f"totient-divisibility: coset of {yi} has some phi(o(x)) "
-                f"not dividing phi(o(y x))"
-            )
-        if not ok_bound:
-            findings.append(
-                f"coset-inequality: coset of {yi} sums to {coset_sum}, "
-                f"over the center sum {center_sum}"
-            )
-        checks.append(CosetCheck(
-            k=ki, coset_sum=coset_sum, order_identity=ok_i,
-            divisibility=ok_d, coset_inequality=ok_bound, is_center=(i == 0),
-        ))
-    head, rest = checks[0], checks[1:]
-    rest.sort(key=lambda c: (c.k, c.coset_sum, c.order_identity,
-                             c.divisibility, c.coset_inequality))
-    ordered = (head, *rest)
+            findings.append(f"totient-divisibility: coset of {yi} has some phi(o(x)) "
+                            f"not dividing phi(o(y x))")
+        if s > center_numer:
+            findings.append(f"coset-inequality: coset of {yi} sums to {Fraction(s, L)}, "
+                            f"over the center sum {center_sum}")
+    # the rest sorted by (k, coset_sum, flags); cosets with equal keys have
+    # equal checks, so each key's check is made once
+    rest = Counter(zip(k[1:], sums[1:], ok_identity[1:], ok_divides[1:]))
+    steps = [CosetCheck(k[0], Fraction(sums[0], L), ok_identity[0], ok_divides[0],
+                        sums[0] <= center_numer, True)]
+    for ki, s, ok_i, ok_d in sorted(rest):
+        steps += [CosetCheck(ki, Fraction(s, L), ok_i, ok_d, s <= center_numer, False)
+                  ] * rest[ki, s, ok_i, ok_d]
     return PerCosetFindings(
         group_label=g.label,
         center_sum=center_sum,
-        per_coset=ordered,
+        per_coset=tuple(steps),
         total=Fraction(sum(sums), L),
         all_hold=not findings,
         findings=tuple(findings),
@@ -201,8 +191,8 @@ def structural_condition(g: FiniteGroup) -> StructuralResult:
     """Decide the equality criterion from the table alone (no isomorphism
     search): central odd part, 2-power part, and involution coverage of
     the 2-part's central cosets."""
-    zbit = center(g).bitmap
-    ords = g.ord
+    z = center(g)
+    zbit, ords = z.bitmap, g.ord
     odd_mask = (ords % 2) == 1
     bad = np.nonzero(odd_mask & ~zbit)[0]
     if bad.size:
@@ -212,13 +202,13 @@ def structural_condition(g: FiniteGroup) -> StructuralResult:
             f"element {x} has odd order {int(ords[x])} but is not central",
         )
     try:
-        odd_part = Subgroup(g, np.nonzero(odd_mask)[0])
+        odd_part = Subgroup(g, odd_mask)
     except NotASubgroup as exc:
         return StructuralResult(False, None, None,
                                 f"odd-order elements do not form a subgroup: {exc}")
     two_mask = (ords & (ords - 1)) == 0
     try:
-        two_part = Subgroup(g, np.nonzero(two_mask)[0])
+        two_part = Subgroup(g, two_mask)
     except NotASubgroup as exc:
         return StructuralResult(False, None, odd_part,
                                 f"2-power-order elements do not form a subgroup: {exc}")
@@ -230,8 +220,7 @@ def structural_condition(g: FiniteGroup) -> StructuralResult:
             f"|O| = {len(odd_part)}, |T meet O| = {overlap}, |G| = {g.n}",
         )
     # G = T x O with O central, so Z(T) = Z(G) meet T
-    zt = np.nonzero(zbit & two_mask)[0]
-    y, k = _minimal_reps(ords, _central_cosets(g, zt, two_part.members))
+    y, k = _minimal_reps(ords, _central_cosets(g, z, two_part))
     bare = np.flatnonzero(k > 2)
     if bare.size:
         y, k = int(y[bare[0]]), int(k[bare[0]])
@@ -263,7 +252,7 @@ def is_4_abelian_witness(g: FiniteGroup) -> tuple[bool, Optional[tuple[int, int]
     sq = g.table[ar, ar]
     f4 = sq[sq]
     s = _generators(g)
-    if np.array_equal(f4[g.table[:, s]], g.table[np.ix_(f4, f4[s])]):
+    if np.array_equal(f4[g.table[:, s]], g.table[f4[:, None], f4[s]]):
         return True, None
     return False, _first_failure(g.n, g.n, lambda lo, hi: (
         f4[g.table[lo:hi]] != g.table[np.ix_(f4[lo:hi], f4)]))

@@ -6,13 +6,29 @@ center_members() keeps the elements whose row equals their column,
 closure_failure() gathers the |H| x |H| products of a member set,
 centrality_failure() compares the rows of Z with the transposed columns,
 and four_abelian_witness() compares (x y)^4 with x^4 y^4 for all n^2 pairs.
+
+The helpers after them serve only tests: group_exponent(),
+relabeled_copy(), and verify_group_invariants(), which re-derives every
+invariant of a group from its raw table, with prove_orders() naming the
+first stored order that the table contradicts.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Optional, Sequence
 
 import numpy as np
+
+from cyclicdensity import (
+    FiniteGroup,
+    InvalidArgument,
+    NoIdentityAtZero,
+    NoInverse,
+    NotClosed,
+    validate_table_with_report,
+)
+from cyclicdensity.groups import _check_associativity, _element_orders
 
 
 def center_members(g) -> list[int]:
@@ -57,3 +73,56 @@ def four_abelian_witness(g) -> tuple[bool, Optional[tuple[int, int]]]:
         x, y = np.argwhere(mismatch)[0]
         return False, (int(x), int(y))
     return True, None
+
+
+def group_exponent(g: FiniteGroup) -> int:
+    """Least common multiple of all element orders."""
+    return math.lcm(*(int(v) for v in np.unique(g.ord)))
+
+
+def relabeled_copy(g: FiniteGroup, perm: Sequence[int], label: Optional[str] = None) -> FiniteGroup:
+    """Isomorphic copy under a permutation of ids (perm[old] = new)."""
+    sigma = np.asarray(perm, dtype=np.int32)
+    if sigma.shape != (g.n,) or not np.array_equal(np.sort(sigma), np.arange(g.n)):
+        raise InvalidArgument(f"perm must be a permutation of 0..{g.n - 1}")
+    inv_sigma = np.empty(g.n, dtype=np.int32)
+    inv_sigma[sigma] = np.arange(g.n, dtype=np.int32)
+    table = sigma[g.table][np.ix_(inv_sigma, inv_sigma)]
+    return validate_table_with_report(table, label or f"{g.label} (relabeled)")[0]
+
+
+def verify_group_invariants(g: FiniteGroup) -> None:
+    """Re-derive every structural invariant from the raw table; raises on failure.
+
+    Checks Latin-square rows and columns, identity at 0, associativity,
+    two-sided inverses, and each stored order against divisor descent.
+    """
+    n = g.n
+    t = g.table
+    ar = np.arange(n, dtype=np.int32)
+    if not ((t[0] == ar).all() and (t[:, 0] == ar).all()):
+        raise NoIdentityAtZero("identity is not at id 0")
+    if not (np.array_equal(np.sort(t, axis=1), np.tile(ar, (n, 1)))
+            and np.array_equal(np.sort(t, axis=0), np.tile(ar[:, None], (1, n)))):
+        raise NotClosed("some row or column is not a permutation")
+    _check_associativity(t)
+    if not ((t[ar, g.inv] == 0).all() and (t[g.inv, ar] == 0).all()):
+        raise NoInverse("stored inverses are wrong")
+    prove_orders(t, g.ord)  # the orders of a group divide n
+
+
+def prove_orders(table: np.ndarray, ords: np.ndarray) -> None:
+    """Raise NotClosed unless ords holds the element orders of table, naming
+    the first mismatch that walking x^1, x^2, ... of all x in lockstep meets
+    (least k, then least x), else an x whose powers never reach 0."""
+    n = table.shape[0]
+    true = _element_orders(table, np.arange(n) == 0)
+    true = np.where(true >= 1, true, n + 1)  # n + 1: never
+    rec = np.where((ords >= 1) & (ords <= n), ords, n + 1)
+    k = np.where(true != rec, np.minimum(true, rec), n + 1)
+    x = int(k.argmin())
+    if k[x] <= n:
+        raise NotClosed(f"element {x} has recorded order {int(ords[x])}, but x^{int(k[x])} "
+                        f"is {'' if true[x] == k[x] else 'not '}the identity")
+    if true.max() > n:
+        raise NotClosed(f"powers of element {int(true.argmax())} never reach the identity")

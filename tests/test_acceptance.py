@@ -28,7 +28,6 @@ from cyclicdensity import (
     center,
     cyclic_subgroups,
     full_report,
-    group_exponent,
     load_table_with_report,
     make_abelian,
     make_almost_extraspecial,
@@ -40,6 +39,7 @@ from cyclicdensity import (
 from cyclicdensity import cli as cli_module
 from cyclicdensity.groups import FiniteGroup
 from cyclicdensity.sweep import SweepConfig, run_sweep
+from table_oracle import group_exponent
 
 SWEEP_WALL_SECONDS = 60.0
 SPOT_WALL_SECONDS = 1.0

@@ -12,11 +12,12 @@ from cyclicdensity import (
     ParseError,
     SizeLimitExceeded,
     SpecSyntaxError,
+    Subgroup,
     UnknownFamily,
     build_group,
     center,
     central_product_mod_involution,
-    group_exponent,
+    direct_product,
     load_table_with_report,
     make_abelian,
     make_almost_extraspecial,
@@ -27,8 +28,9 @@ from cyclicdensity import (
     make_quaternion,
     make_symmetric,
     parse_group_spec,
-    verify_group_invariants,
+    quotient_by_central,
 )
+from table_oracle import group_exponent, verify_group_invariants
 
 
 # ---------------------------------------------------------------- families
@@ -207,6 +209,24 @@ def test_central_product_d8_d8_is_es32_plus(d8, es32_plus):
     g = central_product_mod_involution(d8, d8, 2, 2)
     assert g.n == 32
     assert int((g.ord == 2).sum()) == int((es32_plus.ord == 2).sum())
+
+
+# The form the factor-table gather of central_product_mod_involution
+# replaced: build G x H, then divide out <(zg, zh)>.
+@pytest.mark.parametrize("left, right", [
+    ("dihedral:8", "dihedral:8"), ("quaternion:8", "dihedral:8"), ("dihedral:8", "cyclic:4"),
+    ("abelian:2,2", "quaternion:16"), ("extraspecial:32:-", "cyclic:8"),
+    ("cyclic:6", "abelian:2,4"), ("cyclic:2", "dihedral:24"),
+])
+def test_central_product_matches_the_quotient_of_the_direct_product(left, right):
+    g, h = build_group(left), build_group(right)
+    for zg in np.flatnonzero(center(g).bitmap & (g.ord == 2)).tolist():
+        for zh in np.flatnonzero(center(h).bitmap & (h.ord == 2)).tolist():
+            prod = direct_product(g, h)
+            slow = quotient_by_central(prod, Subgroup(prod, [0, zg * h.n + zh]))
+            fast = central_product_mod_involution(g, h, zg, zh)
+            for field in ("table", "inv", "ord"):
+                assert np.array_equal(getattr(fast, field), getattr(slow, field)), (zg, zh)
 
 
 # The n^2 `%` forms that the circulant fills of make_cyclic, make_dihedral

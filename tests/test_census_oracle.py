@@ -28,14 +28,12 @@ from cyclicdensity import (
     cyclic_subgroups,
     direct_product,
     full_report,
-    group_exponent,
     is_4_abelian_witness,
     per_coset_analysis,
     quotient_by_central,
-    relabeled_copy,
     structural_condition,
 )
-from table_oracle import center_members, centrality_failure, four_abelian_witness
+from table_oracle import center_members, centrality_failure, four_abelian_witness, group_exponent, relabeled_copy
 
 
 def members(sub):
@@ -99,6 +97,18 @@ def test_census_matches_oracle_on_relabelings(spec, seed):
     assert cyclic_subgroups(h).count == cyclic_subgroups(g).count
     assert alpha(h, center(h)) == alpha(g, center(g))
 
+
+
+@pytest.mark.parametrize("spec", [
+    "product:(dihedral:8)x(cyclic:256)",  # |Z| = 512: cosets by orbits of Z's generators
+    "product:(symmetric:3)x(cyclic:243)",  # Z cyclic: its orbits take every doubling step
+    # and, inside the 2-part T, the cosets of Z(T) = Z meet T by the same orbits
+    "product:(product:(dihedral:8)x(cyclic:64))x(cyclic:3)",
+])
+def test_census_matches_oracle_with_a_large_center(spec):
+    g = build_group(spec)
+    assert center(g).gens is not None and len(center(g)) > 128
+    assert_matches_oracle(g)
 
 
 def tampered(g, changes):

@@ -54,3 +54,44 @@ def test_census_walks_no_powers():
         if pattern.search(line)
     ]
     assert not found, f"power walk in the census: {found}"
+
+
+def _runs_at_import(tree):
+    """The nodes of a module that run when it is imported: all but function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_process_pool_import_at_module_level():
+    # the pool's modules cost every command its import time; only a sweep
+    # with parallelism > 1 imports them
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in _runs_at_import(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] in ("concurrent", "multiprocessing") for m in modules):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, f"process-pool imports at module level: {found}"
+
+
+def test_cli_uses_json_only_through_dumps():
+    # the traced benchmark replaces cli.json with an object that has only
+    # dumps, so any other use of the module would fail under tracing
+    tree = ast.parse((SRC / "cyclicdensity" / "cli.py").read_text())
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = [
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "json"
+            and not (isinstance(parent[node], ast.Attribute) and parent[node].attr == "dumps"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "json")
+    ]
+    assert not found, f"json used other than as json.dumps in cli.py, lines {found}"

@@ -145,10 +145,11 @@ def test_sweep_pool_starts_no_more_workers_than_jobs_or_cpus(monkeypatch, parall
     # the corpus below has 5 groups; the pool never really forks here
     import os
 
-    import cyclicdensity.sweep as sweep_mod
+    import concurrent.futures
 
     SerialPool.sizes = []
-    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", SerialPool)
+    # run_sweep imports the pool class when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     cfg = SweepConfig(max_order=4, families=("cyclic", "dihedral"), parallelism=parallelism)
     assert len(corpus_specs(cfg)) == 5

@@ -75,6 +75,25 @@ def test_closure_matches_oracle_on_random_sets(spec, seed):
         spec, sorted(members))
 
 
+@pytest.mark.parametrize("spec", ["dihedral:512", "quaternion:512", "abelian:2,4,64"])
+def test_closure_matches_oracle_on_large_sets(spec):
+    # over 128 ids, Subgroup proves closure by _generate, not by one |H|^2 gather;
+    # a bool mask of the same ids gets the same verdict
+    g = group(spec)
+    rng = np.random.default_rng(0)
+    verdicts = []
+    for x, y in rng.integers(g.n, size=(40, 2)).tolist():
+        product = {int(p) for p in g.table[np.ix_(sorted(powers(g, x)), sorted(powers(g, y)))].flat}
+        for members in (product, product | {int(rng.integers(g.n))}, (product - {max(product)}) | {0}):
+            if len(members) > 128:
+                mask = np.zeros(g.n, dtype=bool)
+                mask[sorted(members)] = True
+                expected = closure_failure(g, sorted(members))
+                assert closure_verdict(g, members) == closure_verdict(g, mask) == expected
+                verdicts.append(expected is None)
+    assert any(verdicts) and not all(verdicts)
+
+
 @pytest.mark.parametrize("spec", [s for s in SPECS if not group(s).is_abelian()])
 def test_centrality_matches_oracle_on_cyclic_subgroups(spec):
     g = group(spec)
