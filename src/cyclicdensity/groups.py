@@ -6,8 +6,8 @@ Element ids are 0..n-1 with the identity always at 0.  Tables loaded from
 external sources are re-indexed to honor that convention.
 
 Each group carries one greedy generating set S (see _generate), and the
-center, the centrality check and subgroup closure work from it in
-O(n |S|) instead of comparing all n^2 products.  Those arguments assume an
+center, the centrality check and the closure of sets over 128 ids work
+from one in O(n |S|) instead of comparing all n^2 products.  They assume an
 associative table: validate_table_with_report proves that for imported
 tables (and S is the set its test found), and the catalog builds its tables
 associative by construction.
@@ -97,8 +97,8 @@ class FiniteGroup:
 
 class Subgroup:
     """Sorted subset of a parent group, verified closed under product and
-    inverse.  A set of at most 128 ids is closed when its |H|^2 products
-    (one gather) lie in it; a larger one by _generate, whose greedy
+    inverse.  A set with |H|^2 <= _SCAN_BLOCK (128 ids) is closed when its
+    products, one gather, lie in it; a larger one by _generate, whose greedy
     generating set is kept as gens.  gens is None for a small set and for
     the whole parent, which needs no proof."""
 

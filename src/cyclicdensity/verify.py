@@ -174,9 +174,8 @@ def per_coset_analysis(g: FiniteGroup) -> PerCosetFindings:
     rest = Counter(zip(k[1:], sums[1:], ok_identity[1:], ok_divides[1:]))
     steps = [CosetCheck(k[0], Fraction(sums[0], L), ok_identity[0], ok_divides[0],
                         sums[0] <= center_numer, True)]
-    for ki, s, ok_i, ok_d in sorted(rest):
-        steps += [CosetCheck(ki, Fraction(s, L), ok_i, ok_d, s <= center_numer, False)
-                  ] * rest[ki, s, ok_i, ok_d]
+    for (ki, s, ok_i, ok_d), count in sorted(rest.items()):
+        steps += [CosetCheck(ki, Fraction(s, L), ok_i, ok_d, s <= center_numer, False)] * count
     return PerCosetFindings(
         group_label=g.label,
         center_sum=center_sum,
