@@ -268,7 +268,8 @@ def full_report(g: FiniteGroup, label: Optional[str] = None) -> AlphaReport:
     eq = a_g == a_z
     st = structural_condition(g)
     # the coset xZ has order min{k : x^k in Z}, so exp(G/Z) is their lcm
-    qexp = math.lcm(*np.unique(_element_orders(g.table, z.bitmap)).tolist())
+    # (a set, not np.unique, whose first plain call imports numpy.ma)
+    qexp = math.lcm(*set(_element_orders(g.table, z.bitmap).tolist()))
     two_c = is_2_central(g)
     four_ab, four_witness = is_4_abelian_witness(g)
 
