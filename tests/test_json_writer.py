@@ -96,6 +96,7 @@ def reports(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(reports())
+@example(dataclasses.replace(REPORTS[2], label='table:dir "x"\\t\x00\n\u00e9\u2603\U0001f600.txt'))
 def test_report_writer_matches_json_dumps(report):
     expected = json.dumps(cli.report_to_dict(report), indent=2)
     assert cli._report_json(report, json.dumps(report.label)) == expected
