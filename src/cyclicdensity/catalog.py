@@ -195,6 +195,8 @@ def central_product_mod_involution(
             raise NotCentralInvolution(
                 f"{side} element {z} has order {int(grp.ord[z])}, not 2"
             )
+        if int(grp.table[z, z]):  # the stored order alone does not prove it
+            raise NotCentralInvolution(f"{side} element {z} does not square to the identity")
         if not center(grp).bitmap[z]:
             raise NotCentralInvolution(f"{side} element {z} is not central")
     _check_cap(g.n * h.n // 2, max_size, f"central product of {g.label!r} and {h.label!r}")

@@ -84,7 +84,7 @@ class FiniteGroup:
         for arr in (table, inv, ord_):
             arr.setflags(write=False)
         self._gens: Optional[np.ndarray] = None  # filled lazily by _generators
-        self._center: Optional[tuple] = None  # (members, bitmap, gens), filled by center
+        self._center: Optional[tuple] = None  # (members, bitmap), filled by center
         self._census = None  # filled lazily by density.cyclic_subgroups
         self._hist = None  # filled lazily by density._order_histogram
 
@@ -98,15 +98,17 @@ class FiniteGroup:
 class Subgroup:
     """Sorted subset of a parent group, verified closed under product and
     inverse.  A set with |H|^2 <= _SCAN_BLOCK (128 ids) is closed when its
-    products, one gather, lie in it; a larger one by _generate, whose greedy
-    generating set is kept as gens.  gens is None for a small set and for
-    the whole parent, which needs no proof."""
+    products, one gather, lie in it; a larger proper one when _generate
+    reaches it from inside."""
 
-    __slots__ = ("parent", "members", "bitmap", "gens")
+    __slots__ = ("parent", "members", "bitmap")
 
     def __init__(self, parent: FiniteGroup, members: Union[Iterable[int], np.ndarray]):
         """members: ids in any order, or a bool mask over the parent's ids."""
         if isinstance(members, np.ndarray) and members.dtype == bool:
+            if members.shape != (parent.n,):
+                raise NotASubgroup(f"mask of shape {members.shape} does not cover "
+                                   f"the {parent.n} ids of the parent")
             arr = members.nonzero()[0].astype(np.int32)
         else:
             arr = np.unique(np.asarray(list(members), dtype=np.int32))
@@ -116,12 +118,10 @@ class Subgroup:
             raise NotASubgroup(f"member {int(arr[-1])} outside parent of order {parent.n}")
         bitmap = np.zeros(parent.n, dtype=bool)
         bitmap[arr] = True
-        gens, closed = None, True
         if arr.size * arr.size <= _SCAN_BLOCK:
             closed = bitmap[parent.table[arr[:, None], arr]].all()
-        elif arr.size < parent.n:
-            gens = _generate(parent.table, bitmap)
-            closed = gens is not None
+        else:
+            closed = arr.size == parent.n or _generate(parent.table, bitmap) is not None
         if not closed:
             # name the first pair in row-major order whose product leaves the set
             i, j = _first_failure(
@@ -141,7 +141,7 @@ class Subgroup:
             )
         arr.setflags(write=False)
         bitmap.setflags(write=False)
-        self.parent, self.members, self.bitmap, self.gens = parent, arr, bitmap, gens
+        self.parent, self.members, self.bitmap = parent, arr, bitmap
 
     def __len__(self) -> int:
         return int(self.members.size)
@@ -444,9 +444,9 @@ def center(g: FiniteGroup) -> Subgroup:
     if g._center is None:
         s = _generators(g)
         z = Subgroup(g, (g.table[:, s] == g.table[s].T).all(axis=1))
-        g._center = (z.members, z.bitmap, z.gens)
+        g._center = (z.members, z.bitmap)
     z = Subgroup.__new__(Subgroup)
-    z.parent, (z.members, z.bitmap, z.gens) = g, g._center
+    z.parent, (z.members, z.bitmap) = g, g._center
     return z
 
 
@@ -465,29 +465,19 @@ def _require_central(g: FiniteGroup, z: Subgroup) -> None:
 def _central_cosets(g: FiniteGroup, z: Subgroup, u: Optional[Subgroup] = None) -> np.ndarray:
     """Cosets of W = Z meet U, for Z central and U a subgroup (all of g by
     default): rows g.table[y, W], W in increasing id order, ordered by their
-    least member y, so row 0 is W.  As yW = yZ meet U, y starts a row when it
-    is the least id of U in yZ: a minimum over the orbit of y under the
-    generators of Z acting by x -> x s, by ceil(log2 |Z|) steps key = min(key,
-    key[pi]), pi = pi[pi] per s (Z is abelian, each cycle has o(s) ids).  A
-    small Z (no gens, see Subgroup) takes the minimum over its n x |Z|
-    products, and one coset (W = U, as when Z = G) needs neither.
+    least member y, so row 0 is W.  y starts a row when it is the least id
+    of yW, the minimum of its |W| products y w, gathered for a block of rows
+    at a time (max(_SCAN_BLOCK, n^2/64) products) so that memory stays
+    O(n^2/64); one coset (W = U, as when Z = G) needs none.
     """
-    n = g.n
-    members = np.arange(n) if u is None else u.members
+    members = np.arange(g.n) if u is None else u.members
     w = z.members if u is None else (z.bitmap & u.bitmap).nonzero()[0]
-    if w.size == members.size:
-        starts = members[:1]
-    else:
-        key = np.arange(n) if u is None else np.where(u.bitmap, np.arange(n), n)
-        if z.gens is None:
-            key = key[g.table[:, z.members]].min(axis=1)
-        else:
-            for s in z.gens.tolist():
-                pi = g.table[:, s]
-                for _ in range((len(z) - 1).bit_length()):
-                    key = np.minimum(key, key[pi])
-                    pi = pi[pi]
-        starts = members[key[members] == members]
+    starts = members[:1]
+    if w.size < members.size:
+        step = max(1, max(_SCAN_BLOCK, g.n * g.n // 64) // w.size)
+        least = np.concatenate([g.table[members[lo:lo + step, None], w].min(axis=1)
+                                for lo in range(0, members.size, step)])
+        starts = members[least == members]
     cosets = g.table[starts[:, None], w]
     if not np.array_equal(np.sort(cosets, axis=None), members):
         raise NotASubgroup(f"{starts.size} cosets of order {w.size} do not "

@@ -31,7 +31,7 @@ BUDGET = {
     "cyclic:12": 171,  # 279 before
     "abelian:2,2,4": 175,  # 224 before
     "dihedral:24": 210,  # 253 before
-    "quaternion:16": 198,  # 243 before
+    "quaternion:16": 197,  # 243 before
     "symmetric:4": 217,  # 249 before
     "heisenberg:3": 161,  # 217 before
 }

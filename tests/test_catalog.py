@@ -30,6 +30,7 @@ from cyclicdensity import (
     parse_group_spec,
     quotient_by_central,
 )
+from cyclicdensity.groups import FiniteGroup
 from table_oracle import group_exponent, verify_group_invariants
 
 
@@ -203,6 +204,16 @@ def test_central_product_validates_involution(d8, q8):
         central_product_mod_involution(d8, q8, 1, 2)  # order 4 on the left
     with pytest.raises(NotCentralInvolution):
         central_product_mod_involution(d8, q8, 4, 2)  # non-central reflection
+
+
+def test_central_product_checks_the_square_in_the_table():
+    # a central element of order 4 whose stored order says 2
+    c4 = make_cyclic(4)
+    ords = c4.ord.copy()
+    ords[1] = 2
+    tampered = FiniteGroup(c4.table, c4.inv, ords, "tampered:cyclic:4")
+    with pytest.raises(NotCentralInvolution, match="does not square to the identity"):
+        central_product_mod_involution(tampered, make_cyclic(2), 1, 1)
 
 
 def test_central_product_d8_d8_is_es32_plus(d8, es32_plus):

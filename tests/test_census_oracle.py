@@ -100,15 +100,27 @@ def test_census_matches_oracle_on_relabelings(spec, seed):
 
 
 @pytest.mark.parametrize("spec", [
-    "product:(dihedral:8)x(cyclic:256)",  # |Z| = 512: cosets by orbits of Z's generators
-    "product:(symmetric:3)x(cyclic:243)",  # Z cyclic: its orbits take every doubling step
-    # and, inside the 2-part T, the cosets of Z(T) = Z meet T by the same orbits
+    "product:(dihedral:8)x(cyclic:256)",  # |Z| = 512: the cosets' gather takes 16 blocks
+    "product:(symmetric:3)x(cyclic:243)",  # Z cyclic of odd order
+    # and, inside the 2-part T, the cosets of Z(T) = Z meet T
     "product:(product:(dihedral:8)x(cyclic:64))x(cyclic:3)",
 ])
 def test_census_matches_oracle_with_a_large_center(spec):
     g = build_group(spec)
-    assert center(g).gens is not None and len(center(g)) > 128
+    assert len(center(g)) > 128
     assert_matches_oracle(g)
+
+
+@pytest.mark.parametrize("spec", ["product:(dihedral:8)x(cyclic:3)",
+                                  "product:(quaternion:8)x(cyclic:15)"])
+def test_structural_cosets_match_oracle_on_relabeled_products(spec):
+    # G = T x O with O central and odd: the cosets of Z(T) = Z meet T are
+    # found inside T, since the least id of yZ can lie outside T once the
+    # ids no longer list T's pairs first
+    g = build_group(spec)
+    assert_matches_oracle(reversed_ids(g))
+    for seed in range(3):
+        assert_matches_oracle(relabeled_copy(g, np.random.default_rng(seed).permutation(g.n)))
 
 
 def tampered(g, changes):

@@ -139,6 +139,15 @@ def test_subgroup_requires_identity(d8):
         Subgroup(d8, [2, 4])
 
 
+@pytest.mark.parametrize("size", [2, 7])
+def test_subgroup_rejects_a_mask_of_the_wrong_length(d8, size):
+    # d8 has 8 ids; a mask must cover every one of them
+    mask = np.zeros(size, dtype=bool)
+    mask[0] = True
+    with pytest.raises(NotASubgroup, match="does not cover the 8 ids"):
+        Subgroup(d8, mask)
+
+
 def test_subgroup_order_must_divide_group_order():
     # not a group (2 * 2 = 2): {0, 1} is closed, but 2 does not divide 3;
     # the check raises even under python -O
