@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import InvalidArgument
 
 
@@ -21,6 +23,7 @@ def factorize(k: int) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=4096, typed=True)  # pure in k; the sweep asks for the same few orders
 def euler_phi(k: int) -> int:
     """Count of integers in [1, k] coprime to k."""
     if k < 1:
@@ -32,14 +35,7 @@ def euler_phi(k: int) -> int:
 
 
 def is_prime(k: int) -> bool:
-    if k < 2:
-        return False
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
+    return k > 1 and factorize(k) == {k: 1}
 
 
 def is_power_of(k: int, base: int) -> bool:
@@ -51,6 +47,7 @@ def is_power_of(k: int, base: int) -> bool:
     return k == 1
 
 
+@lru_cache(maxsize=1024, typed=True)
 def unit_generators(n: int) -> tuple[tuple[int, int], ...]:
     """Generators u of (Z/n)^* with their exact orders m mod n, as ((u, m), ...).
 

@@ -36,8 +36,9 @@ def cyclic_subgroups(g: FiniteGroup) -> CyclicCensus:
     """Census of the cyclic subgroups by least generator: a minimum over
     orbits of the unit group (Z/n)^*, in O(n) memory, with no power walk.
 
-    Orders come from the table by divisor descent, never from g.ord, and must
-    divide n.  The units mod n map onto the units mod o(x), so the orbit of x
+    Orders come from the table by divisor descent, never from g.ord: a built
+    group reuses its builder's (g._table_ord), one constructed directly derives
+    its own.  The units mod n map onto the units mod o(x), so the orbit of x
     under x -> x^u is the set of generators of <x>.  For each generator u of
     (Z/n)^*, of order m, pi = x -> x^u and ceil(log2 m) steps key = min(key,
     key[pi]), pi = pi[pi] cover each cycle of pi, whose length divides m.  As
@@ -45,12 +46,13 @@ def cyclic_subgroups(g: FiniteGroup) -> CyclicCensus:
     """
     if g._census is not None:
         return g._census
-    n = g.n
-    ords = _element_orders(g.table, np.arange(n) == 0)
-    if not ords.all():
-        raise NotClosed(f"powers of element {int(ords.argmin())} never reach the identity")
-    if (bad := np.flatnonzero(n % ords)).size:
-        raise NotClosed(f"order {int(ords[bad[0]])} of element {bad[0]} does not divide {n}")
+    n, ords = g.n, g._table_ord
+    if ords is None:
+        ords = _element_orders(g.table, np.arange(n) == 0)
+        if not ords.all():
+            raise NotClosed(f"powers of element {int(ords.argmin())} never reach the identity")
+        if (bad := np.flatnonzero(n % ords)).size:
+            raise NotClosed(f"order {int(ords[bad[0]])} of element {bad[0]} does not divide {n}")
     key = ids = np.arange(n, dtype=np.int32)
     for u, m in unit_generators(n):
         pi = _powers(g.table, ids, u)
@@ -59,9 +61,9 @@ def cyclic_subgroups(g: FiniteGroup) -> CyclicCensus:
             pi = pi[pi]
     roots = key == ids
     roots.setflags(write=False)
-    orders, counts = np.unique(ords[roots], return_counts=True)
-    by_order = {int(d): int(c) for d, c in zip(orders, counts)}
-    g._census = CyclicCensus(int(counts.sum()), by_order, roots)
+    counts = np.bincount(ords[roots]).tolist()  # orders divide n: at most n + 1 bins
+    by_order = {d: c for d, c in enumerate(counts) if c}
+    g._census = CyclicCensus(sum(counts), by_order, roots)
     return g._census
 
 

@@ -73,7 +73,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("n", "table", "inv", "ord", "label", "_gens", "_center", "_census",
-                 "_hist", "__weakref__")
+                 "_hist", "_table_ord", "__weakref__")
 
     def __init__(self, table: np.ndarray, inv: np.ndarray, ord_: np.ndarray, label: str):
         self.n = int(table.shape[0])
@@ -87,6 +87,7 @@ class FiniteGroup:
         self._center: Optional[tuple] = None  # (members, bitmap), filled by center
         self._census = None  # filled lazily by density.cyclic_subgroups
         self._hist = None  # filled lazily by density._order_histogram
+        self._table_ord = None  # orders derived from the table, set only by _build
 
     def is_abelian(self) -> bool:
         return len(center(self)) == self.n
@@ -310,8 +311,8 @@ def _power_walk(table: np.ndarray, visit: Callable) -> np.ndarray:
     n^2/64) ids, P absorbs each new block and w doubles; after that w stays
     fixed.  No block goes past x^n.  Returns the ids still live after x^n.
     """
-    n = table.shape[0]
-    flat = table.ravel()
+    n, flat = table.shape[0], table.ravel()
+    step = n if n * n <= 2 ** 31 else np.intp(n)  # as in _powers
     budget = max(_SCAN_BLOCK, n * n // 64)
     ids = np.arange(n, dtype=np.int32)
     pw = ids[:, None]  # P: pw[i, j] = x^(j+1)
@@ -325,7 +326,7 @@ def _power_walk(table: np.ndarray, visit: Callable) -> np.ndarray:
         if not ids.size or k > n:
             return ids
         grow = grow and 2 * pw.size <= budget
-        block = flat.take((prev.astype(np.intp) * n)[:, None] + pw)
+        block = flat.take((prev * step)[:, None] + pw)
         if grow:
             pw = np.hstack([pw, block])
 
@@ -333,10 +334,11 @@ def _power_walk(table: np.ndarray, visit: Callable) -> np.ndarray:
 def _powers(table: np.ndarray, xs: np.ndarray, e: int) -> np.ndarray:
     """x^e for every x in xs, by square-and-multiply on the bits of e >= 0."""
     n, flat, out = table.shape[0], table.ravel(), xs if e else np.zeros_like(xs)
+    step = n if n * n <= 2 ** 31 else np.intp(n)  # int32 x * n + y is exact to n^2 = 2^31
     for bit in bin(e)[3:]:  # one gather of xs.size ids per step
-        out = flat.take(out.astype(np.intp) * n + out)
+        out = flat.take(out * step + out)
         if bit == "1":
-            out = flat.take(out.astype(np.intp) * n + xs)
+            out = flat.take(out * step + xs)
     return out
 
 
@@ -397,10 +399,11 @@ def _build(table: np.ndarray, label: str) -> FiniteGroup:
     if one_sided.any():
         a = int(one_sided.argmax())
         raise NoInverse(f"element {a} has only a one-sided inverse {int(inv[a])}", element=a)
-    if (n % ord_ != 0).any():
-        a = int(np.nonzero(n % ord_)[0][0])
-        raise NotClosed(f"order {int(ord_[a])} of element {a} does not divide {n}")
-    return FiniteGroup(np.ascontiguousarray(table), inv, ord_, label)
+    if (bad := np.flatnonzero(n % ord_)).size:
+        raise NotClosed(f"order {int(ord_[bad[0]])} of element {bad[0]} does not divide {n}")
+    group = FiniteGroup(np.ascontiguousarray(table), inv, ord_, label)
+    group._table_ord = ord_  # the census reads this, not g.ord, which a caller may rebind
+    return group
 
 
 def validate_table_with_report(

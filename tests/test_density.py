@@ -154,6 +154,18 @@ def test_census_proves_stored_orders(d8):
     assert not census_matches_orders(fake)
 
 
+def test_census_of_a_built_group_ignores_a_rebound_order_array():
+    # the census reuses the orders the builder derived from the table, not
+    # g.ord, so a tampered g.ord bound before any census changes nothing
+    g = build_group("dihedral:8")
+    bad_ord = g.ord.copy()
+    bad_ord[4] = 4  # reflection 4 really has order 2
+    g.ord = bad_ord
+    census = cyclic_subgroups(g)
+    assert (census.count, census.by_order) == (7, {1: 1, 2: 5, 4: 1})
+    assert not census_matches_orders(g)
+
+
 def test_census_raises_when_powers_never_reach_identity():
     # not a group: 2 * 2 = 2, so no recomputed order can rescue the census
     table = np.array([[0, 1, 2], [1, 0, 2], [2, 2, 2]], dtype=np.int32)

@@ -24,6 +24,7 @@ from cyclicdensity import (
     direct_product,
     validate_table_with_report,
 )
+from cyclicdensity.arith import unit_generators
 from cyclicdensity.groups import _build, _element_orders, _power_walk, _powers
 from table_oracle import prove_orders, relabeled_copy
 
@@ -48,6 +49,15 @@ def assert_walks_agree(g):
 @pytest.mark.parametrize("spec", corpus_specs(SweepConfig(max_order=64)))
 def test_walk_matches_oracle_on_corpus(spec):
     assert_walks_agree(build_group(spec))
+
+
+def test_int32_powering_is_exact_at_the_cap():
+    # cyclic:4096, the default cap, where int32 ids form the index x * n + y
+    # in int32; x^e is e * x mod n.  (The intp branch, n > 46,340, would need
+    # an 8.6 GB table.)
+    table, ids = build_group("cyclic:4096").table, np.arange(4096, dtype=np.int32)
+    for e in (0, 1, 2, 4095) + tuple(u for u, _ in unit_generators(4096)):
+        assert np.array_equal(_powers(table, ids, e), e * ids.astype(np.int64) % 4096), e
 
 
 small_specs = st.sampled_from([
