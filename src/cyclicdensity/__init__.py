@@ -49,7 +49,6 @@ from .groups import (
     Subgroup,
     center,
     direct_product,
-    quotient_by_central,
     size_cap,
     validate_table_with_report,
 )

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
+    _block_budget,
     _build,
     _check_cap,
     _product_of_tables,
@@ -56,15 +57,17 @@ _MAX_SYMMETRIC_DEGREE = 7  # 7! = 5040 is the largest table worth materializing
 
 def _circulant(row: np.ndarray, sign: int) -> np.ndarray:
     """The (m, m) table t[a, b] = row[(b + sign*a) % m] for sign +1 or -1:
-    a copy of the m sliding windows over [row, row] that start at 0, 1, ...
-    (sign +1) or at m, m-1, ... (sign -1), so no n^2 `%` is computed."""
+    a read-only view of the m sliding windows over [row, row] that start at
+    0, 1, ... (sign +1) or at m, m-1, ... (sign -1), so no n^2 `%` is
+    computed.  It holds 2m ids, not m^2: callers copy it, assign it into a
+    table, or broadcast from it."""
     m = row.size
     rr = np.concatenate([row, row])
     # the m + 1 windows rr[k:k+m]; sliding_window_view makes the same view
     # at about twice the per-call time and memory churn, paid by every small
     # group of a sweep
     windows = np.lib.stride_tricks.as_strided(rr, (m + 1, m), rr.strides * 2, writeable=False)
-    return (windows[:m] if sign > 0 else windows[m:0:-1]).copy()
+    return windows[:m] if sign > 0 else windows[m:0:-1]
 
 
 def make_cyclic(n: int, *, max_size: Optional[int] = None) -> FiniteGroup:
@@ -72,21 +75,39 @@ def make_cyclic(n: int, *, max_size: Optional[int] = None) -> FiniteGroup:
     if n < 1:
         raise InvalidArgument(f"cyclic order must be >= 1, got {n}")
     _check_cap(n, max_size, f"cyclic:{n}")
-    return _build(_circulant(np.arange(n, dtype=np.int32), 1), f"cyclic:{n}")
+    return _build(_circulant(np.arange(n, dtype=np.int32), 1).copy(), f"cyclic:{n}")
+
+
+def _abelian_table(orders: tuple[int, ...]) -> np.ndarray:
+    """Table of Z_n1 + Z_n2 + ..., a right fold of circulant views; one
+    factor is the view itself."""
+    table = _circulant(np.arange(orders[-1], dtype=np.int32), 1)
+    for n in orders[-2::-1]:  # the accumulated table is the broadcast's inner axis
+        table = _product_of_tables(_circulant(np.arange(n, dtype=np.int32), 1), table)
+    return table
 
 
 def make_abelian(orders: tuple[int, ...], *, max_size: Optional[int] = None) -> FiniteGroup:
-    """Direct sum of cyclic groups Z_n1 + Z_n2 + ... in the given order."""
+    """Direct sum of cyclic groups Z_n1 + Z_n2 + ... in the given order.
+
+    (a1, a2, ...) is numbered a1 * (n2 * ...) + a2 * ..., and that numbering
+    is associative, (A x B) x C = A x (B x C).  So the table is the product
+    of the prefix whose order is nearest sqrt(n) and the rest, and no factor
+    table exceeds about n entries.
+    """
     if not orders:
         raise InvalidArgument("abelian requires at least one cyclic order")
     if any(n < 1 for n in orders):
         raise InvalidArgument(f"cyclic orders must be >= 1, got {orders}")
     total = math.prod(orders)
-    _check_cap(total, max_size, f"abelian:{','.join(map(str, orders))}")
-    table = np.zeros((1, 1), dtype=np.int32)
-    for n in reversed(orders):  # the accumulated table is the broadcast's inner axis
-        table = _product_of_tables(_circulant(np.arange(n, dtype=np.int32), 1), table)
-    return _build(table, f"abelian:{','.join(map(str, orders))}")
+    label = f"abelian:{','.join(map(str, orders))}"
+    _check_cap(total, max_size, label)
+    cut, left = 1, orders[0]
+    while cut < len(orders) - 1 and left * left * orders[cut] <= total:
+        left *= orders[cut]
+        cut += 1
+    table, rest = _abelian_table(orders[:cut]), orders[cut:]
+    return _build(_product_of_tables(table, _abelian_table(rest)) if rest else table.copy(), label)
 
 
 def make_dihedral(order: int, *, max_size: Optional[int] = None) -> FiniteGroup:
@@ -125,25 +146,28 @@ def make_quaternion(order: int, *, max_size: Optional[int] = None) -> FiniteGrou
 
 
 def make_symmetric(degree: int, *, max_size: Optional[int] = None) -> FiniteGroup:
-    """Symmetric group S_degree; ids enumerate permutations in lexicographic order."""
+    """Symmetric group S_degree; ids enumerate permutations in lexicographic order.
+
+    A permutation p has the code sum of p[x] * w[x], w[x] = d^(d-1-x), whose
+    numeric order is the lexicographic one, so lut[code] is its id.  The
+    product of ids i and j is x -> p_i[p_j[x]], whose code is the sum over y
+    of p_i[y] * w[p_j^-1(y)]: one integer matrix product per block of rows.
+    """
     if not 1 <= degree <= _MAX_SYMMETRIC_DEGREE:
         raise InvalidArgument(
             f"symmetric degree must be in 1..{_MAX_SYMMETRIC_DEGREE}, got {degree}"
         )
     n = math.factorial(degree)
     _check_cap(n, max_size, f"symmetric:{degree}")
-    perms = np.array(list(itertools.permutations(range(degree))), dtype=np.int64)
-    fact = [math.factorial(degree - 1 - j) for j in range(degree)]
+    perms = np.array(list(itertools.permutations(range(degree))), dtype=np.int32)
+    w = degree ** np.arange(degree - 1, -1, -1, dtype=np.int32)
+    lut = np.empty(degree ** degree, dtype=np.int16)  # ids are below 7! = 5040
+    lut[perms @ w] = np.arange(n)
+    w_inv = w[perms.argsort(axis=1)].T  # w_inv[y, j] = w[p_j^-1(y)]
     table = np.empty((n, n), dtype=np.int32)
-    block = max(1, (1 << 22) // max(1, n * degree))
-    for s in range(0, n, block):
-        rows = perms[s : s + block]
-        comp = rows[:, perms]  # comp[i, q, x] = rows[i][perms[q][x]], i.e. p then q applied inside-out
-        rank = np.zeros(comp.shape[:2], dtype=np.int64)
-        for j in range(degree):
-            smaller_later = (comp[:, :, j + 1 :] < comp[:, :, j : j + 1]).sum(axis=2)
-            rank += smaller_later * fact[j]
-        table[s : s + block] = rank
+    step = max(1, _block_budget(n) // n)
+    for lo in range(0, n, step):
+        table[lo : lo + step] = lut[perms[lo : lo + step] @ w_inv]
     return _build(table, f"symmetric:{degree}")
 
 
@@ -154,14 +178,15 @@ def make_heisenberg(p: int, *, max_size: Optional[int] = None) -> FiniteGroup:
         raise InvalidArgument(f"heisenberg parameter must be an odd prime, got {p}")
     n = p ** 3
     _check_cap(n, max_size, f"heisenberg:{p}")
-    idx = np.arange(n, dtype=np.int64)
-    c, rem = np.divmod(idx, p * p)
+    c, rem = np.divmod(np.arange(n, dtype=np.int32), p * p)
     a, b = np.divmod(rem, p)
-    a1, b1, c1 = a[:, None], b[:, None], c[:, None]
-    a2, b2, c2 = a[None, :], b[None, :], c[None, :]
-    # (a,b,c) * (a',b',c') = (a+a', b+b', c+c'+a*b')
-    t = ((c1 + c2 + a1 * b2) % p) * p * p + ((a1 + a2) % p) * p + (b1 + b2) % p
-    return _build(t.astype(np.int32), f"heisenberg:{p}")
+    table = np.empty((n, n), dtype=np.int32)
+    step = max(1, _block_budget(n) // n)
+    for lo in range(0, n, step):
+        # (a,b,c) * (a',b',c') = (a+a', b+b', c+c'+a*b')
+        a1, b1, c1 = a[lo : lo + step, None], b[lo : lo + step, None], c[lo : lo + step, None]
+        table[lo : lo + step] = ((c1 + c + a1 * b) % p * p + (a1 + a) % p) * p + (b1 + b) % p
+    return _build(table, f"heisenberg:{p}")
 
 
 def _unique_central_involution(g: FiniteGroup) -> int:

@@ -1,16 +1,16 @@
 """Finite groups as dense Cayley tables, plus the structural operations
-(center, cosets of a central subgroup, central quotients, direct products)
-that the density checks are built on.
+(center, cosets of a central subgroup, direct products) that the density
+checks are built on.
 
 Element ids are 0..n-1 with the identity always at 0.  Tables loaded from
 external sources are re-indexed to honor that convention.
 
 Each group carries one greedy generating set S (see _generate), and the
-center, the centrality check and the closure of sets over 128 ids work
-from one in O(n |S|) instead of comparing all n^2 products.  They assume an
-associative table: validate_table_with_report proves that for imported
-tables (and S is the set its test found), and the catalog builds its tables
-associative by construction.
+center and the closure of sets over 128 ids work from one in O(n |S|)
+instead of comparing all n^2 products.  They assume an associative table:
+validate_table_with_report proves that for imported tables (and S is the
+set its test found), and the catalog builds its tables associative by
+construction.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import (
     NoInverse,
     NotASubgroup,
     NotAssociative,
-    NotCentral,
     NotClosed,
     SizeLimitExceeded,
 )
@@ -112,11 +111,13 @@ class Subgroup:
                                    f"the {parent.n} ids of the parent")
             arr = members.nonzero()[0].astype(np.int32)
         else:
-            arr = np.unique(np.asarray(list(members), dtype=np.int32))
+            ids = list(members)
+            for a in ids:  # before the int32 cast, which an id past it would overflow
+                if not 0 <= a < parent.n:
+                    raise NotASubgroup(f"member {a} outside parent of order {parent.n}")
+            arr = np.unique(np.asarray(ids, dtype=np.int32))
         if arr.size == 0 or arr[0] != 0:
             raise NotASubgroup("a subgroup must contain the identity 0")
-        if arr[-1] >= parent.n or arr[0] < 0:
-            raise NotASubgroup(f"member {int(arr[-1])} outside parent of order {parent.n}")
         bitmap = np.zeros(parent.n, dtype=bool)
         bitmap[arr] = True
         if arr.size * arr.size <= _SCAN_BLOCK:
@@ -287,6 +288,11 @@ def _check_associativity(table: np.ndarray) -> np.ndarray:
 _SCAN_BLOCK = 1 << 14  # ids per block of a failure-path scan; the least power-walk budget
 
 
+def _block_budget(n: int) -> int:
+    """Ids per block of a pass over an (n, n) table: max(_SCAN_BLOCK, n^2/64)."""
+    return max(_SCAN_BLOCK, n * n // 64)
+
+
 def _first_failure(rows: int, cols: int,
                    bad: Callable[[int, int], np.ndarray]) -> tuple[int, int]:
     """Row-major first True entry (i, j) of a rows x cols bool matrix whose
@@ -313,7 +319,7 @@ def _power_walk(table: np.ndarray, visit: Callable) -> np.ndarray:
     """
     n, flat = table.shape[0], table.ravel()
     step = n if n * n <= 2 ** 31 else np.intp(n)  # as in _powers
-    budget = max(_SCAN_BLOCK, n * n // 64)
+    budget = _block_budget(n)
     ids = np.arange(n, dtype=np.int32)
     pw = ids[:, None]  # P: pw[i, j] = x^(j+1)
     block, k, grow = pw, 1, True
@@ -453,18 +459,6 @@ def center(g: FiniteGroup) -> Subgroup:
     return z
 
 
-def _require_central(g: FiniteGroup, z: Subgroup) -> None:
-    """Raise NotCentral unless z commutes with all of g, which holds when
-    it commutes with g's generating set (the premise is associativity)."""
-    if z.parent is not g:
-        raise InvalidArgument("subgroup does not belong to this group")
-    s, zmem = _generators(g), z.members
-    if not np.array_equal(g.table[zmem[:, None], s], g.table[s[:, None], zmem].T):
-        i, b = _first_failure(zmem.size, g.n, lambda lo, hi: (
-            g.table[zmem[lo:hi]] != g.table[:, zmem[lo:hi]].T))
-        raise NotCentral(f"element {int(zmem[i])} does not commute with {b}")
-
-
 def _central_cosets(g: FiniteGroup, z: Subgroup, u: Optional[Subgroup] = None) -> np.ndarray:
     """Cosets of W = Z meet U, for Z central and U a subgroup (all of g by
     default): rows g.table[y, W], W in increasing id order, ordered by their
@@ -477,7 +471,7 @@ def _central_cosets(g: FiniteGroup, z: Subgroup, u: Optional[Subgroup] = None) -
     w = z.members if u is None else (z.bitmap & u.bitmap).nonzero()[0]
     starts = members[:1]
     if w.size < members.size:
-        step = max(1, max(_SCAN_BLOCK, g.n * g.n // 64) // w.size)
+        step = max(1, _block_budget(g.n) // w.size)
         least = np.concatenate([g.table[members[lo:lo + step, None], w].min(axis=1)
                                 for lo in range(0, members.size, step)])
         starts = members[least == members]
@@ -488,17 +482,6 @@ def _central_cosets(g: FiniteGroup, z: Subgroup, u: Optional[Subgroup] = None) -
     if not np.array_equal(cosets[0], w):
         raise NotASubgroup("the first coset by smallest member is not the subgroup itself")
     return cosets
-
-
-def quotient_by_central(g: FiniteGroup, z: Subgroup, label: Optional[str] = None) -> FiniteGroup:
-    """Quotient group G/Z for central Z, on coset ids ordered by smallest member."""
-    _require_central(g, z)
-    cosets = _central_cosets(g, z)
-    reps = cosets[:, 0]  # smallest members, since zmem[0] is the identity
-    coset_of = np.empty(g.n, dtype=np.int32)
-    coset_of[cosets] = np.arange(reps.size, dtype=np.int32)[:, None]
-    qtable = coset_of[g.table[reps[:, None], reps]]
-    return _build(qtable, label or f"({g.label})/Z")
 
 
 def _product_of_tables(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -525,6 +508,5 @@ __all__ = [
     "Subgroup",
     "validate_table_with_report",
     "center",
-    "quotient_by_central",
     "direct_product",
 ]

@@ -10,11 +10,20 @@ and four_abelian_witness() compares (x y)^4 with x^4 y^4 for all n^2 pairs.
 The helpers after them serve only tests: group_exponent(),
 relabeled_copy(), and verify_group_invariants(), which re-derives every
 invariant of a group from its raw table, with prove_orders() naming the
-first stored order that the table contradicts.
+first stored order that the table contradicts.  require_central() and
+quotient_by_central() build G/Z as a group of its own, the form the
+report replaced by reading exp(G/Z) off G's table.
+
+Last come the catalog fills that the block-bounded builders replaced:
+abelian_fold_table() (a fold over every factor that keeps each partial
+product alive), heisenberg_int64_table() (one int64 n^2 expression) and
+symmetric_lehmer_table() (the Lehmer rank of every composition by d
+comparison passes).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Optional, Sequence
 
@@ -25,10 +34,21 @@ from cyclicdensity import (
     InvalidArgument,
     NoIdentityAtZero,
     NoInverse,
+    NotCentral,
     NotClosed,
+    Subgroup,
     validate_table_with_report,
 )
-from cyclicdensity.groups import _check_associativity, _element_orders
+from cyclicdensity.catalog import _circulant
+from cyclicdensity.groups import (
+    _build,
+    _central_cosets,
+    _check_associativity,
+    _element_orders,
+    _first_failure,
+    _generators,
+    _product_of_tables,
+)
 
 
 def center_members(g) -> list[int]:
@@ -126,3 +146,60 @@ def prove_orders(table: np.ndarray, ords: np.ndarray) -> None:
                         f"is {'' if true[x] == k[x] else 'not '}the identity")
     if true.max() > n:
         raise NotClosed(f"powers of element {int(true.argmax())} never reach the identity")
+
+
+def require_central(g: FiniteGroup, z: Subgroup) -> None:
+    """Raise NotCentral unless z commutes with all of g, which holds when
+    it commutes with g's generating set (the premise is associativity)."""
+    if z.parent is not g:
+        raise InvalidArgument("subgroup does not belong to this group")
+    s, zmem = _generators(g), z.members
+    if not np.array_equal(g.table[zmem[:, None], s], g.table[s[:, None], zmem].T):
+        i, b = _first_failure(zmem.size, g.n, lambda lo, hi: (
+            g.table[zmem[lo:hi]] != g.table[:, zmem[lo:hi]].T))
+        raise NotCentral(f"element {int(zmem[i])} does not commute with {b}")
+
+
+def quotient_by_central(g: FiniteGroup, z: Subgroup, label: Optional[str] = None) -> FiniteGroup:
+    """Quotient group G/Z for central Z, on coset ids ordered by smallest member."""
+    require_central(g, z)
+    cosets = _central_cosets(g, z)
+    reps = cosets[:, 0]  # smallest members, since zmem[0] is the identity
+    coset_of = np.empty(g.n, dtype=np.int32)
+    coset_of[cosets] = np.arange(reps.size, dtype=np.int32)[:, None]
+    qtable = coset_of[g.table[reps[:, None], reps]]
+    return _build(qtable, label or f"({g.label})/Z")
+
+
+def abelian_fold_table(orders: Sequence[int]) -> np.ndarray:
+    """Z_n1 + Z_n2 + ... by folding from the right from the trivial table,
+    each partial product alive while the next is built."""
+    table = np.zeros((1, 1), dtype=np.int32)
+    for n in reversed(orders):
+        table = _product_of_tables(_circulant(np.arange(n, dtype=np.int32), 1).copy(), table)
+    return table
+
+
+def heisenberg_int64_table(p: int) -> np.ndarray:
+    """(a, b, c) -> c*p^2 + a*p + b with (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b'),
+    as one int64 expression over all n^2 pairs."""
+    idx = np.arange(p ** 3, dtype=np.int64)
+    c, rem = np.divmod(idx, p * p)
+    a, b = np.divmod(rem, p)
+    a1, b1, c1 = a[:, None], b[:, None], c[:, None]
+    a2, b2, c2 = a[None, :], b[None, :], c[None, :]
+    t = ((c1 + c2 + a1 * b2) % p) * p * p + ((a1 + a2) % p) * p + (b1 + b2) % p
+    return t.astype(np.int32)
+
+
+def symmetric_lehmer_table(degree: int) -> np.ndarray:
+    """S_degree on permutations in lexicographic order; the product of ids i
+    and j is the Lehmer rank of x -> p_i[p_j[x]], summed over d passes that
+    count the smaller entries after each position."""
+    perms = np.array(list(itertools.permutations(range(degree))), dtype=np.int64)
+    fact = [math.factorial(degree - 1 - j) for j in range(degree)]
+    comp = perms[:, perms]  # comp[i, j, x] = perms[i][perms[j][x]]
+    rank = np.zeros(comp.shape[:2], dtype=np.int64)
+    for j in range(degree):
+        rank += (comp[:, :, j + 1:] < comp[:, :, j:j + 1]).sum(axis=2) * fact[j]
+    return rank.astype(np.int32)

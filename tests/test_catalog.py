@@ -28,10 +28,16 @@ from cyclicdensity import (
     make_quaternion,
     make_symmetric,
     parse_group_spec,
-    quotient_by_central,
 )
 from cyclicdensity.groups import FiniteGroup
-from table_oracle import group_exponent, verify_group_invariants
+from table_oracle import (
+    abelian_fold_table,
+    group_exponent,
+    heisenberg_int64_table,
+    quotient_by_central,
+    symmetric_lehmer_table,
+    verify_group_invariants,
+)
 
 
 # ---------------------------------------------------------------- families
@@ -283,6 +289,41 @@ def test_circulant_fills_match_the_mod_form(make, mod_form, orders):
         table = make(order).table
         assert table.dtype == np.int32
         assert np.array_equal(table, mod_form(order)), order
+
+
+# The fills that the block-bounded builders replaced, kept in table_oracle.
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_heisenberg_matches_the_int64_form(p):
+    assert np.array_equal(make_heisenberg(p).table, heisenberg_int64_table(p))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+def test_symmetric_matches_the_lehmer_rank(degree):
+    assert np.array_equal(make_symmetric(degree).table, symmetric_lehmer_table(degree))
+
+
+@st.composite
+def factor_lists(draw):
+    """1 to 12 cyclic orders, 1s included, whose product is at most 4096."""
+    orders, room = [], 4096
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        orders.append(draw(st.integers(min_value=1, max_value=min(room, 64))))
+        room //= orders[-1]
+    return tuple(orders)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_lists())
+def test_abelian_matches_the_factor_fold(orders):
+    # the balanced split numbers every element as the fold does
+    assert np.array_equal(make_abelian(orders).table, abelian_fold_table(orders)), orders
+
+
+@pytest.mark.parametrize("orders", [(4096,), (1,), (1, 1), (2, 2048), (2,) * 12, (64, 1, 1, 64)])
+def test_abelian_matches_the_factor_fold_at_the_edges(orders):
+    # one factor, only 1s, a factor past sqrt(n), and the 4096 cap
+    assert np.array_equal(make_abelian(orders).table, abelian_fold_table(orders)), orders
 
 
 # ---------------------------------------------------------------- grammar

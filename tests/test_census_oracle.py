@@ -30,10 +30,16 @@ from cyclicdensity import (
     full_report,
     is_4_abelian_witness,
     per_coset_analysis,
-    quotient_by_central,
     structural_condition,
 )
-from table_oracle import center_members, centrality_failure, four_abelian_witness, group_exponent, relabeled_copy
+from table_oracle import (
+    center_members,
+    centrality_failure,
+    four_abelian_witness,
+    group_exponent,
+    quotient_by_central,
+    relabeled_copy,
+)
 
 
 def members(sub):

@@ -25,11 +25,10 @@ from cyclicdensity import (
     make_heisenberg,
     make_quaternion,
     make_symmetric,
-    quotient_by_central,
     validate_table_with_report,
 )
 from cyclicdensity.groups import SIZE_CAP_ENV, _build
-from table_oracle import group_exponent, relabeled_copy, verify_group_invariants
+from table_oracle import group_exponent, quotient_by_central, relabeled_copy, verify_group_invariants
 
 
 def z3_table():
@@ -137,6 +136,14 @@ def test_subgroup_rejects_unclosed_set(d8):
 def test_subgroup_requires_identity(d8):
     with pytest.raises(NotASubgroup):
         Subgroup(d8, [2, 4])
+
+
+@pytest.mark.parametrize("bad", [-1, 8, 2**40])
+def test_subgroup_names_an_id_outside_the_parent(d8, bad):
+    # checked before the identity test and before the int32 cast, which
+    # 2**40 would overflow
+    with pytest.raises(NotASubgroup, match=rf"^member {bad} outside parent of order 8$"):
+        Subgroup(d8, [0, bad])
 
 
 @pytest.mark.parametrize("size", [2, 7])
@@ -293,6 +300,24 @@ def test_build_allocates_under_a_quarter_of_the_table(spec):
 @pytest.mark.parametrize("spec", ["abelian:2,2,2,2,2,2,2,2,2,2",
                                   "product:(dihedral:64)x(cyclic:64)"])
 def test_product_build_peaks_under_twice_the_table(spec):
-    # the product table is built in place in int32, with no int64 copy
+    # the product table is built in place in int32, with no int64 copy; the
+    # bound is the per-family test's below, tightened from 2x
     g, peak = traced_peak(build_group, spec)
-    assert peak < 2 * g.table.nbytes, (spec, peak, g.table.nbytes)
+    assert peak < 1.2 * g.table.nbytes, (spec, peak, g.table.nbytes)
+
+
+# almost-extraspecial:1024 is left out: the central product of a group of
+# half its order with Z4 keeps that factor's table, a quarter of its own,
+# alive while it fills, and peaks at 1.47x.
+@pytest.mark.parametrize("spec", [
+    "cyclic:1024", "dihedral:1024", "quaternion:1024", "abelian:2,2,2,2,2,2,2,2,2,2",
+    "abelian:2,512", "heisenberg:11", "symmetric:6", "extraspecial:512:+",
+    "product:(dihedral:64)x(cyclic:16)",
+])
+def test_build_peaks_near_its_table(spec):
+    # each family writes its table directly; fills with arithmetic go a
+    # block of rows at a time, and no factor table is near n^2 entries.
+    # 1.2x, not 1.3x: a circulant quadrant copied before it is assigned, or
+    # an abelian factor of n^2/4 entries, peaks at 1.25x
+    g, peak = traced_peak(build_group, spec)
+    assert peak < 1.2 * g.table.nbytes, (spec, peak, g.table.nbytes)

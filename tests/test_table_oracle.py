@@ -22,8 +22,8 @@ from cyclicdensity import (
     structural_condition,
     validate_table_with_report,
 )
-from cyclicdensity.groups import _generate, _require_central
-from table_oracle import centrality_failure, closure_failure
+from cyclicdensity.groups import _generate
+from table_oracle import centrality_failure, closure_failure, require_central
 
 SPECS = corpus_specs(SweepConfig(max_order=64))
 
@@ -101,10 +101,10 @@ def test_centrality_matches_oracle_on_cyclic_subgroups(spec):
         sub = Subgroup(g, powers(g, x))
         expected = centrality_failure(g, sub.members)
         if expected is None:
-            _require_central(g, sub)
+            require_central(g, sub)
         else:
             with pytest.raises(NotCentral) as exc:
-                _require_central(g, sub)
+                require_central(g, sub)
             assert str(exc.value) == expected, (spec, x)
 
 
