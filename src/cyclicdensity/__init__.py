@@ -3,21 +3,7 @@ verification of the density inequality against the center, its equality
 characterization, and the corollaries that follow from it."""
 
 from .arith import euler_phi, factorize, is_prime
-from .catalog import (
-    GroupSpec,
-    build_group,
-    central_product_mod_involution,
-    load_table_with_report,
-    make_abelian,
-    make_almost_extraspecial,
-    make_cyclic,
-    make_dihedral,
-    make_extraspecial,
-    make_heisenberg,
-    make_quaternion,
-    make_symmetric,
-    parse_group_spec,
-)
+from .catalog import GroupSpec, build_group, load_table_with_report, parse_group_spec
 from .density import (
     CyclicCensus,
     alpha,
@@ -41,7 +27,6 @@ from .errors import (
     ParseError,
     SizeLimitExceeded,
     SpecSyntaxError,
-    TableError,
     UnknownFamily,
 )
 from .groups import (

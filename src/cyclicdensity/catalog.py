@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -54,6 +55,31 @@ FAMILY_NAMES = (
 
 _MAX_SYMMETRIC_DEGREE = 7  # 7! = 5040 is the largest table worth materializing
 
+# family: (test of its integer parameter, the rule it states); the builders
+# raise InvalidArgument on a failed test, parse_group_spec BadParameter
+_PARAM_RULES = {
+    "cyclic": (lambda v: v >= 1, "cyclic order must be >= 1"),
+    "dihedral": (lambda v: v >= 4 and v % 2 == 0, "dihedral order must be an even integer >= 4"),
+    "quaternion": (lambda v: v >= 8 and v % 4 == 0,
+                   "quaternion order must be a multiple of 4, >= 8"),
+    "symmetric": (lambda v: 1 <= v <= _MAX_SYMMETRIC_DEGREE,
+                  f"symmetric degree must be in 1..{_MAX_SYMMETRIC_DEGREE}"),
+    # 2^(1+2m) and 2^(2m+2) with m >= 1: powers of two from 8 and 16 with odd
+    # and even exponents
+    "extraspecial": (lambda v: v >= 8 and is_power_of(v, 2) and (v.bit_length() - 1) % 2,
+                     "extraspecial order must be 2^(1+2m) with m >= 1"),
+    "almost-extraspecial": (
+        lambda v: v >= 16 and is_power_of(v, 2) and (v.bit_length() - 1) % 2 == 0,
+        "almost-extraspecial order must be 2^(2m+2) with m >= 1"),
+    "heisenberg": (lambda v: v != 2 and is_prime(v), "heisenberg parameter must be an odd prime"),
+}
+
+
+def _require(family: str, value: int, error: type = InvalidArgument) -> None:
+    test, rule = _PARAM_RULES[family]
+    if not test(value):
+        raise error(f"{rule}, got {value}")
+
 
 def _circulant(row: np.ndarray, sign: int) -> np.ndarray:
     """The (m, m) table t[a, b] = row[(b + sign*a) % m] for sign +1 or -1:
@@ -72,8 +98,7 @@ def _circulant(row: np.ndarray, sign: int) -> np.ndarray:
 
 def make_cyclic(n: int, *, max_size: Optional[int] = None) -> FiniteGroup:
     """Cyclic group of order n; id i is the i-th power of the generator."""
-    if n < 1:
-        raise InvalidArgument(f"cyclic order must be >= 1, got {n}")
+    _require("cyclic", n)
     _check_cap(n, max_size, f"cyclic:{n}")
     return _build(_circulant(np.arange(n, dtype=np.int32), 1).copy(), f"cyclic:{n}")
 
@@ -112,8 +137,7 @@ def make_abelian(orders: tuple[int, ...], *, max_size: Optional[int] = None) -> 
 
 def make_dihedral(order: int, *, max_size: Optional[int] = None) -> FiniteGroup:
     """Dihedral group with `order` elements: rotations at 0..n-1, reflections at n..2n-1."""
-    if order < 4 or order % 2:
-        raise InvalidArgument(f"dihedral order must be an even integer >= 4, got {order}")
+    _require("dihedral", order)
     _check_cap(order, max_size, f"dihedral:{order}")
     n = order // 2
     i = np.arange(n, dtype=np.int32)
@@ -131,8 +155,7 @@ def make_quaternion(order: int, *, max_size: Optional[int] = None) -> FiniteGrou
     Presentation <a, b | a^(2n) = 1, b^2 = a^n, b a b^-1 = a^-1> with
     order = 4n; powers a^i at ids 0..2n-1 and a^i b at 2n..4n-1.
     """
-    if order < 8 or order % 4:
-        raise InvalidArgument(f"quaternion order must be a multiple of 4, >= 8, got {order}")
+    _require("quaternion", order)
     _check_cap(order, max_size, f"quaternion:{order}")
     n = order // 4
     two_n = 2 * n
@@ -153,10 +176,7 @@ def make_symmetric(degree: int, *, max_size: Optional[int] = None) -> FiniteGrou
     product of ids i and j is x -> p_i[p_j[x]], whose code is the sum over y
     of p_i[y] * w[p_j^-1(y)]: one integer matrix product per block of rows.
     """
-    if not 1 <= degree <= _MAX_SYMMETRIC_DEGREE:
-        raise InvalidArgument(
-            f"symmetric degree must be in 1..{_MAX_SYMMETRIC_DEGREE}, got {degree}"
-        )
+    _require("symmetric", degree)
     n = math.factorial(degree)
     _check_cap(n, max_size, f"symmetric:{degree}")
     perms = np.array(list(itertools.permutations(range(degree))), dtype=np.int32)
@@ -174,8 +194,7 @@ def make_symmetric(degree: int, *, max_size: Optional[int] = None) -> FiniteGrou
 def make_heisenberg(p: int, *, max_size: Optional[int] = None) -> FiniteGroup:
     """Heisenberg group of order p^3 for an odd prime p: upper unitriangular
     3x3 matrices over Z_p, encoded as (a, b, c) -> c*p^2 + a*p + b."""
-    if p == 2 or not is_prime(p):
-        raise InvalidArgument(f"heisenberg parameter must be an odd prime, got {p}")
+    _require("heisenberg", p)
     n = p ** 3
     _check_cap(n, max_size, f"heisenberg:{p}")
     c, rem = np.divmod(np.arange(n, dtype=np.int32), p * p)
@@ -236,16 +255,6 @@ def central_product_mod_involution(
     return _build(out.reshape(reps.size * nh, -1), label or f"({g.label})o({h.label})")
 
 
-def _extraspecial_shape_ok(order: int) -> bool:
-    # 2^(1+2m) with m >= 1: a power of two, at least 8, odd exponent
-    return order >= 8 and is_power_of(order, 2) and (order.bit_length() - 1) % 2 == 1
-
-
-def _almost_extraspecial_shape_ok(order: int) -> bool:
-    # 2^(2m+2) with m >= 1: a power of two, at least 16, even exponent
-    return order >= 16 and is_power_of(order, 2) and (order.bit_length() - 1) % 2 == 0
-
-
 def make_extraspecial(order: int, sign: str, *, max_size: Optional[int] = None) -> FiniteGroup:
     """Extraspecial 2-group of the given order (2^(1+2m)) and type.
 
@@ -254,10 +263,7 @@ def make_extraspecial(order: int, sign: str, *, max_size: Optional[int] = None) 
     """
     if sign not in ("+", "-"):
         raise InvalidArgument(f"extraspecial type must be '+' or '-', got {sign!r}")
-    if not _extraspecial_shape_ok(order):
-        raise InvalidArgument(
-            f"extraspecial order must be 2^(1+2m) with m >= 1, got {order}"
-        )
+    _require("extraspecial", order)
     _check_cap(order, max_size, f"extraspecial:{order}:{sign}")
     m = (order.bit_length() - 2) // 2
     g = make_quaternion(8, max_size=8) if sign == "-" else make_dihedral(8, max_size=8)
@@ -273,10 +279,7 @@ def make_extraspecial(order: int, sign: str, *, max_size: Optional[int] = None) 
 
 def make_almost_extraspecial(order: int, *, max_size: Optional[int] = None) -> FiniteGroup:
     """Central product of an extraspecial 2-group with cyclic:4, order 2^(2m+2)."""
-    if not _almost_extraspecial_shape_ok(order):
-        raise InvalidArgument(
-            f"almost-extraspecial order must be 2^(2m+2) with m >= 1, got {order}"
-        )
+    _require("almost-extraspecial", order)
     _check_cap(order, max_size, f"almost-extraspecial:{order}")
     e = make_extraspecial(order // 2, "+", max_size=order // 2)
     z4 = make_cyclic(4, max_size=4)
@@ -286,43 +289,63 @@ def make_almost_extraspecial(order: int, *, max_size: Optional[int] = None) -> F
     )
 
 
-_MAX_TOKEN_DIGITS = 9  # longer tokens (leading zeros) take the line loop
+_MAX_TOKEN_DIGITS = 9  # longer tokens (leading zeros) take the line loop; int32 holds nine
+_PARSE_BLOCK = 1 << 17  # bytes of text per block of the canonical parse
+_BLANKS = re.compile(rb"[ \n]*")
 
 
 def _canonical_table(data: bytes, max_size: Optional[int], label: str) -> Optional[np.ndarray]:
-    """The (n, n) table of a canonical file, by whole-array operations, or
-    None for any other file.
+    """The (n, n) int32 table of a canonical file, parsed a block of whole
+    lines (about _PARSE_BLOCK bytes) at a time, or None for any other file.
 
     Canonical: every byte is an ASCII digit, ' ' or '\\n'; the first
     non-blank line holds one token n >= 1; exactly n non-blank lines follow
     with n tokens each; no token is longer than _MAX_TOKEN_DIGITS and every
     entry is below n.  _table_rows returns the same values on such a file,
     and only it names the line and column of an error, so a file that fails
-    any of these tests goes to it.  n meets the size cap before the body is
-    converted.
+    any of these tests, in any block, goes to it.  A first pass proves the
+    bytes and the shape, n then meets the size cap, and only then is the
+    table allocated and each block converted into its rows.
     """
+    head_at = _BLANKS.match(data).end()
+    body_at = data.find(b"\n", head_at)
+    head = data[head_at:body_at].rstrip(b" ")
+    n = int(head) if head.isdigit() and len(head) <= _MAX_TOKEN_DIGITS else 0
+    if body_at < 0 or n < 1 or len(data) - body_at < 2 * n * n - 1:  # too short for n^2 tokens
+        return None
     b = np.frombuffer(data, dtype=np.uint8)
-    digit = (b >= ord("0")) & (b <= ord("9"))
-    blank = np.count_nonzero(b == ord(" ")) + np.count_nonzero(b == ord("\n"))
-    if np.count_nonzero(digit) + blank != b.size:
-        return None
-    bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
-    starts, ends = bounds[::2], bounds[1::2]  # token k is data[starts[k]:ends[k]]
-    if starts.size == 0 or (ends - starts).max() > _MAX_TOKEN_DIGITS:
-        return None
-    before_newline = np.searchsorted(starts, np.flatnonzero(b == ord("\n")))
-    per_line = np.diff(before_newline, prepend=0, append=starts.size)
-    per_line = per_line[per_line > 0]  # tokens on each non-blank line
-    n = int(data[starts[0]:ends[0]])
-    if per_line[0] != 1 or n < 1:
-        return None
+    blocks, rows, lo = [], 0, body_at
+    while lo < b.size:  # each block starts at a newline or just after one
+        hi = data.find(b"\n", lo + _PARSE_BLOCK) + 1 or b.size
+        blk = b[lo:hi]
+        newline = blk == ord("\n")
+        digit = (blk - ord("0")) < 10  # uint8 wraps below '0'
+        spaces = np.count_nonzero(blk == ord(" ")) + np.count_nonzero(newline)
+        if np.count_nonzero(digit) + spaces != blk.size:
+            return None
+        bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+        starts = bounds[::2]  # token k is blk[starts[k]:bounds[2k+1]]
+        if starts.size:  # fromstring reads a blank block as [0]
+            if (bounds[1::2] - starts).max() > _MAX_TOKEN_DIGITS:
+                return None
+            per_line = np.diff(np.searchsorted(starts, np.flatnonzero(newline)),
+                               prepend=0, append=starts.size)
+            if not ((per_line == 0) | (per_line == n)).all():
+                return None
+            blocks.append((lo, hi, rows * n))
+            rows += starts.size // n
+        lo = hi
     _check_cap(n, max_size, f"table {label!r}")
-    if per_line.size != n + 1 or (per_line[1:] != n).any():
+    if rows != n:
         return None
-    values = np.fromstring(data, dtype=np.int64, sep=" ")[1:]
-    if values.max() >= n:
-        return None
-    return values.reshape(n, n)
+    table = np.empty((n, n), dtype=np.int32)
+    flat = table.ravel()
+    for lo, hi, at in blocks:
+        values = np.fromstring(data[lo:hi], dtype=np.int32, sep=" ")
+        if values.max() >= n:
+            return None
+        flat[at:at + values.size] = values
+    return table
 
 
 def _table_rows(text: str, p: Path, max_size: Optional[int], label: str) -> list[list[int]]:
@@ -401,7 +424,9 @@ def load_table_with_report(
             raise ParseError(f"{p}: byte {exc.start} is not valid UTF-8",
                              line=line) from None
         table = _table_rows(text, p, max_size, label)
-    return validate_table_with_report(table, label, max_size=max_size)
+    own = isinstance(table, np.ndarray)
+    del data  # the bytes are parsed; validation needs only the table
+    return validate_table_with_report(table, label, max_size=max_size, _own=own)
 
 
 ParamsType = Union[tuple[int, ...], tuple[int, str], tuple[str], tuple["GroupSpec", "GroupSpec"]]
@@ -483,10 +508,7 @@ def parse_group_spec(text: str, _pos: int = 0) -> GroupSpec:
         if not sep2 or sign not in ("+", "-"):
             raise BadParameter(f"extraspecial spec must end with ':+' or ':-', got {s!r}")
         order = _parse_int(order_text, body_pos, "order")
-        if not _extraspecial_shape_ok(order):
-            raise BadParameter(
-                f"extraspecial order must be 2^(1+2m) with m >= 1, got {order}"
-            )
+        _require("extraspecial", order, BadParameter)
         return GroupSpec("extraspecial", (order, sign))
     if family == "abelian":
         parts = body.split(",")
@@ -498,22 +520,7 @@ def parse_group_spec(text: str, _pos: int = 0) -> GroupSpec:
         return GroupSpec("abelian", orders)
     # remaining families take a single integer
     value = _parse_int(body, body_pos, "parameter")
-    if family == "cyclic" and value < 1:
-        raise BadParameter(f"cyclic order must be >= 1, got {value}")
-    if family == "dihedral" and (value < 4 or value % 2):
-        raise BadParameter(f"dihedral order must be an even integer >= 4, got {value}")
-    if family == "quaternion" and (value < 8 or value % 4):
-        raise BadParameter(f"quaternion order must be a multiple of 4, >= 8, got {value}")
-    if family == "symmetric" and not 1 <= value <= _MAX_SYMMETRIC_DEGREE:
-        raise BadParameter(
-            f"symmetric degree must be in 1..{_MAX_SYMMETRIC_DEGREE}, got {value}"
-        )
-    if family == "almost-extraspecial" and not _almost_extraspecial_shape_ok(value):
-        raise BadParameter(
-            f"almost-extraspecial order must be 2^(2m+2) with m >= 1, got {value}"
-        )
-    if family == "heisenberg" and (value == 2 or not is_prime(value)):
-        raise BadParameter(f"heisenberg parameter must be an odd prime, got {value}")
+    _require(family, value, BadParameter)
     return GroupSpec(family, (value,))
 
 

@@ -7,19 +7,15 @@ class GroupError(Exception):
     """Base class for every error raised by this package."""
 
 
-class TableError(GroupError):
-    """A raw multiplication table violates a group axiom."""
-
-
-class NotClosed(TableError):
+class NotClosed(GroupError):
     """Table is not square, or an entry falls outside [0, n)."""
 
 
-class NoIdentityAtZero(TableError):
+class NoIdentityAtZero(GroupError):
     """No element acts as a two-sided identity."""
 
 
-class NoInverse(TableError):
+class NoInverse(GroupError):
     """Some element has no two-sided inverse."""
 
     def __init__(self, message: str, element: int | None = None):
@@ -27,7 +23,7 @@ class NoInverse(TableError):
         self.element = element
 
 
-class NotAssociative(TableError):
+class NotAssociative(GroupError):
     """Associativity fails; carries the witness triple (a, b, c)."""
 
     def __init__(self, message: str, triple: tuple[int, int, int] | None = None):

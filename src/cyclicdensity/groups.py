@@ -177,21 +177,30 @@ def _as_table(raw) -> np.ndarray:
 
 
 def _find_identity(table: np.ndarray) -> int:
+    """The two-sided identity (a table has at most one): a row equal to 0..n-1,
+    sought a block of _ROW_BLOCK entries at a time, whose column is too."""
     n = table.shape[0]
     ar = np.arange(n, dtype=np.int32)
-    two_sided = (table == ar[None, :]).all(axis=1) & (table == ar[:, None]).all(axis=0)
-    hits = np.nonzero(two_sided)[0]
-    if hits.size == 0:
-        raise NoIdentityAtZero("no element acts as a two-sided identity")
-    return int(hits[0])
+    step = max(1, _ROW_BLOCK // n)
+    for lo in range(0, n, step):
+        for e in lo + np.flatnonzero((table[lo:lo + step] == ar).all(axis=1)):
+            if (table[:, e] == ar).all():
+                return int(e)
+    raise NoIdentityAtZero("no element acts as a two-sided identity")
 
 
-def _swap_to_zero(table: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """Relabel so element e becomes 0; returns (new table, old->new map)."""
+def _swap_to_zero(table: np.ndarray, e: int) -> np.ndarray:
+    """Relabel table in place by the transposition (0 e): map the values a block
+    of rows at a time, then swap rows and columns 0 and e; returns the map."""
     n = table.shape[0]
     sigma = np.arange(n, dtype=np.int32)
     sigma[e], sigma[0] = 0, e
-    return np.ascontiguousarray(sigma[table][np.ix_(sigma, sigma)]), sigma
+    step = max(1, _ROW_BLOCK // n)
+    for lo in range(0, n, step):
+        table[lo:lo + step] = sigma.take(table[lo:lo + step])
+    table[[0, e]] = table[[e, 0]]
+    table[:, [0, e]] = table[:, [e, 0]]
+    return sigma
 
 
 def _generate(table: np.ndarray, inside: Optional[np.ndarray] = None,
@@ -264,28 +273,35 @@ def _check_associativity(table: np.ndarray) -> np.ndarray:
     (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)).  So once every
     generator of _generate passes, every id it reaches lies in R, and when
     those cover all n ids the table is associative.  Each generator is
-    checked with two n^2 gathers.  A group needs at most log2 n generators;
-    a non-group magma may need up to n, which costs O(n^3), no worse than
-    checking every triple.
+    checked a block of _ROW_BLOCK products at a time, so the first bad
+    block holds the row-major first witness.  A group needs at most log2 n
+    generators; a non-group magma may need up to n, which costs O(n^3), no
+    worse than checking every triple.
     """
     n = table.shape[0]
+    step = max(1, _ROW_BLOCK // n)
 
     def light(c: int) -> None:
         col = table[:, c]
-        left = col.take(table)  # left[a, b] = (a*b)*c
-        right = table.take(col, axis=1)  # right[a, b] = a*(b*c)
-        bad = left != right
-        if bad.any():
-            a, b = divmod(int(bad.argmax()), n)
-            raise NotAssociative(
-                f"({a}*{b})*{c} = {int(left[a, b])} but {a}*({b}*{c}) = {int(right[a, b])}",
-                triple=(a, b, c),
-            )
+        for lo in range(0, n, step):
+            rows = table[lo:lo + step]
+            left = col.take(rows, mode="clip")  # left[a, b] = (a*b)*c; entries are < n
+            right = rows.take(col, axis=1, mode="clip")  # right[a, b] = a*(b*c)
+            bad = left != right
+            if bad.any():
+                i, b = divmod(int(bad.argmax()), n)
+                a = lo + i
+                raise NotAssociative(
+                    f"({a}*{b})*{c} = {int(left[i, b])} but {a}*({b}*{c}) = {int(right[i, b])}",
+                    triple=(a, b, c),
+                )
 
     return _generate(table, check=light)
 
 
 _SCAN_BLOCK = 1 << 14  # ids per block of a failure-path scan; the least power-walk budget
+_ROW_BLOCK = 1 << 16  # entries per block of validation's n^2 passes, by measurement:
+# at n = 1024 Light's test took 25% less time in 2^16 blocks than in one pass, 8% in 2^14
 
 
 def _block_budget(n: int) -> int:
@@ -417,18 +433,19 @@ def validate_table_with_report(
     label: str = "table",
     *,
     max_size: Optional[int] = None,
+    _own: bool = False,
 ) -> tuple[FiniteGroup, list[int]]:
     """Validate a raw Cayley table and wrap it as a group.
 
     Also returns the old->new re-index map applied to move the identity to
-    id 0 (the identity map when it was already there)."""
-    table = _as_table(raw)
+    id 0 (the identity map when it was already there).  raw is copied; only
+    the table loader passes _own=True, handing over a C-contiguous int32
+    table with entries in [0, n) that validation relabels and keeps."""
+    table = raw if _own else _as_table(raw)
     n = table.shape[0]
     _check_cap(n, max_size, f"table {label!r}")
     e = _find_identity(table)
-    sigma = np.arange(n, dtype=np.int32)
-    if e != 0:
-        table, sigma = _swap_to_zero(table, e)
+    sigma = _swap_to_zero(table, e) if e else np.arange(n, dtype=np.int32)
     gens = _check_associativity(table)
     group = _build(table, label)
     group._gens = gens

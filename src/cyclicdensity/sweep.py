@@ -15,21 +15,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import is_prime
-from .catalog import build_group
+from .catalog import FAMILY_NAMES, build_group
 from .errors import InvalidArgument, SizeLimitExceeded, UnknownFamily
 from .groups import size_cap
 from .verify import AlphaReport, full_report
 
-SWEEP_FAMILIES = (
-    "cyclic",
-    "abelian",
-    "dihedral",
-    "quaternion",
-    "symmetric",
-    "extraspecial",
-    "almost-extraspecial",
-    "heisenberg",
-)
+SWEEP_FAMILIES = FAMILY_NAMES[:-2]  # every family but product and table
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from cyclicdensity import (
+from cyclicdensity.catalog import (
     make_abelian,
     make_almost_extraspecial,
     make_cyclic,

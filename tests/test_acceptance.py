@@ -29,6 +29,8 @@ from cyclicdensity import (
     cyclic_subgroups,
     full_report,
     load_table_with_report,
+)
+from cyclicdensity.catalog import (
     make_abelian,
     make_almost_extraspecial,
     make_cyclic,

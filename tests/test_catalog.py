@@ -16,9 +16,12 @@ from cyclicdensity import (
     UnknownFamily,
     build_group,
     center,
-    central_product_mod_involution,
     direct_product,
     load_table_with_report,
+    parse_group_spec,
+)
+from cyclicdensity.catalog import (
+    central_product_mod_involution,
     make_abelian,
     make_almost_extraspecial,
     make_cyclic,
@@ -27,7 +30,6 @@ from cyclicdensity import (
     make_heisenberg,
     make_quaternion,
     make_symmetric,
-    parse_group_spec,
 )
 from cyclicdensity.groups import FiniteGroup
 from table_oracle import (

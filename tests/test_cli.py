@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cyclicdensity import make_dihedral, make_quaternion
+from cyclicdensity.catalog import make_dihedral, make_quaternion
 
 REPORT_KEYS = [
     "label", "order", "cyclic_count", "alpha_g", "alpha_z", "equality",

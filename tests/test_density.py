@@ -19,10 +19,9 @@ from cyclicdensity import (
     build_group,
     census_matches_orders,
     cyclic_subgroups,
-    make_abelian,
-    make_cyclic,
     subgroup_count_identity_check,
 )
+from cyclicdensity.catalog import make_abelian, make_cyclic
 from table_oracle import group_exponent, prove_orders
 
 

@@ -19,13 +19,15 @@ from cyclicdensity import (
     build_group,
     center,
     direct_product,
+    validate_table_with_report,
+)
+from cyclicdensity.catalog import (
     make_abelian,
     make_cyclic,
     make_dihedral,
     make_heisenberg,
     make_quaternion,
     make_symmetric,
-    validate_table_with_report,
 )
 from cyclicdensity.groups import SIZE_CAP_ENV, _build
 from table_oracle import group_exponent, quotient_by_central, relabeled_copy, verify_group_invariants

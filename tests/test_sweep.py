@@ -161,7 +161,7 @@ def test_sweep_pool_starts_no_more_workers_than_jobs_or_cpus(monkeypatch, parall
 
 def test_sweep_with_included_table(tmp_path):
     f = tmp_path / "d8.txt"
-    from cyclicdensity import make_dihedral
+    from cyclicdensity.catalog import make_dihedral
 
     rows = make_dihedral(8).table.tolist()
     f.write_text("8\n" + "\n".join(" ".join(map(str, row)) for row in rows) + "\n")

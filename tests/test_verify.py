@@ -18,11 +18,10 @@ from cyclicdensity import (
     full_report,
     is_2_central,
     is_4_abelian_witness,
-    make_abelian,
-    make_cyclic,
     per_coset_analysis,
     structural_condition,
 )
+from cyclicdensity.catalog import make_abelian, make_cyclic
 from cyclicdensity.groups import FiniteGroup
 from table_oracle import relabeled_copy
 
