@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -270,3 +271,43 @@ def test_internal_fault_exits_3(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: MemoryError: table too large\n"
+
+
+def test_oversized_header_under_size_override_allocates_no_table(tmp_path, capsys):
+    # a header of 46000 fits no n x n table in 10 bytes: the loop names line 2
+    from cyclicdensity import cli
+
+    f = tmp_path / "big.txt"
+    f.write_text("46000\n0 1\n")
+    tracemalloc.start()
+    try:
+        rc = cli.main(["import", "--table", str(f), "--size-override"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (2, "", "error: line 2: expected 46000 entries, got 2\n")
+    assert peak < 1 << 20, peak
+
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    # main builds its parser once per process; build_parser gives a new one
+    from cyclicdensity import cli
+
+    f = tmp_path / "q8.txt"
+    rows = make_quaternion(8).table.tolist()
+    perm = [3, 0, 1, 2, 7, 4, 5, 6]
+    moved = [[0] * 8 for _ in range(8)]
+    for a, row in enumerate(rows):
+        for b, v in enumerate(row):
+            moved[perm[a]][perm[b]] = perm[v]
+    f.write_text("8\n" + "\n".join(" ".join(map(str, r)) for r in moved) + "\n")
+    outs = []
+    for argv in (["verify", "--group", "dihedral:8"], ["import", "--table", str(f)],
+                 ["verify", "--group", f"table:{f}", "--csv"]):
+        rc = cli.main(argv)
+        outs.append(capsys.readouterr().out)
+        fresh = run_cli(*argv)
+        assert (rc, outs[-1]) == (fresh.returncode, fresh.stdout), argv
+    assert "identity moved to id 0" in outs[1]
+    assert cli.build_parser() is not cli.build_parser()

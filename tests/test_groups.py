@@ -22,6 +22,7 @@ from cyclicdensity import (
     validate_table_with_report,
 )
 from cyclicdensity.catalog import (
+    load_table_with_report,
     make_abelian,
     make_cyclic,
     make_dihedral,
@@ -29,7 +30,13 @@ from cyclicdensity.catalog import (
     make_quaternion,
     make_symmetric,
 )
-from cyclicdensity.groups import SIZE_CAP_ENV, _build
+from cyclicdensity.groups import (
+    SIZE_CAP_ENV,
+    _build,
+    _check_associativity,
+    _find_identity,
+    _swap_to_zero,
+)
 from table_oracle import group_exponent, quotient_by_central, relabeled_copy, verify_group_invariants
 
 
@@ -323,3 +330,54 @@ def test_build_peaks_near_its_table(spec):
     # an abelian factor of n^2/4 entries, peaks at 1.25x
     g, peak = traced_peak(build_group, spec)
     assert peak < 1.2 * g.table.nbytes, (spec, peak, g.table.nbytes)
+
+
+def relabeled_table(spec: str, seed: int) -> np.ndarray:
+    """spec's table under a seeded relabeling that moves the identity off 0."""
+    t = build_group(spec).table
+    perm = np.random.default_rng(seed).permutation(t.shape[0]).astype(np.int32)
+    if perm[0] == 0:
+        perm[[0, 1]] = perm[[1, 0]]
+    out = np.empty_like(t)
+    out[np.ix_(perm, perm)] = perm[t]
+    return out
+
+
+def test_import_peaks_near_its_file_plus_its_table(tmp_path):
+    # the canonical parse converts a block of lines at a time into the int32
+    # table, which validation relabels in place; the file's bytes (about the
+    # table's size here) are the only other large allocation
+    path = tmp_path / "t.txt"
+    table = relabeled_table("almost-extraspecial:1024", 1)
+    path.write_text(f"{table.shape[0]}\n"
+                    + "".join(" ".join(map(str, row)) + "\n" for row in table.tolist()))
+    (g, reindex), peak = traced_peak(load_table_with_report, path)
+    assert reindex[0] != 0
+    assert peak < 2.5 * g.table.nbytes, (peak, g.table.nbytes)
+
+
+def test_validation_steps_peak_under_half_the_table():
+    # the identity search, the relabel and Light's test each go a block of
+    # rows at a time
+    table = relabeled_table("almost-extraspecial:1024", 2)
+
+    def steps(t):
+        _swap_to_zero(t, _find_identity(t))
+        return _check_associativity(t)
+
+    _, peak = traced_peak(steps, table)
+    assert peak < 0.5 * table.nbytes, (peak, table.nbytes)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("spec, seed", [("dihedral:12", None), ("dihedral:12", 4)])
+def test_validation_copies_the_callers_array(dtype, spec, seed):
+    # only the table loader hands its own table over; a caller's array is
+    # neither kept, nor relabeled in place, nor frozen
+    t = build_group(spec).table if seed is None else relabeled_table(spec, seed)
+    raw = np.array(t, dtype=dtype)
+    g, reindex = validate_table_with_report(raw)
+    assert (reindex[0] != 0) == (seed is not None)
+    assert not np.shares_memory(g.table, raw)
+    assert raw.flags.writeable
+    assert np.array_equal(raw, t)

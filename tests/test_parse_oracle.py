@@ -13,6 +13,7 @@ size cap is refused as soon as the header is read, before any row error.
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import parse_oracle
 from cyclicdensity import GroupError, ParseError, SizeLimitExceeded, build_group
-from cyclicdensity.catalog import _canonical_table, load_table_with_report
+from cyclicdensity.catalog import _PARSE_BLOCK, _canonical_table, load_table_with_report
 
 UNCAPPED = 10 ** 9
 caps = st.sampled_from([3, 6, UNCAPPED])
@@ -186,3 +187,57 @@ def test_undecodable_byte_is_a_parse_error_at_its_offset(path):
         load_table_with_report(path)
     assert str(err.value) == f"{path}: byte 8 is not valid UTF-8"
     assert err.value.line == 3
+
+
+def big_table_text(n: int = 300, seed: int = 0) -> list[str]:
+    """The lines of a relabeled cyclic:n table file, several parse blocks long."""
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return [str(n)] + [" ".join(str(perm[(a + b) % n]) for b in range(n)) for a in range(n)]
+
+
+BLANK_RUN = "\n" * (_PARSE_BLOCK + 7)  # one block of nothing but newlines
+
+
+@pytest.mark.parametrize("layout", ["plain", "blank block inside", "blank block after",
+                                    "blank block before", "padded"])
+def test_whole_array_path_matches_loop_across_blocks(path, layout):
+    lines = big_table_text()
+    if layout == "padded":
+        lines = ["  " + line.replace(" ", "  0") + " " for line in lines]
+    text = "\n".join(lines) + "\n"
+    if layout == "blank block inside":
+        text = "\n".join(lines[:150]) + BLANK_RUN + "\n".join(lines[150:]) + "\n"
+    elif layout == "blank block after":
+        text += BLANK_RUN
+    elif layout == "blank block before":
+        text = BLANK_RUN + text
+    data = text.encode()
+    assert len(data) > 2 * _PARSE_BLOCK
+    assert _canonical_table(data, UNCAPPED, "t") is not None
+    assert_matches_oracle(path, data)
+
+
+@pytest.mark.parametrize("fault", ["entry out of range", "short row", "long row", "extra row",
+                                   "missing row", "tab", "ten digits"])
+@pytest.mark.parametrize("row", [1, 150, 300])
+def test_a_fault_in_any_block_sends_the_file_to_the_loop(path, fault, row):
+    lines = big_table_text()
+    line = lines[row]
+    if fault == "entry out of range":
+        lines[row] = line[:line.rindex(" ")] + " 300"
+    elif fault == "short row":
+        lines[row] = line[:line.rindex(" ")]
+    elif fault == "long row":
+        lines[row] = line + " 0"
+    elif fault == "extra row":
+        lines.insert(row, line)
+    elif fault == "missing row":
+        del lines[row]
+    elif fault == "tab":
+        lines[row] = line.replace(" ", "\t", 1)
+    elif fault == "ten digits":
+        lines[row] = "0000000000" + line
+    data = ("\n".join(lines) + "\n").encode()
+    assert _canonical_table(data, UNCAPPED, "t") is None
+    assert_matches_oracle(path, data)
