@@ -315,25 +315,26 @@ def _canonical_table(data: bytes, max_size: Optional[int], label: str) -> Option
         return None
     b = np.frombuffer(data, dtype=np.uint8)
     blocks, rows, lo = [], 0, body_at
-    while lo < b.size:  # each block starts at a newline or just after one
-        hi = data.find(b"\n", lo + _PARSE_BLOCK) + 1 or b.size
+    while lo < b.size:  # every block starts at a newline: no token or line spans two
+        hi = data.find(b"\n", lo + _PARSE_BLOCK) % (b.size + 1)  # b.size when none is left
         blk = b[lo:hi]
         newline = blk == ord("\n")
         digit = (blk - ord("0")) < 10  # uint8 wraps below '0'
         spaces = np.count_nonzero(blk == ord(" ")) + np.count_nonzero(newline)
         if np.count_nonzero(digit) + spaces != blk.size:
             return None
-        bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
-        starts = bounds[::2]  # token k is blk[starts[k]:bounds[2k+1]]
-        if starts.size:  # fromstring reads a blank block as [0]
-            if (bounds[1::2] - starts).max() > _MAX_TOKEN_DIGITS:
-                return None
-            per_line = np.diff(np.searchsorted(starts, np.flatnonzero(newline)),
-                               prepend=0, append=starts.size)
-            if not ((per_line == 0) | (per_line == n)).all():
-                return None
+        run = digit[1:] & digit[:-1]  # run[i]: blk[i:i+2] are digits; then 4, 8 and 10
+        run = run[2:] & run[:-2]
+        run = run[4:] & run[:-4]
+        if (run[2:] & run[:-2]).any():  # a token longer than _MAX_TOKEN_DIGITS
+            return None
+        start = np.concatenate(([False], digit[1:] > digit[:-1]))  # where a token starts
+        per_line = np.add.reduceat(start, newline.nonzero()[0], dtype=np.int32)
+        if not ((per_line == 0) | (per_line == n)).all():
+            return None
+        if tokens := int(per_line.sum()):  # fromstring reads a blank block as [0]
             blocks.append((lo, hi, rows * n))
-            rows += starts.size // n
+            rows += tokens // n
         lo = hi
     _check_cap(n, max_size, f"table {label!r}")
     if rows != n:
