@@ -22,7 +22,6 @@ from .errors import (
     NotASubgroup,
     NotAssociative,
     NotCentral,
-    NotCentralInvolution,
     NotClosed,
     ParseError,
     SizeLimitExceeded,

@@ -43,10 +43,6 @@ class NotASubgroup(GroupError):
         self.witness = witness
 
 
-class NotCentralInvolution(GroupError):
-    """Central-product amalgamation point is not a central involution."""
-
-
 class SizeLimitExceeded(GroupError):
     """Requested construction exceeds the configured size cap."""
 

@@ -163,8 +163,11 @@ class Subgroup:
 
 
 def _as_table(raw) -> np.ndarray:
+    """A C-ordered int32 copy of a caller's table: an integer array is read
+    as it is, anything else through int64, then copied once."""
     try:
-        arr = np.asarray(raw, dtype=np.int64)
+        int_array = isinstance(raw, np.ndarray) and raw.dtype.kind in "iu"
+        arr = raw if int_array else np.asarray(raw, dtype=np.int64)
     except (ValueError, TypeError):
         raise NotClosed("table must be a square matrix of integers")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
@@ -173,7 +176,7 @@ def _as_table(raw) -> np.ndarray:
     if arr.min() < 0 or arr.max() >= n:
         a, b = np.argwhere((arr < 0) | (arr >= n))[0]
         raise NotClosed(f"entry table[{a}][{b}] = {int(arr[a, b])} is outside [0, {n})")
-    return np.ascontiguousarray(arr, dtype=np.int32)
+    return np.array(arr, dtype=np.int32, order="C")
 
 
 def _find_identity(table: np.ndarray) -> int:

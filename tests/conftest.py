@@ -4,78 +4,69 @@ from __future__ import annotations
 
 import pytest
 
-from cyclicdensity.catalog import (
-    make_abelian,
-    make_almost_extraspecial,
-    make_cyclic,
-    make_dihedral,
-    make_extraspecial,
-    make_heisenberg,
-    make_quaternion,
-    make_symmetric,
-)
+from cyclicdensity import build_group
 
 
 @pytest.fixture(scope="session")
 def d8():
-    return make_dihedral(8)
+    return build_group("dihedral:8")
 
 
 @pytest.fixture(scope="session")
 def d16():
-    return make_dihedral(16)
+    return build_group("dihedral:16")
 
 
 @pytest.fixture(scope="session")
 def q8():
-    return make_quaternion(8)
+    return build_group("quaternion:8")
 
 
 @pytest.fixture(scope="session")
 def q16():
-    return make_quaternion(16)
+    return build_group("quaternion:16")
 
 
 @pytest.fixture(scope="session")
 def s3():
-    return make_symmetric(3)
+    return build_group("symmetric:3")
 
 
 @pytest.fixture(scope="session")
 def s4():
-    return make_symmetric(4)
+    return build_group("symmetric:4")
 
 
 @pytest.fixture(scope="session")
 def z4():
-    return make_cyclic(4)
+    return build_group("cyclic:4")
 
 
 @pytest.fixture(scope="session")
 def z12():
-    return make_cyclic(12)
+    return build_group("cyclic:12")
 
 
 @pytest.fixture(scope="session")
 def klein():
-    return make_abelian((2, 2))
+    return build_group("abelian:2,2")
 
 
 @pytest.fixture(scope="session")
 def pauli16():
-    return make_almost_extraspecial(16)
+    return build_group("almost-extraspecial:16")
 
 
 @pytest.fixture(scope="session")
 def es32_plus():
-    return make_extraspecial(32, "+")
+    return build_group("extraspecial:32:+")
 
 
 @pytest.fixture(scope="session")
 def es32_minus():
-    return make_extraspecial(32, "-")
+    return build_group("extraspecial:32:-")
 
 
 @pytest.fixture(scope="session")
 def heis3():
-    return make_heisenberg(3)
+    return build_group("heisenberg:3")

@@ -12,7 +12,10 @@ relabeled_copy(), and verify_group_invariants(), which re-derives every
 invariant of a group from its raw table, with prove_orders() naming the
 first stored order that the table contradicts.  require_central() and
 quotient_by_central() build G/Z as a group of its own, the form the
-report replaced by reading exp(G/Z) off G's table.
+report replaced by reading exp(G/Z) off G's table.  extraspecial_chain()
+and almost_extraspecial_chain() build those families as the group-level
+chain that the catalog's table-level central product replaced, by
+central_product_mod_involution() and central_involution().
 
 Last come the catalog fills that the block-bounded builders replaced:
 abelian_fold_table() (a fold over every factor that keeps each partial
@@ -37,6 +40,8 @@ from cyclicdensity import (
     NotCentral,
     NotClosed,
     Subgroup,
+    build_group,
+    center,
     validate_table_with_report,
 )
 from cyclicdensity.catalog import _circulant
@@ -169,6 +174,52 @@ def quotient_by_central(g: FiniteGroup, z: Subgroup, label: Optional[str] = None
     coset_of[cosets] = np.arange(reps.size, dtype=np.int32)[:, None]
     qtable = coset_of[g.table[reps[:, None], reps]]
     return _build(qtable, label or f"({g.label})/Z")
+
+
+def central_involution(g: FiniteGroup) -> int:
+    """The one central involution of g; ValueError if it has none or several."""
+    invs = np.flatnonzero(center(g).bitmap & (g.ord == 2))
+    if invs.size != 1:
+        raise ValueError(f"{g.label!r} has {invs.size} central involutions, need exactly one")
+    return int(invs[0])
+
+
+def central_product_mod_involution(g: FiniteGroup, h: FiniteGroup, zg: int, zh: int,
+                                   label: Optional[str] = None) -> FiniteGroup:
+    """Central product G o H as a group: G x H modulo <(zg, zh)> for central
+    involutions zg and zh, which may sit at any id.  With (a, b) as id
+    a * |H| + b, the least of each coset {(a, b), (a zg, b zh)} has
+    a < a zg; those number the quotient in id order."""
+    for grp, z in ((g, zg), (h, zh)):
+        if not (0 <= z < grp.n and grp.ord[z] == 2 and grp.table[z, z] == 0
+                and center(grp).bitmap[z]):
+            raise ValueError(f"{z} is not a central involution of {grp.label!r}")
+    nh, pg, ph = h.n, g.table[:, zg], h.table[:, zh]
+    reps = (np.arange(g.n) < pg).nonzero()[0]
+    rank = np.empty(g.n, dtype=np.int32)
+    rank[reps] = np.arange(reps.size)
+    ga = g.table[reps[:, None], reps]
+    flip = pg[ga] < ga  # (a a', b b') is not least: its coset is (a a' zg, b b' zh)
+    out = np.where(flip[:, None, :, None], ph[h.table][None, :, None, :], h.table[None, :, None, :])
+    out += (rank[np.where(flip, pg[ga], ga)] * nh)[:, None, :, None]
+    return _build(out.reshape(reps.size * nh, -1), label or f"({g.label})o({h.label})")
+
+
+def extraspecial_chain(order: int, sign: str) -> FiniteGroup:
+    """extraspecial:ORDER:SIGN as the group-level chain built it: dihedral:8
+    (quaternion:8 for minus type) times m - 1 more dihedral:8 factors, each
+    partial product built as a group and its central involution found."""
+    g = build_group("quaternion:8" if sign == "-" else "dihedral:8")
+    for _ in range((order.bit_length() - 2) // 2 - 1):
+        d8 = build_group("dihedral:8")
+        g = central_product_mod_involution(g, d8, central_involution(g), central_involution(d8))
+    return g
+
+
+def almost_extraspecial_chain(order: int) -> FiniteGroup:
+    """almost-extraspecial:ORDER as extraspecial_chain(order / 2, '+') o cyclic:4."""
+    e = extraspecial_chain(order // 2, "+")
+    return central_product_mod_involution(e, build_group("cyclic:4"), central_involution(e), 2)
 
 
 def abelian_fold_table(orders: Sequence[int]) -> np.ndarray:

@@ -30,14 +30,6 @@ from cyclicdensity import (
     full_report,
     load_table_with_report,
 )
-from cyclicdensity.catalog import (
-    make_abelian,
-    make_almost_extraspecial,
-    make_cyclic,
-    make_dihedral,
-    make_quaternion,
-    make_symmetric,
-)
 from cyclicdensity import cli as cli_module
 from cyclicdensity.groups import FiniteGroup
 from cyclicdensity.sweep import SweepConfig, run_sweep
@@ -63,7 +55,7 @@ def corpus():
 def test_criterion_01_almost_extraspecial_alpha_three_quarters():
     t0 = time.monotonic()
     for order in (16, 64, 256):
-        g = make_almost_extraspecial(order)
+        g = build_group(f"almost-extraspecial:{order}")
         assert alpha(g) == Fraction(3, 4), order
         assert alpha_via_totient(g) == Fraction(3, 4), order
         z = center(g)
@@ -134,7 +126,7 @@ def test_criterion_07_average_order_inequality(corpus):
 
 def test_criterion_08_relabeling_invariance_via_import(tmp_path):
     rng = np.random.default_rng(88)
-    cases = [make_dihedral(8), make_quaternion(8), make_almost_extraspecial(16)]
+    cases = [build_group(s) for s in ("dihedral:8", "quaternion:8", "almost-extraspecial:16")]
     for g in cases:
         baseline = dataclasses.asdict(full_report(g))
         baseline.pop("label")
@@ -154,13 +146,13 @@ def test_criterion_08_relabeling_invariance_via_import(tmp_path):
 
 
 def test_criterion_09_frozen_spot_values():
-    assert alpha(make_symmetric(3)) == Fraction(5, 6)
-    assert alpha(make_quaternion(8)) == Fraction(5, 8)
-    assert alpha(make_dihedral(8)) == Fraction(7, 8)
-    assert alpha(make_cyclic(4)) == Fraction(3, 4)
-    assert alpha(make_abelian((2, 2))) == Fraction(1)
-    assert cyclic_subgroups(make_almost_extraspecial(16)).count == 12
-    assert average_order(make_symmetric(3)) == Fraction(13, 6)
+    assert alpha(build_group("symmetric:3")) == Fraction(5, 6)
+    assert alpha(build_group("quaternion:8")) == Fraction(5, 8)
+    assert alpha(build_group("dihedral:8")) == Fraction(7, 8)
+    assert alpha(build_group("cyclic:4")) == Fraction(3, 4)
+    assert alpha(build_group("abelian:2,2")) == Fraction(1)
+    assert cyclic_subgroups(build_group("almost-extraspecial:16")).count == 12
+    assert average_order(build_group("symmetric:3")) == Fraction(13, 6)
 
 
 def test_criterion_10_error_path_contract(tmp_path, monkeypatch, capsys):
@@ -185,7 +177,7 @@ def test_criterion_10_error_path_contract(tmp_path, monkeypatch, capsys):
 
     # injected-fault double: a group whose stored orders lie must make
     # verify report a counterexample and exit 1
-    real = make_dihedral(8)
+    real = build_group("dihedral:8")
     bad_ord = real.ord.copy()
     bad_ord[4] = 4
     double = FiniteGroup(real.table, real.inv, bad_ord, "dihedral:8")

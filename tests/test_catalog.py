@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from cyclicdensity import (
     BadParameter,
     GroupSpec,
-    InvalidArgument,
-    NotCentralInvolution,
     ParseError,
     SizeLimitExceeded,
     SpecSyntaxError,
@@ -20,20 +18,13 @@ from cyclicdensity import (
     load_table_with_report,
     parse_group_spec,
 )
-from cyclicdensity.catalog import (
-    central_product_mod_involution,
-    make_abelian,
-    make_almost_extraspecial,
-    make_cyclic,
-    make_dihedral,
-    make_extraspecial,
-    make_heisenberg,
-    make_quaternion,
-    make_symmetric,
-)
-from cyclicdensity.groups import FiniteGroup
+from cyclicdensity.catalog import _central_product
+from cyclicdensity.groups import _build
 from table_oracle import (
     abelian_fold_table,
+    almost_extraspecial_chain,
+    central_product_mod_involution,
+    extraspecial_chain,
     group_exponent,
     heisenberg_int64_table,
     quotient_by_central,
@@ -45,20 +36,20 @@ from table_oracle import (
 # ---------------------------------------------------------------- families
 
 def test_cyclic_structure():
-    g = make_cyclic(6)
+    g = build_group("cyclic:6")
     assert g.n == 6 and g.is_abelian()
     assert g.ord.tolist() == [1, 6, 3, 2, 3, 6]
     verify_group_invariants(g)
 
 
 def test_cyclic_trivial():
-    g = make_cyclic(1)
+    g = build_group("cyclic:1")
     assert g.n == 1 and g.label == "cyclic:1"
 
 
 def test_cyclic_rejects_zero():
-    with pytest.raises(InvalidArgument):
-        make_cyclic(0)
+    with pytest.raises(BadParameter, match=r"^cyclic order must be >= 1, got 0$"):
+        build_group("cyclic:0")
 
 
 def test_abelian_klein(klein):
@@ -67,16 +58,16 @@ def test_abelian_klein(klein):
 
 
 def test_abelian_mixed_factors():
-    g = make_abelian((2, 3, 4))
+    g = build_group("abelian:2,3,4")
     assert g.n == 24 and g.is_abelian() and group_exponent(g) == 12
     verify_group_invariants(g)
 
 
 def test_abelian_rejects_empty_and_bad():
-    with pytest.raises(InvalidArgument):
-        make_abelian(())
-    with pytest.raises(InvalidArgument):
-        make_abelian((3, 0))
+    with pytest.raises(BadParameter, match=r"^abelian cyclic orders must be >= 1, got \(\)$"):
+        build_group(GroupSpec("abelian", ()))
+    with pytest.raises(BadParameter, match=r"^abelian cyclic orders must be >= 1, got \(3, 0\)$"):
+        build_group("abelian:3,0")
 
 
 def test_dihedral8_relations(d8):
@@ -90,15 +81,15 @@ def test_dihedral8_relations(d8):
 
 
 def test_dihedral4_is_klein():
-    g = make_dihedral(4)
+    g = build_group("dihedral:4")
     assert g.is_abelian() and sorted(int(v) for v in g.ord) == [1, 2, 2, 2]
 
 
 def test_dihedral_rejects_odd_or_small():
-    with pytest.raises(InvalidArgument):
-        make_dihedral(7)
-    with pytest.raises(InvalidArgument):
-        make_dihedral(2)
+    with pytest.raises(BadParameter, match="^dihedral order must be an even integer >= 4, got 7$"):
+        build_group("dihedral:7")
+    with pytest.raises(BadParameter, match="got 2$"):
+        build_group(GroupSpec("dihedral", (2,)))
 
 
 def test_quaternion8_relations(q8):
@@ -120,10 +111,10 @@ def test_quaternion16_single_involution(q16):
 
 
 def test_quaternion_rejects_bad_order():
-    with pytest.raises(InvalidArgument):
-        make_quaternion(4)
-    with pytest.raises(InvalidArgument):
-        make_quaternion(18)
+    with pytest.raises(BadParameter, match="^quaternion order must be a multiple of 4, >= 8, got 4$"):
+        build_group("quaternion:4")
+    with pytest.raises(BadParameter, match="got 18$"):
+        build_group(GroupSpec("quaternion", (18,)))
 
 
 def test_symmetric_orders(s3, s4):
@@ -136,10 +127,10 @@ def test_symmetric_orders(s3, s4):
 
 
 def test_symmetric_degree_bounds():
-    with pytest.raises(InvalidArgument):
-        make_symmetric(0)
-    with pytest.raises(InvalidArgument):
-        make_symmetric(8)
+    with pytest.raises(BadParameter, match=r"^symmetric degree must be in 1\.\.7, got 0$"):
+        build_group("symmetric:0")
+    with pytest.raises(BadParameter, match="got 8$"):
+        build_group(GroupSpec("symmetric", (8,)))
 
 
 def test_heisenberg3_structure(heis3):
@@ -151,15 +142,15 @@ def test_heisenberg3_structure(heis3):
 
 
 def test_heisenberg_rejects_non_odd_prime():
-    with pytest.raises(InvalidArgument):
-        make_heisenberg(2)
-    with pytest.raises(InvalidArgument):
-        make_heisenberg(9)
+    with pytest.raises(BadParameter, match="^heisenberg parameter must be an odd prime, got 2$"):
+        build_group("heisenberg:2")
+    with pytest.raises(BadParameter, match="got 9$"):
+        build_group(GroupSpec("heisenberg", (9,)))
 
 
 def test_extraspecial_small_are_d8_q8(d8, q8):
-    p8 = make_extraspecial(8, "+")
-    m8 = make_extraspecial(8, "-")
+    p8 = build_group("extraspecial:8:+")
+    m8 = build_group("extraspecial:8:-")
     assert np.array_equal(p8.table, d8.table)
     assert np.array_equal(m8.table, q8.table)
     assert p8.label == "extraspecial:8:+"
@@ -177,12 +168,13 @@ def test_extraspecial32_involution_counts(es32_plus, es32_minus):
 
 
 def test_extraspecial_rejects_bad_shapes():
-    with pytest.raises(InvalidArgument):
-        make_extraspecial(16, "+")  # even exponent
-    with pytest.raises(InvalidArgument):
-        make_extraspecial(24, "+")
-    with pytest.raises(InvalidArgument):
-        make_extraspecial(32, "x")
+    rule = r"^extraspecial order must be 2\^\(1\+2m\) with m >= 1, got "
+    with pytest.raises(BadParameter, match=rule + "16$"):
+        build_group("extraspecial:16:+")  # even exponent
+    with pytest.raises(BadParameter, match=rule + "24$"):
+        build_group(GroupSpec("extraspecial", (24, "+")))
+    with pytest.raises(BadParameter, match="^extraspecial type must be '\\+' or '-', got 'x'$"):
+        build_group(GroupSpec("extraspecial", (32, "x")))
 
 
 def test_almost_extraspecial_center_is_z4(pauli16):
@@ -196,46 +188,30 @@ def test_almost_extraspecial_center_is_z4(pauli16):
 
 
 def test_almost_extraspecial_64():
-    g = make_almost_extraspecial(64)
+    g = build_group("almost-extraspecial:64")
     assert g.n == 64 and len(center(g)) == 4
     verify_group_invariants(g)
 
 
 def test_almost_extraspecial_rejects_bad_shapes():
     for bad in (8, 32, 24):
-        with pytest.raises(InvalidArgument):
-            make_almost_extraspecial(bad)
-
-
-def test_central_product_validates_involution(d8, q8):
-    with pytest.raises(NotCentralInvolution):
-        central_product_mod_involution(d8, q8, 1, 2)  # order 4 on the left
-    with pytest.raises(NotCentralInvolution):
-        central_product_mod_involution(d8, q8, 4, 2)  # non-central reflection
-
-
-def test_central_product_checks_the_square_in_the_table():
-    # a central element of order 4 whose stored order says 2
-    c4 = make_cyclic(4)
-    ords = c4.ord.copy()
-    ords[1] = 2
-    tampered = FiniteGroup(c4.table, c4.inv, ords, "tampered:cyclic:4")
-    with pytest.raises(NotCentralInvolution, match="does not square to the identity"):
-        central_product_mod_involution(tampered, make_cyclic(2), 1, 1)
+        with pytest.raises(BadParameter, match=r"^almost-extraspecial order must be "
+                                               rf"2\^\(2m\+2\) with m >= 1, got {bad}$"):
+            build_group(GroupSpec("almost-extraspecial", (bad,)))
 
 
 def test_central_product_d8_d8_is_es32_plus(d8, es32_plus):
-    g = central_product_mod_involution(d8, d8, 2, 2)
-    assert g.n == 32
-    assert int((g.ord == 2).sum()) == int((es32_plus.ord == 2).sum())
+    assert np.array_equal(_central_product(d8.table, d8.table), es32_plus.table)
 
 
-# The form the factor-table gather of central_product_mod_involution
-# replaced: build G x H, then divide out <(zg, zh)>.
+# The form both central products replaced: build G x H, then divide out
+# <(zg, zh)>.  The group-level one takes any central involutions, the
+# catalog's _central_product those at id 2.
 @pytest.mark.parametrize("left, right", [
     ("dihedral:8", "dihedral:8"), ("quaternion:8", "dihedral:8"), ("dihedral:8", "cyclic:4"),
     ("abelian:2,2", "quaternion:16"), ("extraspecial:32:-", "cyclic:8"),
     ("cyclic:6", "abelian:2,4"), ("cyclic:2", "dihedral:24"),
+    ("extraspecial:32:-", "cyclic:4"), ("abelian:2,4", "almost-extraspecial:16"),
 ])
 def test_central_product_matches_the_quotient_of_the_direct_product(left, right):
     g, h = build_group(left), build_group(right)
@@ -243,13 +219,31 @@ def test_central_product_matches_the_quotient_of_the_direct_product(left, right)
         for zh in np.flatnonzero(center(h).bitmap & (h.ord == 2)).tolist():
             prod = direct_product(g, h)
             slow = quotient_by_central(prod, Subgroup(prod, [0, zg * h.n + zh]))
-            fast = central_product_mod_involution(g, h, zg, zh)
-            for field in ("table", "inv", "ord"):
-                assert np.array_equal(getattr(fast, field), getattr(slow, field)), (zg, zh)
+            fast = [central_product_mod_involution(g, h, zg, zh)]
+            if zg == zh == 2:
+                fast.append(_build(_central_product(g.table, h.table), f"({left})o({right})"))
+            for f in fast:
+                for field in ("table", "inv", "ord"):
+                    assert np.array_equal(getattr(f, field), getattr(slow, field)), (zg, zh)
 
 
-# The n^2 `%` forms that the circulant fills of make_cyclic, make_dihedral
-# and make_quaternion replaced, kept here as their reference.
+# The group-level chain that the table-level one replaced: every factor and
+# every partial product built as a group, its central involution found.
+@pytest.mark.parametrize("spec", [
+    *(f"extraspecial:{2 ** k}:{sign}" for k in (3, 5, 7, 9, 11) for sign in "+-"),
+    *(f"almost-extraspecial:{2 ** k}" for k in (4, 6, 8, 10, 12)),
+])
+def test_extraspecial_families_match_the_group_level_chain(spec):
+    _, order, *sign = spec.split(":")
+    slow = (extraspecial_chain(int(order), *sign) if sign
+            else almost_extraspecial_chain(int(order)))
+    g = build_group(spec)
+    for field in ("table", "inv", "ord"):
+        assert np.array_equal(getattr(g, field), getattr(slow, field)), field
+
+
+# The n^2 `%` forms that the circulant fills of the cyclic, dihedral and
+# quaternion families replaced, kept here as their reference.
 
 def cyclic_mod_form(n):
     ar = np.arange(n, dtype=np.int32)
@@ -281,14 +275,14 @@ def quaternion_mod_form(order):
     return t
 
 
-@pytest.mark.parametrize("make, mod_form, orders", [
-    (make_cyclic, cyclic_mod_form, (1, 2, 4, 5, 12, 63, 256, 1000, 4096)),
-    (make_dihedral, dihedral_mod_form, (4, 6, 8, 12, 62, 256, 1002, 4096)),
-    (make_quaternion, quaternion_mod_form, (8, 12, 16, 20, 64, 252, 1024, 4096)),
+@pytest.mark.parametrize("family, mod_form, orders", [
+    ("cyclic", cyclic_mod_form, (1, 2, 4, 5, 12, 63, 256, 1000, 4096)),
+    ("dihedral", dihedral_mod_form, (4, 6, 8, 12, 62, 256, 1002, 4096)),
+    ("quaternion", quaternion_mod_form, (8, 12, 16, 20, 64, 252, 1024, 4096)),
 ], ids=["cyclic", "dihedral", "quaternion"])
-def test_circulant_fills_match_the_mod_form(make, mod_form, orders):
+def test_circulant_fills_match_the_mod_form(family, mod_form, orders):
     for order in orders:
-        table = make(order).table
+        table = build_group(f"{family}:{order}").table
         assert table.dtype == np.int32
         assert np.array_equal(table, mod_form(order)), order
 
@@ -297,12 +291,12 @@ def test_circulant_fills_match_the_mod_form(make, mod_form, orders):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_heisenberg_matches_the_int64_form(p):
-    assert np.array_equal(make_heisenberg(p).table, heisenberg_int64_table(p))
+    assert np.array_equal(build_group(f"heisenberg:{p}").table, heisenberg_int64_table(p))
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
 def test_symmetric_matches_the_lehmer_rank(degree):
-    assert np.array_equal(make_symmetric(degree).table, symmetric_lehmer_table(degree))
+    assert np.array_equal(build_group(f"symmetric:{degree}").table, symmetric_lehmer_table(degree))
 
 
 @st.composite
@@ -319,13 +313,13 @@ def factor_lists(draw):
 @given(factor_lists())
 def test_abelian_matches_the_factor_fold(orders):
     # the balanced split numbers every element as the fold does
-    assert np.array_equal(make_abelian(orders).table, abelian_fold_table(orders)), orders
+    assert np.array_equal(build_group(GroupSpec("abelian", orders)).table, abelian_fold_table(orders)), orders
 
 
 @pytest.mark.parametrize("orders", [(4096,), (1,), (1, 1), (2, 2048), (2,) * 12, (64, 1, 1, 64)])
 def test_abelian_matches_the_factor_fold_at_the_edges(orders):
     # one factor, only 1s, a factor past sqrt(n), and the 4096 cap
-    assert np.array_equal(make_abelian(orders).table, abelian_fold_table(orders)), orders
+    assert np.array_equal(build_group(GroupSpec("abelian", orders)).table, abelian_fold_table(orders)), orders
 
 
 # ---------------------------------------------------------------- grammar

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from cyclicdensity.catalog import make_dihedral, make_quaternion
+from cyclicdensity import build_group
 
 REPORT_KEYS = [
     "label", "order", "cyclic_count", "alpha_g", "alpha_z", "equality",
@@ -142,7 +142,7 @@ def test_sweep_unknown_family_exits_2():
 
 def test_import_identity_at_zero(tmp_path):
     f = tmp_path / "q8.txt"
-    rows = make_quaternion(8).table.tolist()
+    rows = build_group("quaternion:8").table.tolist()
     f.write_text("8\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
     proc = run_cli("import", "--table", str(f))
     assert proc.returncode == 0
@@ -250,7 +250,7 @@ def test_missing_subcommand_exits_2():
 
 def test_verify_table_spec(tmp_path):
     f = tmp_path / "d8.txt"
-    rows = make_dihedral(8).table.tolist()
+    rows = build_group("dihedral:8").table.tolist()
     f.write_text("8\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
     proc = run_cli("verify", "--group", f"table:{f}", "--json")
     assert proc.returncode == 0
@@ -295,7 +295,7 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
     from cyclicdensity import cli
 
     f = tmp_path / "q8.txt"
-    rows = make_quaternion(8).table.tolist()
+    rows = build_group("quaternion:8").table.tolist()
     perm = [3, 0, 1, 2, 7, 4, 5, 6]
     moved = [[0] * 8 for _ in range(8)]
     for a, row in enumerate(rows):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from census_oracle import cyclic_subgroup_sets, least_generator
 from cyclicdensity import (
     FiniteGroup,
+    GroupSpec,
     NotClosed,
     alpha,
     alpha_via_totient,
@@ -21,7 +22,6 @@ from cyclicdensity import (
     cyclic_subgroups,
     subgroup_count_identity_check,
 )
-from cyclicdensity.catalog import make_abelian, make_cyclic
 from table_oracle import group_exponent, prove_orders
 
 
@@ -97,7 +97,7 @@ def test_average_orders(d8, q8, s3, s4, pauli16):
 
 
 def test_alpha_of_trivial_group():
-    g = make_cyclic(1)
+    g = build_group("cyclic:1")
     assert alpha(g) == Fraction(1)
     assert average_order(g) == Fraction(1)
 
@@ -105,7 +105,7 @@ def test_alpha_of_trivial_group():
 def test_alpha_cyclic_closed_form():
     # for Z_n: |C| = number of divisors of n
     for n, divisors in ((2, 2), (6, 4), (12, 6), (30, 8), (36, 9)):
-        g = make_cyclic(n)
+        g = build_group(f"cyclic:{n}")
         assert cyclic_subgroups(g).count == divisors
 
 
@@ -143,7 +143,7 @@ def test_census_proves_stored_orders(d8):
     bad_ord[4] = 0
     with pytest.raises(NotClosed, match=r"element 4 has recorded order 0"):
         prove_orders(d8.table, bad_ord)
-    z4 = make_cyclic(4)  # 2^2 is the identity, so the first mismatch is at k = 2
+    z4 = build_group("cyclic:4")  # 2^2 is the identity, so the first mismatch is at k = 2
     with pytest.raises(NotClosed, match=r"element 2 has recorded order 4, but x\^2 is the identity"):
         prove_orders(z4.table, np.array([1, 4, 4, 4], dtype=np.int32))
     # the census then counts from the table, never from the tampered order
@@ -216,7 +216,7 @@ def test_routes_agree_across_catalog(spec):
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.sampled_from([2, 3, 4, 5, 7, 8, 9]), min_size=1, max_size=3))
 def test_abelian_alpha_equals_center_alpha(orders):
-    g = make_abelian(tuple(orders))
+    g = build_group(GroupSpec("abelian", tuple(orders)))
     # abelian: G = Z(G), so the density must equal itself under both routes
     assert alpha(g) == alpha_via_totient(g)
     assert subgroup_count_identity_check(g)[0]

@@ -21,15 +21,7 @@ from cyclicdensity import (
     direct_product,
     validate_table_with_report,
 )
-from cyclicdensity.catalog import (
-    load_table_with_report,
-    make_abelian,
-    make_cyclic,
-    make_dihedral,
-    make_heisenberg,
-    make_quaternion,
-    make_symmetric,
-)
+from cyclicdensity.catalog import load_table_with_report
 from cyclicdensity.groups import (
     SIZE_CAP_ENV,
     _build,
@@ -109,17 +101,17 @@ def test_exact_assoc_check_accepts_good_table():
 def test_size_cap_env_override(monkeypatch):
     monkeypatch.setenv(SIZE_CAP_ENV, "5")
     with pytest.raises(SizeLimitExceeded):
-        make_cyclic(6)
-    assert make_cyclic(5).n == 5
+        build_group("cyclic:6")
+    assert build_group("cyclic:5").n == 5
     monkeypatch.setenv(SIZE_CAP_ENV, "banana")
     with pytest.raises(InvalidArgument):
-        make_cyclic(2)
+        build_group("cyclic:2")
 
 
 def test_explicit_max_size_beats_env():
-    assert make_cyclic(10, max_size=10).n == 10
+    assert build_group("cyclic:10", max_size=10).n == 10
     with pytest.raises(SizeLimitExceeded):
-        make_cyclic(11, max_size=10)
+        build_group("cyclic:11", max_size=10)
 
 
 def test_center_of_dihedral8(d8):
@@ -220,7 +212,7 @@ def test_group_exponent_values(d8, q8, s4, z12):
 
 
 def test_direct_product_orders():
-    g = direct_product(make_cyclic(3), make_cyclic(4))
+    g = direct_product(build_group("cyclic:3"), build_group("cyclic:4"))
     assert g.n == 12
     assert group_exponent(g) == 12
     assert sorted(np.unique(g.ord)) == [1, 2, 3, 4, 6, 12]
@@ -228,14 +220,14 @@ def test_direct_product_orders():
 
 
 def test_direct_product_with_trivial_factor(q8):
-    g = direct_product(make_cyclic(1), q8)
+    g = direct_product(build_group("cyclic:1"), q8)
     assert g.n == 8
     assert np.array_equal(g.table, q8.table)
 
 
 def test_direct_product_respects_cap():
     with pytest.raises(SizeLimitExceeded):
-        direct_product(make_cyclic(70), make_cyclic(70), max_size=4000)
+        direct_product(build_group("cyclic:70"), build_group("cyclic:70"), max_size=4000)
 
 
 def test_relabeled_copy_is_a_group(d8):
@@ -253,13 +245,13 @@ def test_relabeled_copy_rejects_non_permutation(d8):
 
 def test_invariants_audit_all_families():
     groups = [
-        make_cyclic(1),
-        make_cyclic(31),
-        make_abelian((4, 9)),
-        make_dihedral(30),
-        make_quaternion(24),
-        make_symmetric(4),
-        make_heisenberg(3),
+        build_group("cyclic:1"),
+        build_group("cyclic:31"),
+        build_group("abelian:4,9"),
+        build_group("dihedral:30"),
+        build_group("quaternion:24"),
+        build_group("symmetric:4"),
+        build_group("heisenberg:3"),
     ]
     for g in groups:
         verify_group_invariants(g)
@@ -281,7 +273,7 @@ small_orders = st.integers(min_value=1, max_value=24)
 @settings(max_examples=30, deadline=None)
 @given(small_orders, st.randoms(use_true_random=False))
 def test_random_relabelings_stay_valid(n, rnd):
-    g = make_cyclic(n)
+    g = build_group(f"cyclic:{n}")
     perm = list(range(n))
     rnd.shuffle(perm)
     h = relabeled_copy(g, perm)
@@ -381,3 +373,12 @@ def test_validation_copies_the_callers_array(dtype, spec, seed):
     assert not np.shares_memory(g.table, raw)
     assert raw.flags.writeable
     assert np.array_equal(raw, t)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_validation_copies_an_integer_array_once(dtype):
+    # an integer array goes straight to its one int32 copy, with no int64
+    # copy on the way; the rest of the peak is validation's blocks (1.33x)
+    t = build_group("almost-extraspecial:1024").table
+    _, peak = traced_peak(validate_table_with_report, np.array(t, dtype=dtype))
+    assert peak < 1.5 * t.nbytes, (peak, t.nbytes)

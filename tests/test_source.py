@@ -43,6 +43,25 @@ def test_verify_path_rebuilds_no_group():
     assert not found, f"group rebuilt on the verify path: {found}"
 
 
+def test_only_build_constructs_a_group():
+    # _build derives every group's inverses and orders from its table, which
+    # the census reads; a group constructed elsewhere would lack them
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside_build = {
+            id(node) for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and (path.name, func.name) == ("groups.py", "_build")
+            for node in ast.walk(func)
+        }
+        found += [
+            f"{path.relative_to(SRC)}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in inside_build
+            and "FiniteGroup" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    assert not found, f"FiniteGroup constructed outside groups._build: {found}"
+
+
 def test_census_walks_no_powers():
     # the census is a minimum over unit-group orbits; the power walk is only
     # the fallback of the order descent for tables that are no group

@@ -7,6 +7,7 @@ from cyclicdensity import (
     SizeLimitExceeded,
     SweepConfig,
     UnknownFamily,
+    build_group,
     corpus_specs,
     run_sweep,
 )
@@ -161,9 +162,7 @@ def test_sweep_pool_starts_no_more_workers_than_jobs_or_cpus(monkeypatch, parall
 
 def test_sweep_with_included_table(tmp_path):
     f = tmp_path / "d8.txt"
-    from cyclicdensity.catalog import make_dihedral
-
-    rows = make_dihedral(8).table.tolist()
+    rows = build_group("dihedral:8").table.tolist()
     f.write_text("8\n" + "\n".join(" ".join(map(str, row)) for row in rows) + "\n")
     result = run_sweep(SweepConfig(max_order=4, families=("cyclic",),
                                    include_tables=(str(f),)))

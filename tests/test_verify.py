@@ -21,7 +21,6 @@ from cyclicdensity import (
     per_coset_analysis,
     structural_condition,
 )
-from cyclicdensity.catalog import make_abelian, make_cyclic
 from cyclicdensity.groups import FiniteGroup
 from table_oracle import relabeled_copy
 
