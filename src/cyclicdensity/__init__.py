@@ -21,7 +21,6 @@ from .errors import (
     NoInverse,
     NotASubgroup,
     NotAssociative,
-    NotCentral,
     NotClosed,
     ParseError,
     SizeLimitExceeded,

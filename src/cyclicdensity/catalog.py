@@ -41,10 +41,11 @@ def _circulant(row: np.ndarray, sign: int) -> np.ndarray:
     table, or broadcast from it."""
     m = row.size
     rr = np.concatenate([row, row])
-    # the m + 1 windows rr[k:k+m]; sliding_window_view makes the same view
-    # at about twice the per-call time and memory churn, paid by every small
-    # group of a sweep
-    windows = np.lib.stride_tricks.as_strided(rr, (m + 1, m), rr.strides * 2, writeable=False)
+    rr.setflags(write=False)  # so the windows over it are read-only too
+    # the m + 1 windows rr[k:k+m], made by the ndarray constructor itself:
+    # as_strided and sliding_window_view make the same view at several
+    # times the per-call time, paid by every small group of a sweep
+    windows = np.ndarray((m + 1, m), rr.dtype, buffer=rr, strides=rr.strides * 2)
     return windows[:m] if sign > 0 else windows[m:0:-1]
 
 

@@ -31,10 +31,6 @@ class NotAssociative(GroupError):
         self.triple = triple
 
 
-class NotCentral(GroupError):
-    """A supposed central subgroup contains a non-central element."""
-
-
 class NotASubgroup(GroupError):
     """A member set is not closed; carries a witness pair."""
 

@@ -5,12 +5,14 @@ checks are built on.
 Element ids are 0..n-1 with the identity always at 0.  Tables loaded from
 external sources are re-indexed to honor that convention.
 
-Each group carries one greedy generating set S (see _generate), and the
-center and the closure of sets over 128 ids work from one in O(n |S|)
-instead of comparing all n^2 products.  They assume an associative table:
-validate_table_with_report proves that for imported tables (and S is the
-set its test found), and the catalog builds its tables associative by
-construction.
+Each group carries one generating set S, and the center and the closure of
+sets over 128 ids work from one in O(n |S|) instead of comparing all n^2
+products.  S is one element of order n when the group has one (it is then
+cyclic, so that element generates it), else the greedy set of _generate.
+They assume an associative table: validate_table_with_report proves that
+for imported tables (and S is the set its test found), and the catalog
+builds its tables associative by construction.  A member set that is all
+of its parent is closed with no gather at all.
 """
 
 from __future__ import annotations
@@ -97,9 +99,9 @@ class FiniteGroup:
 
 class Subgroup:
     """Sorted subset of a parent group, verified closed under product and
-    inverse.  A set with |H|^2 <= _SCAN_BLOCK (128 ids) is closed when its
-    products, one gather, lie in it; a larger proper one when _generate
-    reaches it from inside."""
+    inverse.  All of the parent is closed as it stands; a set with |H|^2 <=
+    _SCAN_BLOCK (128 ids) is closed when its products, one gather, lie in
+    it; a larger proper one when _generate reaches it from inside."""
 
     __slots__ = ("parent", "members", "bitmap")
 
@@ -120,10 +122,12 @@ class Subgroup:
             raise NotASubgroup("a subgroup must contain the identity 0")
         bitmap = np.zeros(parent.n, dtype=bool)
         bitmap[arr] = True
-        if arr.size * arr.size <= _SCAN_BLOCK:
+        if arr.size == parent.n:  # every product of a table lies in its ids
+            closed = True
+        elif arr.size * arr.size <= _SCAN_BLOCK:
             closed = bitmap[parent.table[arr[:, None], arr]].all()
         else:
-            closed = arr.size == parent.n or _generate(parent.table, bitmap) is not None
+            closed = _generate(parent.table, bitmap) is not None
         if not closed:
             # name the first pair in row-major order whose product leaves the set
             i, j = _first_failure(
@@ -230,15 +234,12 @@ def _generate(table: np.ndarray, inside: Optional[np.ndarray] = None,
     outside = None if inside is None else ~inside
     gens: list[int] = []
 
-    def absorb(products: np.ndarray) -> Optional[np.ndarray]:
-        """Mark the products not yet reached and return them, each once."""
-        new = np.zeros(n, dtype=bool)
-        new[products] = True
-        new &= ~reached
-        if outside is not None and (new & outside).any():
+    def absorb(new: np.ndarray) -> Optional[np.ndarray]:
+        """Mark the ids new, none of them reached yet, and return them."""
+        if outside is not None and outside[new].any():
             return None
         reached[new] = True
-        return new.nonzero()[0]
+        return new
 
     while True:
         left = ~reached if inside is None else inside & ~reached
@@ -252,7 +253,8 @@ def _generate(table: np.ndarray, inside: Optional[np.ndarray] = None,
         gens.append(c)
         added, power = [], c
         while power:  # the identity as a power adds nothing
-            fresh = absorb(table[reached.nonzero()[0], power])
+            products = table[reached.nonzero()[0], power]  # in a group, each once
+            fresh = absorb(products[~reached[products]])
             if fresh is None:
                 return None
             if not fresh.size:
@@ -260,8 +262,10 @@ def _generate(table: np.ndarray, inside: Optional[np.ndarray] = None,
             added.append(fresh)
             power = int(table[power, power])
         fresh = np.concatenate(added)
-        while fresh.size:
-            fresh = absorb(table[fresh[:, None], gens].ravel())
+        while fresh.size:  # x g = x' g' repeats a product: keep each once
+            new = np.zeros(n, dtype=bool)
+            new[table[fresh[:, None], gens]] = True
+            fresh = absorb((new & ~reached).nonzero()[0])
             if fresh is None:
                 return None
 
@@ -357,11 +361,16 @@ def _power_walk(table: np.ndarray, visit: Callable) -> np.ndarray:
 
 
 def _powers(table: np.ndarray, xs: np.ndarray, e: int) -> np.ndarray:
-    """x^e for every x in xs, by square-and-multiply on the bits of e >= 0."""
+    """x^e for every x in xs, by square-and-multiply on the bits of e >= 0.
+
+    A square x x is read off the diagonal, the view table.ravel()[::n + 1],
+    by one gather of xs.size ids; a multiply gathers x y at x * n + y.
+    """
     n, flat, out = table.shape[0], table.ravel(), xs if e else np.zeros_like(xs)
+    diag = flat[::n + 1]
     step = n if n * n <= 2 ** 31 else np.intp(n)  # int32 x * n + y is exact to n^2 = 2^31
-    for bit in bin(e)[3:]:  # one gather of xs.size ids per step
-        out = flat.take(out * step + out)
+    for bit in bin(e)[3:]:
+        out = diag[out]
         if bit == "1":
             out = flat.take(out * step + xs)
     return out
@@ -373,7 +382,9 @@ def _element_orders(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
     Divisor descent (Cohen, A Course in Computational Algebraic Number
     Theory, 1993, 1.4): for each p^a exactly dividing n, with y = x^(n/p^a),
-    the least b <= a with y^(p^b) in mask makes p^b the p-part of k.  The
+    the least b <= a with y^(p^b) in mask makes p^b the p-part of k.  Once
+    in mask a power stays there, so b is the count of misses, the j < a with
+    y^(p^j) outside mask, added up one step y -> y^p at a time.  The
     premise is that every x^n lies in mask: as mask is a subgroup, the j
     with x^j in mask are then the multiples of k, which divides n.  If some
     x^n misses mask the table is no group, and one power walk gives k.
@@ -382,13 +393,13 @@ def _element_orders(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
     xs = (~mask).nonzero()[0].astype(np.int32)
     ords = np.ones(n, dtype=np.int32)
     for p, a in factorize(n).items() if xs.size else ():  # mask = all ids: all ones
-        y, pb = _powers(table, xs, n // p ** a), np.zeros(xs.size, dtype=np.int32)
-        for b in range(a + 1):
-            y = _powers(table, y, p) if b else y
-            pb[(pb == 0) & mask[y]] = p ** b  # p^b once y^(p^b) is in mask
+        y, miss = _powers(table, xs, n // p ** a), 0
+        for _ in range(a):
+            miss += ~mask[y]
+            y = _powers(table, y, p)
         if not mask[y].all():  # y is now x^n
             break
-        ords[xs] *= pb
+        ords[xs] *= p ** miss
     else:
         return ords
     ords = np.zeros(n, dtype=np.int32)
@@ -456,9 +467,18 @@ def validate_table_with_report(
 
 
 def _generators(g: FiniteGroup) -> np.ndarray:
-    """g's greedy generating set, found once per group."""
+    """g's generating set, found once per group: an element of order n when
+    the orders _build derived from the table hold one (its n powers are the
+    whole group), else the greedy set of _generate.  g.ord, which a caller
+    may rebind, is never read."""
     if g._gens is None:
-        g._gens = _generate(g.table)
+        ords = g._table_ord
+        top = -1 if ords is None else int(ords.argmax())
+        if top >= 0 and ords[top] == g.n:
+            g._gens = np.array([top], dtype=np.intp)
+            g._gens.setflags(write=False)
+        else:
+            g._gens = _generate(g.table)
     return g._gens
 
 

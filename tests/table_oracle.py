@@ -10,9 +10,10 @@ and four_abelian_witness() compares (x y)^4 with x^4 y^4 for all n^2 pairs.
 The helpers after them serve only tests: group_exponent(),
 relabeled_copy(), and verify_group_invariants(), which re-derives every
 invariant of a group from its raw table, with prove_orders() naming the
-first stored order that the table contradicts.  require_central() and
-quotient_by_central() build G/Z as a group of its own, the form the
-report replaced by reading exp(G/Z) off G's table.  extraspecial_chain()
+first stored order that the table contradicts.  require_central() (which
+raises NotCentral, an error no library code needs) and
+quotient_by_central() build G/Z as a group of its own, the form the report
+replaced by reading exp(G/Z) off G's table.  extraspecial_chain()
 and almost_extraspecial_chain() build those families as the group-level
 chain that the catalog's table-level central product replaced, by
 central_product_mod_involution() and central_involution().
@@ -34,10 +35,10 @@ import numpy as np
 
 from cyclicdensity import (
     FiniteGroup,
+    GroupError,
     InvalidArgument,
     NoIdentityAtZero,
     NoInverse,
-    NotCentral,
     NotClosed,
     Subgroup,
     build_group,
@@ -151,6 +152,10 @@ def prove_orders(table: np.ndarray, ords: np.ndarray) -> None:
                         f"is {'' if true[x] == k[x] else 'not '}the identity")
     if true.max() > n:
         raise NotClosed(f"powers of element {int(true.argmax())} never reach the identity")
+
+
+class NotCentral(GroupError):
+    """A supposed central subgroup contains a non-central element."""
 
 
 def require_central(g: FiniteGroup, z: Subgroup) -> None:

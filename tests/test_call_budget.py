@@ -26,35 +26,36 @@ from cyclicdensity import build_group, full_report
 PKG = os.path.dirname(cyclicdensity.__file__) + os.sep
 NP = os.path.dirname(np.__file__) + os.sep
 
-# Calls per report before the census reused the builder's orders (numpy
-# 2.4, CPython 3.11) -> the budget, which is the count after it.  For the two
-# 2-groups, "before" is before the catalog built them from tables alone, so
-# that the census could reuse their orders too.
+# Calls per report before a sweep group skipped what its answer never uses
+# (numpy 2.4, CPython 3.11) -> the budget, which is the count after it: an
+# element of order n as the generating set, no closure gather for a center
+# that is the whole group, no 4-abelian witness scan outside equality, and
+# squares read off the table's diagonal.
 BUDGET = {
-    "cyclic:12": 129,  # 171 before
-    "abelian:2,2,4": 142,  # 175 before
-    "dihedral:24": 146,  # 210 before
-    "quaternion:16": 160,  # 197 before
-    "symmetric:4": 153,  # 217 before
-    "heisenberg:3": 127,  # 161 before
-    "extraspecial:32:-": 180,  # 201 before
-    "almost-extraspecial:64": 194,  # 194 before
+    "cyclic:12": 98,  # 129 before
+    "abelian:2,2,4": 122,  # 142 before
+    "dihedral:24": 109,  # 146 before
+    "quaternion:16": 132,  # 160 before
+    "symmetric:4": 118,  # 153 before
+    "heisenberg:3": 105,  # 127 before
+    "extraspecial:32:-": 148,  # 180 before
+    "almost-extraspecial:64": 157,  # 194 before
 }
 
-# Calls per build_group before the catalog fills wrote their tables
-# directly -> the budget, which is the count after it.  A sweep builds every
-# group it reports, so blocking a fill must not cost a small group a call.
-# For the two 2-groups, "before" is the chain that built, centered and
-# checked every partial central product as a group.
+# Calls per build_group before the same change -> the budget, which is the
+# count after it: the descent counts misses instead of filling p-parts, a
+# square is one gather, and a circulant view comes from the ndarray
+# constructor, not as_strided.  A sweep builds every group it reports, so a
+# build must not cost a small group a call.
 BUILD_BUDGET = {
-    "cyclic:12": 46,  # 46 before
-    "abelian:2,2,4": 49,  # 55 before
-    "dihedral:24": 57,  # 61 before
-    "quaternion:16": 46,  # 50 before
-    "symmetric:4": 53,  # 58 before
-    "heisenberg:3": 39,  # 39 before
-    "extraspecial:32:-": 67,  # 215 before
-    "almost-extraspecial:64": 72,  # 386 before
+    "cyclic:12": 35,  # 46 before
+    "abelian:2,2,4": 41,  # 49 before
+    "dihedral:24": 43,  # 57 before
+    "quaternion:16": 38,  # 46 before
+    "symmetric:4": 39,  # 53 before
+    "heisenberg:3": 31,  # 39 before
+    "extraspecial:32:-": 57,  # 67 before
+    "almost-extraspecial:64": 60,  # 72 before
 }
 
 

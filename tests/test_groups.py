@@ -12,7 +12,6 @@ from cyclicdensity import (
     NoInverse,
     NotASubgroup,
     NotAssociative,
-    NotCentral,
     NotClosed,
     SizeLimitExceeded,
     Subgroup,
@@ -29,7 +28,13 @@ from cyclicdensity.groups import (
     _find_identity,
     _swap_to_zero,
 )
-from table_oracle import group_exponent, quotient_by_central, relabeled_copy, verify_group_invariants
+from table_oracle import (
+    NotCentral,
+    group_exponent,
+    quotient_by_central,
+    relabeled_copy,
+    verify_group_invariants,
+)
 
 
 def z3_table():

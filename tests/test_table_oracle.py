@@ -14,7 +14,6 @@ from census_oracle import structural
 from cyclicdensity import (
     FiniteGroup,
     NotASubgroup,
-    NotCentral,
     Subgroup,
     SweepConfig,
     build_group,
@@ -23,7 +22,7 @@ from cyclicdensity import (
     validate_table_with_report,
 )
 from cyclicdensity.groups import _generate
-from table_oracle import centrality_failure, closure_failure, require_central
+from table_oracle import NotCentral, centrality_failure, closure_failure, require_central
 
 SPECS = corpus_specs(SweepConfig(max_order=64))
 
