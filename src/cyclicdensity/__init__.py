@@ -14,7 +14,6 @@ from .density import (
     subgroup_count_identity_check,
 )
 from .errors import (
-    BadParameter,
     GroupError,
     InvalidArgument,
     NoIdentityAtZero,
@@ -25,7 +24,6 @@ from .errors import (
     ParseError,
     SizeLimitExceeded,
     SpecSyntaxError,
-    UnknownFamily,
 )
 from .groups import (
     FiniteGroup,

@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .arith import is_power_of, is_prime
-from .errors import BadParameter, ParseError, SpecSyntaxError, UnknownFamily
+from .errors import ParseError, SpecSyntaxError
 from .groups import (
     FiniteGroup,
     _block_budget,
@@ -221,13 +221,13 @@ FAMILY_NAMES = (*_FAMILIES, "product", "table")
 
 
 def _require(spec: GroupSpec) -> None:
-    """Raise BadParameter unless spec's parameters meet its family's rule."""
+    """Raise SpecSyntaxError unless spec's parameters meet its family's rule."""
     p = spec.params
     if spec.family == "extraspecial" and p[1] not in ("+", "-"):
-        raise BadParameter(f"extraspecial type must be '+' or '-', got {p[1]!r}")
+        raise SpecSyntaxError(f"extraspecial type must be '+' or '-', got {p[1]!r}")
     test, rule = _FAMILIES[spec.family][:2]
     if not test(*p):
-        raise BadParameter(rule.format(p=p))
+        raise SpecSyntaxError(rule.format(p=p))
 
 
 _MAX_TOKEN_DIGITS = 9  # longer tokens (leading zeros) take the line loop; int32 holds nine
@@ -432,7 +432,7 @@ def parse_group_spec(text: str, _pos: int = 0) -> GroupSpec:
         raise SpecSyntaxError(f"missing ':' after family name in {s!r}", position=_pos)
     family = head.strip()
     if family not in FAMILY_NAMES:
-        raise UnknownFamily(f"unknown group family {family!r}")
+        raise SpecSyntaxError(f"unknown group family {family!r}", position=_pos)
     body_pos = _pos + len(head) + 1
     if family == "table":
         if not body:
@@ -448,7 +448,8 @@ def parse_group_spec(text: str, _pos: int = 0) -> GroupSpec:
     if family == "extraspecial":
         order_text, sep2, sign = body.partition(":")
         if not sep2 or sign not in ("+", "-"):
-            raise BadParameter(f"extraspecial spec must end with ':+' or ':-', got {s!r}")
+            raise SpecSyntaxError(f"extraspecial spec must end with ':+' or ':-', got {s!r}",
+                                  position=body_pos)
         params = (_parse_int(order_text, body_pos, "order"), sign)
     elif family == "abelian":
         parts = body.split(",")
@@ -474,7 +475,7 @@ def build_group(spec: Union[str, GroupSpec], *, max_size: Optional[int] = None) 
     if f == "table":
         return load_table_with_report(p[0], max_size=max_size)[0]
     if f not in _FAMILIES:
-        raise UnknownFamily(f"unknown group family {f!r}")
+        raise SpecSyntaxError(f"unknown group family {f!r}")
     _require(spec)
     _, _, order, fill = _FAMILIES[f]
     label = spec.canonical()

@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .arith import euler_phi, unit_generators
-from .errors import InvalidArgument, NotClosed
-from .groups import FiniteGroup, Subgroup, _element_orders, _powers
+from .errors import InvalidArgument
+from .groups import FiniteGroup, Subgroup, _powers
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,23 +36,17 @@ def cyclic_subgroups(g: FiniteGroup) -> CyclicCensus:
     """Census of the cyclic subgroups by least generator: a minimum over
     orbits of the unit group (Z/n)^*, in O(n) memory, with no power walk.
 
-    Orders come from the table by divisor descent, never from g.ord: a built
-    group reuses its builder's (g._table_ord), one constructed directly derives
-    its own.  The units mod n map onto the units mod o(x), so the orbit of x
-    under x -> x^u is the set of generators of <x>.  For each generator u of
-    (Z/n)^*, of order m, pi = x -> x^u and ceil(log2 m) steps key = min(key,
-    key[pi]), pi = pi[pi] cover each cycle of pi, whose length divides m.  As
-    (Z/n)^* is abelian, its generators in turn cover each orbit of a group table.
+    The orders are the ones the builder derived from the table
+    (g._table_ord), never g.ord, which a caller may rebind.  The units mod n
+    map onto the units mod o(x), so the orbit of x under x -> x^u is the set
+    of generators of <x>.  For each generator u of (Z/n)^*, of order m,
+    pi = x -> x^u and ceil(log2 m) steps key = min(key, key[pi]),
+    pi = pi[pi] cover each cycle of pi, whose length divides m.  As (Z/n)^*
+    is abelian, its generators in turn cover each orbit of a group table.
     """
     if g._census is not None:
         return g._census
     n, ords = g.n, g._table_ord
-    if ords is None:
-        ords = _element_orders(g.table, np.arange(n) == 0)
-        if not ords.all():
-            raise NotClosed(f"powers of element {int(ords.argmin())} never reach the identity")
-        if (bad := np.flatnonzero(n % ords)).size:
-            raise NotClosed(f"order {int(ords[bad[0]])} of element {bad[0]} does not divide {n}")
     key = ids = np.arange(n, dtype=np.int32)
     for u, m in unit_generators(n):
         pi = _powers(g.table, ids, u)

@@ -57,16 +57,10 @@ class ParseError(GroupError):
 
 
 class SpecSyntaxError(GroupError):
-    """Malformed group-spec string; carries the 0-based position."""
+    """Malformed group-spec string, an unknown family, or parameters outside
+    their family's rule; carries the 0-based position where the parser has
+    one."""
 
     def __init__(self, message: str, position: int | None = None):
         super().__init__(message)
         self.position = position
-
-
-class UnknownFamily(GroupError):
-    """Group-spec names a family this catalog does not provide."""
-
-
-class BadParameter(GroupError):
-    """Group-spec parameter has the wrong shape for its family."""

@@ -88,7 +88,6 @@ class FiniteGroup:
         self._center: Optional[tuple] = None  # (members, bitmap), filled by center
         self._census = None  # filled lazily by density.cyclic_subgroups
         self._hist = None  # filled lazily by density._order_histogram
-        self._table_ord = None  # orders derived from the table, set only by _build
 
     def is_abelian(self) -> bool:
         return len(center(self)) == self.n
@@ -306,7 +305,7 @@ def _check_associativity(table: np.ndarray) -> np.ndarray:
     return _generate(table, check=light)
 
 
-_SCAN_BLOCK = 1 << 14  # ids per block of a failure-path scan; the least power-walk budget
+_SCAN_BLOCK = 1 << 14  # ids per block of a failure-path scan; the least _block_budget
 _ROW_BLOCK = 1 << 16  # entries per block of validation's n^2 passes, by measurement:
 # at n = 1024 Light's test took 25% less time in 2^16 blocks than in one pass, 8% in 2^14
 
@@ -330,36 +329,6 @@ def _first_failure(rows: int, cols: int,
     raise ValueError("no failing entry to report")
 
 
-def _power_walk(table: np.ndarray, visit: Callable) -> np.ndarray:
-    """Walk the powers x^1..x^n of every id x, a block of exponents at a time.
-
-    visit(k, ids, block) sees the live ids and block[i, j] = x^(k+j) for
-    x = ids[i], and returns the mask of rows that stay live.  P holds x^1..x^w,
-    so the next block x^(c+1)..x^(c+w) after x^c is the one gather
-    flat.take(x^c * n + P).  While the live rows times 2w fit max(_SCAN_BLOCK,
-    n^2/64) ids, P absorbs each new block and w doubles; after that w stays
-    fixed.  No block goes past x^n.  Returns the ids still live after x^n.
-    """
-    n, flat = table.shape[0], table.ravel()
-    step = n if n * n <= 2 ** 31 else np.intp(n)  # as in _powers
-    budget = _block_budget(n)
-    ids = np.arange(n, dtype=np.int32)
-    pw = ids[:, None]  # P: pw[i, j] = x^(j+1)
-    block, k, grow = pw, 1, True
-    while True:
-        block = block[:, :n + 1 - k]
-        live = visit(k, ids, block)
-        k, prev = k + block.shape[1], block[:, -1]
-        if not live.all():
-            ids, pw, prev = ids[live], pw[live], prev[live]
-        if not ids.size or k > n:
-            return ids
-        grow = grow and 2 * pw.size <= budget
-        block = flat.take((prev * step)[:, None] + pw)
-        if grow:
-            pw = np.hstack([pw, block])
-
-
 def _powers(table: np.ndarray, xs: np.ndarray, e: int) -> np.ndarray:
     """x^e for every x in xs, by square-and-multiply on the bits of e >= 0.
 
@@ -377,8 +346,9 @@ def _powers(table: np.ndarray, xs: np.ndarray, e: int) -> np.ndarray:
 
 
 def _element_orders(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """For every x, the least k >= 1 with x^k in mask (0 if there is none);
-    mask is {0} or a central subgroup Z, and its x have k = 1.
+    """For every x, the least k >= 1 with x^k in mask; mask is {0} or a
+    central subgroup Z, and its x have k = 1.  If some x^n misses mask the
+    table is no group: those x get 0 and the other entries mean nothing.
 
     Divisor descent (Cohen, A Course in Computational Algebraic Number
     Theory, 1993, 1.4): for each p^a exactly dividing n, with y = x^(n/p^a),
@@ -386,8 +356,8 @@ def _element_orders(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
     in mask a power stays there, so b is the count of misses, the j < a with
     y^(p^j) outside mask, added up one step y -> y^p at a time.  The
     premise is that every x^n lies in mask: as mask is a subgroup, the j
-    with x^j in mask are then the multiples of k, which divides n.  If some
-    x^n misses mask the table is no group, and one power walk gives k.
+    with x^j in mask are then the multiples of k, so k is the product of
+    the p^b and divides n.
     """
     n = table.shape[0]
     xs = (~mask).nonzero()[0].astype(np.int32)
@@ -397,30 +367,26 @@ def _element_orders(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
         for _ in range(a):
             miss += ~mask[y]
             y = _powers(table, y, p)
-        if not mask[y].all():  # y is now x^n
+        hit = mask[y]  # y is now x^n
+        if not hit.all():
+            ords[xs[~hit]] = 0
             break
         ords[xs] *= p ** miss
-    else:
-        return ords
-    ords = np.zeros(n, dtype=np.int32)
-
-    def visit(k, ids, block):
-        hit = mask[block]
-        done = hit.any(axis=1)
-        ords[ids[done]] = k + hit[done].argmax(axis=1)
-        return ~done
-
-    _power_walk(table, visit)
     return ords
 
 
 def _build(table: np.ndarray, label: str) -> FiniteGroup:
     """Internal builder for tables that are associative by construction.
 
-    Still checks the identity at 0, that the powers of every element reach
-    it, that the inverse candidate x^(n-1) = x^(o(x)-1) is two-sided and
-    that orders divide n, so constructor bugs cannot slip through silently;
-    the associativity check is validate_table_with_report's job.
+    Still checks the identity at 0, that every x^n is it and that the
+    inverse candidate x^(n-1) is two-sided, so constructor bugs cannot slip
+    through silently; associativity is validate_table_with_report's job.
+    Only here is _table_ord set: the orders the census and _generators read.
+
+    An x^n off the identity means no group.  In a finite monoid the units
+    are exactly the rows holding 0 (Howie, Fundamentals of Semigroup Theory,
+    1995, ch. 1), so the first row without 0 is the first id whose powers
+    never reach it; if every row holds 0, the table is not associative.
     """
     n = table.shape[0]
     ar = np.arange(n, dtype=np.int32)
@@ -428,15 +394,19 @@ def _build(table: np.ndarray, label: str) -> FiniteGroup:
         raise NoIdentityAtZero(f"constructed table for {label!r} lacks identity at 0")
     ord_ = _element_orders(table, ar == 0)
     if not ord_.all():
-        a = int(ord_.argmin())
-        raise NoInverse(f"element {a} has no two-sided inverse", element=a)
+        step = max(1, _ROW_BLOCK // n)
+        for lo in range(0, n, step):
+            lacks = ~(table[lo:lo + step] == 0).any(axis=1)
+            if lacks.any():
+                a = lo + int(lacks.argmax())
+                raise NoInverse(f"element {a} has no two-sided inverse", element=a)
+        raise ValueError(f"{label!r} is not associative: every row holds 0, "
+                         f"but x^{n} is not 0 for x = {int(ord_.argmin())}")
     inv = _powers(table, ar, n - 1)
     one_sided = (table[ar, inv] != 0) | (table[inv, ar] != 0)
     if one_sided.any():
         a = int(one_sided.argmax())
         raise NoInverse(f"element {a} has only a one-sided inverse {int(inv[a])}", element=a)
-    if (bad := np.flatnonzero(n % ord_)).size:
-        raise NotClosed(f"order {int(ord_[bad[0]])} of element {bad[0]} does not divide {n}")
     group = FiniteGroup(np.ascontiguousarray(table), inv, ord_, label)
     group._table_ord = ord_  # the census reads this, not g.ord, which a caller may rebind
     return group
@@ -472,9 +442,8 @@ def _generators(g: FiniteGroup) -> np.ndarray:
     whole group), else the greedy set of _generate.  g.ord, which a caller
     may rebind, is never read."""
     if g._gens is None:
-        ords = g._table_ord
-        top = -1 if ords is None else int(ords.argmax())
-        if top >= 0 and ords[top] == g.n:
+        top = int(g._table_ord.argmax())
+        if g._table_ord[top] == g.n:
             g._gens = np.array([top], dtype=np.intp)
             g._gens.setflags(write=False)
         else:

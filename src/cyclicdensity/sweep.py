@@ -16,7 +16,7 @@ from typing import Optional
 
 from .arith import is_prime
 from .catalog import FAMILY_NAMES, build_group
-from .errors import InvalidArgument, SizeLimitExceeded, UnknownFamily
+from .errors import InvalidArgument, SizeLimitExceeded
 from .groups import size_cap
 from .verify import AlphaReport, full_report
 
@@ -43,7 +43,7 @@ class SweepConfig:
             raise InvalidArgument("families must be nonempty")
         bad = sorted(set(self.families) - set(SWEEP_FAMILIES))
         if bad:
-            raise UnknownFamily(f"cannot sweep families: {', '.join(bad)}")
+            raise InvalidArgument(f"cannot sweep families: {', '.join(bad)}")
 
 
 @dataclass(frozen=True)

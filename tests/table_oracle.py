@@ -8,9 +8,10 @@ centrality_failure() compares the rows of Z with the transposed columns,
 and four_abelian_witness() compares (x y)^4 with x^4 y^4 for all n^2 pairs.
 
 The helpers after them serve only tests: group_exponent(),
-relabeled_copy(), and verify_group_invariants(), which re-derives every
+relabeled_copy(), with_orders() (a fresh copy of a group whose g.ord claims
+other orders), and verify_group_invariants(), which re-derives every
 invariant of a group from its raw table, with prove_orders() naming the
-first stored order that the table contradicts.  require_central() (which
+first stored order that the lockstep walk of power_oracle contradicts.  require_central() (which
 raises NotCentral, an error no library code needs) and
 quotient_by_central() build G/Z as a group of its own, the form the report
 replaced by reading exp(G/Z) off G's table.  extraspecial_chain()
@@ -45,12 +46,12 @@ from cyclicdensity import (
     center,
     validate_table_with_report,
 )
+import power_oracle
 from cyclicdensity.catalog import _circulant
 from cyclicdensity.groups import (
     _build,
     _central_cosets,
     _check_associativity,
-    _element_orders,
     _first_failure,
     _generators,
     _product_of_tables,
@@ -117,6 +118,15 @@ def relabeled_copy(g: FiniteGroup, perm: Sequence[int], label: Optional[str] = N
     return validate_table_with_report(table, label or f"{g.label} (relabeled)")[0]
 
 
+def with_orders(g: FiniteGroup, ords: np.ndarray, label: Optional[str] = None) -> FiniteGroup:
+    """A fresh validated copy of g whose g.ord is rebound to ords.  The
+    census and the generating set still read the orders _build derived from
+    the table; every check that reads g.ord sees ords."""
+    h = validate_table_with_report(g.table, label or f"tampered:{g.label}")[0]
+    h.ord = ords
+    return h
+
+
 def verify_group_invariants(g: FiniteGroup) -> None:
     """Re-derive every structural invariant from the raw table; raises on failure.
 
@@ -142,7 +152,7 @@ def prove_orders(table: np.ndarray, ords: np.ndarray) -> None:
     the first mismatch that walking x^1, x^2, ... of all x in lockstep meets
     (least k, then least x), else an x whose powers never reach 0."""
     n = table.shape[0]
-    true = _element_orders(table, np.arange(n) == 0)
+    true = power_oracle.element_orders(table, np.arange(n) == 0)
     true = np.where(true >= 1, true, n + 1)  # n + 1: never
     rec = np.where((ords >= 1) & (ords <= n), ords, n + 1)
     k = np.where(true != rec, np.minimum(true, rec), n + 1)

@@ -31,9 +31,8 @@ from cyclicdensity import (
     load_table_with_report,
 )
 from cyclicdensity import cli as cli_module
-from cyclicdensity.groups import FiniteGroup
 from cyclicdensity.sweep import SweepConfig, run_sweep
-from table_oracle import group_exponent
+from table_oracle import group_exponent, with_orders
 
 SWEEP_WALL_SECONDS = 60.0
 SPOT_WALL_SECONDS = 1.0
@@ -166,7 +165,7 @@ def test_criterion_10_error_path_contract(tmp_path, monkeypatch, capsys):
     assert proc.returncode == 2
     assert re.search(r"\(\d+\*\d+\)\*\d+", proc.stderr), proc.stderr
 
-    # impossible family parameter: exit 2 via BadParameter
+    # impossible family parameter: exit 2 via SpecSyntaxError
     proc = subprocess.run(
         [sys.executable, "-m", "cyclicdensity", "verify", "--group",
          "extraspecial:24:+"],
@@ -180,7 +179,7 @@ def test_criterion_10_error_path_contract(tmp_path, monkeypatch, capsys):
     real = build_group("dihedral:8")
     bad_ord = real.ord.copy()
     bad_ord[4] = 4
-    double = FiniteGroup(real.table, real.inv, bad_ord, "dihedral:8")
+    double = with_orders(real, bad_ord, "dihedral:8")
     monkeypatch.setattr(cli_module, "build_group", lambda *a, **k: double)
     code = cli_module.main(["verify", "--group", "dihedral:8"])
     captured = capsys.readouterr()

@@ -18,7 +18,6 @@ from census_oracle import (
     structural,
 )
 from cyclicdensity import (
-    FiniteGroup,
     SweepConfig,
     alpha,
     average_order,
@@ -39,6 +38,7 @@ from table_oracle import (
     group_exponent,
     quotient_by_central,
     relabeled_copy,
+    with_orders,
 )
 
 
@@ -62,7 +62,7 @@ def assert_matches_oracle(g):
     report = full_report(g)
     assert (report.alpha_z, report.avg_order_z, report.center_order) == (
         a_z, avg_z, z_order), g.label
-    # exp(G/Z) from the power walk on G's table, against the rebuilt G/Z
+    # exp(G/Z) from the divisor descent on G's table, against the rebuilt G/Z
     quotient = quotient_by_central(g, z)
     assert report.quotient_exponent == group_exponent(quotient), g.label
     assert np.array_equal(quotient.table, quotient_table(g, z.members)), g.label
@@ -133,7 +133,7 @@ def tampered(g, changes):
     ords = g.ord.copy()
     for x, o in changes.items():
         ords[x] = o
-    return FiniteGroup(g.table, g.inv, ords, f"tampered:{g.label}")
+    return with_orders(g, ords)
 
 
 def reversed_ids(g):

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from census_oracle import cyclic_subgroup_sets, least_generator
 from cyclicdensity import (
-    FiniteGroup,
     GroupSpec,
+    NoInverse,
     NotClosed,
     alpha,
     alpha_via_totient,
@@ -21,8 +21,9 @@ from cyclicdensity import (
     census_matches_orders,
     cyclic_subgroups,
     subgroup_count_identity_check,
+    validate_table_with_report,
 )
-from table_oracle import group_exponent, prove_orders
+from table_oracle import group_exponent, prove_orders, with_orders
 
 
 def test_census_d8(d8):
@@ -124,7 +125,7 @@ def test_count_identity_report_agreement(d8):
 def test_count_identity_report_discrepancy(d8):
     bad_ord = d8.ord.copy()
     bad_ord[4] = 4  # reflection 4 really has order 2
-    fake = FiniteGroup(d8.table, d8.inv, bad_ord, "tampered:dihedral:8")
+    fake = with_orders(d8, bad_ord)
     ok, message = subgroup_count_identity_check(fake)
     assert not ok
     assert "enumeration finds 7" in message
@@ -147,7 +148,7 @@ def test_census_proves_stored_orders(d8):
     with pytest.raises(NotClosed, match=r"element 2 has recorded order 4, but x\^2 is the identity"):
         prove_orders(z4.table, np.array([1, 4, 4, 4], dtype=np.int32))
     # the census then counts from the table, never from the tampered order
-    fake = FiniteGroup(d8.table, d8.inv, bad_ord, "tampered:dihedral:8")
+    fake = with_orders(d8, bad_ord)
     census = cyclic_subgroups(fake)
     assert (census.count, census.by_order) == (7, {1: 1, 2: 5, 4: 1})
     assert not census_matches_orders(fake)
@@ -166,12 +167,12 @@ def test_census_of_a_built_group_ignores_a_rebound_order_array():
 
 
 def test_census_raises_when_powers_never_reach_identity():
-    # not a group: 2 * 2 = 2, so no recomputed order can rescue the census
+    # Z2 with a zero adjoined (2 * x = 2) is a monoid, not a group: no group
+    # reaches the census, as validation names 2, whose powers never reach 0
     table = np.array([[0, 1, 2], [1, 0, 2], [2, 2, 2]], dtype=np.int32)
-    broken = FiniteGroup(table, np.arange(3, dtype=np.int32),
-                         np.array([1, 2, 3], dtype=np.int32), "broken")
-    with pytest.raises(NotClosed, match="element 2"):
-        cyclic_subgroups(broken)
+    with pytest.raises(NoInverse, match="element 2 has no two-sided inverse") as err:
+        validate_table_with_report(table)
+    assert err.value.element == 2
 
 
 def test_alpha_range_and_exponent_two_characterization():

@@ -34,6 +34,7 @@ from table_oracle import (
     quotient_by_central,
     relabeled_copy,
     verify_group_invariants,
+    with_orders,
 )
 
 
@@ -263,11 +264,9 @@ def test_invariants_audit_all_families():
 
 
 def test_invariants_catch_tampered_orders(d8):
-    from cyclicdensity.groups import FiniteGroup
-
     bad_ord = d8.ord.copy()
     bad_ord[4] = 4  # a reflection really has order 2
-    fake = FiniteGroup(d8.table, d8.inv, bad_ord, "tampered")
+    fake = with_orders(d8, bad_ord, "tampered")
     with pytest.raises(NotClosed):
         verify_group_invariants(fake)
 

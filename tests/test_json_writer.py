@@ -24,13 +24,14 @@ from cyclicdensity import (
     run_sweep,
 )
 from cyclicdensity.sweep import SWEEP_FAMILIES
+from table_oracle import with_orders
 
 
 def tampered(spec: str, x: int, o: int) -> FiniteGroup:
     g = build_group(spec)
     ords = g.ord.copy()
     ords[x] = o
-    return FiniteGroup(g.table, g.inv, ords, f"tampered:{spec}")
+    return with_orders(g, ords, f"tampered:{spec}")
 
 
 REPORTS = (

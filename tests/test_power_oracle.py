@@ -1,11 +1,9 @@
 """Divisor-descent orders, the builder's inverses x^(n-1), the unit-orbit
 census and the order proof, against the lockstep walks and the n^2 inverse
-pass of power_oracle; the blocked power walk; and the NoInverse contract of
-the builder."""
+pass of power_oracle; and the NoInverse contract of the builder, whose row
+scan names the first non-unit of a monoid."""
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 import pytest
@@ -13,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import power_oracle
 from cyclicdensity import (
-    FiniteGroup,
     NoInverse,
     NotClosed,
     SweepConfig,
@@ -25,7 +22,7 @@ from cyclicdensity import (
     validate_table_with_report,
 )
 from cyclicdensity.arith import unit_generators
-from cyclicdensity.groups import _build, _element_orders, _power_walk, _powers
+from cyclicdensity.groups import _build, _element_orders, _powers
 from table_oracle import prove_orders, relabeled_copy
 
 
@@ -153,15 +150,16 @@ def test_powers_that_never_reach_the_identity_raise_the_oracle_text(ords):
     [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
 ])
 def test_census_rejects_orders_that_do_not_divide_n(table):
-    # not a group: the powers reach the identity, at an order n is no multiple
-    # of, so the unit-orbit premise fails and the census names the least such x
+    # not a group, nor associative: every row holds the identity and the
+    # powers reach it, at an order n is no multiple of, so x^n misses it;
+    # no census sees such a table, as the builder names the least such x
+    # as an internal fault, not a GroupError
     table = np.array(table, dtype=np.int32)
     n = table.shape[0]
     ords = power_oracle.element_orders(table, np.arange(n) == 0)
     x = int(np.flatnonzero(n % ords)[0])
-    fake = FiniteGroup(table, np.arange(n, dtype=np.int32), ords, "not-a-group")
-    with pytest.raises(NotClosed, match=f"order {ords[x]} of element {x} does not divide {n}"):
-        cyclic_subgroups(fake)
+    with pytest.raises(ValueError, match=f"not associative: .* x\\^{n} .* for x = {x}$"):
+        _build(table, "not-a-group")
 
 
 def n2_verdict(table: np.ndarray):
@@ -225,25 +223,21 @@ def test_monoids_name_the_oracle_element(table):
 
 
 def test_one_sided_inverse_is_rejected():
-    # 1 * 1 = 2 and 2 * 1 = 0, so o(1) = 3 with x^2 = 2, but 1 * 2 = 1
+    # 2 * 1 = 0, but 1 has no right inverse: 2^3 = 2 misses the identity,
+    # and the row scan names 1, whose row [1, 2, 1] is the first to lack it
     table = np.array([[0, 1, 2], [1, 2, 1], [2, 0, 0]], dtype=np.int32)
-    ords, inv = _element_orders(table, np.arange(3) == 0), _powers(table, np.arange(3), 2)
-    assert ords.all() and inv[1] == 2
-    with pytest.raises(NoInverse) as err:
+    assert not _element_orders(table, np.arange(3) == 0).all()
+    with pytest.raises(NoInverse, match="^element 1 has no two-sided inverse$") as err:
         _build(table, "one-sided")
     assert err.value.element == 1
 
 
-def test_blocks_cover_every_exponent_once():
-    # every x^k, k = 1..n, is seen exactly once, whatever the block widths
-    for n in (1, 2, 5, 64, 300):
-        table = (np.add.outer(np.arange(n), np.arange(n)) % n).astype(np.int32)
-        seen = []
-
-        def visit(k, ids, block):
-            seen.extend(itertools.product(ids.tolist(), range(k, k + block.shape[1])))
-            assert np.array_equal(block, np.outer(ids, np.arange(k, k + block.shape[1])) % n)
-            return np.ones(ids.size, dtype=bool)
-
-        assert _power_walk(table, visit).size == n
-        assert sorted(seen) == list(itertools.product(range(n), range(1, n + 1)))
+def test_one_sided_inverse_candidate_is_rejected():
+    # every x^4 is the identity (3^2 = 1, 1^2 = 0), so the descent succeeds,
+    # but the inverse candidate of 3 is 3^3 = 1 * 3 = 0, and 3 * 0 = 3
+    table = np.array([[0, 1, 2, 3], [1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 1]], dtype=np.int32)
+    assert _element_orders(table, np.arange(4) == 0).all()
+    assert _powers(table, np.arange(4), 3)[3] == 0
+    with pytest.raises(NoInverse, match="^element 3 has only a one-sided inverse 0$") as err:
+        _build(table, "one-sided")
+    assert err.value.element == 3

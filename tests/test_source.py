@@ -43,36 +43,52 @@ def test_verify_path_rebuilds_no_group():
     assert not found, f"group rebuilt on the verify path: {found}"
 
 
+def _outside_build(path, tree):
+    """The nodes of a parsed module that lie outside groups._build."""
+    inside = {
+        id(node) for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and (path.name, func.name) == ("groups.py", "_build")
+        for node in ast.walk(func)
+    }
+    return (node for node in ast.walk(tree) if id(node) not in inside)
+
+
 def test_only_build_constructs_a_group():
     # _build derives every group's inverses and orders from its table, which
     # the census reads; a group constructed elsewhere would lack them
-    found = []
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        inside_build = {
-            id(node) for func in ast.walk(tree)
-            if isinstance(func, ast.FunctionDef) and (path.name, func.name) == ("groups.py", "_build")
-            for node in ast.walk(func)
-        }
-        found += [
-            f"{path.relative_to(SRC)}:{node.lineno}" for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and id(node) not in inside_build
-            and "FiniteGroup" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-        ]
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in _outside_build(path, ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "FiniteGroup" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
     assert not found, f"FiniteGroup constructed outside groups._build: {found}"
 
 
-def test_census_walks_no_powers():
-    # the census is a minimum over unit-group orbits; the power walk is only
-    # the fallback of the order descent for tables that are no group
-    pattern = re.compile(r"\b_power_walk\b")
+def test_only_build_sets_the_table_orders():
+    # the census and the generating set trust _table_ord without a check, so
+    # only _build, which derives it from the table, may write it
     found = [
-        f"density.py:{lineno}"
-        for lineno, line in enumerate(
-            (SRC / "cyclicdensity" / "density.py").read_text().splitlines(), start=1)
-        if pattern.search(line)
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in _outside_build(path, ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "_table_ord"
+        and isinstance(node.ctx, (ast.Store, ast.Del))
     ]
-    assert not found, f"power walk in the census: {found}"
+    assert not found, f"_table_ord written outside groups._build: {found}"
+
+
+def test_no_power_walk_in_src():
+    # element orders have one route, the divisor descent; a table that is no
+    # group is named by a row scan, not by walking its powers
+    found = [
+        f"{path.relative_to(SRC)}:{lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(r"\b_power_walk\b", line)
+    ]
+    assert not found, f"power walk in src/: {found}"
 
 
 def _runs_at_import(tree):

@@ -6,7 +6,6 @@ from cyclicdensity import (
     InvalidArgument,
     SizeLimitExceeded,
     SweepConfig,
-    UnknownFamily,
     build_group,
     corpus_specs,
     run_sweep,
@@ -68,7 +67,7 @@ def test_config_validation():
         SweepConfig(parallelism=0)
     with pytest.raises(InvalidArgument):
         SweepConfig(families=())
-    with pytest.raises(UnknownFamily):
+    with pytest.raises(InvalidArgument, match="^cannot sweep families: sporadic$"):
         SweepConfig(families=("cyclic", "sporadic"))
 
 

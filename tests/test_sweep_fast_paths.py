@@ -3,7 +3,8 @@
 A group whose table orders hold an element of order n takes that element
 as its whole generating set S; the center and the 4-abelian check must
 read the same off it as off the greedy set of _generate.  Orders that a
-caller rebinds, and groups constructed by hand, must not reach that path.
+caller rebinds must not reach that path: only _build sets the table
+orders it reads.
 A Subgroup over all of its parent skips the closure gather but not the
 inverse check.  full_report scans for a 4-abelian witness only under
 equality, and per_coset_analysis sums in int64 only while no sum can
@@ -27,7 +28,7 @@ from cyclicdensity import (
     per_coset_analysis,
 )
 from cyclicdensity.groups import _generate, _generators
-from table_oracle import four_abelian_witness
+from table_oracle import four_abelian_witness, with_orders
 
 
 def with_greedy_generators(spec: str) -> FiniteGroup:
@@ -58,13 +59,6 @@ def test_rebound_orders_do_not_choose_the_generator():
     ords[1] = 8  # the rotation r, of order 4, claims order 8
     g.ord = ords
     assert center(g).members.tolist() == [0, 2]
-
-
-def test_a_hand_built_group_takes_the_greedy_set():
-    built = build_group("abelian:3,4")  # cyclic; its least id of order 12 is 5
-    assert _generators(built).tolist() == [5]
-    g = FiniteGroup(built.table, built.inv, built.ord, "by hand")
-    assert _generators(g).tolist() == _generate(built.table).tolist() != [5]
 
 
 class RecordedReads(np.ndarray):
@@ -104,5 +98,5 @@ def test_per_coset_sums_past_int64_match_the_oracle():
     g = build_group("cyclic:8")
     ords = g.ord.copy()
     ords[1], ords[3] = 1869493123, 1869493259
-    fake = FiniteGroup(g.table, g.inv, ords, "tampered:cyclic:8")
+    fake = with_orders(g, ords)
     assert per_coset_analysis(fake) == per_coset_findings(fake)

@@ -22,7 +22,13 @@ from cyclicdensity import (
     validate_table_with_report,
 )
 from cyclicdensity.groups import _generate
-from table_oracle import NotCentral, centrality_failure, closure_failure, require_central
+from table_oracle import (
+    NotCentral,
+    centrality_failure,
+    closure_failure,
+    require_central,
+    with_orders,
+)
 
 SPECS = corpus_specs(SweepConfig(max_order=64))
 
@@ -110,7 +116,7 @@ def test_centrality_matches_oracle_on_cyclic_subgroups(spec):
 def with_order(g, x: int, o: int) -> FiniteGroup:
     ords = g.ord.copy()
     ords[x] = o
-    return FiniteGroup(g.table, g.inv, ords, f"tampered:{g.label}")
+    return with_orders(g, ords)
 
 
 # A group with a central odd part has a unique Sylow 2-subgroup, so no

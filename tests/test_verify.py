@@ -21,8 +21,7 @@ from cyclicdensity import (
     per_coset_analysis,
     structural_condition,
 )
-from cyclicdensity.groups import FiniteGroup
-from table_oracle import relabeled_copy
+from table_oracle import relabeled_copy, with_orders
 
 
 def test_inequality_d8(d8):
@@ -263,7 +262,7 @@ def test_report_relabel_invariant(d8, q8, pauli16, s4):
 def test_tampered_orders_produce_findings(d8):
     bad_ord = d8.ord.copy()
     bad_ord[4] = 4  # reflection 4 really has order 2
-    fake = FiniteGroup(d8.table, d8.inv, bad_ord, "tampered:dihedral:8")
+    fake = with_orders(d8, bad_ord)
     report = full_report(fake)
     assert report.findings
     joined = "\n".join(report.findings)
