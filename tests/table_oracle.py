@@ -11,8 +11,8 @@ The helpers after them serve only tests: group_exponent(),
 relabeled_copy(), with_orders() (a fresh copy of a group whose g.ord claims
 other orders), and verify_group_invariants(), which re-derives every
 invariant of a group from its raw table, with prove_orders() naming the
-first stored order that the lockstep walk of power_oracle contradicts.  require_central() (which
-raises NotCentral, an error no library code needs) and
+first stored order that the lockstep walk of power_oracle contradicts.
+require_central() (which raises NotCentral, an error no library code needs) and
 quotient_by_central() build G/Z as a group of its own, the form the report
 replaced by reading exp(G/Z) off G's table.  extraspecial_chain()
 and almost_extraspecial_chain() build those families as the group-level
@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+import power_oracle
 from cyclicdensity import (
     FiniteGroup,
     GroupError,
@@ -46,7 +47,6 @@ from cyclicdensity import (
     center,
     validate_table_with_report,
 )
-import power_oracle
 from cyclicdensity.catalog import _circulant
 from cyclicdensity.groups import (
     _build,
