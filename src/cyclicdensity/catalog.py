@@ -27,6 +27,7 @@ from .groups import (
     _block_budget,
     _build,
     _check_cap,
+    _id_dtype,
     _product_of_tables,
     direct_product,
     validate_table_with_report,
@@ -50,19 +51,20 @@ def _circulant(row: np.ndarray, sign: int) -> np.ndarray:
 
 
 # Each fill takes a spec's parameters, which have passed the family's rule,
-# and returns the family's int32 table, associative by construction.
+# and returns the family's table of _id_dtype(order) ids, associative by
+# construction.
 
 def _cyclic(n: int) -> np.ndarray:
     """Cyclic group of order n; id i is the i-th power of the generator."""
-    return _circulant(np.arange(n, dtype=np.int32), 1).copy()
+    return _circulant(np.arange(n, dtype=_id_dtype(n)), 1).copy()
 
 
 def _abelian_table(orders: tuple[int, ...]) -> np.ndarray:
     """Table of Z_n1 + Z_n2 + ..., a right fold of circulant views; one
     factor is the view itself."""
-    table = _circulant(np.arange(orders[-1], dtype=np.int32), 1)
+    table = _circulant(np.arange(orders[-1], dtype=_id_dtype(orders[-1])), 1)
     for n in orders[-2::-1]:  # the accumulated table is the broadcast's inner axis
-        table = _product_of_tables(_circulant(np.arange(n, dtype=np.int32), 1), table)
+        table = _product_of_tables(_circulant(np.arange(n, dtype=_id_dtype(n)), 1), table)
     return table
 
 
@@ -86,8 +88,8 @@ def _abelian(*orders: int) -> np.ndarray:
 def _dihedral(order: int) -> np.ndarray:
     """Dihedral group with `order` elements: rotations at 0..n-1, reflections at n..2n-1."""
     n = order // 2
-    i = np.arange(n, dtype=np.int32)
-    t = np.empty((order, order), dtype=np.int32)
+    i = np.arange(n, dtype=_id_dtype(order))  # n + i stays below the order
+    t = np.empty((order, order), dtype=_id_dtype(order))
     t[:n, :n] = _circulant(i, 1)           # r^a r^b
     t[:n, n:] = _circulant(n + i, -1)      # r^a (s r^b) = s r^(b-a)
     t[n:, :n] = _circulant(n + i, 1)       # (s r^a) r^b = s r^(a+b)
@@ -103,8 +105,8 @@ def _quaternion(order: int) -> np.ndarray:
     """
     n = order // 4
     two_n = 2 * n
-    i = np.arange(two_n, dtype=np.int32)
-    t = np.empty((order, order), dtype=np.int32)
+    i = np.arange(two_n, dtype=np.int32)  # -i in uint16 would wrap; the assignments cast
+    t = np.empty((order, order), dtype=_id_dtype(order))
     t[:two_n, :two_n] = _circulant(i, 1)                        # a^i a^j
     t[:two_n, two_n:] = _circulant(two_n + i, 1)                # a^i (a^j b) = a^(i+j) b
     t[two_n:, :two_n] = _circulant(two_n + (-i) % two_n, -1)    # (a^i b) a^j = a^(i-j) b
@@ -115,19 +117,26 @@ def _quaternion(order: int) -> np.ndarray:
 def _symmetric(degree: int) -> np.ndarray:
     """Symmetric group S_degree; ids enumerate permutations in lexicographic order.
 
-    A permutation p has the code sum of p[x] * w[x], w[x] = d^(d-1-x), whose
-    numeric order is the lexicographic one, so lut[code] is its id.  The
-    product of ids i and j is x -> p_i[p_j[x]], whose code is the sum over y
-    of p_i[y] * w[p_j^-1(y)]: one integer matrix product per block of rows.
+    A permutation p has the code sum of p[x] * w[x], w[x] = d^(d-2-x) for
+    x < d - 1 and w[d-1] = 0: its first d - 1 entries, which fix the last,
+    as a number whose order is the lexicographic one, so lut[code] is its
+    id.  The product of ids i and j is x -> p_i[p_j[x]], whose code is the
+    sum over y of p_i[y] * w[p_j^-1(y)]: one integer matrix product per
+    block of rows.  A block is a quarter of _block_budget: its int32 codes
+    and their intp cast, as lut's index, take 6x the bytes of its rows.
     """
     n = math.factorial(degree)
-    perms = np.array(list(itertools.permutations(range(degree))), dtype=np.int32)
-    w = degree ** np.arange(degree - 1, -1, -1, dtype=np.int32)
-    lut = np.empty(degree ** degree, dtype=np.int16)  # ids are below 7! = 5040
-    lut[perms @ w] = np.arange(n)
-    w_inv = w[perms.argsort(axis=1)].T  # w_inv[y, j] = w[p_j^-1(y)]
-    table = np.empty((n, n), dtype=np.int32)
-    step = max(1, _block_budget(n) // n)
+    # one row per permutation, with no list of n tuples alive on the way
+    perms = np.fromiter(itertools.permutations(range(degree)),
+                        dtype=np.dtype((np.int32, degree)), count=n)
+    w = degree ** np.arange(degree - 1, -1, -1, dtype=np.int32) // degree  # 1 // d = 0
+    ids = np.arange(n, dtype=_id_dtype(n))
+    lut = np.empty(degree ** (degree - 1), dtype=ids.dtype)
+    lut[perms @ w] = ids
+    w_inv = np.empty((degree, n), dtype=np.int32)  # w_inv[y, j] = w[p_j^-1(y)]
+    w_inv[perms.T, ids] = w[:, None]  # at y = p_j[x] goes w[x]
+    table = np.empty((n, n), dtype=ids.dtype)
+    step = max(1, _block_budget(n) // (4 * n))
     for lo in range(0, n, step):
         table[lo : lo + step] = lut[perms[lo : lo + step] @ w_inv]
     return table
@@ -135,16 +144,27 @@ def _symmetric(degree: int) -> np.ndarray:
 
 def _heisenberg(p: int) -> np.ndarray:
     """Heisenberg group of order p^3 for an odd prime p: upper unitriangular
-    3x3 matrices over Z_p, encoded as (a, b, c) -> c*p^2 + a*p + b."""
-    n = p ** 3
-    c, rem = np.divmod(np.arange(n, dtype=np.int32), p * p)
+    3x3 matrices over Z_p, encoded as (a, b, c) -> c*p^2 + a*p + b.
+
+    The p^2 rows with c = 0 come from the product rule a block at a time.
+    z = (0, 0, 1) is central and z (a, b, c) = (a, b, c + 1), the id plus
+    p^2 mod n, so row x + p^2 is (z x) y = z (x y): each later block of p^2
+    rows is one gather of the block before it.
+    """
+    n, pp = p ** 3, p * p
+    # every value below is under n, so the table's own type holds it exactly
+    c, rem = np.divmod(np.arange(n, dtype=_id_dtype(n)), pp)
     a, b = np.divmod(rem, p)
-    table = np.empty((n, n), dtype=np.int32)
+    table = np.empty((n, n), dtype=c.dtype)
     step = max(1, _block_budget(n) // n)
-    for lo in range(0, n, step):
-        # (a,b,c) * (a',b',c') = (a+a', b+b', c+c'+a*b')
-        a1, b1, c1 = a[lo : lo + step, None], b[lo : lo + step, None], c[lo : lo + step, None]
-        table[lo : lo + step] = ((c1 + c + a1 * b) % p * p + (a1 + a) % p) * p + (b1 + b) % p
+    for lo in range(0, pp, step):
+        hi = min(lo + step, pp)
+        # (a,b,0) * (a',b',c') = (a+a', b+b', c'+a*b')
+        a1, b1 = a[lo:hi, None], b[lo:hi, None]
+        table[lo:hi] = ((c + a1 * b) % p * p + (a1 + a) % p) * p + (b1 + b) % p
+    z = (c + 1) % p * pp + rem  # z[v] is the id of z v
+    for lo in range(pp, n, pp):
+        table[lo : lo + pp] = z[table[lo - pp : lo]]
     return table
 
 
@@ -153,16 +173,22 @@ def _central_product(gt: np.ndarray, ht: np.ndarray) -> np.ndarray:
     factors, as of dihedral:8, quaternion:8, cyclic:4 and their central
     products.  With (a, b) as id a * |H| + b, the least pair of each coset
     {(a, b), (a 2, b 2)} has a < a 2; those number the quotient in id
-    order, gathered from the factor tables, and keep the involution at 2."""
+    order, gathered from the factor tables, and keep the involution at 2.
+    The ranks, their multiples of |H| and the table are of the product's
+    _id_dtype, where every id fits."""
     nh, pg, ph = ht.shape[0], gt[:, 2], ht[:, 2]
-    reps = (np.arange(gt.shape[0]) < pg).nonzero()[0]
-    rank = np.empty(gt.shape[0], dtype=np.int32)
-    rank[reps] = np.arange(reps.size)
+    r = gt.shape[0] // 2  # the cosets {a, a 2} of G's involution
+    ids = np.arange(max(2 * r, nh), dtype=_id_dtype(r * nh))  # G's and H's ids
+    reps = (ids[:2 * r] < pg).nonzero()[0]
+    rank = np.empty(2 * r, dtype=ids.dtype)
+    rank[reps] = rank[pg[reps]] = ids[:r]  # a and a 2 lead pairs of one coset
     ga = gt[reps[:, None], reps]
     flip = pg[ga] < ga  # (a a', b b') is not least: its coset is (a a' 2, b b' 2)
-    out = np.where(flip[:, None, :, None], ph[ht][None, :, None, :], ht[None, :, None, :])
-    out += (rank[np.where(flip, pg[ga], ga)] * nh)[:, None, :, None]
-    return out.reshape(reps.size * nh, -1)
+    high = (rank[ga] * nh)[:, None, :, None]
+    del ga  # the r x r gathers are gone before the table is allocated
+    out = np.where(flip[:, None, :, None], ids[ph[ht]][None, :, None, :], ids[ht][None, :, None, :])
+    out += high
+    return out.reshape(r * nh, -1)
 
 
 def _extraspecial(order: int, sign: str) -> np.ndarray:
@@ -236,8 +262,9 @@ _BLANKS = re.compile(rb"[ \n]*")
 
 
 def _canonical_table(data: bytes, max_size: Optional[int], label: str) -> Optional[np.ndarray]:
-    """The (n, n) int32 table of a canonical file, parsed a block of whole
-    lines (about _PARSE_BLOCK bytes) at a time, or None for any other file.
+    """The (n, n) _id_dtype(n) table of a canonical file, parsed a block of
+    whole lines (about _PARSE_BLOCK bytes) at a time, or None for any other
+    file.
 
     Canonical: every byte is an ASCII digit, ' ' or '\\n'; the first
     non-blank line holds one token n >= 1; exactly n non-blank lines follow
@@ -280,7 +307,7 @@ def _canonical_table(data: bytes, max_size: Optional[int], label: str) -> Option
     _check_cap(n, max_size, f"table {label!r}")
     if rows != n:
         return None
-    table = np.empty((n, n), dtype=np.int32)
+    table = np.empty((n, n), dtype=_id_dtype(n))
     flat = table.ravel()
     for lo, hi, at in blocks:
         values = np.fromstring(data[lo:hi], dtype=np.int32, sep=" ")

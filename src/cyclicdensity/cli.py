@@ -120,11 +120,13 @@ def _report_json(r: AlphaReport, label: str, pad: str = "") -> str:
     """json.dumps(report_to_dict(r), indent=2) at indent pad, with the label
     already encoded; every other value is an int, a bool or digits/digits."""
     p, q, b = pad + "  ", pad + "      ", _JSON_BOOL
-    steps = [
-        f'{{\n{q}"k": {c.k},\n{q}"sum": "{_frac(c.coset_sum)}",\n'
+    distinct = {id(c): c for c in r.proof_steps}  # equal cosets share one CosetCheck
+    text = {
+        key: f'{{\n{q}"k": {c.k},\n{q}"sum": "{_frac(c.coset_sum)}",\n'
         f'{q}"order_identity": {b[c.order_identity]},\n{q}"divisibility": {b[c.divisibility]},\n'
         f'{q}"coset_inequality": {b[c.coset_inequality]},\n{q}"is_center": {b[c.is_center]}\n'
-        f'{p}  }}' for c in r.proof_steps]
+        f'{p}  }}' for key, c in distinct.items()}
+    steps = [text[id(c)] for c in r.proof_steps]
     return (
         f'{{\n{p}"label": {label},\n{p}"order": {r.order},\n{p}"cyclic_count": {r.cyclic_count},\n'
         f'{p}"alpha_g": "{_frac(r.alpha_g)}",\n{p}"alpha_z": "{_frac(r.alpha_z)}",\n'

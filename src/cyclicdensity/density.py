@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -61,9 +61,10 @@ def cyclic_subgroups(g: FiniteGroup) -> CyclicCensus:
     return g._census
 
 
-def _members(g: FiniteGroup, sub: Optional[Subgroup]) -> np.ndarray:
+def _members(g: FiniteGroup, sub: Optional[Subgroup]) -> Union[slice, np.ndarray]:
+    """An index of g's per-id arrays that selects sub's ids, or all of them."""
     if sub is None:
-        return np.arange(g.n)
+        return slice(None)
     if sub.parent is not g:
         raise InvalidArgument("subgroup does not belong to this group")
     return sub.members
@@ -72,17 +73,18 @@ def _members(g: FiniteGroup, sub: Optional[Subgroup]) -> np.ndarray:
 def alpha(g: FiniteGroup, sub: Optional[Subgroup] = None) -> Fraction:
     """Cyclic-subgroup density |C(G)| / |G| from the census; with sub, the
     density |C(H)| / |H| of that subgroup, from the census roots in H."""
-    members = _members(g, sub)
-    return Fraction(int(cyclic_subgroups(g).roots[members].sum()), members.size)
+    roots = cyclic_subgroups(g).roots[_members(g, sub)]
+    return Fraction(int(roots.sum()), roots.size)
 
 
 def _order_histogram(g: FiniteGroup) -> tuple[list, np.ndarray, list]:
     """(orders, at, counts) of g.ord, found once per group: its distinct
     values, the index of each id's value (g.ord == orders[at]) and how often
-    each occurs."""
+    each occurs.  at is a binary search in the sorted distinct values,
+    cheaper than the stable argsort of np.unique's inverse."""
     if g._hist is None:
-        orders, at, counts = np.unique(g.ord, return_inverse=True, return_counts=True)
-        g._hist = (orders.tolist(), at, counts.tolist())
+        orders, counts = np.unique(g.ord, return_counts=True)
+        g._hist = (orders.tolist(), orders.searchsorted(g.ord), counts.tolist())
     return g._hist
 
 

@@ -3,7 +3,8 @@
 checks are built on.
 
 Element ids are 0..n-1 with the identity always at 0.  Tables loaded from
-external sources are re-indexed to honor that convention.
+external sources are re-indexed to honor that convention.  A table of
+order n holds its ids as _id_dtype(n): uint16 below 2^16, int32 above.
 
 Each group carries one generating set S, and the center and the closure of
 sets over 128 ids work from one in O(n |S|) instead of comparing all n^2
@@ -65,12 +66,23 @@ def _check_cap(n: int, max_size: Optional[int], what: str) -> None:
         raise SizeLimitExceeded(f"{what} has order {n}, over the cap {cap}")
 
 
+def _id_dtype(n: int) -> type:
+    """The entry type of a table of order n: uint16 while n < 2^16, so that
+    every id and n itself fit (n is the fill for "no id"), else int32.  Only
+    storage narrows: index arithmetic such as x * n + y runs in int32 or
+    intp, never in the table's type."""
+    return np.uint16 if n < 1 << 16 else np.int32
+
+
 class FiniteGroup:
     """Immutable finite group on ids 0..n-1, identity at 0.
 
-    Construct via validate_table_with_report or the catalog builders; the
-    constructor assumes its arguments are consistent and is not part of the
-    public API.
+    table is a read-only, C-contiguous (n, n) array of _id_dtype(n) ids;
+    inv and ord are int32 vectors.  Only the builders construct a group:
+    validate_table_with_report, build_group, direct_product and
+    Subgroup.as_group.  They derive the orders the census reads, which a
+    group constructed directly lacks; the constructor checks nothing and is
+    not public API.
     """
 
     __slots__ = ("n", "table", "inv", "ord", "label", "_gens", "_center", "_census",
@@ -156,8 +168,9 @@ class Subgroup:
 
     def as_group(self, label: Optional[str] = None) -> FiniteGroup:
         """Standalone group on re-indexed members (identity stays at 0)."""
-        pos = np.full(self.parent.n, -1, dtype=np.int32)
-        pos[self.members] = np.arange(len(self), dtype=np.int32)
+        dtype = _id_dtype(len(self))  # ids outside the members are never read
+        pos = np.zeros(self.parent.n, dtype=dtype)
+        pos[self.members] = np.arange(len(self), dtype=dtype)
         table = pos[self.parent.table[np.ix_(self.members, self.members)]]
         return _build(table, label or f"subgroup of {self.parent.label}")
 
@@ -166,8 +179,8 @@ class Subgroup:
 
 
 def _as_table(raw) -> np.ndarray:
-    """A C-ordered int32 copy of a caller's table: an integer array is read
-    as it is, anything else through int64, then copied once."""
+    """A C-ordered _id_dtype(n) copy of a caller's table: an integer array is
+    read as it is, anything else through int64, then copied once."""
     try:
         int_array = isinstance(raw, np.ndarray) and raw.dtype.kind in "iu"
         arr = raw if int_array else np.asarray(raw, dtype=np.int64)
@@ -179,14 +192,14 @@ def _as_table(raw) -> np.ndarray:
     if arr.min() < 0 or arr.max() >= n:
         a, b = np.argwhere((arr < 0) | (arr >= n))[0]
         raise NotClosed(f"entry table[{a}][{b}] = {int(arr[a, b])} is outside [0, {n})")
-    return np.array(arr, dtype=np.int32, order="C")
+    return np.array(arr, dtype=_id_dtype(n), order="C")
 
 
 def _find_identity(table: np.ndarray) -> int:
     """The two-sided identity (a table has at most one): a row equal to 0..n-1,
     sought a block of _ROW_BLOCK entries at a time, whose column is too."""
     n = table.shape[0]
-    ar = np.arange(n, dtype=np.int32)
+    ar = np.arange(n, dtype=table.dtype)
     step = max(1, _ROW_BLOCK // n)
     for lo in range(0, n, step):
         for e in lo + np.flatnonzero((table[lo:lo + step] == ar).all(axis=1)):
@@ -199,7 +212,7 @@ def _swap_to_zero(table: np.ndarray, e: int) -> np.ndarray:
     """Relabel table in place by the transposition (0 e): map the values a block
     of rows at a time, then swap rows and columns 0 and e; returns the map."""
     n = table.shape[0]
-    sigma = np.arange(n, dtype=np.int32)
+    sigma = np.arange(n, dtype=table.dtype)
     sigma[e], sigma[0] = 0, e
     step = max(1, _ROW_BLOCK // n)
     for lo in range(0, n, step):
@@ -283,9 +296,13 @@ def _check_associativity(table: np.ndarray) -> np.ndarray:
     block holds the row-major first witness.  A group needs at most log2 n
     generators; a non-group magma may need up to n, which costs O(n^3), no
     worse than checking every triple.
+
+    take copies each block's ids to intp, 8 / itemsize times the block's
+    bytes, so a block holds _ROW_BLOCK * itemsize / 4 entries: that copy is
+    then 2^17 / n^2 of the table for uint16 and int32 tables alike.
     """
     n = table.shape[0]
-    step = max(1, _ROW_BLOCK // n)
+    step = max(1, _ROW_BLOCK * table.itemsize // 4 // n)
 
     def light(c: int) -> None:
         col = table[:, c]
@@ -333,15 +350,20 @@ def _powers(table: np.ndarray, xs: np.ndarray, e: int) -> np.ndarray:
     """x^e for every x in xs, by square-and-multiply on the bits of e >= 0.
 
     A square x x is read off the diagonal, the view table.ravel()[::n + 1],
-    by one gather of xs.size ids; a multiply gathers x y at x * n + y.
+    by one gather of xs.size ids; a multiply gathers x y at x * n + y, in
+    int32 while n^2 <= 2^31 and in intp above, never in the table's type.
+    The multiply names that type itself: promotion would keep uint16 ids
+    times n in uint16, under NumPy 2 for a Python int n and under NumPy 1's
+    value-based casting for a NumPy scalar n too.  The result holds ids in
+    the table's type, or is xs itself for e = 1.
     """
     n, flat, out = table.shape[0], table.ravel(), xs if e else np.zeros_like(xs)
     diag = flat[::n + 1]
-    step = n if n * n <= 2 ** 31 else np.intp(n)  # int32 x * n + y is exact to n^2 = 2^31
+    at = np.int32 if n * n <= 2 ** 31 else np.intp  # x * n + y is below n^2
     for bit in bin(e)[3:]:
         out = diag[out]
         if bit == "1":
-            out = flat.take(out * step + xs)
+            out = flat.take(np.multiply(out, n, dtype=at) + xs)
     return out
 
 
@@ -382,6 +404,8 @@ def _build(table: np.ndarray, label: str) -> FiniteGroup:
     inverse candidate x^(n-1) is two-sided, so constructor bugs cannot slip
     through silently; associativity is validate_table_with_report's job.
     Only here is _table_ord set: the orders the census and _generators read.
+    A table that is not C-contiguous, or of any type but _id_dtype(n), is an
+    internal fault: every builder writes its table in that form.
 
     An x^n off the identity means no group.  In a finite monoid the units
     are exactly the rows holding 0 (Howie, Fundamentals of Semigroup Theory,
@@ -389,6 +413,9 @@ def _build(table: np.ndarray, label: str) -> FiniteGroup:
     never reach it; if every row holds 0, the table is not associative.
     """
     n = table.shape[0]
+    if table.dtype != _id_dtype(n) or not table.flags.c_contiguous:
+        raise ValueError(f"table for {label!r} is not a C-contiguous table of "
+                         f"{np.dtype(_id_dtype(n))} ids")
     ar = np.arange(n, dtype=np.int32)
     if not ((table[0] == ar).all() and (table[:, 0] == ar).all()):
         raise NoIdentityAtZero(f"constructed table for {label!r} lacks identity at 0")
@@ -402,12 +429,12 @@ def _build(table: np.ndarray, label: str) -> FiniteGroup:
                 raise NoInverse(f"element {a} has no two-sided inverse", element=a)
         raise ValueError(f"{label!r} is not associative: every row holds 0, "
                          f"but x^{n} is not 0 for x = {int(ord_.argmin())}")
-    inv = _powers(table, ar, n - 1)
+    inv = _powers(table, ar, n - 1).astype(np.int32)  # int32 like the orders
     one_sided = (table[ar, inv] != 0) | (table[inv, ar] != 0)
     if one_sided.any():
         a = int(one_sided.argmax())
         raise NoInverse(f"element {a} has only a one-sided inverse {int(inv[a])}", element=a)
-    group = FiniteGroup(np.ascontiguousarray(table), inv, ord_, label)
+    group = FiniteGroup(table, inv, ord_, label)
     group._table_ord = ord_  # the census reads this, not g.ord, which a caller may rebind
     return group
 
@@ -422,9 +449,11 @@ def validate_table_with_report(
     """Validate a raw Cayley table and wrap it as a group.
 
     Also returns the old->new re-index map applied to move the identity to
-    id 0 (the identity map when it was already there).  raw is copied; only
-    the table loader passes _own=True, handing over a C-contiguous int32
-    table with entries in [0, n) that validation relabels and keeps."""
+    id 0 (the identity map when it was already there).  raw, a nested list
+    or an array of any integer type, is copied into an _id_dtype(n) table;
+    only the table loader passes _own=True, handing over a C-contiguous
+    _id_dtype(n) table with entries in [0, n) that validation relabels and
+    keeps."""
     table = raw if _own else _as_table(raw)
     n = table.shape[0]
     _check_cap(n, max_size, f"table {label!r}")
@@ -494,10 +523,14 @@ def _central_cosets(g: FiniteGroup, z: Subgroup, u: Optional[Subgroup] = None) -
 
 
 def _product_of_tables(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """Cayley table of the direct product, pairs (a, b) encoded as a * n2 + b."""
+    """Cayley table of the direct product, pairs (a, b) encoded as a * n2 + b,
+    in _id_dtype(n1 * n2) whatever integer types the factors hold: a * n2
+    and the sum are computed in that type, where every id fits."""
     n1, n2 = t1.shape[0], t2.shape[0]
-    out = np.empty((n1, n2, n1, n2), dtype=np.int32)  # ids stay below n1 * n2 < 2^31
-    np.add((t1 * n2)[:, None, :, None], t2[None, :, None, :], out=out)
+    dtype = _id_dtype(n1 * n2)
+    out = np.empty((n1, n2, n1, n2), dtype=dtype)
+    high = np.multiply(t1, n2, dtype=dtype, casting="unsafe")  # entries of t1 are below n1
+    np.add(high[:, None, :, None], t2[None, :, None, :], out=out, dtype=dtype, casting="unsafe")
     return out.reshape(n1 * n2, n1 * n2)
 
 

@@ -47,14 +47,13 @@ from cyclicdensity import (
     center,
     validate_table_with_report,
 )
-from cyclicdensity.catalog import _circulant
 from cyclicdensity.groups import (
     _build,
     _central_cosets,
     _check_associativity,
     _first_failure,
     _generators,
-    _product_of_tables,
+    _id_dtype,
 )
 
 
@@ -185,10 +184,10 @@ def quotient_by_central(g: FiniteGroup, z: Subgroup, label: Optional[str] = None
     require_central(g, z)
     cosets = _central_cosets(g, z)
     reps = cosets[:, 0]  # smallest members, since zmem[0] is the identity
-    coset_of = np.empty(g.n, dtype=np.int32)
-    coset_of[cosets] = np.arange(reps.size, dtype=np.int32)[:, None]
+    coset_of = np.empty(g.n, dtype=np.int64)
+    coset_of[cosets] = np.arange(reps.size, dtype=np.int64)[:, None]
     qtable = coset_of[g.table[reps[:, None], reps]]
-    return _build(qtable, label or f"({g.label})/Z")
+    return _build(qtable.astype(_id_dtype(reps.size)), label or f"({g.label})/Z")
 
 
 def central_involution(g: FiniteGroup) -> int:
@@ -204,20 +203,23 @@ def central_product_mod_involution(g: FiniteGroup, h: FiniteGroup, zg: int, zh: 
     """Central product G o H as a group: G x H modulo <(zg, zh)> for central
     involutions zg and zh, which may sit at any id.  With (a, b) as id
     a * |H| + b, the least of each coset {(a, b), (a zg, b zh)} has
-    a < a zg; those number the quotient in id order."""
+    a < a zg; those number the quotient in id order.  The ids are computed
+    in int64 and cast to the builder's table type only at the end."""
     for grp, z in ((g, zg), (h, zh)):
         if not (0 <= z < grp.n and grp.ord[z] == 2 and grp.table[z, z] == 0
                 and center(grp).bitmap[z]):
             raise ValueError(f"{z} is not a central involution of {grp.label!r}")
-    nh, pg, ph = h.n, g.table[:, zg], h.table[:, zh]
+    gt, ht = g.table.astype(np.int64), h.table.astype(np.int64)
+    nh, pg, ph = h.n, gt[:, zg], ht[:, zh]
     reps = (np.arange(g.n) < pg).nonzero()[0]
-    rank = np.empty(g.n, dtype=np.int32)
+    rank = np.empty(g.n, dtype=np.int64)
     rank[reps] = np.arange(reps.size)
-    ga = g.table[reps[:, None], reps]
+    ga = gt[reps[:, None], reps]
     flip = pg[ga] < ga  # (a a', b b') is not least: its coset is (a a' zg, b b' zh)
-    out = np.where(flip[:, None, :, None], ph[h.table][None, :, None, :], h.table[None, :, None, :])
+    out = np.where(flip[:, None, :, None], ph[ht][None, :, None, :], ht[None, :, None, :])
     out += (rank[np.where(flip, pg[ga], ga)] * nh)[:, None, :, None]
-    return _build(out.reshape(reps.size * nh, -1), label or f"({g.label})o({h.label})")
+    n = reps.size * nh
+    return _build(out.reshape(n, n).astype(_id_dtype(n)), label or f"({g.label})o({h.label})")
 
 
 def extraspecial_chain(order: int, sign: str) -> FiniteGroup:
@@ -239,10 +241,13 @@ def almost_extraspecial_chain(order: int) -> FiniteGroup:
 
 def abelian_fold_table(orders: Sequence[int]) -> np.ndarray:
     """Z_n1 + Z_n2 + ... by folding from the right from the trivial table,
-    each partial product alive while the next is built."""
-    table = np.zeros((1, 1), dtype=np.int32)
+    each partial product alive while the next is built, in int64: (a, b)
+    of Z_n times the accumulated table T of order m is a * m + b."""
+    table = np.zeros((1, 1), dtype=np.int64)
     for n in reversed(orders):
-        table = _product_of_tables(_circulant(np.arange(n, dtype=np.int32), 1).copy(), table)
+        ar, m = np.arange(n, dtype=np.int64), table.shape[0]
+        cyc = (ar[:, None] + ar[None, :]) % n
+        table = (cyc[:, None, :, None] * m + table[None, :, None, :]).reshape(n * m, n * m)
     return table
 
 

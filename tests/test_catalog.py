@@ -17,7 +17,7 @@ from cyclicdensity import (
     parse_group_spec,
 )
 from cyclicdensity.catalog import _central_product
-from cyclicdensity.groups import _build
+from cyclicdensity.groups import _build, _id_dtype
 from table_oracle import (
     abelian_fold_table,
     almost_extraspecial_chain,
@@ -281,7 +281,7 @@ def quaternion_mod_form(order):
 def test_circulant_fills_match_the_mod_form(family, mod_form, orders):
     for order in orders:
         table = build_group(f"{family}:{order}").table
-        assert table.dtype == np.int32
+        assert table.dtype == _id_dtype(order)
         assert np.array_equal(table, mod_form(order)), order
 
 

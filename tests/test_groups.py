@@ -305,8 +305,8 @@ def test_build_allocates_under_a_quarter_of_the_table(spec):
 @pytest.mark.parametrize("spec", ["abelian:2,2,2,2,2,2,2,2,2,2",
                                   "product:(dihedral:64)x(cyclic:64)"])
 def test_product_build_peaks_under_twice_the_table(spec):
-    # the product table is built in place in int32, with no int64 copy; the
-    # bound is the per-family test's below, tightened from 2x
+    # the product table is built in place in its id type, with no wider
+    # copy; the bound is the per-family test's below, tightened from 2x
     g, peak = traced_peak(build_group, spec)
     assert peak < 1.2 * g.table.nbytes, (spec, peak, g.table.nbytes)
 
@@ -340,16 +340,18 @@ def relabeled_table(spec: str, seed: int) -> np.ndarray:
 
 
 def test_import_peaks_near_its_file_plus_its_table(tmp_path):
-    # the canonical parse converts a block of lines at a time into the int32
-    # table, which validation relabels in place; the file's bytes (about the
-    # table's size here) are the only other large allocation
+    # the canonical parse converts a block of lines at a time into the
+    # table, which validation relabels in place; the file's bytes are the
+    # only other large allocation.  Here 4.1 MB of text and a 2.1 MB table
+    # peak at 1.07x their sum (the int32 table peaked at 1.05x of 8.3 MB).
     path = tmp_path / "t.txt"
     table = relabeled_table("almost-extraspecial:1024", 1)
     path.write_text(f"{table.shape[0]}\n"
                     + "".join(" ".join(map(str, row)) + "\n" for row in table.tolist()))
     (g, reindex), peak = traced_peak(load_table_with_report, path)
     assert reindex[0] != 0
-    assert peak < 2.5 * g.table.nbytes, (peak, g.table.nbytes)
+    both = path.stat().st_size + g.table.nbytes
+    assert peak < 1.15 * both, (peak, both)
 
 
 def test_validation_steps_peak_under_half_the_table():
@@ -381,8 +383,8 @@ def test_validation_copies_the_callers_array(dtype, spec, seed):
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_validation_copies_an_integer_array_once(dtype):
-    # an integer array goes straight to its one int32 copy, with no int64
-    # copy on the way; the rest of the peak is validation's blocks (1.33x)
+    # an integer array goes straight to its one uint16 copy, with no int64
+    # copy on the way; the rest of the peak is validation's blocks
     t = build_group("almost-extraspecial:1024").table
     _, peak = traced_peak(validate_table_with_report, np.array(t, dtype=dtype))
     assert peak < 1.5 * t.nbytes, (peak, t.nbytes)

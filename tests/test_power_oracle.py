@@ -22,7 +22,7 @@ from cyclicdensity import (
     validate_table_with_report,
 )
 from cyclicdensity.arith import unit_generators
-from cyclicdensity.groups import _build, _element_orders, _powers
+from cyclicdensity.groups import _build, _element_orders, _id_dtype, _powers
 from table_oracle import prove_orders, relabeled_copy
 
 
@@ -49,9 +49,9 @@ def test_walk_matches_oracle_on_corpus(spec):
 
 
 def test_int32_powering_is_exact_at_the_cap():
-    # cyclic:4096, the default cap, where int32 ids form the index x * n + y
-    # in int32; x^e is e * x mod n.  (The intp branch, n > 46,340, would need
-    # an 8.6 GB table.)
+    # cyclic:4096, the default cap, where the uint16 ids form the index
+    # x * n + y in int32 (in uint16 it would wrap past 2^16); x^e is e * x
+    # mod n.  (The intp branch, n > 46,340, would need a 4.3 GB table.)
     table, ids = build_group("cyclic:4096").table, np.arange(4096, dtype=np.int32)
     for e in (0, 1, 2, 4095) + tuple(u for u, _ in unit_generators(4096)):
         assert np.array_equal(_powers(table, ids, e), e * ids.astype(np.int64) % 4096), e
@@ -154,8 +154,8 @@ def test_census_rejects_orders_that_do_not_divide_n(table):
     # powers reach it, at an order n is no multiple of, so x^n misses it;
     # no census sees such a table, as the builder names the least such x
     # as an internal fault, not a GroupError
-    table = np.array(table, dtype=np.int32)
-    n = table.shape[0]
+    n = len(table)
+    table = np.array(table, dtype=_id_dtype(n))
     ords = power_oracle.element_orders(table, np.arange(n) == 0)
     x = int(np.flatnonzero(n % ords)[0])
     with pytest.raises(ValueError, match=f"not associative: .* x\\^{n} .* for x = {x}$"):
@@ -225,7 +225,7 @@ def test_monoids_name_the_oracle_element(table):
 def test_one_sided_inverse_is_rejected():
     # 2 * 1 = 0, but 1 has no right inverse: 2^3 = 2 misses the identity,
     # and the row scan names 1, whose row [1, 2, 1] is the first to lack it
-    table = np.array([[0, 1, 2], [1, 2, 1], [2, 0, 0]], dtype=np.int32)
+    table = np.array([[0, 1, 2], [1, 2, 1], [2, 0, 0]], dtype=_id_dtype(3))
     assert not _element_orders(table, np.arange(3) == 0).all()
     with pytest.raises(NoInverse, match="^element 1 has no two-sided inverse$") as err:
         _build(table, "one-sided")
@@ -235,7 +235,8 @@ def test_one_sided_inverse_is_rejected():
 def test_one_sided_inverse_candidate_is_rejected():
     # every x^4 is the identity (3^2 = 1, 1^2 = 0), so the descent succeeds,
     # but the inverse candidate of 3 is 3^3 = 1 * 3 = 0, and 3 * 0 = 3
-    table = np.array([[0, 1, 2, 3], [1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 1]], dtype=np.int32)
+    table = np.array([[0, 1, 2, 3], [1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 1]],
+                     dtype=_id_dtype(4))
     assert _element_orders(table, np.arange(4) == 0).all()
     assert _powers(table, np.arange(4), 3)[3] == 0
     with pytest.raises(NoInverse, match="^element 3 has only a one-sided inverse 0$") as err:
