@@ -115,15 +115,16 @@ def _quaternion(order: int) -> np.ndarray:
 
 
 def _symmetric(degree: int) -> np.ndarray:
-    """Symmetric group S_degree; ids enumerate permutations in lexicographic order.
+    """Symmetric group S_degree; ids enumerate permutations in lexicographic
+    order, and the product of ids i and j is x -> p_i[p_j[x]].
 
-    A permutation p has the code sum of p[x] * w[x], w[x] = d^(d-2-x) for
-    x < d - 1 and w[d-1] = 0: its first d - 1 entries, which fix the last,
-    as a number whose order is the lexicographic one, so lut[code] is its
-    id.  The product of ids i and j is x -> p_i[p_j[x]], whose code is the
-    sum over y of p_i[y] * w[p_j^-1(y)]: one integer matrix product per
-    block of rows.  A block is a quarter of _block_budget: its int32 codes
-    and their intp cast, as lut's index, take 6x the bytes of its rows.
+    Ids below t! fix 0..d-t-1.  For 1 <= k <= t, h = p_(k t!) has its
+    entries after d-t-1 increasing, so h q_r is id k t! + r, and as
+    (h q) y = h (q y), row k t! + r is row k t! gathered at row r, a block
+    of rows at a time.  The d(d-1)/2 rows h go by codes: p's code sum
+    p[x] * w[x], w[x] = d^(d-2-x) and w[d-1] = 0, reads its first d - 1
+    entries as a number, so lut[code] is its id.  A block is a quarter of
+    _block_budget, for the index's intp cast.
     """
     n = math.factorial(degree)
     # one row per permutation, with no list of n tuples alive on the way
@@ -133,12 +134,16 @@ def _symmetric(degree: int) -> np.ndarray:
     ids = np.arange(n, dtype=_id_dtype(n))
     lut = np.empty(degree ** (degree - 1), dtype=ids.dtype)
     lut[perms @ w] = ids
-    w_inv = np.empty((degree, n), dtype=np.int32)  # w_inv[y, j] = w[p_j^-1(y)]
-    w_inv[perms.T, ids] = w[:, None]  # at y = p_j[x] goes w[x]
     table = np.empty((n, n), dtype=ids.dtype)
+    table[0] = ids
     step = max(1, _block_budget(n) // (4 * n))
-    for lo in range(0, n, step):
-        table[lo : lo + step] = lut[perms[lo : lo + step] @ w_inv]
+    for t in range(1, degree):
+        f = math.factorial(t)
+        for k in range(f, (t + 1) * f, f):
+            table[k] = lut[perms[k][perms] @ w]  # h p_j is x -> h[p_j[x]]
+            for lo in range(1, f, step):
+                hi = min(lo + step, f)
+                table[k + lo : k + hi] = table[k][table[lo:hi]]
     return table
 
 
@@ -147,9 +152,9 @@ def _heisenberg(p: int) -> np.ndarray:
     3x3 matrices over Z_p, encoded as (a, b, c) -> c*p^2 + a*p + b.
 
     The p^2 rows with c = 0 come from the product rule a block at a time.
-    z = (0, 0, 1) is central and z (a, b, c) = (a, b, c + 1), the id plus
-    p^2 mod n, so row x + p^2 is (z x) y = z (x y): each later block of p^2
-    rows is one gather of the block before it.
+    z = (0, 0, 1) is central, so in p^2 x p^2 blocks the (c, c') block is
+    z^(c+c') B, B the (0, 0) block, and the rows with c = k are the rows
+    with c = 0, their column blocks rotated left by k: two slice copies.
     """
     n, pp = p ** 3, p * p
     # every value below is under n, so the table's own type holds it exactly
@@ -162,52 +167,47 @@ def _heisenberg(p: int) -> np.ndarray:
         # (a,b,0) * (a',b',c') = (a+a', b+b', c'+a*b')
         a1, b1 = a[lo:hi, None], b[lo:hi, None]
         table[lo:hi] = ((c + a1 * b) % p * p + (a1 + a) % p) * p + (b1 + b) % p
-    z = (c + 1) % p * pp + rem  # z[v] is the id of z v
-    for lo in range(pp, n, pp):
-        table[lo : lo + pp] = z[table[lo - pp : lo]]
+    for k in range(pp, n, pp):
+        table[k : k + pp, : n - k] = table[:pp, k:]
+        table[k : k + pp, n - k :] = table[:pp, :k]
     return table
 
 
-def _central_product(gt: np.ndarray, ht: np.ndarray) -> np.ndarray:
-    """Table of G o H = (G x H)/<(2, 2)>, id 2 a central involution of both
-    factors, as of dihedral:8, quaternion:8, cyclic:4 and their central
-    products.  With (a, b) as id a * |H| + b, the least pair of each coset
-    {(a, b), (a 2, b 2)} has a < a 2; those number the quotient in id
-    order, gathered from the factor tables, and keep the involution at 2.
-    The ranks, their multiples of |H| and the table are of the product's
-    _id_dtype, where every id fits."""
-    nh, pg, ph = ht.shape[0], gt[:, 2], ht[:, 2]
-    r = gt.shape[0] // 2  # the cosets {a, a 2} of G's involution
-    ids = np.arange(max(2 * r, nh), dtype=_id_dtype(r * nh))  # G's and H's ids
-    reps = (ids[:2 * r] < pg).nonzero()[0]
-    rank = np.empty(2 * r, dtype=ids.dtype)
-    rank[reps] = rank[pg[reps]] = ids[:r]  # a and a 2 lead pairs of one coset
-    ga = gt[reps[:, None], reps]
-    flip = pg[ga] < ga  # (a a', b b') is not least: its coset is (a a' 2, b b' 2)
-    high = (rank[ga] * nh)[:, None, :, None]
-    del ga  # the r x r gathers are gone before the table is allocated
-    out = np.where(flip[:, None, :, None], ids[ph[ht]][None, :, None, :], ids[ht][None, :, None, :])
-    out += high
-    return out.reshape(r * nh, -1)
+def _extraspecial(order: int, sign: str = "+") -> np.ndarray:
+    """Extraspecial 2-group of order 2^(1+2m) and the given type, or the
+    almost-extraspecial one of order 2^(2m+2): a central extension of an
+    F_2-space by <z> through a bilinear form beta (Griess 1973; Huppert,
+    Endliche Gruppen I, III.13), T[x, y] = x ^ y ^ (beta(x, y) << 1).
 
-
-def _extraspecial(order: int, sign: str) -> np.ndarray:
-    """Extraspecial 2-group of the given order (2^(1+2m)) and type.
-
-    Plus type is the iterated central product of dihedral:8 factors; minus
-    type swaps exactly one factor for quaternion:8.
+    z is id 2, at bit 1.  On the other bits, low to high, beta's matrix is
+    block diagonal: [1] at bit 0 when they are odd in number (cyclic:4's
+    g g = z), [[1,1],[0,0]] on each dihedral:8 pair (r, s), and
+    [[1,0],[1,1]] on the top pair of the minus type (quaternion:8's a, b):
+    the ids of the central product of those factors, the last one lowest.
+    For x < e = 2^j, T[x ^ e, y] = T[x, y] ^ e ^ (beta(e, y) << 1), so rows
+    e..2e-1 are rows 0..e-1 XOR one row vector: log2(order) long passes.
     """
-    d8 = _dihedral(8)
-    table = _quaternion(8) if sign == "-" else d8
-    for _ in range((order.bit_length() - 2) // 2 - 1):  # m - 1 products
-        table = _central_product(table, d8)
+    free = [0, *range(2, order.bit_length() - 1)]  # the bits other than z's
+    reads = [0] * (order.bit_length() - 1)  # reads[j]: the bits of y that beta(2^j, y) sums
+    if len(free) % 2:
+        reads[free.pop(0)] = 1  # g g = z
+    for r, s in zip(free[::2], free[1::2]):
+        reads[r] = 1 << r | 1 << s  # r r = z, r s = s r z; s reads no bit
+    if sign == "-":
+        a, b = free[-2:]
+        reads[a], reads[b] = 1 << a, 1 << a | 1 << b  # a a = b b = z, b a = a b z
+    ids = np.arange(order, dtype=_id_dtype(order))
+    table = np.empty((order, order), dtype=ids.dtype)
+    table[0] = ids
+    for j, mask in enumerate(reads):
+        e = 1 << j
+        row = ids & mask  # becomes e ^ (beta(e, y) << 1), in place
+        np.bitwise_count(row, out=row)
+        row &= 1
+        row <<= 1
+        row ^= e
+        np.bitwise_xor(table[:e], row, out=table[e : 2 * e])
     return table
-
-
-def _almost_extraspecial(order: int) -> np.ndarray:
-    """Central product of the plus-type extraspecial 2-group of half the
-    order (2^(2m+2)) with cyclic:4."""
-    return _central_product(_extraspecial(order // 2, "+"), _cyclic(4))
 
 
 def _same(n: int, *_) -> int:
@@ -237,7 +237,7 @@ _FAMILIES = {
     "almost-extraspecial": (
         lambda n: n >= 16 and is_power_of(n, 2) and (n.bit_length() - 1) % 2 == 0,
         "almost-extraspecial order must be 2^(2m+2) with m >= 1, got {p[0]}",
-        _same, _almost_extraspecial),
+        _same, _extraspecial),
     "heisenberg": (lambda p: p != 2 and is_prime(p),
                    "heisenberg parameter must be an odd prime, got {p[0]}",
                    lambda p: p ** 3, _heisenberg),

@@ -352,10 +352,9 @@ def _powers(table: np.ndarray, xs: np.ndarray, e: int) -> np.ndarray:
     A square x x is read off the diagonal, the view table.ravel()[::n + 1],
     by one gather of xs.size ids; a multiply gathers x y at x * n + y, in
     int32 while n^2 <= 2^31 and in intp above, never in the table's type.
-    The multiply names that type itself: promotion would keep uint16 ids
-    times n in uint16, under NumPy 2 for a Python int n and under NumPy 1's
-    value-based casting for a NumPy scalar n too.  The result holds ids in
-    the table's type, or is xs itself for e = 1.
+    The multiply names that type itself, as uint16 ids times a Python int n
+    stay uint16.  The result holds ids in the table's type, or is xs itself
+    for e = 1.
     """
     n, flat, out = table.shape[0], table.ravel(), xs if e else np.zeros_like(xs)
     diag = flat[::n + 1]

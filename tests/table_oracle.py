@@ -16,8 +16,8 @@ require_central() (which raises NotCentral, an error no library code needs) and
 quotient_by_central() build G/Z as a group of its own, the form the report
 replaced by reading exp(G/Z) off G's table.  extraspecial_chain()
 and almost_extraspecial_chain() build those families as the group-level
-chain that the catalog's table-level central product replaced, by
-central_product_mod_involution() and central_involution().
+chain of central products that the catalog's bilinear-cocycle fill
+replaced, by central_product_mod_involution() and central_involution().
 
 Last come the catalog fills that the block-bounded builders replaced:
 abelian_fold_table() (a fold over every factor that keeps each partial

@@ -52,10 +52,10 @@ BUILD_BUDGET = {
     "abelian:2,2,4": 41,  # 49 before
     "dihedral:24": 43,  # 57 before
     "quaternion:16": 38,  # 46 before
-    "symmetric:4": 39,  # 53 before
+    "symmetric:4": 38,  # 53 before; 39 while every row took a code
     "heisenberg:3": 31,  # 39 before
-    "extraspecial:32:-": 57,  # 67 before
-    "almost-extraspecial:64": 60,  # 72 before
+    "extraspecial:32:-": 31,  # 67 before; 57 as a chain of central products
+    "almost-extraspecial:64": 33,  # 72 before; 60 as a chain of central products
 }
 
 

@@ -311,13 +311,10 @@ def test_product_build_peaks_under_twice_the_table(spec):
     assert peak < 1.2 * g.table.nbytes, (spec, peak, g.table.nbytes)
 
 
-# almost-extraspecial:1024 is left out: the central product of a group of
-# half its order with Z4 keeps that factor's table, a quarter of its own,
-# alive while it fills, and peaks at 1.47x.
 @pytest.mark.parametrize("spec", [
     "cyclic:1024", "dihedral:1024", "quaternion:1024", "abelian:2,2,2,2,2,2,2,2,2,2",
     "abelian:2,512", "heisenberg:11", "symmetric:6", "extraspecial:512:+",
-    "product:(dihedral:64)x(cyclic:16)",
+    "almost-extraspecial:1024", "product:(dihedral:64)x(cyclic:16)",
 ])
 def test_build_peaks_near_its_table(spec):
     # each family writes its table directly; fills with arithmetic go a
