@@ -26,7 +26,6 @@ from .errors import (
     SpecSyntaxError,
 )
 from .groups import (
-    FiniteGroup,
     Subgroup,
     center,
     direct_product,

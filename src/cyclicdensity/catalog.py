@@ -258,7 +258,20 @@ def _require(spec: GroupSpec) -> None:
 
 _MAX_TOKEN_DIGITS = 9  # longer tokens (leading zeros) take the line loop; int32 holds nine
 _PARSE_BLOCK = 1 << 17  # bytes of text per block of the canonical parse
-_BLANKS = re.compile(rb"[ \n]*")
+# The ASCII line breaks of str.splitlines become '\n', and the other ASCII
+# whitespace of str.split becomes ' ', so "\r\n" reads as a line and a blank line.
+_TO_LF = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e\t\x1f", b"\n\n\n\n\n\n  ")
+_BREAK = re.compile(rb"[\n\r\x0b\x0c\x1c-\x1e]")
+_BLANKS = re.compile(rb"[ \t\n\r\x0b\x0c\x1c-\x1f]*")
+
+
+def _lf_marks(blk: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The newline and digit masks of a block of bytes, or None when it holds
+    a byte other than a digit, ' ' or '\\n'."""
+    newline = blk == ord("\n")
+    digit = (blk - ord("0")) < 10  # uint8 wraps below '0'
+    spaces = np.count_nonzero(blk == ord(" ")) + np.count_nonzero(newline)
+    return (newline, digit) if np.count_nonzero(digit) + spaces == blk.size else None
 
 
 def _canonical_table(data: bytes, max_size: Optional[int], label: str) -> Optional[np.ndarray]:
@@ -266,32 +279,37 @@ def _canonical_table(data: bytes, max_size: Optional[int], label: str) -> Option
     whole lines (about _PARSE_BLOCK bytes) at a time, or None for any other
     file.
 
-    Canonical: every byte is an ASCII digit, ' ' or '\\n'; the first
-    non-blank line holds one token n >= 1; exactly n non-blank lines follow
-    with n tokens each; no token is longer than _MAX_TOKEN_DIGITS and every
-    entry is below n.  _table_rows returns the same values on such a file,
-    and only it names the line and column of an error, so a file that fails
-    any of these tests, in any block, goes to it.  A first pass proves the
-    bytes and the shape, n then meets the size cap, and only then is the
-    table allocated and each block converted into its rows.
+    Canonical: every byte is an ASCII digit, ' ' or '\\n' once _TO_LF has
+    translated the other ASCII whitespace (only in a block that holds some);
+    the first non-blank line holds one token n >= 1; exactly n non-blank
+    lines follow with n tokens each; no token is longer than
+    _MAX_TOKEN_DIGITS and every entry is below n.  _table_rows returns the
+    same values on such a file, and only it names the line and column of an
+    error, so a file that fails any of these tests, in any block, goes to
+    it.  A first pass proves the bytes and the shape, n then meets the size
+    cap, and only then is the table allocated and each block converted into
+    its rows.
     """
     head_at = _BLANKS.match(data).end()
-    body_at = data.find(b"\n", head_at)
-    head = data[head_at:body_at].rstrip(b" ")
+    brk = _BREAK.search(data, head_at)
+    body_at = brk.start() if brk else -1
+    head = data[head_at:body_at].rstrip(b" \t\x1f")
     n = int(head) if head.isdigit() and len(head) <= _MAX_TOKEN_DIGITS else 0
     if body_at < 0 or n < 1 or len(data) - body_at < 2 * n * n - 1:  # too short for n^2 tokens
         return None
     b = np.frombuffer(data, dtype=np.uint8)
     blocks, rows, lo = [], 0, body_at
-    while lo < b.size:  # every block starts at a newline: no token or line spans two
-        hi = data.find(b"\n", lo + _PARSE_BLOCK) % (b.size + 1)  # b.size when none is left
-        blk = b[lo:hi]
-        newline = blk == ord("\n")
-        digit = (blk - ord("0")) < 10  # uint8 wraps below '0'
-        spaces = np.count_nonzero(blk == ord(" ")) + np.count_nonzero(newline)
-        if np.count_nonzero(digit) + spaces != blk.size:
-            return None
-        run = digit[1:] & digit[:-1]  # run[i]: blk[i:i+2] are digits; then 4, 8 and 10
+    while lo < b.size:  # every block starts at a line break: no token or line spans two
+        brk = _BREAK.search(data, lo + _PARSE_BLOCK)
+        hi = brk.start() if brk else b.size
+        marks = _lf_marks(b[lo:hi])
+        translate = marks is None  # other ASCII whitespace, or a byte no translation mends
+        if translate:
+            marks = _lf_marks(np.frombuffer(data[lo:hi].translate(_TO_LF), dtype=np.uint8))
+            if marks is None:
+                return None
+        newline, digit = marks
+        run = digit[1:] & digit[:-1]  # run[i]: bytes i and i+1 are digits; then 4, 8 and 10
         run = run[2:] & run[:-2]
         run = run[4:] & run[:-4]
         if (run[2:] & run[:-2]).any():  # a token longer than _MAX_TOKEN_DIGITS
@@ -301,7 +319,7 @@ def _canonical_table(data: bytes, max_size: Optional[int], label: str) -> Option
         if not ((per_line == 0) | (per_line == n)).all():
             return None
         if tokens := int(per_line.sum()):  # fromstring reads a blank block as [0]
-            blocks.append((lo, hi, rows * n))
+            blocks.append((lo, hi, rows * n, translate))
             rows += tokens // n
         lo = hi
     _check_cap(n, max_size, f"table {label!r}")
@@ -309,8 +327,10 @@ def _canonical_table(data: bytes, max_size: Optional[int], label: str) -> Option
         return None
     table = np.empty((n, n), dtype=_id_dtype(n))
     flat = table.ravel()
-    for lo, hi, at in blocks:
-        values = np.fromstring(data[lo:hi], dtype=np.int32, sep=" ")
+    for lo, hi, at, translate in blocks:
+        text = data[lo:hi]
+        values = np.fromstring(text.translate(_TO_LF) if translate else text,
+                               dtype=np.int32, sep=" ")
         if values.max() >= n:
             return None
         flat[at:at + values.size] = values

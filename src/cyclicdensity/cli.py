@@ -16,7 +16,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .catalog import build_group, load_table_with_report
 from .density import (
@@ -28,7 +28,7 @@ from .density import (
 from .errors import GroupError
 from .groups import DEFAULT_SIZE_CAP, SIZE_CAP_ENV, FiniteGroup, center
 from .sweep import SWEEP_FAMILIES, SweepConfig, SweepResult, run_sweep
-from .verify import AlphaReport, full_report
+from .verify import AlphaReport, CosetCheck, full_report
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -38,73 +38,76 @@ EXIT_INTERNAL = 3
 _UNCAPPED = 10 ** 9  # effective "no cap" when --size-override is given
 _CAP_HELP = f"the size cap ({DEFAULT_SIZE_CAP}, or ${SIZE_CAP_ENV} when set)"
 
-_REPORT_COLUMNS = (
-    "label",
-    "order",
-    "cyclic_count",
-    "alpha_g",
-    "alpha_z",
-    "equality",
-    "structural",
-    "quotient_exponent",
-    "two_central",
-    "four_abelian",
-    "avg_order_g",
-    "avg_order_z",
-    "proof_steps",
-)
-
 
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _frac_approx(x: Fraction) -> str:
-    """Exact rational plus a clearly-marked 6-place decimal approximation."""
-    return f"{_frac(x)} (approx {float(x):.6f})"
+class _Kind(NamedTuple):
+    """How one kind of value is written."""
+
+    value: Callable  # in report_to_dict, hence in JSON and in a CSV cell
+    json_field: str  # its field in the JSON writer's f-string, the value at VALUE
+    text: Callable  # in the text form
 
 
-def _steps_compact(report: AlphaReport) -> str:
-    parts = []
-    for c in report.proof_steps:
-        flags = "".join(
-            "+" if ok else "-"
-            for ok in (c.order_identity, c.divisibility, c.coset_inequality)
-        )
-        parts.append(f"k={c.k} sum={_frac(c.coset_sum)} flags={flags}")
-    return "; ".join(parts)
+_STR = _Kind(str, "{label}", str)  # the label, which the JSON writer gets encoded
+_INT = _Kind(int, "{VALUE}", str)
+_FRAC = _Kind(_frac, '"{_frac(VALUE)}"', lambda x: f"{_frac(x)} (approx {float(x):.6f})")
+_BOOL = _Kind(bool, "{_JSON_BOOL[VALUE]}", ("no", "yes").__getitem__)
+
+# One row per AlphaReport field but proof_steps and findings, in output order:
+# the field, which is also its JSON and CSV key; its caption in the text form;
+# its kind; and whether JSON and CSV carry it (the text form prints every
+# row).  The proof steps follow the rows, and the text form ends with the
+# findings.
+_FIELDS = (
+    ("label", "group", _STR, True),
+    ("order", "order", _INT, True),
+    ("center_order", "center order", _INT, False),
+    ("cyclic_count", "cyclic subgroups", _INT, True),
+    ("alpha_g", "alpha(G)", _FRAC, True),
+    ("alpha_z", "alpha(Z)", _FRAC, True),
+    ("inequality_holds", "alpha(G) <= alpha(Z)", _BOOL, False),
+    ("equality", "equality", _BOOL, True),
+    ("structural", "structural condition", _BOOL, True),
+    ("quotient_exponent", "exp(G/Z)", _INT, True),
+    ("two_central", "2-central", _BOOL, True),
+    ("four_abelian", "4-abelian", _BOOL, True),
+    ("avg_order_g", "o(G)", _FRAC, True),
+    ("avg_order_z", "o(Z)", _FRAC, True),
+    ("avg_inequality_holds", "o(G) >= o(Z)", _BOOL, False),
+    ("count_identity", "count identity (enumeration vs totient)", _BOOL, False),
+)
+_CARRIED = tuple((name, kind) for name, _, kind, carried in _FIELDS if carried)
+_REPORT_COLUMNS = (*(name for name, _ in _CARRIED), "proof_steps")
+
+# One row per CosetCheck field: the field, its JSON key, its caption, and its
+# kind.  The text form writes k, sum and the three proof obligations as
+# caption=value, after a tag on the center's step; CSV writes k and sum so,
+# then one + or - per obligation.
+_STEP_FIELDS = (
+    ("k", "k", "k", _INT),
+    ("coset_sum", "sum", "sum", _FRAC._replace(text=_frac)),
+    ("order_identity", "order_identity", "order-identity", _BOOL),
+    ("divisibility", "divisibility", "divisibility", _BOOL),
+    ("coset_inequality", "coset_inequality", "coset-inequality", _BOOL),
+    ("is_center", "is_center", None, _BOOL),
+)
+_STEP_HEAD, _OBLIGATIONS = _STEP_FIELDS[:2], _STEP_FIELDS[2:5]
+
+
+def _step_pairs(c: CosetCheck, rows) -> str:
+    return " ".join(f"{cap}={kind.text(getattr(c, attr))}" for attr, _, cap, kind in rows)
 
 
 def report_to_dict(report: AlphaReport) -> dict:
     """Fixed-key JSON form of a report."""
-    return {
-        "label": report.label,
-        "order": report.order,
-        "cyclic_count": report.cyclic_count,
-        "alpha_g": _frac(report.alpha_g),
-        "alpha_z": _frac(report.alpha_z),
-        "equality": report.equality,
-        "structural": report.structural,
-        "quotient_exponent": report.quotient_exponent,
-        "two_central": report.two_central,
-        "four_abelian": report.four_abelian,
-        "avg_order_g": _frac(report.avg_order_g),
-        "avg_order_z": _frac(report.avg_order_z),
-        "proof_steps": [
-            {
-                "k": c.k,
-                "sum": _frac(c.coset_sum),
-                "order_identity": c.order_identity,
-                "divisibility": c.divisibility,
-                "coset_inequality": c.coset_inequality,
-                "is_center": c.is_center,
-            }
-            for c in report.proof_steps
-        ],
-    }
-
-
-_JSON_BOOL = ("false", "true")
+    d = {name: kind.value(getattr(report, name)) for name, kind in _CARRIED}
+    d["proof_steps"] = [
+        {key: kind.value(getattr(c, attr)) for attr, key, _, kind in _STEP_FIELDS}
+        for c in report.proof_steps]
+    return d
 
 
 def _json_list(items: Sequence[str], pad: str) -> str:
@@ -116,80 +119,59 @@ def _json_list(items: Sequence[str], pad: str) -> str:
     return "[" + sep[1:] + sep.join(items) + "\n" + pad + "]"
 
 
+@functools.cache
+def _json_writers(pad: str) -> tuple[Callable, Callable]:
+    """The JSON writers at indent pad: (r, label, steps) -> report r, given its
+    label and proof steps encoded, and (c) -> proof step c.  Each is one
+    f-string, built from the tables once per indent and compiled as
+    dataclasses compiles its methods, so a report costs one string fill."""
+    p, q = pad + "  ", pad + "      "
+    report = "".join(f'{p}"{key}": {kind.json_field.replace("VALUE", "r." + key)},\n'
+                     for key, kind in _CARRIED)
+    step = ",\n".join(f'{q}"{key}": {kind.json_field.replace("VALUE", "c." + attr)}'
+                      for attr, key, _, kind in _STEP_FIELDS)
+    report = "{{\n" + report + p + '"proof_steps": {steps}\n' + pad + "}}"
+    step = "{{\n" + step + "\n" + p + "  }}"
+    scope = {"_frac": _frac, "_JSON_BOOL": ("false", "true")}
+    return (eval(f"lambda r, label, steps: f{report!r}", scope),
+            eval(f"lambda c: f{step!r}", scope))
+
+
 def _report_json(r: AlphaReport, label: str, pad: str = "") -> str:
     """json.dumps(report_to_dict(r), indent=2) at indent pad, with the label
-    already encoded; every other value is an int, a bool or digits/digits."""
-    p, q, b = pad + "  ", pad + "      ", _JSON_BOOL
+    already encoded."""
+    report, step = _json_writers(pad)
     distinct = {id(c): c for c in r.proof_steps}  # equal cosets share one CosetCheck
-    text = {
-        key: f'{{\n{q}"k": {c.k},\n{q}"sum": "{_frac(c.coset_sum)}",\n'
-        f'{q}"order_identity": {b[c.order_identity]},\n{q}"divisibility": {b[c.divisibility]},\n'
-        f'{q}"coset_inequality": {b[c.coset_inequality]},\n{q}"is_center": {b[c.is_center]}\n'
-        f'{p}  }}' for key, c in distinct.items()}
-    steps = [text[id(c)] for c in r.proof_steps]
-    return (
-        f'{{\n{p}"label": {label},\n{p}"order": {r.order},\n{p}"cyclic_count": {r.cyclic_count},\n'
-        f'{p}"alpha_g": "{_frac(r.alpha_g)}",\n{p}"alpha_z": "{_frac(r.alpha_z)}",\n'
-        f'{p}"equality": {b[r.equality]},\n{p}"structural": {b[r.structural]},\n'
-        f'{p}"quotient_exponent": {r.quotient_exponent},\n'
-        f'{p}"two_central": {b[r.two_central]},\n{p}"four_abelian": {b[r.four_abelian]},\n'
-        f'{p}"avg_order_g": "{_frac(r.avg_order_g)}",\n'
-        f'{p}"avg_order_z": "{_frac(r.avg_order_z)}",\n{p}"proof_steps": {_json_list(steps, p)}\n'
-        f'{pad}}}')
+    text = {key: step(c) for key, c in distinct.items()}
+    return report(r, label, _json_list([text[id(c)] for c in r.proof_steps], pad + "  "))
 
 
-def _report_csv_row(report: AlphaReport) -> list:
-    d = report_to_dict(report)
-    d["proof_steps"] = _steps_compact(report)
-    return [d[col] for col in _REPORT_COLUMNS]
-
-
-def _csv_text(rows: list[list]) -> str:
+def _csv_text(reports: Sequence[AlphaReport]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_REPORT_COLUMNS)
-    writer.writerows(rows)
+    for r in reports:
+        row = report_to_dict(r)
+        row["proof_steps"] = "; ".join(
+            _step_pairs(c, _STEP_HEAD) + " flags="
+            + "".join("+" if getattr(c, attr) else "-" for attr, *_ in _OBLIGATIONS)
+            for c in r.proof_steps)
+        writer.writerow(row.values())
     return buf.getvalue()
 
 
-def _yesno(flag: bool) -> str:
-    return "yes" if flag else "no"
+def _text(rows) -> str:
+    """(caption, kind, value) rows as "caption: value" lines."""
+    return "".join(f"{cap}: {kind.text(v)}\n" for cap, kind, v in rows)
 
 
-def _report_text(report: AlphaReport) -> str:
-    lines = [
-        f"group: {report.label}",
-        f"order: {report.order}",
-        f"center order: {report.center_order}",
-        f"cyclic subgroups: {report.cyclic_count}",
-        f"alpha(G): {_frac_approx(report.alpha_g)}",
-        f"alpha(Z): {_frac_approx(report.alpha_z)}",
-        f"alpha(G) <= alpha(Z): {_yesno(report.inequality_holds)}",
-        f"equality: {_yesno(report.equality)}",
-        f"structural condition: {_yesno(report.structural)}",
-        f"exp(G/Z): {report.quotient_exponent}",
-        f"2-central: {_yesno(report.two_central)}",
-        f"4-abelian: {_yesno(report.four_abelian)}",
-        f"o(G): {_frac_approx(report.avg_order_g)}",
-        f"o(Z): {_frac_approx(report.avg_order_z)}",
-        f"o(G) >= o(Z): {_yesno(report.avg_inequality_holds)}",
-        f"count identity (enumeration vs totient): {_yesno(report.count_identity)}",
-        "proof steps (cosets of the center):",
-    ]
-    for c in report.proof_steps:
-        tag = "center " if c.is_center else "       "
-        lines.append(
-            f"  {tag}k={c.k} sum={_frac(c.coset_sum)} "
-            f"order-identity={_yesno(c.order_identity)} "
-            f"divisibility={_yesno(c.divisibility)} "
-            f"coset-inequality={_yesno(c.coset_inequality)}"
-        )
-    if report.findings:
-        lines.append("findings:")
-        lines += [f"  {f}" for f in report.findings]
-    else:
-        lines.append("findings: none")
-    return "\n".join(lines) + "\n"
+def _report_text(r: AlphaReport) -> str:
+    lines = ["proof steps (cosets of the center):"]
+    lines += [("  center " if c.is_center else " " * 9) + _step_pairs(c, _STEP_HEAD + _OBLIGATIONS)
+              for c in r.proof_steps]
+    lines += ["findings:", *(f"  {f}" for f in r.findings)] if r.findings else ["findings: none"]
+    rows = ((cap, kind, getattr(r, name)) for name, cap, kind, _ in _FIELDS)
+    return _text(rows) + "\n".join(lines) + "\n"
 
 
 def _build_from_args(args: argparse.Namespace) -> FiniteGroup:
@@ -200,37 +182,24 @@ def _build_from_args(args: argparse.Namespace) -> FiniteGroup:
 def _cmd_alpha(args: argparse.Namespace) -> int:
     g = _build_from_args(args)
     census = cyclic_subgroups(g)
-    a_enum = alpha(g)
-    a_tot = alpha_via_totient(g)
+    a_enum, a_tot = alpha(g), alpha_via_totient(g)
     z = center(g)
-    a_z = alpha(g, z)
-    avg = average_order(g)
-    avg_z = average_order(g, z)
+    rows = (  # JSON key, text caption, kind, value
+        ("label", "group", _STR, g.label),
+        ("order", "order", _INT, g.n),
+        ("cyclic_count", "cyclic subgroups", _INT, census.count),
+        ("alpha_enumeration", "alpha (enumeration)", _FRAC, a_enum),
+        ("alpha_totient", "alpha (totient sum)", _FRAC, a_tot),
+        ("routes_agree", "routes agree", _BOOL, a_enum == a_tot),
+        ("alpha_z", "alpha(Z)", _FRAC, alpha(g, z)),
+        ("avg_order", "average order", _FRAC, average_order(g)),
+        ("avg_order_z", "average order of Z", _FRAC, average_order(g, z)),
+    )
     if args.json:
-        payload = {
-            "label": g.label,
-            "order": g.n,
-            "cyclic_count": census.count,
-            "alpha_enumeration": _frac(a_enum),
-            "alpha_totient": _frac(a_tot),
-            "routes_agree": a_enum == a_tot,
-            "alpha_z": _frac(a_z),
-            "avg_order": _frac(avg),
-            "avg_order_z": _frac(avg_z),
-        }
+        payload = {key: kind.value(v) for key, _, kind, v in rows}
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        sys.stdout.write(
-            f"group: {g.label}\n"
-            f"order: {g.n}\n"
-            f"cyclic subgroups: {census.count}\n"
-            f"alpha (enumeration): {_frac_approx(a_enum)}\n"
-            f"alpha (totient sum): {_frac_approx(a_tot)}\n"
-            f"routes agree: {_yesno(a_enum == a_tot)}\n"
-            f"alpha(Z): {_frac_approx(a_z)}\n"
-            f"average order: {_frac_approx(avg)}\n"
-            f"average order of Z: {_frac_approx(avg_z)}\n"
-        )
+        sys.stdout.write(_text(row[1:] for row in rows))
     return EXIT_OK if a_enum == a_tot else EXIT_COUNTEREXAMPLE
 
 
@@ -240,7 +209,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.json:
         sys.stdout.write(_report_json(report, json.dumps(report.label)) + "\n")
     elif args.csv:
-        sys.stdout.write(_csv_text([_report_csv_row(report)]))
+        sys.stdout.write(_csv_text([report]))
     else:
         sys.stdout.write(_report_text(report))
     if report.findings:
@@ -297,7 +266,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.json:
         _write_sweep_json(result)
     elif args.csv:
-        sys.stdout.write(_csv_text([_report_csv_row(r) for r in result.reports]))
+        sys.stdout.write(_csv_text(result.reports))
     else:
         sys.stdout.write(_sweep_text(result))
     for label in result.counterexamples:

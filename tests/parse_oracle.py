@@ -13,8 +13,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Union
 
-from cyclicdensity import FiniteGroup, ParseError
-from cyclicdensity.groups import validate_table_with_report
+from cyclicdensity import ParseError
+from cyclicdensity.groups import FiniteGroup, validate_table_with_report
 
 
 def rows(text: str, p: Path) -> list[list[int]]:

@@ -36,7 +36,6 @@ import numpy as np
 
 import power_oracle
 from cyclicdensity import (
-    FiniteGroup,
     GroupError,
     InvalidArgument,
     NoIdentityAtZero,
@@ -48,6 +47,7 @@ from cyclicdensity import (
     validate_table_with_report,
 )
 from cyclicdensity.groups import (
+    FiniteGroup,
     _build,
     _central_cosets,
     _check_associativity,

@@ -32,7 +32,7 @@ from cyclicdensity import (
 )
 from cyclicdensity import cli as cli_module
 from cyclicdensity.sweep import SweepConfig, run_sweep
-from table_oracle import group_exponent, with_orders
+from table_oracle import group_exponent, relabeled_copy, with_orders
 
 SWEEP_WALL_SECONDS = 60.0
 SPOT_WALL_SECONDS = 1.0
@@ -142,6 +142,21 @@ def test_criterion_08_relabeling_invariance_via_import(tmp_path):
             got = dataclasses.asdict(full_report(loaded))
             got.pop("label")
             assert got == baseline, (g.label, trial)
+
+
+def test_criterion_08_relabeling_invariance_across_the_corpus(corpus):
+    # a fast path that leans on the catalog's id layout fails here: each
+    # group, relabeled with its identity off id 0, goes through
+    # validate_table_with_report
+    rng = np.random.default_rng(975)
+    assert len(corpus.result.reports) == 975
+    for report in corpus.result.reports:
+        g = build_group(report.label)
+        sigma = rng.permutation(g.n)
+        if g.n > 1 and sigma[0] == 0:
+            sigma[[0, 1]] = sigma[[1, 0]]
+        got = full_report(relabeled_copy(g, sigma, "relabeled"))
+        assert dataclasses.replace(got, label=report.label) == report, report.label
 
 
 def test_criterion_09_frozen_spot_values():

@@ -1,5 +1,6 @@
 """CLI contract: output formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from cyclicdensity import build_group
+from cyclicdensity import AlphaReport, CosetCheck, build_group, cli
 
 REPORT_KEYS = [
     "label", "order", "cyclic_count", "alpha_g", "alpha_z", "equality",
@@ -84,6 +85,20 @@ def test_verify_csv():
     assert len(lines) == 2
     assert lines[1].startswith("quaternion:8,8,5,5/8,1/1,")
     assert "k=4 sum=1/1 flags=+++" in lines[1]
+
+
+def test_each_report_field_has_one_row():
+    # every format reads the one field table, so a field missing from it, or
+    # listed twice, would drop or repeat that field in every format
+    fields = {f.name for f in dataclasses.fields(AlphaReport)} - {"proof_steps", "findings"}
+    assert sorted(row[0] for row in cli._FIELDS) == sorted(fields)
+    assert sorted(row[0] for row in cli._STEP_FIELDS) == sorted(
+        f.name for f in dataclasses.fields(CosetCheck))
+    for table in (cli._FIELDS, cli._STEP_FIELDS):
+        for column in zip(*table):
+            names = [x for x in column if isinstance(x, str)]
+            assert len(set(names)) == len(names), names
+    assert list(cli._REPORT_COLUMNS) == REPORT_KEYS
 
 
 def test_verify_json_csv_mutually_exclusive():

@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from cyclicdensity import (
     CosetCheck,
-    FiniteGroup,
     SweepConfig,
     SweepResult,
     build_group,
@@ -23,6 +22,7 @@ from cyclicdensity import (
     full_report,
     run_sweep,
 )
+from cyclicdensity.groups import FiniteGroup
 from cyclicdensity.sweep import SWEEP_FAMILIES
 from table_oracle import with_orders
 

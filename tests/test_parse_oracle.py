@@ -27,7 +27,8 @@ UNCAPPED = 10 ** 9
 caps = st.sampled_from([3, 6, UNCAPPED])
 
 NOISE = [str(d).encode() for d in range(10)] + [
-    b" ", b"\n", b"\r", b"\t", b"+", b"-", b"_", b"x", "٣".encode(), b"\xff",
+    b" ", b"\n", b"\r", b"\t", b"\x0b", b"\x0c", b"\x1c", b"\x1f", b"+", b"-", b"_", b"x",
+    "٣".encode(), b"\xff",
 ]
 SOURCES = ["cyclic:1", "cyclic:2", "cyclic:3", "abelian:2,2", "cyclic:5",
            "dihedral:6", "quaternion:8"]
@@ -115,7 +116,8 @@ def table_texts(draw):
             tokens.pop(k)
     spaces = st.sampled_from(["", " ", "  "])
     lines = [draw(spaces) + " ".join(line) + draw(spaces) for line in tokens]
-    text = "".join(line + "\n" * draw(st.integers(1, 2)) for line in lines)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = "".join(line + end * draw(st.integers(1, 2)) for line in lines)
     data = text.encode()
     if draw(st.booleans()):
         data = data.rstrip(b"\n")
@@ -153,6 +155,11 @@ def test_noise_matches_oracle(path, data, cap):
     "\n\n 3 \n\n0 1 2\n  1 2 0  \n\n2 0 1",
     "3\n000 01 000000002\n1 2 0\n2 0 1\n",
     "0003\n2 0 1\n0 1 2\n1 2 0\n",
+    "2\n0\t1\n1 0\n",            # tab
+    "2\r\n0 1\r\n1 0\r\n",       # carriage returns
+    "2\r0 1\r1 0\r",            # carriage returns alone
+    "2\x1c0 1\x1c1 0\x1c",      # file separators, a line break to str.splitlines
+    "\x0c 2\x1f\r\n0\x1f1\x0b\t1 0",  # every kind of ASCII whitespace
 ])
 def test_whole_array_path_takes_canonical_files(path, text):
     data = text.encode()
@@ -161,8 +168,6 @@ def test_whole_array_path_takes_canonical_files(path, text):
 
 
 @pytest.mark.parametrize("text", [
-    "2\n0\t1\n1 0\n",            # tab
-    "2\r\n0 1\r\n1 0\r\n",       # carriage returns
     "2\n+0 1\n1 0\n",            # sign
     "2\n0 1\n1 0_0\n",           # underscore
     "2\n0 ١\n١ 0\n",   # non-ASCII digits
@@ -197,21 +202,27 @@ def big_table_text(n: int = 300, seed: int = 0) -> list[str]:
 
 
 BLANK_RUN = "\n" * (_PARSE_BLOCK + 7)  # one block of nothing but newlines
+OTHER_WHITESPACE = {"crlf": ("\r\n", " "), "cr": ("\r", " "), "tab": ("\n", "\t"),
+                    "x1c": ("\x1c", "\x1f")}  # line break, separator
 
 
 @pytest.mark.parametrize("layout", ["plain", "blank block inside", "blank block after",
-                                    "blank block before", "padded"])
+                                    "blank block before", "padded", *OTHER_WHITESPACE,
+                                    "crlf from the middle"])
 def test_whole_array_path_matches_loop_across_blocks(path, layout):
     lines = big_table_text()
     if layout == "padded":
         lines = ["  " + line.replace(" ", "  0") + " " for line in lines]
-    text = "\n".join(lines) + "\n"
+    end, sep = OTHER_WHITESPACE.get(layout, ("\n", " "))
+    text = end.join(line.replace(" ", sep) for line in lines) + end
     if layout == "blank block inside":
         text = "\n".join(lines[:150]) + BLANK_RUN + "\n".join(lines[150:]) + "\n"
     elif layout == "blank block after":
         text += BLANK_RUN
     elif layout == "blank block before":
         text = BLANK_RUN + text
+    elif layout == "crlf from the middle":  # only the later blocks are translated
+        text = "\n".join(lines[:150]) + "\r\n" + "\r\n".join(lines[150:]) + "\r\n"
     data = text.encode()
     assert len(data) > 2 * _PARSE_BLOCK
     assert _canonical_table(data, UNCAPPED, "t") is not None
@@ -219,7 +230,7 @@ def test_whole_array_path_matches_loop_across_blocks(path, layout):
 
 
 @pytest.mark.parametrize("fault", ["entry out of range", "short row", "long row", "extra row",
-                                   "missing row", "tab", "ten digits"])
+                                   "missing row", "sign", "ten digits"])
 @pytest.mark.parametrize("row", [1, 150, 300])
 def test_a_fault_in_any_block_sends_the_file_to_the_loop(path, fault, row):
     lines = big_table_text()
@@ -234,8 +245,8 @@ def test_a_fault_in_any_block_sends_the_file_to_the_loop(path, fault, row):
         lines.insert(row, line)
     elif fault == "missing row":
         del lines[row]
-    elif fault == "tab":
-        lines[row] = line.replace(" ", "\t", 1)
+    elif fault == "sign":
+        lines[row] = line.replace(" ", " +", 1)
     elif fault == "ten digits":
         lines[row] = "0000000000" + line
     data = ("\n".join(lines) + "\n").encode()

@@ -2,7 +2,10 @@
 
 import ast
 import re
+import types
 from pathlib import Path
+
+import cyclicdensity
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -130,3 +133,26 @@ def test_cli_uses_json_only_through_dumps():
         or (isinstance(node, ast.ImportFrom) and node.module == "json")
     ]
     assert not found, f"json used other than as json.dumps in cli.py, lines {found}"
+
+
+# Every public non-module name of the package.  Each export counts against a
+# budget of about 30 names, so adding or removing one means editing this list.
+PUBLIC_NAMES = {
+    "AlphaReport", "CosetCheck", "CyclicCensus", "GroupSpec", "PerCosetFindings",
+    "StructuralResult", "Subgroup", "SweepConfig", "SweepResult",
+    "GroupError", "InvalidArgument", "NoIdentityAtZero", "NoInverse", "NotASubgroup",
+    "NotAssociative", "NotClosed", "ParseError", "SizeLimitExceeded", "SpecSyntaxError",
+    "alpha", "alpha_via_totient", "average_order", "build_group", "census_matches_orders",
+    "center", "corpus_specs", "cyclic_subgroups", "direct_product", "euler_phi", "factorize",
+    "full_report", "is_2_central", "is_4_abelian_witness", "is_prime",
+    "load_table_with_report", "parse_group_spec", "per_coset_analysis", "run_sweep",
+    "size_cap", "structural_condition", "subgroup_count_identity_check",
+    "validate_table_with_report",
+}
+
+
+def test_public_names_are_pinned():
+    found = {name for name, value in vars(cyclicdensity).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(found - PUBLIC_NAMES) == [], "new exports"
+    assert sorted(PUBLIC_NAMES - found) == [], "exports removed"

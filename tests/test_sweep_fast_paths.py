@@ -17,7 +17,6 @@ import numpy as np
 
 from census_oracle import per_coset_findings
 from cyclicdensity import (
-    FiniteGroup,
     Subgroup,
     SweepConfig,
     build_group,
@@ -27,7 +26,7 @@ from cyclicdensity import (
     is_4_abelian_witness,
     per_coset_analysis,
 )
-from cyclicdensity.groups import _generate, _generators
+from cyclicdensity.groups import FiniteGroup, _generate, _generators
 from table_oracle import four_abelian_witness, with_orders
 
 

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from census_oracle import structural
 from cyclicdensity import (
-    FiniteGroup,
     NotASubgroup,
     Subgroup,
     SweepConfig,
@@ -21,7 +20,7 @@ from cyclicdensity import (
     structural_condition,
     validate_table_with_report,
 )
-from cyclicdensity.groups import _generate
+from cyclicdensity.groups import FiniteGroup, _generate
 from table_oracle import (
     NotCentral,
     centrality_failure,
