@@ -23,11 +23,12 @@ import numpy as np
 from .arith import is_power_of, is_prime
 from .errors import ParseError, SpecSyntaxError
 from .groups import (
+    _ID,
     FiniteGroup,
     _block_budget,
     _build,
     _check_cap,
-    _id_dtype,
+    _is_int,
     _product_of_tables,
     direct_product,
     validate_table_with_report,
@@ -51,20 +52,20 @@ def _circulant(row: np.ndarray, sign: int) -> np.ndarray:
 
 
 # Each fill takes a spec's parameters, which have passed the family's rule,
-# and returns the family's table of _id_dtype(order) ids, associative by
+# and returns the family's table of _ID ids, associative by
 # construction.
 
 def _cyclic(n: int) -> np.ndarray:
     """Cyclic group of order n; id i is the i-th power of the generator."""
-    return _circulant(np.arange(n, dtype=_id_dtype(n)), 1).copy()
+    return _circulant(np.arange(n, dtype=_ID), 1).copy()
 
 
 def _abelian_table(orders: tuple[int, ...]) -> np.ndarray:
     """Table of Z_n1 + Z_n2 + ..., a right fold of circulant views; one
     factor is the view itself."""
-    table = _circulant(np.arange(orders[-1], dtype=_id_dtype(orders[-1])), 1)
+    table = _circulant(np.arange(orders[-1], dtype=_ID), 1)
     for n in orders[-2::-1]:  # the accumulated table is the broadcast's inner axis
-        table = _product_of_tables(_circulant(np.arange(n, dtype=_id_dtype(n)), 1), table)
+        table = _product_of_tables(_circulant(np.arange(n, dtype=_ID), 1), table)
     return table
 
 
@@ -88,8 +89,8 @@ def _abelian(*orders: int) -> np.ndarray:
 def _dihedral(order: int) -> np.ndarray:
     """Dihedral group with `order` elements: rotations at 0..n-1, reflections at n..2n-1."""
     n = order // 2
-    i = np.arange(n, dtype=_id_dtype(order))  # n + i stays below the order
-    t = np.empty((order, order), dtype=_id_dtype(order))
+    i = np.arange(n, dtype=_ID)  # n + i stays below the order
+    t = np.empty((order, order), dtype=_ID)
     t[:n, :n] = _circulant(i, 1)           # r^a r^b
     t[:n, n:] = _circulant(n + i, -1)      # r^a (s r^b) = s r^(b-a)
     t[n:, :n] = _circulant(n + i, 1)       # (s r^a) r^b = s r^(a+b)
@@ -106,7 +107,7 @@ def _quaternion(order: int) -> np.ndarray:
     n = order // 4
     two_n = 2 * n
     i = np.arange(two_n, dtype=np.int32)  # -i in uint16 would wrap; the assignments cast
-    t = np.empty((order, order), dtype=_id_dtype(order))
+    t = np.empty((order, order), dtype=_ID)
     t[:two_n, :two_n] = _circulant(i, 1)                        # a^i a^j
     t[:two_n, two_n:] = _circulant(two_n + i, 1)                # a^i (a^j b) = a^(i+j) b
     t[two_n:, :two_n] = _circulant(two_n + (-i) % two_n, -1)    # (a^i b) a^j = a^(i-j) b
@@ -131,7 +132,7 @@ def _symmetric(degree: int) -> np.ndarray:
     perms = np.fromiter(itertools.permutations(range(degree)),
                         dtype=np.dtype((np.int32, degree)), count=n)
     w = degree ** np.arange(degree - 1, -1, -1, dtype=np.int32) // degree  # 1 // d = 0
-    ids = np.arange(n, dtype=_id_dtype(n))
+    ids = np.arange(n, dtype=_ID)
     lut = np.empty(degree ** (degree - 1), dtype=ids.dtype)
     lut[perms @ w] = ids
     table = np.empty((n, n), dtype=ids.dtype)
@@ -158,7 +159,7 @@ def _heisenberg(p: int) -> np.ndarray:
     """
     n, pp = p ** 3, p * p
     # every value below is under n, so the table's own type holds it exactly
-    c, rem = np.divmod(np.arange(n, dtype=_id_dtype(n)), pp)
+    c, rem = np.divmod(np.arange(n, dtype=_ID), pp)
     a, b = np.divmod(rem, p)
     table = np.empty((n, n), dtype=c.dtype)
     step = max(1, _block_budget(n) // n)
@@ -196,7 +197,7 @@ def _extraspecial(order: int, sign: str = "+") -> np.ndarray:
     if sign == "-":
         a, b = free[-2:]
         reads[a], reads[b] = 1 << a, 1 << a | 1 << b  # a a = b b = z, b a = a b z
-    ids = np.arange(order, dtype=_id_dtype(order))
+    ids = np.arange(order, dtype=_ID)
     table = np.empty((order, order), dtype=ids.dtype)
     table[0] = ids
     for j, mask in enumerate(reads):
@@ -247,11 +248,15 @@ FAMILY_NAMES = (*_FAMILIES, "product", "table")
 
 
 def _require(spec: GroupSpec) -> None:
-    """Raise SpecSyntaxError unless spec's parameters meet its family's rule."""
+    """Raise SpecSyntaxError unless spec's parameters are integers (but the
+    extraspecial type) that meet its family's rule."""
     p = spec.params
     if spec.family == "extraspecial" and p[1] not in ("+", "-"):
         raise SpecSyntaxError(f"extraspecial type must be '+' or '-', got {p[1]!r}")
     test, rule = _FAMILIES[spec.family][:2]
+    odd = [v for v in (p[:1] if spec.family == "extraspecial" else p) if not _is_int(v)]
+    if odd:
+        raise SpecSyntaxError(f"{rule.format(p=p)}: {odd[0]!r} is not an integer")
     if not test(*p):
         raise SpecSyntaxError(rule.format(p=p))
 
@@ -275,7 +280,7 @@ def _lf_marks(blk: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
 
 
 def _canonical_table(data: bytes, max_size: Optional[int], label: str) -> Optional[np.ndarray]:
-    """The (n, n) _id_dtype(n) table of a canonical file, parsed a block of
+    """The (n, n) _ID table of a canonical file, parsed a block of
     whole lines (about _PARSE_BLOCK bytes) at a time, or None for any other
     file.
 
@@ -325,7 +330,7 @@ def _canonical_table(data: bytes, max_size: Optional[int], label: str) -> Option
     _check_cap(n, max_size, f"table {label!r}")
     if rows != n:
         return None
-    table = np.empty((n, n), dtype=_id_dtype(n))
+    table = np.empty((n, n), dtype=_ID)
     flat = table.ravel()
     for lo, hi, at, translate in blocks:
         text = data[lo:hi]

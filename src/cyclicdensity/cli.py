@@ -2,9 +2,9 @@
 
 Exit codes: 0 when all requested checks pass, 1 when a verified group
 violates a checked identity (a mathematical counterexample), 2 for usage,
-parse, or I/O errors, 3 for an internal fault (any other exception, such
-as running out of memory).  Output is deterministic: the same invocation
-yields byte-identical bytes regardless of parallelism.
+parse, or I/O errors and for a group over the size cap or physical memory,
+3 for an internal fault (any other exception).  Output is deterministic:
+the same invocation yields byte-identical bytes regardless of parallelism.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .density import (
     cyclic_subgroups,
 )
 from .errors import GroupError
-from .groups import DEFAULT_SIZE_CAP, SIZE_CAP_ENV, FiniteGroup, center
+from .groups import DEFAULT_SIZE_CAP, MAX_ORDER, SIZE_CAP_ENV, FiniteGroup, center
 from .sweep import SWEEP_FAMILIES, SweepConfig, SweepResult, run_sweep
 from .verify import AlphaReport, CosetCheck, full_report
 
@@ -35,7 +35,6 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-_UNCAPPED = 10 ** 9  # effective "no cap" when --size-override is given
 _CAP_HELP = f"the size cap ({DEFAULT_SIZE_CAP}, or ${SIZE_CAP_ENV} when set)"
 
 
@@ -175,8 +174,7 @@ def _report_text(r: AlphaReport) -> str:
 
 
 def _build_from_args(args: argparse.Namespace) -> FiniteGroup:
-    max_size = _UNCAPPED if getattr(args, "size_override", False) else None
-    return build_group(args.group, max_size=max_size)
+    return build_group(args.group, max_size=MAX_ORDER if args.size_override else None)
 
 
 def _cmd_alpha(args: argparse.Namespace) -> int:
@@ -275,7 +273,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_import(args: argparse.Namespace) -> int:
-    max_size = _UNCAPPED if args.size_override else None
+    max_size = MAX_ORDER if args.size_override else None
     group, reindex = load_table_with_report(args.table, max_size=max_size)
     moved = [f"{old}->{new}" for old, new in enumerate(reindex) if old != new]
     if args.json:

@@ -3,8 +3,8 @@
 checks are built on.
 
 Element ids are 0..n-1 with the identity always at 0.  Tables loaded from
-external sources are re-indexed to honor that convention.  A table of
-order n holds its ids as _id_dtype(n): uint16 below 2^16, int32 above.
+external sources are re-indexed to honor that convention.  Every table
+holds its ids as _ID (uint16), so no group has an order over MAX_ORDER.
 
 Each group carries one generating set S, and the center and the closure of
 sets over 128 ids work from one in O(n |S|) instead of comparing all n^2
@@ -18,6 +18,7 @@ of its parent is closed with no gather at all.
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Callable, Iterable, Optional, Union
 
@@ -52,32 +53,44 @@ def size_cap() -> int:
     return cap
 
 
-def _effective_cap(max_size: Optional[int]) -> int:
-    if max_size is None:
-        return size_cap()
-    if max_size < 1:
-        raise InvalidArgument(f"max_size must be >= 1, got {max_size}")
-    return max_size
+_ID = np.uint16  # the type of every table's ids
+# every id and n itself fit in _ID (n is the fill for "no id"); index
+# arithmetic such as x * n + y runs in int32 or intp, never in _ID
+MAX_ORDER = int(np.iinfo(_ID).max)
+
+
+@functools.cache
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, read once per process; None where the
+    platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _check_cap(n: int, max_size: Optional[int], what: str) -> None:
-    cap = _effective_cap(max_size)
+    """Refuse an order n over MAX_ORDER, over the size cap (max_size, else
+    size_cap()), or whose 2n^2-byte table exceeds physical memory, before
+    anything the size of a table is allocated."""
+    if max_size is not None and max_size < 1:
+        raise InvalidArgument(f"max_size must be >= 1, got {max_size}")
+    if n > MAX_ORDER:
+        raise SizeLimitExceeded(f"{what} has order {n}, over {MAX_ORDER}, "
+                                f"the most that 16-bit table ids can number")
+    cap = size_cap() if max_size is None else max_size
     if n > cap:
         raise SizeLimitExceeded(f"{what} has order {n}, over the cap {cap}")
-
-
-def _id_dtype(n: int) -> type:
-    """The entry type of a table of order n: uint16 while n < 2^16, so that
-    every id and n itself fit (n is the fill for "no id"), else int32.  Only
-    storage narrows: index arithmetic such as x * n + y runs in int32 or
-    intp, never in the table's type."""
-    return np.uint16 if n < 1 << 16 else np.int32
+    memory = _physical_memory()
+    if memory is not None and 2 * n * n > memory:
+        raise SizeLimitExceeded(f"{what} has order {n}: its table of {2 * n * n} bytes "
+                                f"exceeds the {memory} bytes of physical memory")
 
 
 class FiniteGroup:
     """Immutable finite group on ids 0..n-1, identity at 0.
 
-    table is a read-only, C-contiguous (n, n) array of _id_dtype(n) ids;
+    table is a read-only, C-contiguous (n, n) array of _ID ids;
     inv and ord are int32 vectors.  Only the builders construct a group:
     validate_table_with_report, build_group, direct_product and
     Subgroup.as_group.  They derive the orders the census reads, which a
@@ -125,7 +138,9 @@ class Subgroup:
             arr = members.nonzero()[0].astype(np.int32)
         else:
             ids = list(members)
-            for a in ids:  # before the int32 cast, which an id past it would overflow
+            for a in ids:  # before the int32 cast, which would truncate or overflow
+                if not _is_int(a):
+                    raise NotASubgroup(f"member {a!r} is not an integer")
                 if not 0 <= a < parent.n:
                     raise NotASubgroup(f"member {a} outside parent of order {parent.n}")
             arr = np.unique(np.asarray(ids, dtype=np.int32))
@@ -168,9 +183,8 @@ class Subgroup:
 
     def as_group(self, label: Optional[str] = None) -> FiniteGroup:
         """Standalone group on re-indexed members (identity stays at 0)."""
-        dtype = _id_dtype(len(self))  # ids outside the members are never read
-        pos = np.zeros(self.parent.n, dtype=dtype)
-        pos[self.members] = np.arange(len(self), dtype=dtype)
+        pos = np.zeros(self.parent.n, dtype=_ID)  # ids outside the members are never read
+        pos[self.members] = np.arange(len(self), dtype=_ID)
         table = pos[self.parent.table[np.ix_(self.members, self.members)]]
         return _build(table, label or f"subgroup of {self.parent.label}")
 
@@ -178,21 +192,31 @@ class Subgroup:
         return f"Subgroup(order={len(self)} of {self.parent.label!r})"
 
 
-def _as_table(raw) -> np.ndarray:
-    """A C-ordered _id_dtype(n) copy of a caller's table: an integer array is
-    read as it is, anything else through int64, then copied once."""
+def _is_int(v) -> bool:
+    """True for an integer id: a Python or NumPy integer, but not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _as_table(raw, max_size: Optional[int], label: str) -> np.ndarray:
+    """A C-ordered _ID copy of a caller's table, made once its shape has met
+    the size cap: an integer array is read as it is; any other entry type
+    must hold only integers, or NotClosed names the first that is not."""
     try:
-        int_array = isinstance(raw, np.ndarray) and raw.dtype.kind in "iu"
-        arr = raw if int_array else np.asarray(raw, dtype=np.int64)
+        arr = np.asarray(raw)
     except (ValueError, TypeError):
         raise NotClosed("table must be a square matrix of integers")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise NotClosed(f"table must be a nonempty square matrix, got shape {arr.shape}")
     n = arr.shape[0]
+    _check_cap(n, max_size, f"table {label!r}")
+    if arr.dtype.kind not in "iu":  # a float, str or bool entry, or an int past int64
+        for a, b in np.ndindex(arr.shape):
+            if not _is_int(v := raw[a][b]):
+                raise NotClosed(f"entry table[{a}][{b}] = {v!r} is not an integer")
     if arr.min() < 0 or arr.max() >= n:
         a, b = np.argwhere((arr < 0) | (arr >= n))[0]
         raise NotClosed(f"entry table[{a}][{b}] = {int(arr[a, b])} is outside [0, {n})")
-    return np.array(arr, dtype=_id_dtype(n), order="C")
+    return np.array(arr, dtype=_ID, order="C")
 
 
 def _find_identity(table: np.ndarray) -> int:
@@ -297,12 +321,12 @@ def _check_associativity(table: np.ndarray) -> np.ndarray:
     generators; a non-group magma may need up to n, which costs O(n^3), no
     worse than checking every triple.
 
-    take copies each block's ids to intp, 8 / itemsize times the block's
-    bytes, so a block holds _ROW_BLOCK * itemsize / 4 entries: that copy is
-    then 2^17 / n^2 of the table for uint16 and int32 tables alike.
+    take copies each block's ids to intp, 4 times the block's bytes, so a
+    block holds _ROW_BLOCK / 2 entries: that copy is then 2^17 / n^2 of the
+    table.
     """
     n = table.shape[0]
-    step = max(1, _ROW_BLOCK * table.itemsize // 4 // n)
+    step = max(1, _ROW_BLOCK // 2 // n)
 
     def light(c: int) -> None:
         col = table[:, c]
@@ -403,7 +427,7 @@ def _build(table: np.ndarray, label: str) -> FiniteGroup:
     inverse candidate x^(n-1) is two-sided, so constructor bugs cannot slip
     through silently; associativity is validate_table_with_report's job.
     Only here is _table_ord set: the orders the census and _generators read.
-    A table that is not C-contiguous, or of any type but _id_dtype(n), is an
+    A table that is not C-contiguous, or of any type but _ID, is an
     internal fault: every builder writes its table in that form.
 
     An x^n off the identity means no group.  In a finite monoid the units
@@ -412,9 +436,9 @@ def _build(table: np.ndarray, label: str) -> FiniteGroup:
     never reach it; if every row holds 0, the table is not associative.
     """
     n = table.shape[0]
-    if table.dtype != _id_dtype(n) or not table.flags.c_contiguous:
+    if table.dtype != _ID or not table.flags.c_contiguous:
         raise ValueError(f"table for {label!r} is not a C-contiguous table of "
-                         f"{np.dtype(_id_dtype(n))} ids")
+                         f"{np.dtype(_ID)} ids")
     ar = np.arange(n, dtype=np.int32)
     if not ((table[0] == ar).all() and (table[:, 0] == ar).all()):
         raise NoIdentityAtZero(f"constructed table for {label!r} lacks identity at 0")
@@ -449,13 +473,12 @@ def validate_table_with_report(
 
     Also returns the old->new re-index map applied to move the identity to
     id 0 (the identity map when it was already there).  raw, a nested list
-    or an array of any integer type, is copied into an _id_dtype(n) table;
-    only the table loader passes _own=True, handing over a C-contiguous
-    _id_dtype(n) table with entries in [0, n) that validation relabels and
-    keeps."""
-    table = raw if _own else _as_table(raw)
+    or an array of any integer type, is copied into an _ID table once its
+    order has met the size cap; only the table loader passes _own=True,
+    handing over a C-contiguous _ID table with entries in [0, n), whose
+    order it has checked, that validation relabels and keeps."""
+    table = raw if _own else _as_table(raw, max_size, label)
     n = table.shape[0]
-    _check_cap(n, max_size, f"table {label!r}")
     e = _find_identity(table)
     sigma = _swap_to_zero(table, e) if e else np.arange(n, dtype=np.int32)
     gens = _check_associativity(table)
@@ -523,13 +546,12 @@ def _central_cosets(g: FiniteGroup, z: Subgroup, u: Optional[Subgroup] = None) -
 
 def _product_of_tables(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """Cayley table of the direct product, pairs (a, b) encoded as a * n2 + b,
-    in _id_dtype(n1 * n2) whatever integer types the factors hold: a * n2
-    and the sum are computed in that type, where every id fits."""
+    in _ID whatever integer types the factors hold: a * n2 and the sum are
+    computed in _ID, where every id of a product of order <= MAX_ORDER fits."""
     n1, n2 = t1.shape[0], t2.shape[0]
-    dtype = _id_dtype(n1 * n2)
-    out = np.empty((n1, n2, n1, n2), dtype=dtype)
-    high = np.multiply(t1, n2, dtype=dtype, casting="unsafe")  # entries of t1 are below n1
-    np.add(high[:, None, :, None], t2[None, :, None, :], out=out, dtype=dtype, casting="unsafe")
+    out = np.empty((n1, n2, n1, n2), dtype=_ID)
+    high = np.multiply(t1, n2, dtype=_ID, casting="unsafe")  # entries of t1 are below n1
+    np.add(high[:, None, :, None], t2[None, :, None, :], out=out, dtype=_ID, casting="unsafe")
     return out.reshape(n1 * n2, n1 * n2)
 
 
@@ -544,6 +566,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, *, max_size: Optional[int] = 
 __all__ = [
     "DEFAULT_SIZE_CAP",
     "SIZE_CAP_ENV",
+    "MAX_ORDER",
     "size_cap",
     "FiniteGroup",
     "Subgroup",

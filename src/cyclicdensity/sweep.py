@@ -17,7 +17,7 @@ from typing import Optional
 from .arith import is_prime
 from .catalog import FAMILY_NAMES, build_group
 from .errors import InvalidArgument, SizeLimitExceeded
-from .groups import size_cap
+from .groups import MAX_ORDER, size_cap
 from .verify import AlphaReport, full_report
 
 SWEEP_FAMILIES = FAMILY_NAMES[:-2]  # every family but product and table
@@ -132,6 +132,9 @@ def _sweep_worker(args: tuple[str, Optional[int]]) -> AlphaReport:
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Check every corpus group; reports come back sorted by label."""
+    if config.max_order > MAX_ORDER:
+        raise SizeLimitExceeded(f"max_order {config.max_order} exceeds {MAX_ORDER}, "
+                                f"the most that 16-bit table ids can number")
     cap = size_cap()
     if config.max_order > cap and not config.size_override:
         raise SizeLimitExceeded(

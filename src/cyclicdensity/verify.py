@@ -270,7 +270,7 @@ def is_4_abelian_witness(g: FiniteGroup) -> tuple[bool, Optional[tuple[int, int]
         f4[g.table[lo:hi]] != g.table[np.ix_(f4[lo:hi], f4)]))
 
 
-def full_report(g: FiniteGroup, label: Optional[str] = None) -> AlphaReport:
+def full_report(g: FiniteGroup) -> AlphaReport:
     """Run every check on one group and fold the results into an AlphaReport."""
     census = cyclic_subgroups(g)
     z = center(g)
@@ -334,7 +334,7 @@ def full_report(g: FiniteGroup, label: Optional[str] = None) -> AlphaReport:
         )
 
     return AlphaReport(
-        label=label or g.label,
+        label=g.label,
         order=g.n,
         center_order=len(z),
         cyclic_count=census.count,

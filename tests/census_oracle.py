@@ -23,12 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from cyclicdensity import (
-    CosetCheck,
-    PerCosetFindings,
-    Subgroup,
-    euler_phi,
-)
+from cyclicdensity import Subgroup
+from cyclicdensity.arith import euler_phi
+from cyclicdensity.verify import CosetCheck, PerCosetFindings
 from table_oracle import center_members, closure_failure
 
 

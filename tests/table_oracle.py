@@ -53,7 +53,6 @@ from cyclicdensity.groups import (
     _check_associativity,
     _first_failure,
     _generators,
-    _id_dtype,
 )
 
 
@@ -187,7 +186,7 @@ def quotient_by_central(g: FiniteGroup, z: Subgroup, label: Optional[str] = None
     coset_of = np.empty(g.n, dtype=np.int64)
     coset_of[cosets] = np.arange(reps.size, dtype=np.int64)[:, None]
     qtable = coset_of[g.table[reps[:, None], reps]]
-    return _build(qtable.astype(_id_dtype(reps.size)), label or f"({g.label})/Z")
+    return _build(qtable.astype(np.uint16), label or f"({g.label})/Z")
 
 
 def central_involution(g: FiniteGroup) -> int:
@@ -219,7 +218,7 @@ def central_product_mod_involution(g: FiniteGroup, h: FiniteGroup, zg: int, zh: 
     out = np.where(flip[:, None, :, None], ph[ht][None, :, None, :], ht[None, :, None, :])
     out += (rank[np.where(flip, pg[ga], ga)] * nh)[:, None, :, None]
     n = reps.size * nh
-    return _build(out.reshape(n, n).astype(_id_dtype(n)), label or f"({g.label})o({h.label})")
+    return _build(out.reshape(n, n).astype(np.uint16), label or f"({g.label})o({h.label})")
 
 
 def extraspecial_chain(order: int, sign: str) -> FiniteGroup:

@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclicdensity import InvalidArgument, euler_phi, factorize, is_prime
+from cyclicdensity import InvalidArgument
+from cyclicdensity.arith import euler_phi, factorize, is_prime
 from cyclicdensity.arith import is_power_of, unit_generators
 
 

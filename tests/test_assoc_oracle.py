@@ -23,9 +23,9 @@ from cyclicdensity import (
     NotAssociative,
     SweepConfig,
     build_group,
-    corpus_specs,
     validate_table_with_report,
 )
+from cyclicdensity.sweep import corpus_specs
 from cyclicdensity.groups import _ROW_BLOCK, _check_associativity, _find_identity, _swap_to_zero
 
 SPECS = corpus_specs(SweepConfig(max_order=64))

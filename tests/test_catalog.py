@@ -16,7 +16,7 @@ from cyclicdensity import (
     load_table_with_report,
     parse_group_spec,
 )
-from cyclicdensity.groups import _id_dtype
+from cyclicdensity import catalog
 from table_oracle import (
     abelian_fold_table,
     almost_extraspecial_chain,
@@ -273,7 +273,7 @@ def quaternion_mod_form(order):
 def test_circulant_fills_match_the_mod_form(family, mod_form, orders):
     for order in orders:
         table = build_group(f"{family}:{order}").table
-        assert table.dtype == _id_dtype(order)
+        assert table.dtype == np.uint16
         assert np.array_equal(table, mod_form(order)), order
 
 
@@ -478,3 +478,21 @@ def test_every_spec_builds_a_valid_group(text):
     g = build_group(spec)
     assert g.label == spec.canonical()
     verify_group_invariants(g)
+
+
+@pytest.mark.parametrize("spec, message", [
+    (GroupSpec("cyclic", (4.5,)), "cyclic order must be >= 1, got 4.5: 4.5"),
+    (GroupSpec("abelian", (2, 2.5)), r"abelian cyclic orders must be >= 1, got \(2, 2.5\): 2.5"),
+    (GroupSpec("cyclic", (True,)), "cyclic order must be >= 1, got True: True"),
+    (GroupSpec("dihedral", (8.0,)), "dihedral order must be an even integer >= 4, got 8.0: 8.0"),
+    (GroupSpec("cyclic", ("4",)), "cyclic order must be >= 1, got 4: '4'"),
+], ids=["float", "abelian-float", "bool", "float-that-is-whole", "str"])
+def test_family_parameters_must_be_integers(monkeypatch, spec, message):
+    # the rule refuses them before any fill: no order-5 "cyclic:4.5", no
+    # order-6 abelian:2,2.5, no "cyclic:True", no TypeError
+    def refuse(*args):
+        raise AssertionError("a fill ran for a spec whose parameters are not integers")
+    for family in ("cyclic", "abelian", "dihedral"):
+        monkeypatch.setitem(catalog._FAMILIES, family, (*catalog._FAMILIES[family][:3], refuse))
+    with pytest.raises(SpecSyntaxError, match=f"^{message} is not an integer$"):
+        build_group(spec)

@@ -23,7 +23,6 @@ from cyclicdensity import (
     average_order,
     build_group,
     center,
-    corpus_specs,
     cyclic_subgroups,
     direct_product,
     full_report,
@@ -31,6 +30,7 @@ from cyclicdensity import (
     per_coset_analysis,
     structural_condition,
 )
+from cyclicdensity.sweep import corpus_specs
 from table_oracle import (
     center_members,
     centrality_failure,

@@ -8,7 +8,8 @@ import tracemalloc
 
 import pytest
 
-from cyclicdensity import AlphaReport, CosetCheck, build_group, cli
+from cyclicdensity import AlphaReport, build_group, cli
+from cyclicdensity.verify import CosetCheck
 
 REPORT_KEYS = [
     "label", "order", "cyclic_count", "alpha_g", "alpha_z", "equality",

@@ -18,11 +18,10 @@ from cyclicdensity import (
     alpha_via_totient,
     average_order,
     build_group,
-    census_matches_orders,
     cyclic_subgroups,
-    subgroup_count_identity_check,
     validate_table_with_report,
 )
+from cyclicdensity.density import census_matches_orders, subgroup_count_identity_check
 from table_oracle import group_exponent, prove_orders, with_orders
 
 

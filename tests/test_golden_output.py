@@ -24,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from cyclicdensity import SweepConfig, build_group, cli, corpus_specs
+from cyclicdensity import SweepConfig, build_group, cli
+from cyclicdensity.sweep import corpus_specs
 
 GOLDEN = Path(__file__).resolve().parent / "golden_output.json"
 

@@ -69,6 +69,15 @@ def test_validate_rejects_out_of_range_entry():
         validate_table_with_report([[0, 1], [1, 7]])
 
 
+@pytest.mark.parametrize("raw, entry", [
+    ([[0, 1.5], [1, 0]], "1.5"),  # int64 would truncate it to 1
+    ([[0, "1"], [1, 0]], "'1'"),  # int64 would parse it as 1
+], ids=["float", "str"])
+def test_validate_names_the_first_non_integer_entry(raw, entry):
+    with pytest.raises(NotClosed, match=rf"^entry table\[0\]\[1\] = {entry} is not an integer$"):
+        validate_table_with_report(raw)
+
+
 def test_validate_rejects_missing_identity():
     with pytest.raises(NoIdentityAtZero):
         validate_table_with_report([[1, 1], [1, 1]])
@@ -151,6 +160,12 @@ def test_subgroup_names_an_id_outside_the_parent(d8, bad):
     # 2**40 would overflow
     with pytest.raises(NotASubgroup, match=rf"^member {bad} outside parent of order 8$"):
         Subgroup(d8, [0, bad])
+
+
+def test_subgroup_rejects_a_non_integer_member(z4):
+    # an int32 cast would truncate 2.5 to the subgroup {0, 2}
+    with pytest.raises(NotASubgroup, match=r"^member 2.5 is not an integer$"):
+        Subgroup(z4, [0, 2.5])
 
 
 @pytest.mark.parametrize("size", [2, 7])

@@ -13,15 +13,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cyclicdensity import (
-    CosetCheck,
-    SweepConfig,
-    SweepResult,
-    build_group,
-    cli,
-    full_report,
-    run_sweep,
-)
+from cyclicdensity import SweepConfig, build_group, cli, full_report, run_sweep
+from cyclicdensity.sweep import SweepResult
+from cyclicdensity.verify import CosetCheck
 from cyclicdensity.groups import FiniteGroup
 from cyclicdensity.sweep import SWEEP_FAMILIES
 from table_oracle import with_orders

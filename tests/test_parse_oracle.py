@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parse_oracle
-from cyclicdensity import GroupError, ParseError, SizeLimitExceeded, build_group
+from cyclicdensity import GroupError, ParseError, SizeLimitExceeded, build_group, groups
 from cyclicdensity.catalog import _PARSE_BLOCK, _canonical_table, load_table_with_report
 
 UNCAPPED = 10 ** 9
@@ -64,10 +64,21 @@ def expected(path, data, cap):
         line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
         return (ParseError, f"{path}: byte {exc.start} is not valid UTF-8", line, None)
     n = header_order(text)
-    if n is not None and n > cap:
-        return (SizeLimitExceeded, f"table 'table:{path}' has order {n}, over the cap {cap}",
-                None, None)
+    refusal = None if n is None else size_refusal(n, cap, groups._physical_memory())
+    if refusal:
+        return (SizeLimitExceeded, f"table 'table:{path}' has order {n}{refusal}", None, None)
     return outcome(parse_oracle.load, path, cap)
+
+
+def size_refusal(n, cap, memory):
+    """How the header check words a refused order n, or None."""
+    if n > 65535:
+        return ", over 65535, the most that 16-bit table ids can number"
+    if n > cap:
+        return f", over the cap {cap}"
+    if memory is not None and 2 * n * n > memory:
+        return f": its table of {2 * n * n} bytes exceeds the {memory} bytes of physical memory"
+    return None
 
 
 def assert_matches_oracle(path: Path, data: bytes, cap: int = UNCAPPED):

@@ -16,13 +16,13 @@ from cyclicdensity import (
     SweepConfig,
     build_group,
     center,
-    corpus_specs,
     cyclic_subgroups,
     direct_product,
     validate_table_with_report,
 )
+from cyclicdensity.sweep import corpus_specs
 from cyclicdensity.arith import unit_generators
-from cyclicdensity.groups import _build, _element_orders, _id_dtype, _powers
+from cyclicdensity.groups import _build, _element_orders, _powers
 from table_oracle import prove_orders, relabeled_copy
 
 
@@ -155,7 +155,7 @@ def test_census_rejects_orders_that_do_not_divide_n(table):
     # no census sees such a table, as the builder names the least such x
     # as an internal fault, not a GroupError
     n = len(table)
-    table = np.array(table, dtype=_id_dtype(n))
+    table = np.array(table, dtype=np.uint16)
     ords = power_oracle.element_orders(table, np.arange(n) == 0)
     x = int(np.flatnonzero(n % ords)[0])
     with pytest.raises(ValueError, match=f"not associative: .* x\\^{n} .* for x = {x}$"):
@@ -225,7 +225,7 @@ def test_monoids_name_the_oracle_element(table):
 def test_one_sided_inverse_is_rejected():
     # 2 * 1 = 0, but 1 has no right inverse: 2^3 = 2 misses the identity,
     # and the row scan names 1, whose row [1, 2, 1] is the first to lack it
-    table = np.array([[0, 1, 2], [1, 2, 1], [2, 0, 0]], dtype=_id_dtype(3))
+    table = np.array([[0, 1, 2], [1, 2, 1], [2, 0, 0]], dtype=np.uint16)
     assert not _element_orders(table, np.arange(3) == 0).all()
     with pytest.raises(NoInverse, match="^element 1 has no two-sided inverse$") as err:
         _build(table, "one-sided")
@@ -236,7 +236,7 @@ def test_one_sided_inverse_candidate_is_rejected():
     # every x^4 is the identity (3^2 = 1, 1^2 = 0), so the descent succeeds,
     # but the inverse candidate of 3 is 3^3 = 1 * 3 = 0, and 3 * 0 = 3
     table = np.array([[0, 1, 2, 3], [1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 1]],
-                     dtype=_id_dtype(4))
+                     dtype=np.uint16)
     assert _element_orders(table, np.arange(4) == 0).all()
     assert _powers(table, np.arange(4), 3)[3] == 0
     with pytest.raises(NoInverse, match="^element 3 has only a one-sided inverse 0$") as err:

@@ -7,9 +7,9 @@ from cyclicdensity import (
     SizeLimitExceeded,
     SweepConfig,
     build_group,
-    corpus_specs,
     run_sweep,
 )
+from cyclicdensity.sweep import corpus_specs
 
 
 def test_corpus_composition_small():

@@ -21,11 +21,11 @@ from cyclicdensity import (
     SweepConfig,
     build_group,
     center,
-    corpus_specs,
     full_report,
     is_4_abelian_witness,
     per_coset_analysis,
 )
+from cyclicdensity.sweep import corpus_specs
 from cyclicdensity.groups import FiniteGroup, _generate, _generators
 from table_oracle import four_abelian_witness, with_orders
 

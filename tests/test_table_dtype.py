@@ -1,40 +1,41 @@
 """The storage type of a Cayley table: every route that makes a group's
-table makes it C-contiguous, read-only and of _id_dtype(n), uint16 below
-2^16 and int32 above; no route computes an id in a type too narrow for it.
-
-A product across the 2^16 cut would need a table of 2^32 entries, so the
-products are also built with the cut moved to 2^8 (uint8 below, int32
-from 256 on), where a product of two narrow factors is wide at order 512.
+table makes it C-contiguous, read-only and of uint16 ids, and refuses an
+order over 65,535, which uint16 cannot number, before it allocates
+anything the size of a table.
 """
 
 from __future__ import annotations
+
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cyclicdensity import (
+    SizeLimitExceeded,
     build_group,
     center,
-    full_report,
+    direct_product,
     load_table_with_report,
     validate_table_with_report,
 )
-from cyclicdensity import catalog, groups
-from cyclicdensity.groups import _build, _id_dtype
-from table_oracle import abelian_fold_table, extraspecial_chain
+from cyclicdensity import catalog, cli, groups, sweep
+from cyclicdensity.groups import _build
 
 
-def test_the_cut_is_below_two_to_the_sixteen():
+def test_the_cut_is_below_two_to_the_sixteen(monkeypatch):
     # n itself must fit: it is the fill for "no id" in the per-coset minimum
-    assert _id_dtype(1) is np.uint16
-    assert _id_dtype(65535) is np.uint16
-    assert _id_dtype(65536) is np.int32
-    assert _id_dtype(1 << 20) is np.int32
+    assert groups.MAX_ORDER == np.iinfo(np.uint16).max == 65535
+    monkeypatch.setattr(groups, "_physical_memory", lambda: 1 << 40)
+    groups._check_cap(65535, 65535, "cyclic:65535")
+    with pytest.raises(SizeLimitExceeded, match="^cyclic:65536 has order 65536, over 65535, "):
+        groups._check_cap(65536, 10 ** 9, "cyclic:65536")
 
 
 def assert_stored(g):
     t = g.table
-    assert t.dtype == _id_dtype(g.n), (g.label, t.dtype)
+    assert t.dtype == np.uint16, (g.label, t.dtype)
     assert t.shape == (g.n, g.n) and t.flags.c_contiguous and not t.flags.writeable, g.label
     assert g.inv.dtype == g.ord.dtype == np.int32, g.label
 
@@ -100,30 +101,6 @@ def test_the_builder_refuses_a_strided_table():
         _build(t, "cyclic:4")
 
 
-def narrow_ids(monkeypatch):
-    """Move the cut to 2^8: uint8 ids below order 256, int32 from it on."""
-    def narrow(n: int) -> type:
-        return np.uint8 if n < 1 << 8 else np.int32
-    for module in (groups, catalog):
-        monkeypatch.setattr(module, "_id_dtype", narrow)
-
-
-# each product multiplies ids of a narrow factor by |H| past the narrow
-# type: a * 32 for a < 16, a rank below 64 times 8
-@pytest.mark.parametrize("spec, oracle", [
-    ("product:(cyclic:32)x(cyclic:16)", lambda: abelian_fold_table((32, 16))),
-    ("abelian:16,32", lambda: abelian_fold_table((16, 32))),
-    ("extraspecial:512:+", lambda: extraspecial_chain(512, "+").table),
-])
-def test_products_across_the_cut_compute_in_the_wider_type(monkeypatch, spec, oracle):
-    want, report = oracle(), full_report(build_group(spec))
-    narrow_ids(monkeypatch)
-    g = build_group(spec)
-    assert g.table.dtype == np.int32
-    assert np.array_equal(g.table, want)
-    assert full_report(g) == report
-
-
 def test_factors_of_any_integer_type_make_the_same_product():
     t1, t2 = build_group("dihedral:8").table, build_group("cyclic:6").table
     want = groups._product_of_tables(t1, t2)
@@ -131,3 +108,81 @@ def test_factors_of_any_integer_type_make_the_same_product():
     for dtype in (np.uint8, np.int16, np.int32, np.int64, np.uint64):
         got = groups._product_of_tables(t1.astype(dtype), t2.astype(dtype))
         assert got.dtype == np.uint16 and np.array_equal(got, want), dtype
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a fill, parse or validation ran for an order past its limit")
+
+
+def refuse_fills(monkeypatch):
+    """Make the cyclic fill, every table product, every table validation and
+    every sweep build fail the test, so a missed check fails fast instead of
+    allocating gigabytes."""
+    monkeypatch.setitem(catalog._FAMILIES, "cyclic", (*catalog._FAMILIES["cyclic"][:3], refuse))
+    monkeypatch.setattr(groups, "_product_of_tables", refuse)
+    monkeypatch.setattr(catalog, "validate_table_with_report", refuse)
+    monkeypatch.setattr(sweep, "build_group", refuse)
+
+
+LIMIT = "has order 65536, over 65535, the most that 16-bit table ids can number"
+
+
+def test_order_65536_is_refused_before_its_fill(monkeypatch):
+    refuse_fills(monkeypatch)
+    with pytest.raises(SizeLimitExceeded, match=f"^cyclic:65536 {LIMIT}$"):
+        build_group("cyclic:65536", max_size=10 ** 9)
+
+
+def test_a_product_of_order_65536_is_refused_before_its_table(monkeypatch):
+    z256 = build_group("cyclic:256")
+    refuse_fills(monkeypatch)
+    with pytest.raises(SizeLimitExceeded, match=f"^product of 'cyclic:256' and 'cyclic:256' {LIMIT}$"):
+        direct_product(z256, z256, max_size=10 ** 9)
+
+
+def test_a_table_of_order_65536_is_refused_before_an_entry_is_read(monkeypatch):
+    # reading the 2^32 entries takes seconds, and copying them takes 8 GiB
+    zeros = np.broadcast_to(np.uint16(0), (65536, 65536))
+    monkeypatch.setattr(groups, "_find_identity", refuse)
+    monkeypatch.setattr(np, "array", refuse)  # the copy into a table
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitExceeded, match=f"^table 'table' {LIMIT}$"):
+        validate_table_with_report(zeros, max_size=10 ** 9)
+    assert time.perf_counter() - start < 1
+
+
+def run_main(argv, capsys):
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    return rc, out, err, peak
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify", "--group", "cyclic:65536"], f"cyclic:65536 {LIMIT}"),
+    (["sweep", "--max-order", "65536"],
+     "max_order 65536 exceeds 65535, the most that 16-bit table ids can number"),
+    (["import", "--table"], f"table 'table:{{path}}' {LIMIT}"),  # the file's header is 65536
+], ids=["verify", "sweep", "import"])
+def test_the_cli_refuses_order_65536_under_size_override(monkeypatch, capsys, tmp_path, argv, error):
+    path = tmp_path / "big.txt"
+    path.write_text("65536\n0 1\n")
+    argv = [*argv, str(path)] if argv[-1] == "--table" else argv
+    refuse_fills(monkeypatch)
+    rc, out, err, peak = run_main([*argv, "--size-override"], capsys)
+    assert (rc, out, err) == (2, "", f"error: {error.format(path=path)}\n")
+    assert peak < 1 << 20, peak
+
+
+def test_a_table_over_physical_memory_is_refused_before_it_is_built(monkeypatch, capsys):
+    monkeypatch.setattr(groups, "_physical_memory", lambda: 1 << 20)
+    refuse_fills(monkeypatch)
+    rc, out, err, peak = run_main(["verify", "--group", "cyclic:1024", "--size-override"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == ("error: cyclic:1024 has order 1024: its table of 2097152 bytes "
+                   "exceeds the 1048576 bytes of physical memory\n")
+    assert peak < 1 << 20, peak

@@ -16,10 +16,10 @@ from cyclicdensity import (
     Subgroup,
     SweepConfig,
     build_group,
-    corpus_specs,
     structural_condition,
     validate_table_with_report,
 )
+from cyclicdensity.sweep import corpus_specs
 from cyclicdensity.groups import FiniteGroup, _generate
 from table_oracle import (
     NotCentral,

@@ -16,11 +16,11 @@ from cyclicdensity import (
     build_group,
     center,
     full_report,
-    is_2_central,
     is_4_abelian_witness,
     per_coset_analysis,
     structural_condition,
 )
+from cyclicdensity.verify import is_2_central
 from table_oracle import relabeled_copy, with_orders
 
 
