@@ -11,6 +11,7 @@ dihedral group, quaternion:8 the quaternions).
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import re
@@ -245,13 +246,24 @@ _FAMILIES = {
 }
 
 FAMILY_NAMES = (*_FAMILIES, "product", "table")
+_SIGNS = ("+", "-")  # the extraspecial types
+
+
+def _arity(family: str) -> Optional[int]:
+    """How many parameters a family takes, read off its rule's code; None
+    when the rule takes any number (abelian)."""
+    code = _FAMILIES[family][0].__code__
+    return None if code.co_flags & inspect.CO_VARARGS else code.co_argcount
 
 
 def _require(spec: GroupSpec) -> None:
-    """Raise SpecSyntaxError unless spec's parameters are integers (but the
-    extraspecial type) that meet its family's rule."""
-    p = spec.params
-    if spec.family == "extraspecial" and p[1] not in ("+", "-"):
+    """Raise SpecSyntaxError unless spec holds its family's number of
+    parameters, integers (but the extraspecial type) that meet its rule."""
+    p, arity = spec.params, _arity(spec.family)
+    if arity is not None and len(p) != arity:
+        raise SpecSyntaxError(f"{spec.family} takes {arity} parameter"
+                              f"{'s' * (arity > 1)}, got {len(p)}: {p!r}")
+    if spec.family == "extraspecial" and p[1] not in _SIGNS:
         raise SpecSyntaxError(f"extraspecial type must be '+' or '-', got {p[1]!r}")
     test, rule = _FAMILIES[spec.family][:2]
     odd = [v for v in (p[:1] if spec.family == "extraspecial" else p) if not _is_int(v)]
@@ -499,7 +511,7 @@ def parse_group_spec(text: str, _pos: int = 0) -> GroupSpec:
         )
     if family == "extraspecial":
         order_text, sep2, sign = body.partition(":")
-        if not sep2 or sign not in ("+", "-"):
+        if not sep2 or sign not in _SIGNS:
             raise SpecSyntaxError(f"extraspecial spec must end with ':+' or ':-', got {s!r}",
                                   position=body_pos)
         params = (_parse_int(order_text, body_pos, "order"), sign)

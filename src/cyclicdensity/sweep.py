@@ -9,18 +9,18 @@ by label so output is deterministic regardless of parallelism.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import Optional
 
 from .arith import is_prime
-from .catalog import FAMILY_NAMES, build_group
+from .catalog import _FAMILIES, _SIGNS, FAMILY_NAMES, GroupSpec, _arity, build_group
 from .errors import InvalidArgument, SizeLimitExceeded
 from .groups import MAX_ORDER, size_cap
 from .verify import AlphaReport, full_report
 
 SWEEP_FAMILIES = FAMILY_NAMES[:-2]  # every family but product and table
+_DUPLICATES = {"symmetric:1", "symmetric:2"}  # cyclic:1 and cyclic:2 by other names
 
 
 @dataclass(frozen=True)
@@ -85,43 +85,28 @@ def _abelian_param_lists(limit: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _rule_params(family: str, limit: int) -> list[tuple]:
+    """The parameters n = 1, 2, ... (with each extraspecial type) that meet
+    the family's rule, until its order, which grows with n, passes limit."""
+    test, _, order, _ = _FAMILIES[family]
+    tails = [(s,) for s in _SIGNS] if _arity(family) == 2 else [()]
+    params, n = [], 1
+    while order(n, *tails[0]) <= limit:
+        params += [(n, *t) for t in tails if test(n, *t)]
+        n += 1
+    return params
+
+
 def corpus_specs(config: SweepConfig) -> tuple[str, ...]:
-    """Sorted spec strings for every group the sweep will check."""
+    """Sorted spec strings for every group the sweep will check: each
+    family's parameters that meet its rule up to the order bound, and every
+    abelian type, less the duplicates S_1 and S_2."""
     lim = config.max_order
-    fams = set(config.families)
     specs: list[str] = []
-    if "cyclic" in fams:
-        specs += [f"cyclic:{n}" for n in range(1, lim + 1)]
-    if "abelian" in fams:
-        specs += [
-            f"abelian:{','.join(map(str, t))}" for t in _abelian_param_lists(lim)
-        ]
-    if "dihedral" in fams:
-        specs += [f"dihedral:{n}" for n in range(4, lim + 1, 2)]
-    if "quaternion" in fams:
-        specs += [f"quaternion:{n}" for n in range(8, lim + 1, 4)]
-    if "symmetric" in fams:
-        k = 3  # degrees 1 and 2 duplicate cyclic:1 and cyclic:2
-        while k <= 7 and math.factorial(k) <= lim:
-            specs.append(f"symmetric:{k}")
-            k += 1
-    if "extraspecial" in fams:
-        order = 8
-        while order <= lim:
-            specs += [f"extraspecial:{order}:+", f"extraspecial:{order}:-"]
-            order *= 4
-    if "almost-extraspecial" in fams:
-        order = 16
-        while order <= lim:
-            specs.append(f"almost-extraspecial:{order}")
-            order *= 4
-    if "heisenberg" in fams:
-        p = 3
-        while p ** 3 <= lim:
-            if is_prime(p):
-                specs.append(f"heisenberg:{p}")
-            p += 2
-    specs += [f"table:{path}" for path in config.include_tables]
+    for family in set(config.families):
+        params = _abelian_param_lists(lim) if family == "abelian" else _rule_params(family, lim)
+        specs += [s for p in params if (s := GroupSpec(family, p).canonical()) not in _DUPLICATES]
+    specs += [GroupSpec("table", (path,)).canonical() for path in config.include_tables]
     return tuple(sorted(specs))
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from corpus_oracle import corpus
 from cyclicdensity import (
     InvalidArgument,
     SizeLimitExceeded,
@@ -9,7 +10,7 @@ from cyclicdensity import (
     build_group,
     run_sweep,
 )
-from cyclicdensity.sweep import corpus_specs
+from cyclicdensity.sweep import SWEEP_FAMILIES, corpus_specs
 
 
 def test_corpus_composition_small():
@@ -168,3 +169,17 @@ def test_sweep_with_included_table(tmp_path):
     by_label = {r.label: r for r in result.reports}
     assert by_label[f"table:{f}"].cyclic_count == 7
     assert result.counterexamples == ()
+
+
+BOUNDS = [*range(1, 65), 100, 255, 256, 257, 512, 1024, 4096, 5040]
+
+
+@pytest.mark.parametrize("families", [SWEEP_FAMILIES, *((f,) for f in SWEEP_FAMILIES)],
+                         ids=["all", *SWEEP_FAMILIES])
+def test_corpus_matches_the_family_by_family_enumeration(families):
+    # the parameters each family's rule admits are the ranges and loops
+    # that corpus_oracle restates, at every bound
+    for bound in BOUNDS:
+        config = SweepConfig(max_order=bound, families=families, size_override=True,
+                             include_tables=("t.txt",))
+        assert corpus_specs(config) == corpus(config), bound
