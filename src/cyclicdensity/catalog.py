@@ -14,6 +14,8 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import operator
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +31,6 @@ from .groups import (
     _block_budget,
     _build,
     _check_cap,
-    _is_int,
     _product_of_tables,
     direct_product,
     validate_table_with_report,
@@ -256,21 +257,47 @@ def _arity(family: str) -> Optional[int]:
     return None if code.co_flags & inspect.CO_VARARGS else code.co_argcount
 
 
-def _require(spec: GroupSpec) -> None:
-    """Raise SpecSyntaxError unless spec holds its family's number of
-    parameters, integers (but the extraspecial type) that meet its rule."""
-    p, arity = spec.params, _arity(spec.family)
+def _require(spec: GroupSpec) -> GroupSpec:
+    """spec with each integer parameter made a Python int, once its family
+    is known and its parameters are of the family's number and types and
+    meet its rule: integers (but the extraspecial type, one of _SIGNS), two
+    GroupSpecs for a product, one str or PathLike for a table.  Any other
+    spec raises SpecSyntaxError."""
+    if not isinstance(spec, GroupSpec):
+        raise SpecSyntaxError(f"expected a spec string or a GroupSpec, got {spec!r}")
+    f, p = spec.family, spec.params
+    if not isinstance(f, str) or f not in FAMILY_NAMES:
+        raise SpecSyntaxError(f"unknown group family {f!r}")
+    if not isinstance(p, (tuple, list)):
+        raise SpecSyntaxError(f"{f} parameters must be a tuple, got {p!r}")
+    p = tuple(p)
+    if f == "product":
+        if len(p) != 2 or not all(isinstance(q, GroupSpec) for q in p):
+            raise SpecSyntaxError(f"product takes two GroupSpec factors, got {p!r}")
+        return GroupSpec(f, p)
+    if f == "table":
+        if len(p) != 1 or not isinstance(p[0], (str, os.PathLike)):
+            raise SpecSyntaxError(f"table takes one str or PathLike path, got {p!r}")
+        return GroupSpec(f, p)
+    arity = _arity(f)
     if arity is not None and len(p) != arity:
-        raise SpecSyntaxError(f"{spec.family} takes {arity} parameter"
+        raise SpecSyntaxError(f"{f} takes {arity} parameter"
                               f"{'s' * (arity > 1)}, got {len(p)}: {p!r}")
-    if spec.family == "extraspecial" and p[1] not in _SIGNS:
+    if f == "extraspecial" and not (isinstance(p[1], str) and p[1] in _SIGNS):
         raise SpecSyntaxError(f"extraspecial type must be '+' or '-', got {p[1]!r}")
-    test, rule = _FAMILIES[spec.family][:2]
-    odd = [v for v in (p[:1] if spec.family == "extraspecial" else p) if not _is_int(v)]
-    if odd:
-        raise SpecSyntaxError(f"{rule.format(p=p)}: {odd[0]!r} is not an integer")
-    if not test(*p):
-        raise SpecSyntaxError(rule.format(p=p))
+    test, rule = _FAMILIES[f][:2]
+    ints = []
+    for v in p[:1] if f == "extraspecial" else p:
+        try:  # a Python int: NumPy integer arithmetic would wrap
+            if isinstance(v, bool):  # NumPy's bool has no __index__
+                raise TypeError
+            ints.append(operator.index(v))
+        except TypeError:
+            raise SpecSyntaxError(f"{rule.format(p=p)}: {v!r} is not an integer") from None
+    q = (*ints, *p[len(ints):])
+    if not test(*q):
+        raise SpecSyntaxError(rule.format(p=q))
+    return GroupSpec(f, q)
 
 
 _MAX_TOKEN_DIGITS = 9  # longer tokens (leading zeros) take the line loop; int32 holds nine
@@ -429,10 +456,9 @@ def load_table_with_report(
             line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
             raise ParseError(f"{p}: byte {exc.start} is not valid UTF-8",
                              line=line) from None
-        table = _table_rows(text, p, max_size, label)
-    own = isinstance(table, np.ndarray)
+        table = np.array(_table_rows(text, p, max_size, label), dtype=_ID)
     del data  # the bytes are parsed; validation needs only the table
-    return validate_table_with_report(table, label, max_size=max_size, _own=own)
+    return validate_table_with_report(table, label, max_size=max_size, _own=True)
 
 
 ParamsType = Union[tuple[int, ...], tuple[int, str], tuple[str], tuple["GroupSpec", "GroupSpec"]]
@@ -522,25 +548,19 @@ def parse_group_spec(text: str, _pos: int = 0) -> GroupSpec:
         params = tuple(_parse_int(p.strip(), body_pos, "cyclic order") for p in parts)
     else:  # the remaining families take a single integer
         params = (_parse_int(body, body_pos, "parameter"),)
-    spec = GroupSpec(family, params)
-    _require(spec)
-    return spec
+    return _require(GroupSpec(family, params))
 
 
 def build_group(spec: Union[str, GroupSpec], *, max_size: Optional[int] = None) -> FiniteGroup:
     """Build the group a spec describes.  A family's parameters meet its
     rule, and its order the size cap, before its table is filled."""
-    if isinstance(spec, str):
-        spec = parse_group_spec(spec)
+    spec = parse_group_spec(spec) if isinstance(spec, str) else _require(spec)
     f, p = spec.family, spec.params
     if f == "product":
         left, right = (build_group(q, max_size=max_size) for q in p)
         return direct_product(left, right, max_size=max_size, label=spec.canonical())
     if f == "table":
         return load_table_with_report(p[0], max_size=max_size)[0]
-    if f not in _FAMILIES:
-        raise SpecSyntaxError(f"unknown group family {f!r}")
-    _require(spec)
     _, _, order, fill = _FAMILIES[f]
     label = spec.canonical()
     _check_cap(order(*p), max_size, label)

@@ -200,7 +200,8 @@ def _is_int(v) -> bool:
 def _as_table(raw, max_size: Optional[int], label: str) -> np.ndarray:
     """A C-ordered _ID copy of a caller's table, made once its shape has met
     the size cap: an integer array is read as it is; any other entry type
-    must hold only integers, or NotClosed names the first that is not."""
+    must hold only integers, or NotClosed names the first that is not, and
+    so must the entries <= 1 of a list, where a bool reads as 0 or 1."""
     try:
         arr = np.asarray(raw)
     except (ValueError, TypeError):
@@ -210,9 +211,15 @@ def _as_table(raw, max_size: Optional[int], label: str) -> np.ndarray:
     n = arr.shape[0]
     _check_cap(n, max_size, f"table {label!r}")
     if arr.dtype.kind not in "iu":  # a float, str or bool entry, or an int past int64
-        for a, b in np.ndindex(arr.shape):
-            if not _is_int(v := raw[a][b]):
-                raise NotClosed(f"entry table[{a}][{b}] = {v!r} is not an integer")
+        suspects = np.ndindex(arr.shape)
+    elif isinstance(raw, (list, tuple)):  # np.asarray reads a bool in a list as 0 or 1
+        rows, cols = np.nonzero(arr <= 1)
+        suspects = zip(rows.tolist(), cols.tolist())
+    else:
+        suspects = ()
+    for a, b in suspects:
+        if not _is_int(v := raw[a][b]):
+            raise NotClosed(f"entry table[{a}][{b}] = {v!r} is not an integer")
     if arr.min() < 0 or arr.max() >= n:
         a, b = np.argwhere((arr < 0) | (arr >= n))[0]
         raise NotClosed(f"entry table[{a}][{b}] = {int(arr[a, b])} is outside [0, {n})")

@@ -496,3 +496,59 @@ def test_family_parameters_must_be_integers(monkeypatch, spec, message):
         monkeypatch.setitem(catalog._FAMILIES, family, (*catalog._FAMILIES[family][:3], refuse))
     with pytest.raises(SpecSyntaxError, match=f"^{message} is not an integer$"):
         build_group(spec)
+
+
+@pytest.mark.parametrize("spec, message", [
+    (GroupSpec("cyclic", ()), r"cyclic takes 1 parameter, got 0: \(\)"),
+    (GroupSpec("cyclic", (4, 5)), r"cyclic takes 1 parameter, got 2: \(4, 5\)"),
+    (GroupSpec("extraspecial", ()), r"extraspecial takes 2 parameters, got 0: \(\)"),
+    (GroupSpec("extraspecial", (8,)), r"extraspecial takes 2 parameters, got 1: \(8,\)"),
+    (GroupSpec("extraspecial", (8, 1)), "extraspecial type must be '\\+' or '-', got 1"),
+    (GroupSpec("heisenberg", (np.True_,)),
+     "heisenberg parameter must be an odd prime, got True: np.True_ is not an integer"),
+    (GroupSpec("product", ()), r"product takes two GroupSpec factors, got \(\)"),
+    (GroupSpec("product", ("cyclic:2", "cyclic:3")),
+     r"product takes two GroupSpec factors, got \('cyclic:2', 'cyclic:3'\)"),
+    (GroupSpec("table", (5,)), r"table takes one str or PathLike path, got \(5,\)"),
+    (GroupSpec("cyclic", 4), "cyclic parameters must be a tuple, got 4"),
+    (GroupSpec("torus", (4,)), "unknown group family 'torus'"),
+], ids=["no-parameter", "two-parameters", "extraspecial-none", "extraspecial-no-type",
+        "extraspecial-int-type", "numpy-bool", "product-empty", "product-of-strings",
+        "table-int", "not-a-tuple", "unknown-family"])
+def test_malformed_parameters_raise_spec_syntax_error(monkeypatch, spec, message):
+    # before the rule runs or formats p[0], and before any fill
+    def refuse(*args):
+        raise AssertionError("a fill ran for a malformed spec")
+    for family in catalog._FAMILIES:
+        monkeypatch.setitem(catalog._FAMILIES, family, (*catalog._FAMILIES[family][:3], refuse))
+    with pytest.raises(SpecSyntaxError, match=f"^{message}$"):
+        build_group(spec)
+
+
+@pytest.mark.parametrize("params, text", [
+    ((np.int8(5),), "symmetric:5"),
+    ((np.int8(7),), "heisenberg:7"),
+    ((np.int8(100), np.int8(50)), "abelian:100,50"),  # math.prod of int8 wraps to -120
+    ((np.uint16(12), np.int64(3)), "abelian:12,3"),
+    ((np.int64(32), "-"), "extraspecial:32:-"),
+    ((np.uint8(40),), "dihedral:40"),
+], ids=["symmetric-int8", "heisenberg-int8", "abelian-int8-over-the-cap", "abelian-mixed",
+        "extraspecial-int64", "dihedral-uint8"])
+def test_numpy_parameters_build_what_their_spec_string_builds(params, text):
+    spec = GroupSpec(text.partition(":")[0], params)
+    try:
+        want = build_group(text)
+    except SizeLimitExceeded as exc:
+        with pytest.raises(SizeLimitExceeded, match=f"^{exc}$"):
+            build_group(spec)
+        return
+    g = build_group(spec)
+    assert g.label == want.label == text
+    assert np.array_equal(g.table, want.table)
+
+
+def test_spec_parameters_become_python_ints():
+    spec = catalog._require(GroupSpec("product", [GroupSpec("abelian", (np.int16(2), 3)),
+                                                  GroupSpec("cyclic", (np.uint8(5),))]))
+    assert [type(v) for v in catalog._require(spec.params[0]).params] == [int, int]
+    assert build_group(spec).label == "product:(abelian:2,3)x(cyclic:5)"

@@ -135,6 +135,36 @@ def test_sweep_json_deterministic_across_parallelism():
         assert list(rep.keys()) == REPORT_KEYS
 
 
+def test_sweep_fail_fast_stops_at_the_first_counterexample(monkeypatch, capsys):
+    # the pool forks on Linux, so the workers inherit the patched full_report
+    from cyclicdensity import sweep
+
+    real = sweep.full_report
+
+    def flag_dihedral_8(g):
+        report = real(g)
+        if report.label != "dihedral:8":
+            return report
+        return dataclasses.replace(report, findings=("injected: a finding",))
+
+    monkeypatch.setattr(sweep, "full_report", flag_dihedral_8)
+    corpus = sweep.corpus_specs(sweep.SweepConfig(max_order=16))
+    checked = list(corpus[:corpus.index("dihedral:8") + 1])
+    assert len(checked) < len(corpus)
+    outs = []
+    for parallelism in ("1", "2"):
+        argv = ["sweep", "--max-order", "16", "--fail-fast", "--json",
+                "--parallelism", parallelism]
+        assert cli.main(argv) == cli.EXIT_COUNTEREXAMPLE == 1
+        out, err = capsys.readouterr()
+        assert err == "counterexample: dihedral:8\n"
+        payload = json.loads(out)
+        assert [r["label"] for r in payload["reports"]] == checked
+        assert payload["counterexamples"] == ["dihedral:8"]
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_sweep_csv_format():
     proc = run_cli("sweep", "--max-order", "8", "--csv")
     assert proc.returncode == 0

@@ -1,5 +1,6 @@
 """Core table machinery: validation, centers, cosets, quotients, products."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -70,11 +71,14 @@ def test_validate_rejects_out_of_range_entry():
 
 
 @pytest.mark.parametrize("raw, entry", [
-    ([[0, 1.5], [1, 0]], "1.5"),  # int64 would truncate it to 1
-    ([[0, "1"], [1, 0]], "'1'"),  # int64 would parse it as 1
-], ids=["float", "str"])
+    ([[0, 1.5], [1, 0]], "[0][1] = 1.5"),  # int64 would truncate it to 1
+    ([[0, "1"], [1, 0]], "[0][1] = '1'"),  # int64 would parse it as 1
+    ([[0, 1], [1, False]], "[1][1] = False"),  # np.asarray reads the list as int64
+    (((0, 1), (1, np.False_)), "[1][1] = np.False_"),
+    ([np.array([0, 1]), np.array([True, False])], "[1][0] = np.True_"),
+], ids=["float", "str", "bool", "tuple-numpy-bool", "list-of-arrays"])
 def test_validate_names_the_first_non_integer_entry(raw, entry):
-    with pytest.raises(NotClosed, match=rf"^entry table\[0\]\[1\] = {entry} is not an integer$"):
+    with pytest.raises(NotClosed, match=re.escape(f"entry table{entry} is not an integer")):
         validate_table_with_report(raw)
 
 
