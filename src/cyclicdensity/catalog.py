@@ -257,6 +257,18 @@ def _arity(family: str) -> Optional[int]:
     return None if code.co_flags & inspect.CO_VARARGS else code.co_argcount
 
 
+def _rule_params(family: str, limit: int) -> list[tuple]:
+    """The parameters n = 1, 2, ... (with each extraspecial type) that meet
+    the family's rule, until its order, which grows with n, passes limit."""
+    test, _, order, _ = _FAMILIES[family]
+    tails = [(s,) for s in _SIGNS] if family == "extraspecial" else [()]
+    params, n = [], 1
+    while order(n, *tails[0]) <= limit:
+        params += [(n, *t) for t in tails if test(n, *t)]
+        n += 1
+    return params
+
+
 def _require(spec: GroupSpec) -> GroupSpec:
     """spec with each integer parameter made a Python int, once its family
     is known and its parameters are of the family's number and types and
@@ -274,7 +286,7 @@ def _require(spec: GroupSpec) -> GroupSpec:
     if f == "product":
         if len(p) != 2 or not all(isinstance(q, GroupSpec) for q in p):
             raise SpecSyntaxError(f"product takes two GroupSpec factors, got {p!r}")
-        return GroupSpec(f, p)
+        return GroupSpec(f, tuple(_require(q) for q in p))
     if f == "table":
         if len(p) != 1 or not isinstance(p[0], (str, os.PathLike)):
             raise SpecSyntaxError(f"table takes one str or PathLike path, got {p!r}")

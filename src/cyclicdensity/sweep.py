@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import is_prime
-from .catalog import _FAMILIES, _SIGNS, FAMILY_NAMES, GroupSpec, _arity, build_group
+from .catalog import FAMILY_NAMES, GroupSpec, _rule_params, build_group
 from .errors import InvalidArgument, SizeLimitExceeded
 from .groups import MAX_ORDER, size_cap
 from .verify import AlphaReport, full_report
@@ -83,18 +83,6 @@ def _abelian_param_lists(limit: int) -> list[tuple[int, ...]]:
 
     rec(0, limit, [])
     return out
-
-
-def _rule_params(family: str, limit: int) -> list[tuple]:
-    """The parameters n = 1, 2, ... (with each extraspecial type) that meet
-    the family's rule, until its order, which grows with n, passes limit."""
-    test, _, order, _ = _FAMILIES[family]
-    tails = [(s,) for s in _SIGNS] if _arity(family) == 2 else [()]
-    params, n = [], 1
-    while order(n, *tails[0]) <= limit:
-        params += [(n, *t) for t in tails if test(n, *t)]
-        n += 1
-    return params
 
 
 def corpus_specs(config: SweepConfig) -> tuple[str, ...]:

@@ -509,12 +509,14 @@ def test_family_parameters_must_be_integers(monkeypatch, spec, message):
     (GroupSpec("product", ()), r"product takes two GroupSpec factors, got \(\)"),
     (GroupSpec("product", ("cyclic:2", "cyclic:3")),
      r"product takes two GroupSpec factors, got \('cyclic:2', 'cyclic:3'\)"),
+    (GroupSpec("product", (GroupSpec("cyclic", (5,)), GroupSpec("cyclic", (4, 5)))),
+     r"cyclic takes 1 parameter, got 2: \(4, 5\)"),
     (GroupSpec("table", (5,)), r"table takes one str or PathLike path, got \(5,\)"),
     (GroupSpec("cyclic", 4), "cyclic parameters must be a tuple, got 4"),
     (GroupSpec("torus", (4,)), "unknown group family 'torus'"),
 ], ids=["no-parameter", "two-parameters", "extraspecial-none", "extraspecial-no-type",
         "extraspecial-int-type", "numpy-bool", "product-empty", "product-of-strings",
-        "table-int", "not-a-tuple", "unknown-family"])
+        "product-malformed-right", "table-int", "not-a-tuple", "unknown-family"])
 def test_malformed_parameters_raise_spec_syntax_error(monkeypatch, spec, message):
     # before the rule runs or formats p[0], and before any fill
     def refuse(*args):
@@ -550,5 +552,5 @@ def test_numpy_parameters_build_what_their_spec_string_builds(params, text):
 def test_spec_parameters_become_python_ints():
     spec = catalog._require(GroupSpec("product", [GroupSpec("abelian", (np.int16(2), 3)),
                                                   GroupSpec("cyclic", (np.uint8(5),))]))
-    assert [type(v) for v in catalog._require(spec.params[0]).params] == [int, int]
+    assert [[type(v) for v in q.params] for q in spec.params] == [[int, int], [int]]
     assert build_group(spec).label == "product:(abelian:2,3)x(cyclic:5)"

@@ -78,7 +78,7 @@ def test_validate_rejects_out_of_range_entry():
     ([np.array([0, 1]), np.array([True, False])], "[1][0] = np.True_"),
 ], ids=["float", "str", "bool", "tuple-numpy-bool", "list-of-arrays"])
 def test_validate_names_the_first_non_integer_entry(raw, entry):
-    with pytest.raises(NotClosed, match=re.escape(f"entry table{entry} is not an integer")):
+    with pytest.raises(NotClosed, match=f"^{re.escape(f'entry table{entry} is not an integer')}$"):
         validate_table_with_report(raw)
 
 
