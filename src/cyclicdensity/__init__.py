@@ -18,12 +18,6 @@ from .errors import (
 )
 from .groups import Subgroup, center, direct_product, validate_table_with_report
 from .sweep import SweepConfig, run_sweep
-from .verify import (
-    AlphaReport,
-    full_report,
-    is_4_abelian_witness,
-    per_coset_analysis,
-    structural_condition,
-)
+from .verify import AlphaReport, full_report, is_4_abelian_witness
 
 __version__ = "1.0.0"

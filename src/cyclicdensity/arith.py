@@ -1,4 +1,5 @@
-"""Number-theory helpers: trial-division factoring, Euler's totient, unit generators."""
+"""Number-theory helpers: trial-division factoring, a primality test,
+Euler's totient, unit generators."""
 
 from __future__ import annotations
 
@@ -34,8 +35,31 @@ def euler_phi(k: int) -> int:
     return result
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # the least strong pseudoprime to every base
+
+
 def is_prime(k: int) -> bool:
-    return k > 1 and factorize(k) == {k: 1}
+    """Whether k is prime.  Below _MR_BOUND, by the strong probable-prime
+    test to each of _MR_BASES, which no composite below it passes
+    (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003), so the answer
+    is exact in O(log k) products; from the bound on, by trial division."""
+    if k >= _MR_BOUND:
+        return factorize(k) == {k: 1}
+    if k < 2 or any(k % p == 0 for p in _MR_BASES):
+        return k in _MR_BASES
+    s = ((k - 1) & (1 - k)).bit_length() - 1  # k - 1 = d 2^s with d odd
+    for a in _MR_BASES:
+        x = pow(a, (k - 1) >> s, k)
+        if x == 1:
+            continue
+        for _ in range(s):  # a passes if some x^(2^r), r < s, is -1
+            if x == k - 1:
+                break
+            x = x * x % k
+        else:
+            return False
+    return True
 
 
 def is_power_of(k: int, base: int) -> bool:

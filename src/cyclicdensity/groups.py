@@ -98,8 +98,8 @@ class FiniteGroup:
     not public API.
     """
 
-    __slots__ = ("n", "table", "inv", "ord", "label", "_gens", "_center", "_census",
-                 "_hist", "_table_ord", "__weakref__")
+    __slots__ = ("n", "table", "inv", "ord", "label", "_gens", "_census", "_table_ord",
+                 "__weakref__")
 
     def __init__(self, table: np.ndarray, inv: np.ndarray, ord_: np.ndarray, label: str):
         self.n = int(table.shape[0])
@@ -110,9 +110,7 @@ class FiniteGroup:
         for arr in (table, inv, ord_):
             arr.setflags(write=False)
         self._gens: Optional[np.ndarray] = None  # filled lazily by _generators
-        self._center: Optional[tuple] = None  # (members, bitmap), filled by center
         self._census = None  # filled lazily by density.cyclic_subgroups
-        self._hist = None  # filled lazily by density._order_histogram
 
     def is_abelian(self) -> bool:
         return len(center(self)) == self.n
@@ -510,20 +508,13 @@ def _generators(g: FiniteGroup) -> np.ndarray:
 
 
 def center(g: FiniteGroup) -> Subgroup:
-    """Subgroup of elements commuting with everything.
+    """Subgroup of elements commuting with everything, proven on each call.
 
     Z(G) is the centralizer of a generating set S: an x with xs = sx for
     every s in S commutes with every product of them, by associativity.
-    The subgroup proof runs once; g caches its read-only arrays, not the
-    Subgroup, which would refer back to g.
     """
-    if g._center is None:
-        s = _generators(g)
-        z = Subgroup(g, (g.table[:, s] == g.table[s].T).all(axis=1))
-        g._center = (z.members, z.bitmap)
-    z = Subgroup.__new__(Subgroup)
-    z.parent, (z.members, z.bitmap) = g, g._center
-    return z
+    s = _generators(g)
+    return Subgroup(g, (g.table[:, s] == g.table[s].T).all(axis=1))
 
 
 def _central_cosets(g: FiniteGroup, z: Subgroup, u: Optional[Subgroup] = None) -> np.ndarray:

@@ -9,6 +9,8 @@ by label so output is deterministic regardless of parallelism.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -118,19 +120,17 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     specs = corpus_specs(config)
     jobs = [(s, max_size) for s in specs]
     reports: list[AlphaReport] = []
-    if config.parallelism > 1:
-        from concurrent.futures import ProcessPoolExecutor  # not paid by serial runs
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        workers = max(1, min(config.parallelism, len(jobs), cpus or 1))
-        chunk = max(1, len(jobs) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for report in pool.map(_sweep_worker, jobs, chunksize=chunk):
-                reports.append(report)
-                if config.fail_fast and report.findings:
-                    break
-    else:
-        for job in jobs:
-            report = _sweep_worker(job)
+    with contextlib.ExitStack() as stack:
+        run = map
+        if config.parallelism > 1:
+            from concurrent.futures import ProcessPoolExecutor  # not paid by serial runs
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            workers = max(1, min(config.parallelism, len(jobs), cpus or 1))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            run = functools.partial(pool.map, chunksize=max(1, len(jobs) // (workers * 8)))
+        # the loop holds the only reference to the results, so a break drops
+        # them and the pool cancels the jobs it has not started before it exits
+        for report in run(_sweep_worker, jobs):
             reports.append(report)
             if config.fail_fast and report.findings:
                 break

@@ -36,6 +36,24 @@ def test_is_prime_small():
         assert is_prime(k) == naive
 
 
+def test_is_prime_matches_trial_division_below_200000():
+    assert [k for k in range(200_000) if is_prime(k) != (factorize(max(k, 1)) == {k: 1})] == []
+
+
+@pytest.mark.parametrize("k", [
+    3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051,
+])
+def test_is_prime_refuses_strong_pseudoprimes_to_its_first_bases(k):
+    # each is a strong pseudoprime to every prime base up to 7, 11, 13, 17
+    # and 23 in turn, so it is refused only if the later bases are tried
+    assert not is_prime(k)
+
+
+@pytest.mark.parametrize("k", [2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59])
+def test_is_prime_accepts_large_primes(k):
+    assert is_prime(k)
+
+
 def test_is_power_of():
     assert is_power_of(1, 2) and is_power_of(64, 2) and is_power_of(27, 3)
     assert not is_power_of(24, 2) and not is_power_of(0, 2)

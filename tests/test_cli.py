@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -250,6 +251,21 @@ def test_bad_spec_exits_2():
         proc = run_cli("verify", "--group", spec)
         assert proc.returncode == 2, spec
         assert "error:" in proc.stderr
+
+
+def test_a_huge_heisenberg_prime_exits_2_as_soon_as_a_small_one():
+    # is_prime settles 2^61 - 1 without trial division, so its order p^3
+    # meets the size check as soon as heisenberg:41's does
+    elapsed = {}
+    for p in (41, 2 ** 61 - 1):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "cyclicdensity", "verify", "--group",
+                               f"heisenberg:{p}"], capture_output=True, text=True, timeout=60)
+        elapsed[p] = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: heisenberg:{p} has order {p ** 3}, over 65535, "
+                               f"the most that 16-bit table ids can number\n")
+    assert elapsed[2 ** 61 - 1] < elapsed[41] + 1
 
 
 def test_size_cap_and_override():

@@ -19,9 +19,10 @@ from cyclicdensity import (
     average_order,
     build_group,
     cyclic_subgroups,
+    full_report,
     validate_table_with_report,
 )
-from cyclicdensity.density import census_matches_orders, subgroup_count_identity_check
+from cyclicdensity.density import census_matches_orders
 from table_oracle import group_exponent, prove_orders, with_orders
 
 
@@ -72,7 +73,7 @@ def test_alpha_totient_route_matches(d8, q8, s3, s4, pauli16, es32_plus,
                                      es32_minus, heis3, z12, klein):
     for g in (d8, q8, s3, s4, pauli16, es32_plus, es32_minus, heis3, z12, klein):
         assert alpha_via_totient(g) == alpha(g)
-        assert subgroup_count_identity_check(g)[0]
+        assert full_report(g).count_identity
         assert census_matches_orders(g)
 
 
@@ -116,19 +117,20 @@ def test_klein_alpha_is_one(klein):
 
 
 def test_count_identity_report_agreement(d8):
-    ok, message = subgroup_count_identity_check(d8)
-    assert ok
-    assert "7" in message
+    report = full_report(d8)
+    assert report.count_identity and report.cyclic_count == 7
+    assert report.findings == ()
 
 
 def test_count_identity_report_discrepancy(d8):
     bad_ord = d8.ord.copy()
     bad_ord[4] = 4  # reflection 4 really has order 2
     fake = with_orders(d8, bad_ord)
-    ok, message = subgroup_count_identity_check(fake)
-    assert not ok
-    assert "enumeration finds 7" in message
-    assert "totient sum gives" in message
+    report = full_report(fake)
+    assert not report.count_identity
+    # 1/phi(4) = 1/2 replaces 1/phi(2) = 1 in the totient sum
+    assert report.findings[0] == ("count-identity: enumeration finds 7 cyclic subgroups, "
+                                  "totient sum gives 13/2")
 
 
 def test_census_proves_stored_orders(d8):
@@ -219,7 +221,7 @@ def test_abelian_alpha_equals_center_alpha(orders):
     g = build_group(GroupSpec("abelian", tuple(orders)))
     # abelian: G = Z(G), so the density must equal itself under both routes
     assert alpha(g) == alpha_via_totient(g)
-    assert subgroup_count_identity_check(g)[0]
+    assert full_report(g).count_identity
 
 
 @pytest.mark.parametrize("spec", ["cyclic:4096", "dihedral:4096", "abelian:2,3,5,7,11"])

@@ -37,8 +37,8 @@ def test_equality_equivalence_fires_when_the_parts_do_not_factor():
 def test_equality_minimal_order_fires_for_a_coset_without_an_involution(monkeypatch):
     real = verify.per_coset_analysis
 
-    def one_coset_of_order_4(g):
-        pc = real(g)
+    def one_coset_of_order_4(g, z):
+        pc = real(g, z)
         steps = list(pc.per_coset)
         steps[2] = dataclasses.replace(steps[2], k=4)
         return dataclasses.replace(pc, per_coset=tuple(steps))

@@ -46,6 +46,32 @@ def test_verify_path_rebuilds_no_group():
     assert not found, f"group rebuilt on the verify path: {found}"
 
 
+def _calls(tree, names):
+    """The calls in a parsed module to a function or method of these names."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & names]
+
+
+def test_verify_proves_the_center_once():
+    # full_report proves Z(G) once and passes it to each check about it;
+    # is_abelian proves it too, so it counts as a call
+    tree = ast.parse((SRC / "cyclicdensity" / "verify.py").read_text())
+    report = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "full_report")
+    assert len(_calls(tree, {"center", "is_abelian"})) == len(_calls(report, {"center"})) == 1
+
+
+def test_no_subgroup_skips_its_proof():
+    # a Subgroup made by __new__ skips the closure proof of its constructor
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+    ]
+    assert not found, f"__new__ used in src/: {found}"
+
+
 def _outside_build(path, tree):
     """The nodes of a parsed module that lie outside groups._build."""
     inside = {
@@ -143,8 +169,7 @@ PUBLIC_NAMES = {
     "NotAssociative", "NotClosed", "ParseError", "SizeLimitExceeded", "SpecSyntaxError",
     "alpha", "alpha_via_totient", "average_order", "build_group", "center",
     "cyclic_subgroups", "direct_product", "full_report", "is_4_abelian_witness",
-    "load_table_with_report", "parse_group_spec", "per_coset_analysis", "run_sweep",
-    "structural_condition", "validate_table_with_report",
+    "load_table_with_report", "parse_group_spec", "run_sweep", "validate_table_with_report",
 }
 
 

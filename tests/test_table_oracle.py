@@ -16,10 +16,11 @@ from cyclicdensity import (
     Subgroup,
     SweepConfig,
     build_group,
-    structural_condition,
+    center,
     validate_table_with_report,
 )
 from cyclicdensity.sweep import corpus_specs
+from cyclicdensity.verify import structural_condition
 from cyclicdensity.groups import FiniteGroup, _generate
 from table_oracle import (
     NotCentral,
@@ -131,7 +132,7 @@ def with_order(g, x: int, o: int) -> FiniteGroup:
 ])
 def test_structural_closure_witness_on_tampered_orders(x, o, witness):
     fake = with_order(build_group("cyclic:12"), x, o)
-    found = structural_condition(fake)
+    found = structural_condition(fake, center(fake))
     assert not found.holds
     assert found.witness == structural(fake)[1] == witness
 

@@ -17,10 +17,8 @@ from cyclicdensity import (
     center,
     full_report,
     is_4_abelian_witness,
-    per_coset_analysis,
-    structural_condition,
 )
-from cyclicdensity.verify import is_2_central
+from cyclicdensity.verify import is_2_central, per_coset_analysis, structural_condition
 from table_oracle import relabeled_copy, with_orders
 
 
@@ -69,7 +67,7 @@ def test_average_order_inequality(d8, q8, pauli16, heis3):
 # ---------------------------------------------------------------- per coset
 
 def test_per_coset_d8(d8):
-    pc = per_coset_analysis(d8)
+    pc = per_coset_analysis(d8, center(d8))
     assert pc.center_sum == Fraction(2)
     assert pc.total == Fraction(7)  # equals |C(D8)|
     assert pc.all_hold and pc.findings == ()
@@ -83,14 +81,14 @@ def test_per_coset_d8(d8):
 
 
 def test_per_coset_q8(q8):
-    pc = per_coset_analysis(q8)
+    pc = per_coset_analysis(q8, center(q8))
     assert pc.center_sum == Fraction(2)
     assert [(c.k, c.coset_sum) for c in pc.per_coset[1:]] == [(4, Fraction(1))] * 3
     assert pc.total == Fraction(5)
 
 
 def test_per_coset_pauli16_attains_equality_everywhere(pauli16):
-    pc = per_coset_analysis(pauli16)
+    pc = per_coset_analysis(pauli16, center(pauli16))
     assert pc.center_sum == Fraction(3)
     assert all(c.coset_sum == Fraction(3) for c in pc.per_coset)
     assert all(c.k == 2 for c in pc.per_coset[1:])
@@ -98,14 +96,14 @@ def test_per_coset_pauli16_attains_equality_everywhere(pauli16):
 
 
 def test_per_coset_abelian_single_coset(z12):
-    pc = per_coset_analysis(z12)
+    pc = per_coset_analysis(z12, center(z12))
     assert len(pc.per_coset) == 1
     assert pc.per_coset[0].is_center
     assert pc.total == Fraction(6)
 
 
 def test_per_coset_trivial_center(s4):
-    pc = per_coset_analysis(s4)
+    pc = per_coset_analysis(s4, center(s4))
     assert len(pc.per_coset) == 24
     assert pc.center_sum == Fraction(1)
     assert all(c.coset_sum <= 1 for c in pc.per_coset)
@@ -116,38 +114,38 @@ def test_per_coset_trivial_center(s4):
 # ---------------------------------------------------------------- structure
 
 def test_structural_holds_for_pauli16(pauli16):
-    st = structural_condition(pauli16)
+    st = structural_condition(pauli16, center(pauli16))
     assert st.holds and st.witness == ""
     assert len(st.two_part) == 16 and len(st.odd_part) == 1
 
 
 def test_structural_holds_for_abelian(z12, klein):
     for g in (z12, klein):
-        st = structural_condition(g)
+        st = structural_condition(g, center(g))
         assert st.holds
         assert len(st.two_part) * len(st.odd_part) == g.n
 
 
 def test_structural_fails_for_heisenberg(heis3):
-    st = structural_condition(heis3)
+    st = structural_condition(heis3, center(heis3))
     assert not st.holds
     assert "odd order" in st.witness and "not central" in st.witness
 
 
 def test_structural_fails_for_q8(q8):
-    st = structural_condition(q8)
+    st = structural_condition(q8, center(q8))
     assert not st.holds
     assert "minimal order 4" in st.witness
 
 
 def test_structural_fails_for_s3(s3):
-    st = structural_condition(s3)
+    st = structural_condition(s3, center(s3))
     assert not st.holds
 
 
 def test_structural_odd_part_detached():
     g = build_group("product:(cyclic:3)x(quaternion:8)")
-    st = structural_condition(g)
+    st = structural_condition(g, center(g))
     # odd part Z3 is central and splits off, but the 2-part is Q8: no involution cover
     assert not st.holds
     assert st.two_part is not None and len(st.two_part) == 8
@@ -159,18 +157,18 @@ def test_equivalence_on_named_groups(d8, q8, q16, s3, s4, pauli16,
     expect_equal = {id(pauli16), id(z12), id(klein)}
     for g in (d8, q8, q16, s3, s4, pauli16, es32_plus, es32_minus, heis3, z12, klein):
         eq = alpha(g) == alpha(g, center(g))
-        assert eq == structural_condition(g).holds, g.label
+        assert eq == structural_condition(g, center(g)).holds, g.label
         assert eq == (id(g) in expect_equal), g.label
 
 
 # --------------------------------------------------------------- corollaries
 
 def test_is_2_central(d8, q8, s3, heis3, pauli16):
-    assert is_2_central(d8)
-    assert is_2_central(q8)
-    assert is_2_central(pauli16)
-    assert not is_2_central(s3)
-    assert not is_2_central(heis3)
+    assert is_2_central(d8, center(d8))
+    assert is_2_central(q8, center(q8))
+    assert is_2_central(pauli16, center(pauli16))
+    assert not is_2_central(s3, center(s3))
+    assert not is_2_central(heis3, center(heis3))
 
 
 def _pow4(g, x: int) -> int:
@@ -268,6 +266,20 @@ def test_tampered_orders_produce_findings(d8):
     joined = "\n".join(report.findings)
     assert "count-identity" in joined
     assert not report.count_identity
+
+
+def test_orders_rebound_after_a_report_reach_the_next_one():
+    # a group caches nothing read off g.ord: a second report of a group
+    # whose orders were rebound finds what a fresh copy with them finds
+    g = build_group("dihedral:8")
+    assert full_report(g).findings == ()
+    ords = g.ord.copy()
+    ords[4] = 4  # reflection 4 really has order 2
+    g.ord = ords
+    fresh = full_report(with_orders(build_group("dihedral:8"), ords))
+    assert [f.split(":")[0] for f in fresh.findings] == [
+        "count-identity", "census-orders", "coset-decomposition", "order-identity"]
+    assert full_report(g).findings == fresh.findings
 
 
 def test_odd_order_groups_equality_iff_abelian():
