@@ -39,13 +39,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981  # the least strong pseudoprime to every base
 
 
-def is_prime(k: int) -> bool:
-    """Whether k is prime.  Below _MR_BOUND, by the strong probable-prime
-    test to each of _MR_BASES, which no composite below it passes
-    (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003), so the answer
-    is exact in O(log k) products; from the bound on, by trial division."""
-    if k >= _MR_BOUND:
-        return factorize(k) == {k: 1}
+def _strong_probable_prime(k: int) -> bool:
+    """Whether k is a strong probable prime to each of _MR_BASES.  Every
+    prime is, and no composite below _MR_BOUND (Sorenson and Webster, Math.
+    Comp. 86 (2017) 985-1003), so below it the answer is exact in O(log k)
+    products; a False is exact at any size."""
     if k < 2 or any(k % p == 0 for p in _MR_BASES):
         return k in _MR_BASES
     s = ((k - 1) & (1 - k)).bit_length() - 1  # k - 1 = d 2^s with d odd
@@ -60,6 +58,12 @@ def is_prime(k: int) -> bool:
         else:
             return False
     return True
+
+
+def is_prime(k: int) -> bool:
+    """Whether k is prime: by _strong_probable_prime, and from _MR_BOUND on
+    by trial division of the k that it passes."""
+    return _strong_probable_prime(k) and (k < _MR_BOUND or factorize(k) == {k: 1})
 
 
 def is_power_of(k: int, base: int) -> bool:

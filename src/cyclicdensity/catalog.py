@@ -12,6 +12,7 @@ dihedral group, quaternion:8 the quaternions).
 from __future__ import annotations
 
 import inspect
+import io
 import itertools
 import math
 import operator
@@ -23,7 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .arith import is_power_of, is_prime
+from .arith import _strong_probable_prime, is_power_of
 from .errors import ParseError, SpecSyntaxError
 from .groups import (
     _ID,
@@ -241,7 +242,9 @@ _FAMILIES = {
         lambda n: n >= 16 and is_power_of(n, 2) and (n.bit_length() - 1) % 2 == 0,
         "almost-extraspecial order must be 2^(2m+2) with m >= 1, got {p[0]}",
         _same, _extraspecial),
-    "heisenberg": (lambda p: p != 2 and is_prime(p),
+    # exact below arith._MR_BOUND; past it, a strong pseudoprime to every
+    # base would pass, but no order p^3 there meets the size cap
+    "heisenberg": (lambda p: p != 2 and _strong_probable_prime(p),
                    "heisenberg parameter must be an odd prime, got {p[0]}",
                    lambda p: p ** 3, _heisenberg),
 }
@@ -312,85 +315,46 @@ def _require(spec: GroupSpec) -> GroupSpec:
     return GroupSpec(f, q)
 
 
-_MAX_TOKEN_DIGITS = 9  # longer tokens (leading zeros) take the line loop; int32 holds nine
-_PARSE_BLOCK = 1 << 17  # bytes of text per block of the canonical parse
+_MAX_HEAD_DIGITS = 9  # a longer order goes to the loop: int() refuses past 4,300 digits
 # The ASCII line breaks of str.splitlines become '\n', and the other ASCII
 # whitespace of str.split becomes ' ', so "\r\n" reads as a line and a blank line.
 _TO_LF = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e\t\x1f", b"\n\n\n\n\n\n  ")
-_BREAK = re.compile(rb"[\n\r\x0b\x0c\x1c-\x1e]")
 _BLANKS = re.compile(rb"[ \t\n\r\x0b\x0c\x1c-\x1f]*")
 
 
-def _lf_marks(blk: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The newline and digit masks of a block of bytes, or None when it holds
-    a byte other than a digit, ' ' or '\\n'."""
-    newline = blk == ord("\n")
-    digit = (blk - ord("0")) < 10  # uint8 wraps below '0'
-    spaces = np.count_nonzero(blk == ord(" ")) + np.count_nonzero(newline)
-    return (newline, digit) if np.count_nonzero(digit) + spaces == blk.size else None
-
-
 def _canonical_table(data: bytes, max_size: Optional[int], label: str) -> Optional[np.ndarray]:
-    """The (n, n) _ID table of a canonical file, parsed a block of
-    whole lines (about _PARSE_BLOCK bytes) at a time, or None for any other
-    file.
+    """The (n, n) _ID table of an ASCII file, read by np.loadtxt, or None
+    for any other file, which _table_rows reads and names the fault of.
 
-    Canonical: every byte is an ASCII digit, ' ' or '\\n' once _TO_LF has
-    translated the other ASCII whitespace (only in a block that holds some);
-    the first non-blank line holds one token n >= 1; exactly n non-blank
-    lines follow with n tokens each; no token is longer than
-    _MAX_TOKEN_DIGITS and every entry is below n.  _table_rows returns the
-    same values on such a file, and only it names the line and column of an
-    error, so a file that fails any of these tests, in any block, goes to
-    it.  A first pass proves the bytes and the shape, n then meets the size
-    cap, and only then is the table allocated and each block converted into
-    its rows.
+    np.loadtxt splits tokens on the whitespace of str.split, and its line
+    breaks, '\\n' and '\\r\\n', are those of str.splitlines once _TO_LF has
+    translated the others (VT, FF, FS, GS and RS it reads as blanks).  Each
+    token it reads, '+5' and '007' too, has the value int() gives, and it
+    raises on the rest ('-0', '1_0', '70000').  So a table of shape (n, n)
+    with every entry below n is the one _table_rows returns.  n, the first
+    non-blank line, meets the size cap before any row is read.
     """
+    if not data.isascii():
+        return None
+    if (any(c in data for c in b"\x0b\x0c\x1c\x1d\x1e")
+            or b"\r" in data and data.count(b"\r") > data.count(b"\r\n")):  # a bare CR
+        data = data.translate(_TO_LF)
     head_at = _BLANKS.match(data).end()
-    brk = _BREAK.search(data, head_at)
-    body_at = brk.start() if brk else -1
-    head = data[head_at:body_at].rstrip(b" \t\x1f")
-    n = int(head) if head.isdigit() and len(head) <= _MAX_TOKEN_DIGITS else 0
-    if body_at < 0 or n < 1 or len(data) - body_at < 2 * n * n - 1:  # too short for n^2 tokens
+    body_at = data.find(b"\n", head_at)
+    head = data[head_at:body_at].rstrip(b" \t\x1f\r")
+    n = int(head) if head.isdigit() and len(head) <= _MAX_HEAD_DIGITS else 0
+    if body_at < 0 or n < 1:
         return None
-    b = np.frombuffer(data, dtype=np.uint8)
-    blocks, rows, lo = [], 0, body_at
-    while lo < b.size:  # every block starts at a line break: no token or line spans two
-        brk = _BREAK.search(data, lo + _PARSE_BLOCK)
-        hi = brk.start() if brk else b.size
-        marks = _lf_marks(b[lo:hi])
-        translate = marks is None  # other ASCII whitespace, or a byte no translation mends
-        if translate:
-            marks = _lf_marks(np.frombuffer(data[lo:hi].translate(_TO_LF), dtype=np.uint8))
-            if marks is None:
-                return None
-        newline, digit = marks
-        run = digit[1:] & digit[:-1]  # run[i]: bytes i and i+1 are digits; then 4, 8 and 10
-        run = run[2:] & run[:-2]
-        run = run[4:] & run[:-4]
-        if (run[2:] & run[:-2]).any():  # a token longer than _MAX_TOKEN_DIGITS
-            return None
-        start = np.concatenate(([False], digit[1:] > digit[:-1]))  # where a token starts
-        per_line = np.add.reduceat(start, newline.nonzero()[0], dtype=np.int32)
-        if not ((per_line == 0) | (per_line == n)).all():
-            return None
-        if tokens := int(per_line.sum()):  # fromstring reads a blank block as [0]
-            blocks.append((lo, hi, rows * n, translate))
-            rows += tokens // n
-        lo = hi
     _check_cap(n, max_size, f"table {label!r}")
-    if rows != n:
+    if _BLANKS.match(data, body_at).end() == len(data):  # np.loadtxt warns on no rows
         return None
-    table = np.empty((n, n), dtype=_ID)
-    flat = table.ravel()
-    for lo, hi, at, translate in blocks:
-        text = data[lo:hi]
-        values = np.fromstring(text.translate(_TO_LF) if translate else text,
-                               dtype=np.int32, sep=" ")
-        if values.max() >= n:
-            return None
-        flat[at:at + values.size] = values
-    return table
+    body = io.BytesIO(data)
+    body.seek(body_at)
+    try:
+        table = np.loadtxt(body, dtype=_ID, comments=None, ndmin=2)
+    except ValueError:  # a token it does not read, or rows of unequal length
+        return None
+    return table if table.shape == (n, n) and table.max() < n else None
 
 
 def _table_rows(text: str, p: Path, max_size: Optional[int], label: str) -> list[list[int]]:

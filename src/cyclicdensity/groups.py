@@ -112,9 +112,6 @@ class FiniteGroup:
         self._gens: Optional[np.ndarray] = None  # filled lazily by _generators
         self._census = None  # filled lazily by density.cyclic_subgroups
 
-    def is_abelian(self) -> bool:
-        return len(center(self)) == self.n
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, n={self.n})"
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclicdensity import InvalidArgument
-from cyclicdensity.arith import euler_phi, factorize, is_prime
+from cyclicdensity.arith import _MR_BOUND, _strong_probable_prime, euler_phi, factorize, is_prime
 from cyclicdensity.arith import is_power_of, unit_generators
 
 
@@ -52,6 +52,15 @@ def test_is_prime_refuses_strong_pseudoprimes_to_its_first_bases(k):
 @pytest.mark.parametrize("k", [2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59])
 def test_is_prime_accepts_large_primes(k):
     assert is_prime(k)
+
+
+def test_past_the_bound_a_failed_base_proves_a_composite():
+    # at and above _MR_BOUND the strong probable-prime test still refuses
+    # each composite that fails a base, before any trial division
+    m89, m61 = 2 ** 89 - 1, 2 ** 61 - 1
+    assert m89 * m61 > _MR_BOUND and _strong_probable_prime(m89)
+    assert not _strong_probable_prime(m89 * m61) and not is_prime(m89 * m61)
+    assert not _strong_probable_prime(_MR_BOUND + 1) and not is_prime(_MR_BOUND + 1)
 
 
 def test_is_power_of():

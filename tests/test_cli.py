@@ -241,6 +241,18 @@ def test_table_over_cap_is_refused_before_its_rows(tmp_path, argv):
     assert proc.stderr == "error: line 2: token 'junk' is not an integer\n"
 
 
+@pytest.mark.parametrize("text", ["1\n\n\n", "1" * 5000 + "\n0\n"],
+                         ids=["no rows", "5000-digit order"])
+def test_a_malformed_table_prints_one_error_line(tmp_path, text):
+    # neither a warning of the whole-array read nor an int() fault of the
+    # order reaches stderr: the loop names the file's fault, and exits 2
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    proc = run_cli("import", "--table", str(f))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_import_missing_file_exits_2():
     proc = run_cli("import", "--table", "/nonexistent/zzz.txt")
     assert proc.returncode == 2
@@ -253,19 +265,40 @@ def test_bad_spec_exits_2():
         assert "error:" in proc.stderr
 
 
+def timed_verify(spec):
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "cyclicdensity", "verify", "--group", spec],
+                          capture_output=True, text=True, timeout=60)
+    return proc, time.perf_counter() - start
+
+
 def test_a_huge_heisenberg_prime_exits_2_as_soon_as_a_small_one():
-    # is_prime settles 2^61 - 1 without trial division, so its order p^3
+    # the rule settles 2^61 - 1 without trial division, so its order p^3
     # meets the size check as soon as heisenberg:41's does
     elapsed = {}
     for p in (41, 2 ** 61 - 1):
-        start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "cyclicdensity", "verify", "--group",
-                               f"heisenberg:{p}"], capture_output=True, text=True, timeout=60)
-        elapsed[p] = time.perf_counter() - start
+        proc, elapsed[p] = timed_verify(f"heisenberg:{p}")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (f"error: heisenberg:{p} has order {p ** 3}, over 65535, "
                                f"the most that 16-bit table ids can number\n")
     assert elapsed[2 ** 61 - 1] < elapsed[41] + 1
+
+
+@pytest.mark.parametrize("p, refusal", [
+    (2 ** 89 - 1, "heisenberg:{p} has order {cube}, over 65535, "
+                  "the most that 16-bit table ids can number"),
+    ((2 ** 89 - 1) * (2 ** 61 - 1), "heisenberg parameter must be an odd prime, got {p}"),
+], ids=["prime", "composite"])
+def test_heisenberg_parameters_past_the_prime_test_bound_exit_2_at_once(p, refusal):
+    # past arith._MR_BOUND the rule runs the strong probable-prime test
+    # alone: the prime 2^89 - 1 passes it and is refused by size, and
+    # (2^89 - 1)(2^61 - 1) fails a base; each as soon as heisenberg:41
+    proc, elapsed = timed_verify(f"heisenberg:{p}")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {refusal.format(p=p, cube=p ** 3)}\n"
+    small, small_elapsed = timed_verify("heisenberg:41")
+    assert small.returncode == 2
+    assert elapsed < small_elapsed + 1, (elapsed, small_elapsed)
 
 
 def test_size_cap_and_override():

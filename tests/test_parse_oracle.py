@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import parse_oracle
 from cyclicdensity import GroupError, ParseError, SizeLimitExceeded, build_group, groups
-from cyclicdensity.catalog import _PARSE_BLOCK, _canonical_table, load_table_with_report
+from cyclicdensity.catalog import _canonical_table, load_table_with_report
 
 UNCAPPED = 10 ** 9
 caps = st.sampled_from([3, 6, UNCAPPED])
@@ -179,10 +179,11 @@ def test_whole_array_path_takes_canonical_files(path, text):
 
 
 @pytest.mark.parametrize("text", [
-    "2\n+0 1\n1 0\n",            # sign
+    "2\n-0 1\n1 0\n",            # a sign np.loadtxt refuses for an unsigned id
     "2\n0 1\n1 0_0\n",           # underscore
+    "2\n0 1\n1_0 0\n",           # underscore, out of range
     "2\n0 ١\n١ 0\n",   # non-ASCII digits
-    "2\n0 1\n1 0000000000\n",    # a token longer than nine digits
+    "2\n0 1\n1 70000\n",         # past 16-bit ids
     "2\n0 1 0\n1 0\n",           # a long row
     "2\n0 1\n1 0\n1 0\n",        # an extra row
     "2\n0 1\n",                  # a missing row
@@ -190,6 +191,7 @@ def test_whole_array_path_takes_canonical_files(path, text):
     "2 2\n0 1\n1 0\n",           # a header of two tokens
     "0\n",                       # order 0
     "\n \n",                     # no token
+    pytest.param("1" * 5000 + "\n0\n", id="5000-digit order"),  # past int()'s 4,300 digits
 ])
 def test_whole_array_path_leaves_other_files_to_the_loop(path, text):
     data = text.encode()
@@ -206,13 +208,14 @@ def test_undecodable_byte_is_a_parse_error_at_its_offset(path):
 
 
 def big_table_text(n: int = 300, seed: int = 0) -> list[str]:
-    """The lines of a relabeled cyclic:n table file, several parse blocks long."""
+    """The lines of a relabeled cyclic:n table file, over 256 KiB of text."""
     perm = list(range(n))
     random.Random(seed).shuffle(perm)
     return [str(n)] + [" ".join(str(perm[(a + b) % n]) for b in range(n)) for a in range(n)]
 
 
-BLANK_RUN = "\n" * (_PARSE_BLOCK + 7)  # one block of nothing but newlines
+BIG = (1 << 17) + 7  # bytes: over 128 KiB
+BLANK_RUN = "\n" * BIG  # a long run of nothing but newlines
 OTHER_WHITESPACE = {"crlf": ("\r\n", " "), "cr": ("\r", " "), "tab": ("\n", "\t"),
                     "x1c": ("\x1c", "\x1f")}  # line break, separator
 
@@ -232,34 +235,51 @@ def test_whole_array_path_matches_loop_across_blocks(path, layout):
         text += BLANK_RUN
     elif layout == "blank block before":
         text = BLANK_RUN + text
-    elif layout == "crlf from the middle":  # only the later blocks are translated
+    elif layout == "crlf from the middle":  # LF lines, then CRLF lines
         text = "\n".join(lines[:150]) + "\r\n" + "\r\n".join(lines[150:]) + "\r\n"
     data = text.encode()
-    assert len(data) > 2 * _PARSE_BLOCK
+    assert len(data) > 2 * BIG
     assert _canonical_table(data, UNCAPPED, "t") is not None
     assert_matches_oracle(path, data)
 
 
-@pytest.mark.parametrize("fault", ["entry out of range", "short row", "long row", "extra row",
-                                   "missing row", "sign", "ten digits"])
-@pytest.mark.parametrize("row", [1, 150, 300])
-def test_a_fault_in_any_block_sends_the_file_to_the_loop(path, fault, row):
+def edited_big_table(edit: str, row: int) -> bytes:
+    """The bytes of big_table_text with one edit at line row."""
     lines = big_table_text()
     line = lines[row]
-    if fault == "entry out of range":
+    if edit == "entry out of range":
         lines[row] = line[:line.rindex(" ")] + " 300"
-    elif fault == "short row":
+    elif edit == "short row":
         lines[row] = line[:line.rindex(" ")]
-    elif fault == "long row":
+    elif edit == "long row":
         lines[row] = line + " 0"
-    elif fault == "extra row":
+    elif edit == "extra row":
         lines.insert(row, line)
-    elif fault == "missing row":
+    elif edit == "missing row":
         del lines[row]
-    elif fault == "sign":
+    elif edit == "sign":
         lines[row] = line.replace(" ", " +", 1)
-    elif fault == "ten digits":
+    elif edit == "ten digits":
         lines[row] = "0000000000" + line
-    data = ("\n".join(lines) + "\n").encode()
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("fault", ["entry out of range", "short row", "long row", "extra row",
+                                   "missing row"])
+@pytest.mark.parametrize("row", [1, 150, 300])
+def test_a_fault_in_any_block_sends_the_file_to_the_loop(path, fault, row):
+    data = edited_big_table(fault, row)
     assert _canonical_table(data, UNCAPPED, "t") is None
+    assert_matches_oracle(path, data)
+
+
+@pytest.mark.parametrize("edit", ["sign", "ten digits"])
+@pytest.mark.parametrize("row", [None, 1, 150, 300])  # None: a file of order 2
+def test_whole_array_path_reads_each_token_as_int_does(path, edit, row):
+    # '+0' and an id zero-padded past nine digits are values to int()
+    if row is None:
+        data = {"sign": b"2\n+0 1\n1 0\n", "ten digits": b"2\n0 1\n1 0000000000\n"}[edit]
+    else:
+        data = edited_big_table(edit, row)
+    assert _canonical_table(data, UNCAPPED, "t") is not None
     assert_matches_oracle(path, data)

@@ -57,7 +57,7 @@ def table_file(tmp_path, t, line_end: str):
     return path
 
 
-# LF is the canonical parse; CRLF takes the per-token loop, _table_rows
+# np.loadtxt reads LF and CRLF line ends alike
 @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
 def test_imported_tables_are_stored_as_their_id_type(tmp_path, line_end):
     t = build_group("dihedral:12").table

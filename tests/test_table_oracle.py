@@ -99,7 +99,7 @@ def test_closure_matches_oracle_on_large_sets(spec):
     assert any(verdicts) and not all(verdicts)
 
 
-@pytest.mark.parametrize("spec", [s for s in SPECS if not group(s).is_abelian()])
+@pytest.mark.parametrize("spec", [s for s in SPECS if len(center(group(s))) < group(s).n])
 def test_centrality_matches_oracle_on_cyclic_subgroups(spec):
     g = group(spec)
     for x in range(g.n):
