@@ -1,5 +1,5 @@
-"""Number-theory helpers: trial-division factoring, a primality test,
-Euler's totient, unit generators."""
+"""Number-theory helpers: trial-division factoring, a strong probable-prime
+test, Euler's totient, unit generators."""
 
 from __future__ import annotations
 
@@ -60,12 +60,6 @@ def _strong_probable_prime(k: int) -> bool:
     return True
 
 
-def is_prime(k: int) -> bool:
-    """Whether k is prime: by _strong_probable_prime, and from _MR_BOUND on
-    by trial division of the k that it passes."""
-    return _strong_probable_prime(k) and (k < _MR_BOUND or factorize(k) == {k: 1})
-
-
 def is_power_of(k: int, base: int) -> bool:
     """True when k is base**e for some e >= 0."""
     if k < 1:
@@ -99,4 +93,4 @@ def unit_generators(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(gens)
 
 
-__all__ = ["factorize", "euler_phi", "is_prime", "is_power_of", "unit_generators"]
+__all__ = ["factorize", "euler_phi", "is_power_of", "unit_generators"]

@@ -11,6 +11,7 @@ dihedral group, quaternion:8 the quaternions).
 
 from __future__ import annotations
 
+import bisect
 import inspect
 import io
 import itertools
@@ -24,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .arith import _strong_probable_prime, is_power_of
+from .arith import _strong_probable_prime, factorize, is_power_of
 from .errors import ParseError, SpecSyntaxError
 from .groups import (
     _ID,
@@ -58,11 +59,6 @@ def _circulant(row: np.ndarray, sign: int) -> np.ndarray:
 # and returns the family's table of _ID ids, associative by
 # construction.
 
-def _cyclic(n: int) -> np.ndarray:
-    """Cyclic group of order n; id i is the i-th power of the generator."""
-    return _circulant(np.arange(n, dtype=_ID), 1).copy()
-
-
 def _abelian_table(orders: tuple[int, ...]) -> np.ndarray:
     """Table of Z_n1 + Z_n2 + ..., a right fold of circulant views; one
     factor is the view itself."""
@@ -73,7 +69,8 @@ def _abelian_table(orders: tuple[int, ...]) -> np.ndarray:
 
 
 def _abelian(*orders: int) -> np.ndarray:
-    """Direct sum of cyclic groups Z_n1 + Z_n2 + ... in the given order.
+    """Direct sum of cyclic groups Z_n1 + Z_n2 + ... in the given order; for
+    one order n, Z_n with id i the i-th power of the generator.
 
     (a1, a2, ...) is numbered a1 * (n2 * ...) + a2 * ..., and that numbering
     is associative, (A x B) x C = A x (B x C).  So the table is the product
@@ -222,7 +219,7 @@ def _same(n: int, *_) -> int:
 # family: (test, rule text on the parameters p, order, fill); test, order
 # and fill take the parameters as arguments
 _FAMILIES = {
-    "cyclic": (lambda n: n >= 1, "cyclic order must be >= 1, got {p[0]}", _same, _cyclic),
+    "cyclic": (lambda n: n >= 1, "cyclic order must be >= 1, got {p[0]}", _same, _abelian),
     "abelian": (lambda *o: min(o, default=0) >= 1,
                 "abelian cyclic orders must be >= 1, got {p}", lambda *o: math.prod(o), _abelian),
     "dihedral": (lambda n: n >= 4 and n % 2 == 0,
@@ -262,7 +259,16 @@ def _arity(family: str) -> Optional[int]:
 
 def _rule_params(family: str, limit: int) -> list[tuple]:
     """The parameters n = 1, 2, ... (with each extraspecial type) that meet
-    the family's rule, until its order, which grows with n, passes limit."""
+    the family's rule, until its order, which grows with n, passes limit.
+    For abelian, one per isomorphism type of order 2..limit: its
+    prime-power cyclic orders, non-decreasing."""
+    if family == "abelian":
+        pps = [q for q in range(2, limit + 1) if len(factorize(q)) == 1]
+        params = [(q,) for q in pps]
+        for t in params:  # params grows: t extended by each prime power >= t[-1] that fits
+            lo, hi = bisect.bisect_left(pps, t[-1]), bisect.bisect_right(pps, limit // math.prod(t))
+            params += [(*t, q) for q in pps[lo:hi]]
+        return params
     test, _, order, _ = _FAMILIES[family]
     tails = [(s,) for s in _SIGNS] if family == "extraspecial" else [()]
     params, n = [], 1

@@ -15,7 +15,6 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import is_prime
 from .catalog import FAMILY_NAMES, GroupSpec, _rule_params, build_group
 from .errors import InvalidArgument, SizeLimitExceeded
 from .groups import MAX_ORDER, size_cap
@@ -56,46 +55,14 @@ class SweepResult:
     equality_labels: tuple[str, ...]
 
 
-def _prime_powers(limit: int) -> list[int]:
-    out = []
-    for p in range(2, limit + 1):
-        if is_prime(p):
-            q = p
-            while q <= limit:
-                out.append(q)
-                q *= p
-    return sorted(out)
-
-
-def _abelian_param_lists(limit: int) -> list[tuple[int, ...]]:
-    """Non-decreasing multisets of prime powers with product <= limit: one
-    per isomorphism type of nontrivial abelian group."""
-    pps = _prime_powers(limit)
-    out: list[tuple[int, ...]] = []
-
-    def rec(start: int, budget: int, acc: list[int]) -> None:
-        for i in range(start, len(pps)):
-            q = pps[i]
-            if q > budget:
-                break
-            acc.append(q)
-            out.append(tuple(acc))
-            rec(i, budget // q, acc)
-            acc.pop()
-
-    rec(0, limit, [])
-    return out
-
-
 def corpus_specs(config: SweepConfig) -> tuple[str, ...]:
     """Sorted spec strings for every group the sweep will check: each
-    family's parameters that meet its rule up to the order bound, and every
-    abelian type, less the duplicates S_1 and S_2."""
-    lim = config.max_order
+    family's parameters that meet its rule up to the order bound (one per
+    abelian type), less the duplicates S_1 and S_2."""
     specs: list[str] = []
     for family in set(config.families):
-        params = _abelian_param_lists(lim) if family == "abelian" else _rule_params(family, lim)
-        specs += [s for p in params if (s := GroupSpec(family, p).canonical()) not in _DUPLICATES]
+        specs += [s for p in _rule_params(family, config.max_order)
+                  if (s := GroupSpec(family, p).canonical()) not in _DUPLICATES]
     specs += [GroupSpec("table", (path,)).canonical() for path in config.include_tables]
     return tuple(sorted(specs))
 

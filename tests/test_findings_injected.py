@@ -1,4 +1,4 @@
-"""The five findings of full_report that no valid table can produce, each
+"""The seven findings of full_report that no valid table can produce, each
 made to fire by one injected fault: a tampered g.ord, or one layer of
 verify replaced by a wrong one.  Each test pins the finding's text and its
 place among the findings."""
@@ -28,10 +28,10 @@ def test_equality_equivalence_fires_when_the_parts_do_not_factor():
     ords = g.ord.copy()
     ords[3] = 6
     report = verify.full_report(with_orders(g, ords))
-    assert report.findings[3] == (
+    assert report.findings[2] == (
         "equality-equivalence: equality is True but the structural condition is False "
         "(parts do not factor the group: |T| = 1, |O| = 3, |T meet O| = 1, |G| = 6)")
-    assert len(report.findings) == 4
+    assert len(report.findings) == 3
 
 
 def test_equality_minimal_order_fires_for_a_coset_without_an_involution(monkeypatch):
@@ -56,6 +56,29 @@ def test_equality_quotient_fires_for_a_quotient_exponent_of_3(monkeypatch):
     report = verify.full_report(build_group("dihedral:4"))
     assert report.equality and report.quotient_exponent == 3
     assert report.findings == ("equality-quotient: equality holds yet exp(G/Z) = 3 > 2",)
+
+
+def test_2_central_fires_when_a_square_is_not_central(monkeypatch):
+    monkeypatch.setattr(verify, "is_2_central", lambda g, z: False)
+    report = verify.full_report(build_group("almost-extraspecial:16"))
+    assert report.equality and not report.two_central
+    assert report.findings == ("2-central: equality holds yet some square is not central",)
+
+
+def test_odd_order_fires_when_a_non_abelian_odd_group_claims_equality(monkeypatch):
+    # alpha(Z) read as alpha(G): heisenberg:3 then claims equality, and each
+    # check of its consequences fails on the way, the odd-order one last
+    real = verify.alpha
+    monkeypatch.setattr(verify, "alpha", lambda g, z=None: real(g))
+    report = verify.full_report(build_group("heisenberg:3"))
+    assert report.equality and report.center_order < report.order
+    assert report.findings[0].startswith("equality-equivalence: ")
+    assert report.findings[1:] == (
+        ("equality-minimal-order: equality holds yet a non-center coset has minimal order 3, "
+         "expected 2",) * 8
+        + ("equality-quotient: equality holds yet exp(G/Z) = 3 > 2",
+           "2-central: equality holds yet some square is not central",
+           "odd-order: equality holds for an odd-order non-abelian group"))
 
 
 def test_avg_order_inequality_fires_when_the_group_average_is_too_small(monkeypatch):

@@ -44,7 +44,6 @@ proof steps (cosets of the center):
 findings:
   count-identity: enumeration finds 7 cyclic subgroups, totient sum gives 13/2
   census-orders: subgroup counts by order disagree with the phi(d)-generators-per-subgroup identity
-  coset-decomposition: per-coset sums total 13/2, but the census counts 7
   order-identity: coset of 6 (k = 2) violates o(y x) = (k / gcd(k, o(x))) o(x) for some central x
 """,
     "q8": """\
@@ -72,7 +71,6 @@ proof steps (cosets of the center):
 findings:
   count-identity: enumeration finds 5 cyclic subgroups, totient sum gives 4537/1008
   census-orders: subgroup counts by order disagree with the phi(d)-generators-per-subgroup identity
-  coset-decomposition: per-coset sums total 4537/1008, but the census counts 5
   order-identity: coset of 3 (k = 4) violates o(y x) = (k / gcd(k, o(x))) o(x) for some central x
 """,
 }
