@@ -218,16 +218,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _sweep_text(result: SweepResult) -> str:
-    cfg = result.config
+    cfg, bad = result.config, result.counterexamples
     lines = [
         f"sweep: max_order={cfg.max_order} families={','.join(cfg.families)}"
         f" parallelism={cfg.parallelism}",
         f"groups checked: {len(result.reports)}",
         f"equality cases: {len(result.equality_labels)}",
-        f"counterexamples: {len(result.counterexamples)}",
+        f"counterexamples: {len(bad)}",
     ]
-    lines += [f"  counterexample: {label}" for label in result.counterexamples]
-    lines.append("result: " + ("FAIL" if result.counterexamples else "PASS"))
+    lines += [f"  counterexample: {label}" for label in bad]
+    lines.append("result: " + ("FAIL" if bad else "PASS"))
     return "\n".join(lines) + "\n"
 
 
@@ -235,13 +235,13 @@ def _write_sweep_json(result: SweepResult) -> None:
     """json.dumps of the sweep payload (README) with indent=2, plus "\n",
     written to stdout one report at a time."""
     label = {r.label: json.dumps(r.label) for r in result.reports}
-    out, reports = sys.stdout, result.reports
+    out, reports, equal = sys.stdout, result.reports, result.equality_labels
     out.write(
         f'{{\n  "max_order": {result.config.max_order},\n'
         f'  "families": {_json_list([json.dumps(f) for f in result.config.families], "  ")},\n'
         f'  "groups_checked": {len(reports)},\n'
-        f'  "equality_count": {len(result.equality_labels)},\n'
-        f'  "equality_cases": {_json_list([label[s] for s in result.equality_labels], "  ")},\n'
+        f'  "equality_count": {len(equal)},\n'
+        f'  "equality_cases": {_json_list([label[s] for s in equal], "  ")},\n'
         f'  "counterexamples": {_json_list([label[s] for s in result.counterexamples], "  ")},\n'
         f'  "reports": {"[" if reports else "[]"}'
     )
@@ -267,9 +267,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         sys.stdout.write(_csv_text(result.reports))
     else:
         sys.stdout.write(_sweep_text(result))
-    for label in result.counterexamples:
+    bad = result.counterexamples
+    for label in bad:
         sys.stderr.write(f"counterexample: {label}\n")
-    return EXIT_COUNTEREXAMPLE if result.counterexamples else EXIT_OK
+    return EXIT_COUNTEREXAMPLE if bad else EXIT_OK
 
 
 def _cmd_import(args: argparse.Namespace) -> int:

@@ -173,9 +173,6 @@ class Subgroup:
     def __len__(self) -> int:
         return int(self.members.size)
 
-    def __contains__(self, a: int) -> bool:
-        return 0 <= a < self.parent.n and bool(self.bitmap[a])
-
     def as_group(self, label: Optional[str] = None) -> FiniteGroup:
         """Standalone group on re-indexed members (identity stays at 0)."""
         pos = np.zeros(self.parent.n, dtype=_ID)  # ids outside the members are never read

@@ -51,8 +51,14 @@ class SweepConfig:
 class SweepResult:
     config: SweepConfig
     reports: tuple[AlphaReport, ...]
-    counterexamples: tuple[str, ...]
-    equality_labels: tuple[str, ...]
+
+    @property
+    def counterexamples(self) -> tuple[str, ...]:
+        return tuple(r.label for r in self.reports if r.findings)
+
+    @property
+    def equality_labels(self) -> tuple[str, ...]:
+        return tuple(r.label for r in self.reports if r.equality)
 
 
 def corpus_specs(config: SweepConfig) -> tuple[str, ...]:
@@ -102,12 +108,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             if config.fail_fast and report.findings:
                 break
     reports.sort(key=lambda r: r.label)
-    return SweepResult(
-        config=config,
-        reports=tuple(reports),
-        counterexamples=tuple(r.label for r in reports if r.findings),
-        equality_labels=tuple(r.label for r in reports if r.equality),
-    )
+    return SweepResult(config, tuple(reports))
 
 
 __all__ = [

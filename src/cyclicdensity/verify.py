@@ -52,33 +52,18 @@ class PerCosetFindings:
     (k, coset_sum, flags) so the tuple is invariant under relabeling.
     """
 
-    center_sum: Fraction
     per_coset: tuple[CosetCheck, ...]
     total: Fraction
-    all_hold: bool
     findings: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class StructuralResult:
-    """Outcome of the internal equality criterion, with factors when it holds:
-    (a) odd-order elements are central and form a subgroup O,
-    (b) 2-power-order elements form a subgroup T meeting O trivially with
-        |T| * |O| = |G|,
-    (c) every coset of Z(T) in T contains an element of order at most 2."""
-
-    holds: bool
-    two_part: Optional[Subgroup]
-    odd_part: Optional[Subgroup]
-    witness: str = ""
 
 
 @dataclass(frozen=True)
 class AlphaReport:
     """Everything the verifier established about one group.
 
-    Boolean fields are rechecked against the rational fields on
-    construction, so a report can never carry an inconsistent verdict.
+    The verdicts inequality_holds, equality and avg_inequality_holds are
+    derived from the rational fields on each read, so a report can never
+    carry one that contradicts them.
     """
 
     label: str
@@ -87,15 +72,12 @@ class AlphaReport:
     cyclic_count: int
     alpha_g: Fraction
     alpha_z: Fraction
-    inequality_holds: bool
-    equality: bool
     structural: bool
     quotient_exponent: int
     two_central: bool
     four_abelian: bool
     avg_order_g: Fraction
     avg_order_z: Fraction
-    avg_inequality_holds: bool
     count_identity: bool
     proof_steps: tuple[CosetCheck, ...]
     findings: tuple[str, ...]
@@ -103,12 +85,18 @@ class AlphaReport:
     def __post_init__(self):
         if self.center_order < 1 or self.order % self.center_order != 0:
             raise ValueError("center order must divide the group order")
-        if self.inequality_holds != (self.alpha_g <= self.alpha_z):
-            raise ValueError("inequality flag contradicts the alpha values")
-        if self.equality != (self.alpha_g == self.alpha_z):
-            raise ValueError("equality flag contradicts the alpha values")
-        if self.avg_inequality_holds != (self.avg_order_g >= self.avg_order_z):
-            raise ValueError("average-order flag contradicts the averages")
+
+    @property
+    def inequality_holds(self) -> bool:
+        return self.alpha_g <= self.alpha_z
+
+    @property
+    def equality(self) -> bool:
+        return self.alpha_g == self.alpha_z
+
+    @property
+    def avg_inequality_holds(self) -> bool:
+        return self.avg_order_g >= self.avg_order_z
 
     @property
     def clean(self) -> bool:
@@ -152,7 +140,6 @@ def per_coset_analysis(g: FiniteGroup, z: Subgroup) -> PerCosetFindings:
     numer = np.array([L // p for p in phis], dtype=np.int64 if L * g.n < 2 ** 62 else object)
     sums = numer[at[prods]].sum(axis=1).tolist()
     center_numer = int(numer[at[zmem]].sum())
-    center_sum = Fraction(center_numer, L)
     k, findings = k.tolist(), []
     if not (all(ok_identity) and all(ok_divides) and max(sums) <= center_numer):
         for yi, ki, s, ok_i, ok_d in zip(y.tolist(), k, sums, ok_identity, ok_divides):
@@ -164,7 +151,7 @@ def per_coset_analysis(g: FiniteGroup, z: Subgroup) -> PerCosetFindings:
                                 f"not dividing phi(o(y x))")
             if s > center_numer:
                 findings.append(f"coset-inequality: coset of {yi} sums to {Fraction(s, L)}, "
-                                f"over the center sum {center_sum}")
+                                f"over the center sum {Fraction(center_numer, L)}")
     # the rest sorted by (k, coset_sum, flags); cosets with equal keys have
     # equal checks, so each key's check is made once
     rest = Counter(zip(k[1:], sums[1:], ok_identity[1:], ok_divides[1:]))
@@ -172,57 +159,43 @@ def per_coset_analysis(g: FiniteGroup, z: Subgroup) -> PerCosetFindings:
                         sums[0] <= center_numer, True)]
     for (ki, s, ok_i, ok_d), count in sorted(rest.items()):
         steps += [CosetCheck(ki, Fraction(s, L), ok_i, ok_d, s <= center_numer, False)] * count
-    return PerCosetFindings(
-        center_sum=center_sum,
-        per_coset=tuple(steps),
-        total=Fraction(sum(sums), L),
-        all_hold=not findings,
-        findings=tuple(findings),
-    )
+    return PerCosetFindings(tuple(steps), Fraction(sum(sums), L), tuple(findings))
 
 
-def structural_condition(g: FiniteGroup, z: Subgroup) -> StructuralResult:
+def structural_condition(g: FiniteGroup, z: Subgroup) -> Optional[str]:
     """Decide the equality criterion from the table and the center z, which
-    the caller proves (no isomorphism search): central odd part, 2-power
-    part, and involution coverage of the 2-part's central cosets."""
+    the caller proves (no isomorphism search).  The criterion holds when
+    (a) odd-order elements are central and form a subgroup O,
+    (b) 2-power-order elements form a subgroup T meeting O trivially with
+        |T| * |O| = |G|,
+    (c) every coset of Z(T) in T contains an element of order at most 2.
+    Returns the witness of the first clause that fails, or None."""
     zbit, ords = z.bitmap, g.ord
     odd_mask = (ords % 2) == 1
     bad = np.nonzero(odd_mask & ~zbit)[0]
     if bad.size:
         x = int(bad[0])
-        return StructuralResult(
-            False, None, None,
-            f"element {x} has odd order {int(ords[x])} but is not central",
-        )
+        return f"element {x} has odd order {int(ords[x])} but is not central"
     try:
         odd_part = Subgroup(g, odd_mask)
     except NotASubgroup as exc:
-        return StructuralResult(False, None, None,
-                                f"odd-order elements do not form a subgroup: {exc}")
+        return f"odd-order elements do not form a subgroup: {exc}"
     two_mask = (ords & (ords - 1)) == 0
     try:
         two_part = Subgroup(g, two_mask)
     except NotASubgroup as exc:
-        return StructuralResult(False, None, odd_part,
-                                f"2-power-order elements do not form a subgroup: {exc}")
+        return f"2-power-order elements do not form a subgroup: {exc}"
     overlap = int((two_mask & odd_mask).sum())
     if overlap != 1 or len(two_part) * len(odd_part) != g.n:
-        return StructuralResult(
-            False, two_part, odd_part,
-            f"parts do not factor the group: |T| = {len(two_part)}, "
-            f"|O| = {len(odd_part)}, |T meet O| = {overlap}, |G| = {g.n}",
-        )
+        return (f"parts do not factor the group: |T| = {len(two_part)}, "
+                f"|O| = {len(odd_part)}, |T meet O| = {overlap}, |G| = {g.n}")
     # G = T x O with O central, so Z(T) = Z(G) meet T
     y, k = _minimal_reps(ords, _central_cosets(g, z, two_part))
     bare = np.flatnonzero(k > 2)
     if bare.size:
         y, k = int(y[bare[0]]), int(k[bare[0]])
-        return StructuralResult(
-            False, two_part, odd_part,
-            f"coset of {y} in the 2-part has minimal order {k}, "
-            f"no element of order <= 2",
-        )
-    return StructuralResult(True, two_part, odd_part, "")
+        return f"coset of {y} in the 2-part has minimal order {k}, no element of order <= 2"
+    return None
 
 
 def _squares(g: FiniteGroup) -> np.ndarray:
@@ -276,7 +249,8 @@ def full_report(g: FiniteGroup) -> AlphaReport:
     pc = per_coset_analysis(g, z)
     count_ok = pc.total == census.count
     eq = a_g == a_z
-    st = structural_condition(g, z)
+    why = structural_condition(g, z)
+    structural = why is None
     # the coset xZ has order min{k : x^k in Z}, so exp(G/Z) is their lcm
     # (a set, not np.unique, whose first plain call imports numpy.ma)
     qexp = math.lcm(*set(_element_orders(g.table, z.bitmap).tolist()))
@@ -295,19 +269,17 @@ def full_report(g: FiniteGroup) -> AlphaReport:
     findings.extend(pc.findings)
     if a_g > a_z:
         findings.append(f"alpha-inequality: alpha(G) = {a_g} exceeds alpha(Z) = {a_z}")
-    if eq != st.holds:
-        detail = f" ({st.witness})" if st.witness else ""
+    if eq != structural:
+        detail = f" ({why})" if why else ""
         findings.append(
             f"equality-equivalence: equality is {eq} but the structural "
-            f"condition is {st.holds}{detail}"
+            f"condition is {structural}{detail}"
         )
     if eq:
-        for c in pc.per_coset[1:]:
-            if c.k != 2:
-                findings.append(
-                    f"equality-minimal-order: equality holds yet a non-center "
-                    f"coset has minimal order {c.k}, expected 2"
-                )
+        bare = Counter(c.k for c in pc.per_coset[1:] if c.k != 2)
+        findings += [f"equality-minimal-order: equality holds yet {count} non-center "
+                     f"cosets have minimal order {k}, expected 2"
+                     for k, count in sorted(bare.items())]
         if qexp > 2:
             findings.append(
                 f"equality-quotient: equality holds yet exp(G/Z) = {qexp} > 2"
@@ -333,15 +305,12 @@ def full_report(g: FiniteGroup) -> AlphaReport:
         cyclic_count=census.count,
         alpha_g=a_g,
         alpha_z=a_z,
-        inequality_holds=a_g <= a_z,
-        equality=eq,
-        structural=st.holds,
+        structural=structural,
         quotient_exponent=qexp,
         two_central=two_c,
         four_abelian=four_ab,
         avg_order_g=avg_g,
         avg_order_z=avg_z,
-        avg_inequality_holds=avg_g >= avg_z,
         count_identity=count_ok,
         proof_steps=pc.per_coset,
         findings=tuple(findings),
@@ -351,7 +320,6 @@ def full_report(g: FiniteGroup) -> AlphaReport:
 __all__ = [
     "CosetCheck",
     "PerCosetFindings",
-    "StructuralResult",
     "AlphaReport",
     "per_coset_analysis",
     "structural_condition",

@@ -69,16 +69,16 @@ def rebuilt_center_values(g) -> tuple[Fraction, Fraction, int]:
             Fraction(int(zg.ord.sum()), zg.n), zg.n)
 
 
-def rebuilt_two_part_witness(two_part: Subgroup) -> str:
+def rebuilt_two_part_witness(two_part: Subgroup) -> Optional[str]:
     """Step (c) of the structural criterion on the 2-part T rebuilt as a
-    group: the first coset of Z(T) whose minimal order exceeds 2, or ""."""
+    group: the first coset of Z(T) whose minimal order exceeds 2, or None."""
     tg = two_part.as_group()
     _, _, reps = coset_partition(tg, center_members(tg))
     for y, k in reps:
         if k > 2:
             return (f"coset of {int(two_part.members[y])} in the 2-part "
                     f"has minimal order {k}, no element of order <= 2")
-    return ""
+    return None
 
 
 def coset_partition(g, zmem):
@@ -144,13 +144,12 @@ def per_coset_findings(g) -> PerCosetFindings:
     rest = sorted(checks[1:], key=lambda c: (c.k, c.coset_sum, c.order_identity,
                                              c.divisibility, c.coset_inequality))
     return PerCosetFindings(
-        center_sum=center_sum, per_coset=(checks[0], *rest),
-        total=total, all_hold=not findings, findings=tuple(findings))
+        per_coset=(checks[0], *rest), total=total, findings=tuple(findings))
 
 
-def structural(g) -> tuple[bool, str, Optional[list[int]], Optional[list[int]]]:
-    """(holds, witness, members of T, members of O) of the equality
-    criterion, with the center and every closure taken by table_oracle."""
+def structural(g) -> Optional[str]:
+    """The witness of the first clause of the equality criterion that
+    fails, or None, with the center and every closure taken by table_oracle."""
     zbit = np.zeros(g.n, dtype=bool)
     zbit[center_members(g)] = True
     ords = g.ord
@@ -158,21 +157,18 @@ def structural(g) -> tuple[bool, str, Optional[list[int]], Optional[list[int]]]:
     bad = np.nonzero(odd_mask & ~zbit)[0]
     if bad.size:
         x = int(bad[0])
-        return False, f"element {x} has odd order {int(ords[x])} but is not central", None, None
+        return f"element {x} has odd order {int(ords[x])} but is not central"
     odd = np.nonzero(odd_mask)[0]
     why = closure_failure(g, odd)
     if why is not None:
-        return False, f"odd-order elements do not form a subgroup: {why}", None, None
+        return f"odd-order elements do not form a subgroup: {why}"
     two_mask = (ords & (ords - 1)) == 0
     two = np.nonzero(two_mask)[0]
     why = closure_failure(g, two)
     if why is not None:
-        return (False, f"2-power-order elements do not form a subgroup: {why}",
-                None, odd.tolist())
+        return f"2-power-order elements do not form a subgroup: {why}"
     overlap = int((two_mask & odd_mask).sum())
     if overlap != 1 or two.size * odd.size != g.n:
-        return (False, f"parts do not factor the group: |T| = {two.size}, "
-                f"|O| = {odd.size}, |T meet O| = {overlap}, |G| = {g.n}",
-                two.tolist(), odd.tolist())
-    witness = rebuilt_two_part_witness(Subgroup(g, two))
-    return witness == "", witness, two.tolist(), odd.tolist()
+        return (f"parts do not factor the group: |T| = {two.size}, "
+                f"|O| = {odd.size}, |T meet O| = {overlap}, |G| = {g.n}")
+    return rebuilt_two_part_witness(Subgroup(g, two))

@@ -93,6 +93,10 @@ def test_each_report_field_has_one_row():
     # every format reads the one field table, so a field missing from it, or
     # listed twice, would drop or repeat that field in every format
     fields = {f.name for f in dataclasses.fields(AlphaReport)} - {"proof_steps", "findings"}
+    # the verdicts derived from the fractions are report fields too
+    fields |= {name for name, value in vars(AlphaReport).items()
+               if isinstance(value, property) and name != "clean"}
+    assert {"inequality_holds", "equality", "avg_inequality_holds"} <= fields
     assert sorted(row[0] for row in cli._FIELDS) == sorted(fields)
     assert sorted(row[0] for row in cli._STEP_FIELDS) == sorted(
         f.name for f in dataclasses.fields(CosetCheck))

@@ -46,8 +46,8 @@ def test_equality_minimal_order_fires_for_a_coset_without_an_involution(monkeypa
     monkeypatch.setattr(verify, "per_coset_analysis", one_coset_of_order_4)
     report = verify.full_report(build_group("almost-extraspecial:16"))
     assert report.equality
-    assert report.findings == ("equality-minimal-order: equality holds yet a non-center "
-                               "coset has minimal order 4, expected 2",)
+    assert report.findings == ("equality-minimal-order: equality holds yet 1 non-center "
+                               "cosets have minimal order 4, expected 2",)
 
 
 def test_equality_quotient_fires_for_a_quotient_exponent_of_3(monkeypatch):
@@ -74,11 +74,11 @@ def test_odd_order_fires_when_a_non_abelian_odd_group_claims_equality(monkeypatc
     assert report.equality and report.center_order < report.order
     assert report.findings[0].startswith("equality-equivalence: ")
     assert report.findings[1:] == (
-        ("equality-minimal-order: equality holds yet a non-center coset has minimal order 3, "
-         "expected 2",) * 8
-        + ("equality-quotient: equality holds yet exp(G/Z) = 3 > 2",
-           "2-central: equality holds yet some square is not central",
-           "odd-order: equality holds for an odd-order non-abelian group"))
+        "equality-minimal-order: equality holds yet 8 non-center cosets have minimal order 3, "
+        "expected 2",
+        "equality-quotient: equality holds yet exp(G/Z) = 3 > 2",
+        "2-central: equality holds yet some square is not central",
+        "odd-order: equality holds for an odd-order non-abelian group")
 
 
 def test_avg_order_inequality_fires_when_the_group_average_is_too_small(monkeypatch):

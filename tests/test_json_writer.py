@@ -59,12 +59,8 @@ def sweep_written(result: SweepResult) -> str:
 
 
 def sweep_result(reports, families=SWEEP_FAMILIES, max_order=256) -> SweepResult:
-    return SweepResult(
-        config=SweepConfig(max_order=max_order, families=tuple(families)),
-        reports=tuple(reports),
-        counterexamples=tuple(r.label for r in reports if r.findings),
-        equality_labels=tuple(r.label for r in reports if r.equality),
-    )
+    return SweepResult(SweepConfig(max_order=max_order, families=tuple(families)),
+                       tuple(reports))
 
 
 # table: paths carry any text, including quotes, backslashes, control

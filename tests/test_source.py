@@ -1,7 +1,9 @@
 """Source-level rules for the library under src/."""
 
 import ast
+import io
 import re
+import tokenize
 import types
 from pathlib import Path
 
@@ -203,3 +205,37 @@ def test_readme_library_names_are_exported():
     named = set(re.findall(r"`(\w+)\(", library))
     assert named, "no calls found in README's Library section"
     assert sorted(named - _exports()) == [], "README names calls the package does not export"
+
+
+# Code lines in src/: a line counts when it holds a token other than a
+# comment, a line break or an indent, outside the module, class and function
+# docstrings.  Each simplicity change should lower it, so the ceiling is the
+# count at the last one; adding code means editing this figure.
+SRC_CODE_LINES = 1493
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def _code_lines(text: str) -> int:
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            doc = node.body[0]
+            docstrings.update(range(doc.lineno, doc.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _LAYOUT:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_code_line_count_skips_layout_and_docstrings():
+    text = ('"""Module\ndocstring."""\n\n# a comment\n'
+            'def f(x):\n    """Doc."""\n    return (x +\n            1)  # trailing\n')
+    assert _code_lines(text) == 3
+
+
+def test_src_code_lines_within_budget():
+    found = sum(_code_lines(path.read_text()) for path in sorted(SRC.rglob("*.py")))
+    assert found <= SRC_CODE_LINES, f"src/ has {found} code lines, over {SRC_CODE_LINES}"

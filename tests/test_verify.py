@@ -68,9 +68,8 @@ def test_average_order_inequality(d8, q8, pauli16, heis3):
 
 def test_per_coset_d8(d8):
     pc = per_coset_analysis(d8, center(d8))
-    assert pc.center_sum == Fraction(2)
     assert pc.total == Fraction(7)  # equals |C(D8)|
-    assert pc.all_hold and pc.findings == ()
+    assert pc.findings == ()
     head = pc.per_coset[0]
     assert head.is_center and head.k == 1 and head.coset_sum == Fraction(2)
     rest = [(c.k, c.coset_sum) for c in pc.per_coset[1:]]
@@ -82,14 +81,13 @@ def test_per_coset_d8(d8):
 
 def test_per_coset_q8(q8):
     pc = per_coset_analysis(q8, center(q8))
-    assert pc.center_sum == Fraction(2)
+    assert pc.per_coset[0].coset_sum == Fraction(2)
     assert [(c.k, c.coset_sum) for c in pc.per_coset[1:]] == [(4, Fraction(1))] * 3
     assert pc.total == Fraction(5)
 
 
 def test_per_coset_pauli16_attains_equality_everywhere(pauli16):
     pc = per_coset_analysis(pauli16, center(pauli16))
-    assert pc.center_sum == Fraction(3)
     assert all(c.coset_sum == Fraction(3) for c in pc.per_coset)
     assert all(c.k == 2 for c in pc.per_coset[1:])
     assert pc.total == Fraction(12)
@@ -105,51 +103,41 @@ def test_per_coset_abelian_single_coset(z12):
 def test_per_coset_trivial_center(s4):
     pc = per_coset_analysis(s4, center(s4))
     assert len(pc.per_coset) == 24
-    assert pc.center_sum == Fraction(1)
+    assert pc.per_coset[0].coset_sum == Fraction(1)
     assert all(c.coset_sum <= 1 for c in pc.per_coset)
     assert pc.total == Fraction(17)
-    assert pc.all_hold
+    assert pc.findings == ()
 
 
 # ---------------------------------------------------------------- structure
 
 def test_structural_holds_for_pauli16(pauli16):
-    st = structural_condition(pauli16, center(pauli16))
-    assert st.holds and st.witness == ""
-    assert len(st.two_part) == 16 and len(st.odd_part) == 1
+    assert structural_condition(pauli16, center(pauli16)) is None
 
 
 def test_structural_holds_for_abelian(z12, klein):
     for g in (z12, klein):
-        st = structural_condition(g, center(g))
-        assert st.holds
-        assert len(st.two_part) * len(st.odd_part) == g.n
+        assert structural_condition(g, center(g)) is None, g.label
 
 
 def test_structural_fails_for_heisenberg(heis3):
-    st = structural_condition(heis3, center(heis3))
-    assert not st.holds
-    assert "odd order" in st.witness and "not central" in st.witness
+    why = structural_condition(heis3, center(heis3))
+    assert "odd order" in why and "not central" in why
 
 
 def test_structural_fails_for_q8(q8):
-    st = structural_condition(q8, center(q8))
-    assert not st.holds
-    assert "minimal order 4" in st.witness
+    assert "minimal order 4" in structural_condition(q8, center(q8))
 
 
 def test_structural_fails_for_s3(s3):
-    st = structural_condition(s3, center(s3))
-    assert not st.holds
+    assert structural_condition(s3, center(s3)) is not None
 
 
 def test_structural_odd_part_detached():
     g = build_group("product:(cyclic:3)x(quaternion:8)")
-    st = structural_condition(g, center(g))
     # odd part Z3 is central and splits off, but the 2-part is Q8: no involution cover
-    assert not st.holds
-    assert st.two_part is not None and len(st.two_part) == 8
-    assert st.odd_part is not None and len(st.odd_part) == 3
+    assert structural_condition(g, center(g)) == (
+        "coset of 1 in the 2-part has minimal order 4, no element of order <= 2")
 
 
 def test_equivalence_on_named_groups(d8, q8, q16, s3, s4, pauli16,
@@ -157,7 +145,7 @@ def test_equivalence_on_named_groups(d8, q8, q16, s3, s4, pauli16,
     expect_equal = {id(pauli16), id(z12), id(klein)}
     for g in (d8, q8, q16, s3, s4, pauli16, es32_plus, es32_minus, heis3, z12, klein):
         eq = alpha(g) == alpha(g, center(g))
-        assert eq == structural_condition(g, center(g)).holds, g.label
+        assert eq == (structural_condition(g, center(g)) is None), g.label
         assert eq == (id(g) in expect_equal), g.label
 
 
@@ -231,14 +219,15 @@ def test_full_report_quotient_exponents(d8, q8, s3, heis3, s4):
     assert full_report(s4).quotient_exponent == 12
 
 
-def test_report_rejects_inconsistent_flags(d8):
+def test_report_verdicts_follow_their_fractions(d8):
     r = full_report(d8)
-    with pytest.raises(ValueError):
-        dataclasses.replace(r, equality=True)
-    with pytest.raises(ValueError):
-        dataclasses.replace(r, inequality_holds=False)
-    with pytest.raises(ValueError):
-        dataclasses.replace(r, avg_inequality_holds=False)
+    assert r.inequality_holds and not r.equality and r.avg_inequality_holds
+    equal = dataclasses.replace(r, alpha_z=r.alpha_g)
+    assert equal.inequality_holds and equal.equality
+    over = dataclasses.replace(r, alpha_z=r.alpha_g - Fraction(1, 8))
+    assert not over.inequality_holds and not over.equality
+    assert not dataclasses.replace(r, avg_order_z=r.avg_order_g + 1).avg_inequality_holds
+    assert dataclasses.replace(r, avg_order_z=r.avg_order_g).avg_inequality_holds
     with pytest.raises(ValueError):
         dataclasses.replace(r, center_order=3)
 
