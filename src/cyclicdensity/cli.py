@@ -19,16 +19,11 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .catalog import build_group, load_table_with_report
-from .density import (
-    alpha,
-    alpha_via_totient,
-    average_order,
-    cyclic_subgroups,
-)
+from .density import alpha, average_order, cyclic_subgroups
 from .errors import GroupError
 from .groups import DEFAULT_SIZE_CAP, MAX_ORDER, SIZE_CAP_ENV, FiniteGroup, center
 from .sweep import SWEEP_FAMILIES, SweepConfig, SweepResult, run_sweep
-from .verify import AlphaReport, CosetCheck, full_report
+from .verify import AlphaReport, CosetCheck, full_report, per_coset_analysis
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -180,8 +175,8 @@ def _build_from_args(args: argparse.Namespace) -> FiniteGroup:
 def _cmd_alpha(args: argparse.Namespace) -> int:
     g = _build_from_args(args)
     census = cyclic_subgroups(g)
-    a_enum, a_tot = alpha(g), alpha_via_totient(g)
     z = center(g)
+    a_enum, a_tot = alpha(g), per_coset_analysis(g, z).total / g.n
     rows = (  # JSON key, text caption, kind, value
         ("label", "group", _STR, g.label),
         ("order", "order", _INT, g.n),

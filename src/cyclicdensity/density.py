@@ -1,17 +1,16 @@
 """Cyclic-subgroup census and the density invariants derived from it.
 
-Two deliberately independent routes to the same quantity: alpha() names
-each cyclic subgroup by its least generator, alpha_via_totient() sums
-1/phi(o(x)) over elements.  Their agreement is itself one of the
-identities under test (full_report reads the same sum off its per-coset
-sums), so neither is implemented in terms of the other.
+alpha() names each cyclic subgroup by its least generator.  The count has
+a second, deliberately independent route, the sum of 1/phi(o(x)) over the
+elements, which verify.per_coset_analysis makes coset by coset; their
+agreement is itself one of the identities under test, so neither is
+implemented in terms of the other.
 A cyclic subgroup lies in a subgroup H (such as the center) exactly when
 its generators do, so the invariants of H are read off G's census.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,14 +78,6 @@ def alpha(g: FiniteGroup, sub: Optional[Subgroup] = None) -> Fraction:
     return Fraction(int(roots.sum()), roots.size)
 
 
-def alpha_via_totient(g: FiniteGroup) -> Fraction:
-    """The same density via the identity |C(G)| = sum over x of 1/phi(o(x))."""
-    orders, counts = (a.tolist() for a in np.unique(g.ord, return_counts=True))
-    phis = [euler_phi(d) for d in orders]
-    lcm = math.lcm(*phis)
-    return Fraction(sum(c * (lcm // p) for c, p in zip(counts, phis)), lcm * g.n)
-
-
 def average_order(g: FiniteGroup, sub: Optional[Subgroup] = None) -> Fraction:
     """Mean element order o(G) = (1/|G|) * sum of o(x); over sub when given."""
     ords = g.ord[_members(g, sub)]
@@ -106,7 +97,6 @@ __all__ = [
     "CyclicCensus",
     "cyclic_subgroups",
     "alpha",
-    "alpha_via_totient",
     "average_order",
     "census_matches_orders",
 ]

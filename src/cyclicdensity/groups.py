@@ -90,24 +90,22 @@ def _check_cap(n: int, max_size: Optional[int], what: str) -> None:
 class FiniteGroup:
     """Immutable finite group on ids 0..n-1, identity at 0.
 
-    table is a read-only, C-contiguous (n, n) array of _ID ids;
-    inv and ord are int32 vectors.  Only the builders construct a group:
+    table is a read-only, C-contiguous (n, n) array of _ID ids and ord an
+    int32 vector of element orders.  Only the builders construct a group:
     validate_table_with_report, build_group, direct_product and
     Subgroup.as_group.  They derive the orders the census reads, which a
     group constructed directly lacks; the constructor checks nothing and is
     not public API.
     """
 
-    __slots__ = ("n", "table", "inv", "ord", "label", "_gens", "_census", "_table_ord",
-                 "__weakref__")
+    __slots__ = ("n", "table", "ord", "label", "_gens", "_census", "_table_ord", "__weakref__")
 
-    def __init__(self, table: np.ndarray, inv: np.ndarray, ord_: np.ndarray, label: str):
+    def __init__(self, table: np.ndarray, ord_: np.ndarray, label: str):
         self.n = int(table.shape[0])
         self.table = table
-        self.inv = inv
         self.ord = ord_
         self.label = label
-        for arr in (table, inv, ord_):
+        for arr in (table, ord_):
             arr.setflags(write=False)
         self._gens: Optional[np.ndarray] = None  # filled lazily by _generators
         self._census = None  # filled lazily by density.cyclic_subgroups
@@ -117,10 +115,11 @@ class FiniteGroup:
 
 
 class Subgroup:
-    """Sorted subset of a parent group, verified closed under product and
-    inverse.  All of the parent is closed as it stands; a set with |H|^2 <=
-    _SCAN_BLOCK (128 ids) is closed when its products, one gather, lie in
-    it; a larger proper one when _generate reaches it from inside."""
+    """Sorted subset of a parent group, verified closed under product, which
+    in a finite group forces inverses: a closed set holding a holds
+    a^(o(a)-1) = a^-1.  All of the parent is closed as it stands; a set with
+    |H|^2 <= _SCAN_BLOCK (128 ids) is closed when its products, one gather,
+    lie in it; a larger proper one when _generate reaches it from inside."""
 
     __slots__ = ("parent", "members", "bitmap")
 
@@ -158,10 +157,6 @@ class Subgroup:
                 f"set is not closed: {a}*{b} = {int(parent.table[a, b])} is outside it",
                 witness=(a, b),
             )
-        # Closure of a finite set forces inverses, but check anyway: cheap.
-        if not bitmap[parent.inv[arr]].all():
-            a = int(arr[~bitmap[parent.inv[arr]]][0])
-            raise NotASubgroup(f"inverse of {a} is outside the set", witness=(a, a))
         if parent.n % arr.size:
             raise NotASubgroup(
                 f"closed set of {arr.size} elements does not divide the order {parent.n}"
@@ -451,12 +446,12 @@ def _build(table: np.ndarray, label: str) -> FiniteGroup:
                 raise NoInverse(f"element {a} has no two-sided inverse", element=a)
         raise ValueError(f"{label!r} is not associative: every row holds 0, "
                          f"but x^{n} is not 0 for x = {int(ord_.argmin())}")
-    inv = _powers(table, ar, n - 1).astype(np.int32)  # int32 like the orders
+    inv = _powers(table, ar, n - 1)
     one_sided = (table[ar, inv] != 0) | (table[inv, ar] != 0)
     if one_sided.any():
         a = int(one_sided.argmax())
         raise NoInverse(f"element {a} has only a one-sided inverse {int(inv[a])}", element=a)
-    group = FiniteGroup(table, inv, ord_, label)
+    group = FiniteGroup(table, ord_, label)
     group._table_ord = ord_  # the census reads this, not g.ord, which a caller may rebind
     return group
 

@@ -113,7 +113,7 @@ def _minimal_reps(ords: np.ndarray, cosets: np.ndarray) -> tuple[np.ndarray, np.
 
 def per_coset_analysis(g: FiniteGroup, z: Subgroup) -> PerCosetFindings:
     """Check the three proof obligations on every coset of the center z,
-    which the caller proves: full_report passes center(g).
+    which the caller proves: full_report and the alpha command pass center(g).
 
     For each coset with minimal representative y of order k, and every
     central x: the product order identity, totient divisibility, and the
@@ -208,31 +208,21 @@ def is_2_central(g: FiniteGroup, z: Subgroup) -> bool:
     return bool(z.bitmap[_squares(g)].all())
 
 
-def _is_4_abelian(g: FiniteGroup) -> bool:
-    """Whether (x y)^4 = x^4 y^4 for every pair, checked for y in g's
-    generating set S only (see is_4_abelian_witness)."""
-    sq = _squares(g)
-    f4 = sq[sq]
-    s = _generators(g)
-    return np.array_equal(f4[g.table[:, s]], g.table[f4[:, None], f4[s]])
-
-
-def is_4_abelian_witness(g: FiniteGroup) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Whether (x y)^4 = x^4 y^4 for every pair; the first failing (x, y) otherwise.
+def four_abelian_failure(g: FiniteGroup) -> Optional[tuple[int, int]]:
+    """The first (x, y) in row-major order with (x y)^4 != x^4 y^4, or None.
 
     With f(x) = x^4, the y with f(x y) = f(x) f(y) for all x contain 0 and
     are closed under products: f(x y y') = f(x y) f(y') = f(x) f(y) f(y')
-    and f(y y') = f(y) f(y') (take x = 0).  So checking y over a generating
-    set is exact; the premise is associativity.  Only a failing group scans
-    the pairs, a block of rows at a time, to name the first failing one.
-    full_report makes that scan only under equality, the one case whose
-    findings print the pair; otherwise it reads the verdict alone.
+    and f(y y') = f(y) f(y') (take x = 0).  So checking y over g's
+    generating set S is exact; the premise is associativity.  Only a group
+    that fails it scans the pairs, a block of rows at a time.
     """
-    if _is_4_abelian(g):
-        return True, None
     sq = _squares(g)
     f4 = sq[sq]
-    return False, _first_failure(g.n, g.n, lambda lo, hi: (
+    s = _generators(g)
+    if np.array_equal(f4[g.table[:, s]], g.table[f4[:, None], f4[s]]):
+        return None
+    return _first_failure(g.n, g.n, lambda lo, hi: (
         f4[g.table[lo:hi]] != g.table[np.ix_(f4[lo:hi], f4)]))
 
 
@@ -255,7 +245,7 @@ def full_report(g: FiniteGroup) -> AlphaReport:
     # (a set, not np.unique, whose first plain call imports numpy.ma)
     qexp = math.lcm(*set(_element_orders(g.table, z.bitmap).tolist()))
     two_c = is_2_central(g, z)
-    four_ab = _is_4_abelian(g)
+    pair = four_abelian_failure(g)
 
     findings: list[str] = []
     if not count_ok:
@@ -286,10 +276,9 @@ def full_report(g: FiniteGroup) -> AlphaReport:
             )
         if not two_c:
             findings.append("2-central: equality holds yet some square is not central")
-        if not four_ab:
+        if pair is not None:
             findings.append(
-                f"4-abelian: equality holds yet (x y)^4 != x^4 y^4 for "
-                f"(x, y) = {is_4_abelian_witness(g)[1]}"
+                f"4-abelian: equality holds yet (x y)^4 != x^4 y^4 for (x, y) = {pair}"
             )
         if g.n % 2 == 1 and len(z) < g.n:
             findings.append("odd-order: equality holds for an odd-order non-abelian group")
@@ -308,7 +297,7 @@ def full_report(g: FiniteGroup) -> AlphaReport:
         structural=structural,
         quotient_exponent=qexp,
         two_central=two_c,
-        four_abelian=four_ab,
+        four_abelian=pair is None,
         avg_order_g=avg_g,
         avg_order_z=avg_z,
         count_identity=count_ok,
@@ -324,6 +313,6 @@ __all__ = [
     "per_coset_analysis",
     "structural_condition",
     "is_2_central",
-    "is_4_abelian_witness",
+    "four_abelian_failure",
     "full_report",
 ]

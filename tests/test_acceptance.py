@@ -20,9 +20,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from census_oracle import per_coset_findings
 from cyclicdensity import (
     alpha,
-    alpha_via_totient,
     average_order,
     build_group,
     center,
@@ -32,6 +32,7 @@ from cyclicdensity import (
 )
 from cyclicdensity import cli as cli_module
 from cyclicdensity.sweep import SweepConfig, run_sweep
+from cyclicdensity.verify import per_coset_analysis
 from table_oracle import group_exponent, relabeled_copy, with_orders
 
 SWEEP_WALL_SECONDS = 60.0
@@ -56,7 +57,8 @@ def test_criterion_01_almost_extraspecial_alpha_three_quarters():
     for order in (16, 64, 256):
         g = build_group(f"almost-extraspecial:{order}")
         assert alpha(g) == Fraction(3, 4), order
-        assert alpha_via_totient(g) == Fraction(3, 4), order
+        assert per_coset_findings(g).total / g.n == Fraction(3, 4), order
+        assert per_coset_analysis(g, center(g)).total / g.n == Fraction(3, 4), order
         z = center(g)
         assert len(z) == 4 and group_exponent(z.as_group()) == 4  # center is Z4
         assert alpha(z.as_group()) == Fraction(3, 4), order

@@ -9,20 +9,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from census_oracle import cyclic_subgroup_sets, least_generator
+from census_oracle import cyclic_subgroup_sets, least_generator, per_coset_findings
 from cyclicdensity import (
     GroupSpec,
     NoInverse,
     NotClosed,
     alpha,
-    alpha_via_totient,
     average_order,
     build_group,
+    center,
     cyclic_subgroups,
     full_report,
     validate_table_with_report,
 )
 from cyclicdensity.density import census_matches_orders
+from cyclicdensity.verify import per_coset_analysis
 from table_oracle import group_exponent, prove_orders, with_orders
 
 
@@ -69,10 +70,17 @@ def test_alpha_values(d8, q8, s3, z4, klein, d16, q16, heis3):
     assert alpha(heis3) == Fraction(14, 27)
 
 
+def assert_totient_routes_match(g):
+    """alpha(g) against |C(G)| / |G| = (sum of 1/phi(o(x))) / |G|, summed
+    by the test oracle and by the library's per-coset analysis."""
+    assert alpha(g) == per_coset_findings(g).total / g.n, g.label
+    assert alpha(g) == per_coset_analysis(g, center(g)).total / g.n, g.label
+
+
 def test_alpha_totient_route_matches(d8, q8, s3, s4, pauli16, es32_plus,
                                      es32_minus, heis3, z12, klein):
     for g in (d8, q8, s3, s4, pauli16, es32_plus, es32_minus, heis3, z12, klein):
-        assert alpha_via_totient(g) == alpha(g)
+        assert_totient_routes_match(g)
         assert full_report(g).count_identity
         assert census_matches_orders(g)
 
@@ -113,7 +121,7 @@ def test_alpha_cyclic_closed_form():
 def test_klein_alpha_is_one(klein):
     # every element has order <= 2, so every cyclic subgroup has a unique generator
     assert alpha(klein) == 1
-    assert alpha_via_totient(klein) == 1
+    assert_totient_routes_match(klein)
 
 
 def test_count_identity_report_agreement(d8):
@@ -211,7 +219,7 @@ corpus_specs_strategy = st.sampled_from([
 @given(corpus_specs_strategy)
 def test_routes_agree_across_catalog(spec):
     g = build_group(spec)
-    assert alpha(g) == alpha_via_totient(g)
+    assert_totient_routes_match(g)
     assert census_matches_orders(g)
 
 
@@ -220,7 +228,7 @@ def test_routes_agree_across_catalog(spec):
 def test_abelian_alpha_equals_center_alpha(orders):
     g = build_group(GroupSpec("abelian", tuple(orders)))
     # abelian: G = Z(G), so the density must equal itself under both routes
-    assert alpha(g) == alpha_via_totient(g)
+    assert_totient_routes_match(g)
     assert full_report(g).count_identity
 
 

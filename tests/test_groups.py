@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import power_oracle
 from cyclicdensity import (
     InvalidArgument,
     NoIdentityAtZero,
@@ -47,7 +48,7 @@ def test_validate_accepts_z3():
     g, _ = validate_table_with_report(z3_table(), "z3")
     assert g.n == 3
     assert g.table[1, 2] == 0
-    assert g.inv[1] == 2
+    assert power_oracle.inverses(g.table)[1] == 2
     assert g.ord.tolist() == [1, 3, 3]
 
 
@@ -187,8 +188,7 @@ def test_subgroup_order_must_divide_group_order():
     from cyclicdensity.groups import FiniteGroup
 
     table = np.array([[0, 1, 2], [1, 0, 2], [2, 2, 2]], dtype=np.int32)
-    fake = FiniteGroup(table, np.arange(3, dtype=np.int32),
-                       np.array([1, 2, 2], dtype=np.int32), "not-a-group")
+    fake = FiniteGroup(table, np.array([1, 2, 2], dtype=np.int32), "not-a-group")
     with pytest.raises(NotASubgroup, match="does not divide the order 3"):
         Subgroup(fake, [0, 1])
 

@@ -41,7 +41,7 @@ def outcome(load, path, cap):
     except GroupError as exc:
         return (type(exc), str(exc), getattr(exc, "line", None),
                 getattr(exc, "column", None))
-    return (g.table.tolist(), g.inv.tolist(), g.ord.tolist(), g.label, reindex)
+    return (g.table.tolist(), g.ord.tolist(), g.label, reindex)
 
 
 def header_order(text):

@@ -32,7 +32,6 @@ def assert_walks_agree(g):
     assert np.array_equal(ords, power_oracle.element_orders(t, ident)), g.label
     assert np.array_equal(ords, g.ord), g.label
     assert np.array_equal(inv, power_oracle.inverses(t)), g.label
-    assert np.array_equal(g.inv, inv), g.label
     zmask = center(g).bitmap
     assert np.array_equal(_element_orders(t, zmask),
                           power_oracle.element_orders(t, zmask)), g.label
@@ -176,7 +175,8 @@ def assert_no_inverse_as_oracle(table):
     want = n2_verdict(table)
     if want is None:
         g, _ = validate_table_with_report(table)
-        assert np.array_equal(g.inv, power_oracle.inverses(table))
+        assert np.array_equal(_powers(g.table, np.arange(g.n), g.n - 1),
+                              power_oracle.inverses(g.table))
         return None
     with pytest.raises(NoInverse) as err:
         validate_table_with_report(table)

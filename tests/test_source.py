@@ -180,8 +180,8 @@ PUBLIC_NAMES = {
     "AlphaReport", "GroupSpec", "Subgroup", "SweepConfig",
     "GroupError", "InvalidArgument", "NoIdentityAtZero", "NoInverse", "NotASubgroup",
     "NotAssociative", "NotClosed", "ParseError", "SizeLimitExceeded", "SpecSyntaxError",
-    "alpha", "alpha_via_totient", "average_order", "build_group", "center",
-    "cyclic_subgroups", "direct_product", "full_report", "is_4_abelian_witness",
+    "alpha", "average_order", "build_group", "center", "cyclic_subgroups",
+    "direct_product", "four_abelian_failure", "full_report",
     "load_table_with_report", "parse_group_spec", "run_sweep", "validate_table_with_report",
 }
 
@@ -211,7 +211,7 @@ def test_readme_library_names_are_exported():
 # comment, a line break or an indent, outside the module, class and function
 # docstrings.  Each simplicity change should lower it, so the ceiling is the
 # count at the last one; adding code means editing this figure.
-SRC_CODE_LINES = 1493
+SRC_CODE_LINES = 1471
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER}
 

@@ -5,29 +5,34 @@ as its whole generating set S; the center and the 4-abelian check must
 read the same off it as off the greedy set of _generate.  Orders that a
 caller rebinds must not reach that path: only _build sets the table
 orders it reads.
-A Subgroup over all of its parent skips the closure gather but not the
-inverse check.  full_report scans for a 4-abelian witness only under
-equality, and per_coset_analysis sums in int64 only while no sum can
+Subgroup proves closure alone, as closure forces inverses in a finite
+group: every set it accepts, across the corpus, holds the oracle's
+inverses of its members.  full_report names the 4-abelian witness when
+equality holds, and per_coset_analysis sums in int64 only while no sum can
 overflow it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
+import power_oracle
 from census_oracle import per_coset_findings
 from cyclicdensity import (
+    NotASubgroup,
     Subgroup,
     SweepConfig,
     build_group,
     center,
+    four_abelian_failure,
     full_report,
-    is_4_abelian_witness,
     verify,
 )
 from cyclicdensity.sweep import corpus_specs
 from cyclicdensity.verify import per_coset_analysis
-from cyclicdensity.groups import FiniteGroup, _generate, _generators
+from cyclicdensity.groups import _SCAN_BLOCK, FiniteGroup, _generate, _generators
 from table_oracle import four_abelian_witness, with_orders
 
 
@@ -48,7 +53,7 @@ def test_order_n_generator_matches_the_greedy_set_on_the_sweep():
             continue
         slow = with_greedy_generators(spec)
         assert center(g).members.tolist() == center(slow).members.tolist(), spec
-        assert is_4_abelian_witness(g) == is_4_abelian_witness(slow), spec
+        assert four_abelian_failure(g) == four_abelian_failure(slow), spec
         checked += 1
     assert checked >= 256  # every cyclic:n spec, and the coprime abelian ones
 
@@ -61,23 +66,48 @@ def test_rebound_orders_do_not_choose_the_generator():
     assert center(g).members.tolist() == [0, 2]
 
 
-class RecordedReads(np.ndarray):
-    """An array that records the keys it is indexed with."""
+def candidate_sets(g: FiniteGroup, rng: np.random.Generator):
+    """Member sets to hand Subgroup: the center, the 2-part and the odd
+    part, random subsets holding 0, the subgroups that random ids and pairs
+    of ids generate, and all of g."""
+    yield center(g).members
+    yield (g.ord & (g.ord - 1)) == 0
+    yield g.ord % 2 == 1
+    for p in (0.1, 0.5, 0.9):
+        mask = rng.random(g.n) < p
+        mask[0] = True
+        yield mask
+    for k in (1, 1, 1, 1, 2, 2, 2, 2):
+        h = np.zeros(g.n, dtype=bool)
+        h[[0, *rng.integers(g.n, size=k)]] = True
+        while not h[prods := g.table[np.ix_(ids := np.flatnonzero(h), ids)]].all():
+            h[prods] = True
+        yield h
+    yield np.ones(g.n, dtype=bool)
 
-    def __getitem__(self, key):
-        self.reads.append(key)
-        return super().__getitem__(key)
 
-
-def test_a_subgroup_over_the_whole_parent_still_checks_inverses():
-    for spec in ("cyclic:6", "symmetric:4", "cyclic:256"):  # under and over 128 ids
+def test_every_set_a_subgroup_accepts_holds_its_inverses():
+    # Subgroup checks no inverses: in a finite group a closed set holding a
+    # holds a^(o(a)-1) = a^-1, so no set it accepts can lack one
+    rng = np.random.default_rng(31)
+    routes, rejected = Counter(), 0
+    # sets over 128 ids, which Subgroup generates, need the larger groups
+    larger = ("cyclic:768", "abelian:2,256", "dihedral:512", "quaternion:512",
+              "heisenberg:7", "product:(symmetric:5)x(cyclic:3)")
+    for spec in corpus_specs(SweepConfig(max_order=64)) + larger:
         g = build_group(spec)
-        inv = g.inv.view(RecordedReads)
-        inv.reads = []
-        fake = FiniteGroup(g.table, inv, g.ord, "recorded")
-        whole = Subgroup(fake, np.ones(g.n, dtype=bool))
-        assert len(whole) == g.n
-        assert any(np.array_equal(k, np.arange(g.n)) for k in inv.reads), spec
+        inv = power_oracle.inverses(g.table)
+        for members in candidate_sets(g, rng):
+            try:
+                h = Subgroup(g, members)
+            except NotASubgroup:
+                rejected += 1
+                continue
+            assert h.bitmap[inv[h.members]].all(), spec
+            routes["all" if len(h) == g.n else "gather" if len(h) ** 2 <= _SCAN_BLOCK
+                   else "generate"] += 1
+    # each of Subgroup's three closure routes accepts some of the sets
+    assert len(routes) == 3 and min(routes.values()) >= 10 and rejected >= 600, routes
 
 
 def test_the_witness_is_named_when_equality_holds_without_4_abelian(monkeypatch):
@@ -86,8 +116,8 @@ def test_the_witness_is_named_when_equality_holds_without_4_abelian(monkeypatch)
     g = build_group("dihedral:16")
     monkeypatch.setattr(verify, "center", lambda g: Subgroup(g, np.ones(g.n, dtype=bool)))
     report = full_report(g)
-    ok, witness = four_abelian_witness(g)
-    assert report.equality and not report.four_abelian and not ok
+    witness = four_abelian_witness(g)
+    assert report.equality and not report.four_abelian and witness is not None
     assert (f"4-abelian: equality holds yet (x y)^4 != x^4 y^4 for (x, y) = {witness}"
             in report.findings)
 

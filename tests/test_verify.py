@@ -15,8 +15,8 @@ from cyclicdensity import (
     average_order,
     build_group,
     center,
+    four_abelian_failure,
     full_report,
-    is_4_abelian_witness,
 )
 from cyclicdensity.verify import is_2_central, per_coset_analysis, structural_condition
 from table_oracle import relabeled_copy, with_orders
@@ -164,14 +164,14 @@ def _pow4(g, x: int) -> int:
     return int(g.table[x2, x2])
 
 
-def test_is_4_abelian(d8, q8, s3, s4, z12, pauli16, es32_plus, heis3):
+def test_four_abelian_failure(d8, q8, s3, s4, z12, pauli16, es32_plus, heis3):
     # exponent <= 4 makes every fourth power trivial; abelian and
     # exponent-3 groups satisfy the identity outright
     for g in (d8, q8, z12, pauli16, es32_plus, heis3):
-        assert is_4_abelian_witness(g) == (True, None), g.label
+        assert four_abelian_failure(g) is None, g.label
     for g in (s3, s4):
-        ok, witness = is_4_abelian_witness(g)
-        assert not ok, g.label
+        witness = four_abelian_failure(g)
+        assert witness is not None, g.label
         x, y = witness
         lhs = _pow4(g, g.table[x, y])
         rhs = g.table[_pow4(g, x), _pow4(g, y)]
@@ -181,11 +181,10 @@ def test_is_4_abelian(d8, q8, s3, s4, z12, pauli16, es32_plus, heis3):
         assert witness == first, g.label
 
 
-def test_is_4_abelian_s3_witness_shape(s3):
+def test_four_abelian_failure_s3_witness_shape(s3):
     # the failing pair multiplies to a 3-cycle whose fourth power is itself,
     # while the pair's own fourth powers collapse to the identity
-    ok, (x, y) = is_4_abelian_witness(s3)
-    assert not ok
+    x, y = four_abelian_failure(s3)
     assert s3.ord[s3.table[x, y]] == 3
     assert _pow4(s3, x) == 0 and _pow4(s3, y) == 0
 
