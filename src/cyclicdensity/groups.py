@@ -13,7 +13,8 @@ cyclic, so that element generates it), else the greedy set of _generate.
 They assume an associative table: validate_table_with_report proves that
 for imported tables (and S is the set its test found), and the catalog
 builds its tables associative by construction.  A member set that is all
-of its parent is closed with no gather at all.
+of its parent is closed with no gather at all.  What a builder proves is
+not checked again, and _first_failure is the one scan for a first witness.
 """
 
 from __future__ import annotations
@@ -116,10 +117,11 @@ class FiniteGroup:
 
 class Subgroup:
     """Sorted subset of a parent group, verified closed under product, which
-    in a finite group forces inverses: a closed set holding a holds
-    a^(o(a)-1) = a^-1.  All of the parent is closed as it stands; a set with
-    |H|^2 <= _SCAN_BLOCK (128 ids) is closed when its products, one gather,
-    lie in it; a larger proper one when _generate reaches it from inside."""
+    in a finite group makes it a subgroup: it holds each a^-1 = a^(o(a)-1),
+    so its order divides the parent's.  All of the parent is closed as it
+    stands; a smaller set with |H|^2 <= _SCAN_BLOCK (128 ids) when its
+    witness scan, one block, finds no pair; a larger one when _generate
+    reaches it from inside."""
 
     __slots__ = ("parent", "members", "bitmap")
 
@@ -142,25 +144,14 @@ class Subgroup:
             raise NotASubgroup("a subgroup must contain the identity 0")
         bitmap = np.zeros(parent.n, dtype=bool)
         bitmap[arr] = True
-        if arr.size == parent.n:  # every product of a table lies in its ids
-            closed = True
-        elif arr.size * arr.size <= _SCAN_BLOCK:
-            closed = bitmap[parent.table[arr[:, None], arr]].all()
-        else:
-            closed = _generate(parent.table, bitmap) is not None
-        if not closed:
-            # name the first pair in row-major order whose product leaves the set
-            i, j = _first_failure(
-                arr.size, arr.size, lambda lo, hi: ~bitmap[parent.table[np.ix_(arr[lo:hi], arr)]])
-            a, b = int(arr[i]), int(arr[j])
-            raise NotASubgroup(
-                f"set is not closed: {a}*{b} = {int(parent.table[a, b])} is outside it",
-                witness=(a, b),
-            )
-        if parent.n % arr.size:
-            raise NotASubgroup(
-                f"closed set of {arr.size} elements does not divide the order {parent.n}"
-            )
+        if arr.size < parent.n and (arr.size ** 2 <= _SCAN_BLOCK
+                                    or _generate(parent.table, bitmap) is None):
+            pair = _first_failure(arr.size, arr.size, _SCAN_BLOCK, lambda lo, hi: (
+                ~bitmap[parent.table[arr[lo:hi, None], arr]]))
+            if pair is not None:
+                a, b = int(arr[pair[0]]), int(arr[pair[1]])
+                raise NotASubgroup(f"set is not closed: {a}*{b} = {int(parent.table[a, b])} "
+                                   "is outside it", witness=(a, b))
         arr.setflags(write=False)
         bitmap.setflags(write=False)
         self.parent, self.members, self.bitmap = parent, arr, bitmap
@@ -214,16 +205,14 @@ def _as_table(raw, max_size: Optional[int], label: str) -> np.ndarray:
 
 
 def _find_identity(table: np.ndarray) -> int:
-    """The two-sided identity (a table has at most one): a row equal to 0..n-1,
-    sought a block of _ROW_BLOCK entries at a time, whose column is too."""
+    """The two-sided identity: the first row equal to 0..n-1, if its column is
+    too.  No later row can be: a left identity f beside a two-sided e is f = f e = e."""
     n = table.shape[0]
     ar = np.arange(n, dtype=table.dtype)
-    step = max(1, _ROW_BLOCK // n)
-    for lo in range(0, n, step):
-        for e in lo + np.flatnonzero((table[lo:lo + step] == ar).all(axis=1)):
-            if (table[:, e] == ar).all():
-                return int(e)
-    raise NoIdentityAtZero("no element acts as a two-sided identity")
+    e = _first_failure(n, 1, _ROW_BLOCK // n, lambda lo, hi: (table[lo:hi] == ar).all(axis=1))
+    if e is None or not (table[:, e[0]] == ar).all():
+        raise NoIdentityAtZero("no element acts as a two-sided identity")
+    return e[0]
 
 
 def _swap_to_zero(table: np.ndarray, e: int) -> np.ndarray:
@@ -320,22 +309,16 @@ def _check_associativity(table: np.ndarray) -> np.ndarray:
     table.
     """
     n = table.shape[0]
-    step = max(1, _ROW_BLOCK // 2 // n)
 
     def light(c: int) -> None:
         col = table[:, c]
-        for lo in range(0, n, step):
-            rows = table[lo:lo + step]
-            left = col.take(rows, mode="clip")  # left[a, b] = (a*b)*c; entries are < n
-            right = rows.take(col, axis=1, mode="clip")  # right[a, b] = a*(b*c)
-            bad = left != right
-            if bad.any():
-                i, b = divmod(int(bad.argmax()), n)
-                a = lo + i
-                raise NotAssociative(
-                    f"({a}*{b})*{c} = {int(left[i, b])} but {a}*({b}*{c}) = {int(right[i, b])}",
-                    triple=(a, b, c),
-                )
+        # (a*b)*c = col[table[a, b]] and a*(b*c) = table[a, col[b]]; entries are < n
+        bad = _first_failure(n, n, _ROW_BLOCK // 2, lambda lo, hi: (
+            col.take(table[lo:hi], mode="clip") != table[lo:hi].take(col, axis=1, mode="clip")))
+        if bad is not None:
+            a, b = bad
+            raise NotAssociative(f"({a}*{b})*{c} = {int(col[table[a, b]])} but "
+                                 f"{a}*({b}*{c}) = {int(table[a, col[b]])}", triple=(a, b, c))
 
     return _generate(table, check=light)
 
@@ -350,18 +333,19 @@ def _block_budget(n: int) -> int:
     return max(_SCAN_BLOCK, n * n // 64)
 
 
-def _first_failure(rows: int, cols: int,
-                   bad: Callable[[int, int], np.ndarray]) -> tuple[int, int]:
-    """Row-major first True entry (i, j) of a rows x cols bool matrix whose
-    rows lo..hi-1 are bad(lo, hi); built one block of rows at a time,
-    stopping at the first block that holds one.  The matrix must hold one."""
-    step = max(1, _SCAN_BLOCK // cols)
+def _first_failure(rows: int, width: int, budget: int,
+                   bad: Callable[[int, int], np.ndarray]) -> Optional[tuple[int, int]]:
+    """Row-major first True entry (i, j) of a rows x width bool matrix, or
+    None; bad(lo, hi) builds its rows lo..hi-1, max(1, budget // width) at a
+    time, until a block holds one.  A test of whole rows has width 1 and
+    budget rows per block."""
+    step = max(1, budget // width)
     for lo in range(0, rows, step):
         block = bad(lo, min(lo + step, rows))
         if block.any():
-            i, j = divmod(int(block.argmax()), cols)
+            i, j = divmod(int(block.argmax()), width)
             return lo + i, j
-    raise ValueError("no failing entry to report")
+    return None
 
 
 def _powers(table: np.ndarray, xs: np.ndarray, e: int) -> np.ndarray:
@@ -438,12 +422,9 @@ def _build(table: np.ndarray, label: str) -> FiniteGroup:
         raise NoIdentityAtZero(f"constructed table for {label!r} lacks identity at 0")
     ord_ = _element_orders(table, ar == 0)
     if not ord_.all():
-        step = max(1, _ROW_BLOCK // n)
-        for lo in range(0, n, step):
-            lacks = ~(table[lo:lo + step] == 0).any(axis=1)
-            if lacks.any():
-                a = lo + int(lacks.argmax())
-                raise NoInverse(f"element {a} has no two-sided inverse", element=a)
+        lacks = _first_failure(n, 1, _ROW_BLOCK // n, lambda lo, hi: table[lo:hi].all(axis=1))
+        if lacks is not None:
+            raise NoInverse(f"element {lacks[0]} has no two-sided inverse", element=lacks[0])
         raise ValueError(f"{label!r} is not associative: every row holds 0, "
                          f"but x^{n} is not 0 for x = {int(ord_.argmin())}")
     inv = _powers(table, ar, n - 1)
@@ -509,10 +490,11 @@ def center(g: FiniteGroup) -> Subgroup:
 def _central_cosets(g: FiniteGroup, z: Subgroup, u: Optional[Subgroup] = None) -> np.ndarray:
     """Cosets of W = Z meet U, for Z central and U a subgroup (all of g by
     default): rows g.table[y, W], W in increasing id order, ordered by their
-    least member y, so row 0 is W.  y starts a row when it is the least id
-    of yW, the minimum of its |W| products y w, gathered for a block of rows
-    at a time (max(_SCAN_BLOCK, n^2/64) products) so that memory stays
-    O(n^2/64); one coset (W = U, as when Z = G) needs none.
+    least member y, so row 0 is table[0, W] = W.  y starts a row when it is
+    the least id of yW, the minimum of its |W| products y w, gathered for a
+    block of rows at a time (max(_SCAN_BLOCK, n^2/64) products) so that
+    memory stays O(n^2/64); one coset (W = U, as when Z = G) needs none.
+    The rows partition U when z and u belong to g, as the callers check.
     """
     members = np.arange(g.n) if u is None else u.members
     w = z.members if u is None else (z.bitmap & u.bitmap).nonzero()[0]
@@ -522,13 +504,7 @@ def _central_cosets(g: FiniteGroup, z: Subgroup, u: Optional[Subgroup] = None) -
         least = np.concatenate([g.table[members[lo:lo + step, None], w].min(axis=1)
                                 for lo in range(0, members.size, step)])
         starts = members[least == members]
-    cosets = g.table[starts[:, None], w]
-    if not np.array_equal(np.sort(cosets, axis=None), members):
-        raise NotASubgroup(f"{starts.size} cosets of order {w.size} do not "
-                           f"partition {members.size} elements")
-    if not np.array_equal(cosets[0], w):
-        raise NotASubgroup("the first coset by smallest member is not the subgroup itself")
-    return cosets
+    return g.table[starts[:, None], w]
 
 
 def _product_of_tables(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:

@@ -18,11 +18,12 @@ from typing import Optional
 import numpy as np
 
 from .arith import euler_phi
-from .density import alpha, average_order, census_matches_orders, cyclic_subgroups
+from .density import _members, alpha, average_order, census_matches_orders, cyclic_subgroups
 from .errors import NotASubgroup
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _SCAN_BLOCK,
     _central_cosets,
     _element_orders,
     _first_failure,
@@ -114,6 +115,7 @@ def _minimal_reps(ords: np.ndarray, cosets: np.ndarray) -> tuple[np.ndarray, np.
 def per_coset_analysis(g: FiniteGroup, z: Subgroup) -> PerCosetFindings:
     """Check the three proof obligations on every coset of the center z,
     which the caller proves: full_report and the alpha command pass center(g).
+    z must belong to g; a subgroup of another group raises InvalidArgument.
 
     For each coset with minimal representative y of order k, and every
     central x: the product order identity, totient divisibility, and the
@@ -122,7 +124,7 @@ def per_coset_analysis(g: FiniteGroup, z: Subgroup) -> PerCosetFindings:
     1/phi(o) are exact integer numerators over one common denominator L:
     int64 while no sum, at most n L, can reach 2^62, Python ints otherwise.
     """
-    zmem = z.members
+    zmem = _members(g, z)
     # the distinct orders; return_counts keeps np.unique off its plain
     # route, whose first call imports numpy.ma
     orders = np.unique(g.ord, return_counts=True)[0]
@@ -170,6 +172,7 @@ def structural_condition(g: FiniteGroup, z: Subgroup) -> Optional[str]:
         |T| * |O| = |G|,
     (c) every coset of Z(T) in T contains an element of order at most 2.
     Returns the witness of the first clause that fails, or None."""
+    _members(g, z)
     zbit, ords = z.bitmap, g.ord
     odd_mask = (ords % 2) == 1
     bad = np.nonzero(odd_mask & ~zbit)[0]
@@ -205,6 +208,7 @@ def _squares(g: FiniteGroup) -> np.ndarray:
 
 def is_2_central(g: FiniteGroup, z: Subgroup) -> bool:
     """True when every square lies in the center z."""
+    _members(g, z)
     return bool(z.bitmap[_squares(g)].all())
 
 
@@ -222,7 +226,7 @@ def four_abelian_failure(g: FiniteGroup) -> Optional[tuple[int, int]]:
     s = _generators(g)
     if np.array_equal(f4[g.table[:, s]], g.table[f4[:, None], f4[s]]):
         return None
-    return _first_failure(g.n, g.n, lambda lo, hi: (
+    return _first_failure(g.n, g.n, _SCAN_BLOCK, lambda lo, hi: (
         f4[g.table[lo:hi]] != g.table[np.ix_(f4[lo:hi], f4)]))
 
 

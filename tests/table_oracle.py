@@ -50,7 +50,6 @@ from cyclicdensity.groups import (
     _build,
     _central_cosets,
     _check_associativity,
-    _first_failure,
     _generators,
 )
 
@@ -172,9 +171,8 @@ def require_central(g: FiniteGroup, z: Subgroup) -> None:
         raise InvalidArgument("subgroup does not belong to this group")
     s, zmem = _generators(g), z.members
     if not np.array_equal(g.table[zmem[:, None], s], g.table[s[:, None], zmem].T):
-        i, b = _first_failure(zmem.size, g.n, lambda lo, hi: (
-            g.table[zmem[lo:hi]] != g.table[:, zmem[lo:hi]].T))
-        raise NotCentral(f"element {int(zmem[i])} does not commute with {b}")
+        i, b = np.argwhere(g.table[zmem] != g.table[:, zmem].T)[0]
+        raise NotCentral(f"element {int(zmem[i])} does not commute with {int(b)}")
 
 
 def quotient_by_central(g: FiniteGroup, z: Subgroup, label: Optional[str] = None) -> FiniteGroup:

@@ -26,20 +26,22 @@ from cyclicdensity import build_group, full_report
 PKG = os.path.dirname(cyclicdensity.__file__) + os.sep
 NP = os.path.dirname(np.__file__) + os.sep
 
-# Calls per report before a sweep group skipped what its answer never uses
-# (numpy 2.4, CPython 3.11) -> the budget, which is the count after it: an
-# element of order n as the generating set, no closure gather for a center
-# that is the whole group, no 4-abelian witness scan outside equality, and
-# squares read off the table's diagonal.
+# Calls per report before _central_cosets stopped re-checking that its
+# rows partition the subgroup, three calls per cosets table (numpy 2.4,
+# CPython 3.11) -> the budget, which is the count after it.  Earlier
+# changes took cyclic:12 from 129 calls to 90: an element of order n as the
+# generating set, no closure gather for a center that is the whole group,
+# no 4-abelian witness scan outside equality, and squares read off the
+# table's diagonal.
 BUDGET = {
-    "cyclic:12": 98,  # 129 before
-    "abelian:2,2,4": 122,  # 142 before
-    "dihedral:24": 109,  # 146 before
-    "quaternion:16": 132,  # 160 before
-    "symmetric:4": 118,  # 153 before
-    "heisenberg:3": 105,  # 127 before
-    "extraspecial:32:-": 148,  # 180 before
-    "almost-extraspecial:64": 157,  # 194 before
+    "cyclic:12": 84,  # 90 before
+    "abelian:2,2,4": 108,  # 114 before
+    "dihedral:24": 106,  # 109 before
+    "quaternion:16": 122,  # 128 before
+    "symmetric:4": 115,  # 118 before
+    "heisenberg:3": 98,  # 101 before
+    "extraspecial:32:-": 134,  # 140 before
+    "almost-extraspecial:64": 143,  # 149 before
 }
 
 # Calls per build_group before the same change -> the budget, which is the

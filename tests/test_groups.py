@@ -182,17 +182,6 @@ def test_subgroup_rejects_a_mask_of_the_wrong_length(d8, size):
         Subgroup(d8, mask)
 
 
-def test_subgroup_order_must_divide_group_order():
-    # not a group (2 * 2 = 2): {0, 1} is closed, but 2 does not divide 3;
-    # the check raises even under python -O
-    from cyclicdensity.groups import FiniteGroup
-
-    table = np.array([[0, 1, 2], [1, 0, 2], [2, 2, 2]], dtype=np.int32)
-    fake = FiniteGroup(table, np.array([1, 2, 2], dtype=np.int32), "not-a-group")
-    with pytest.raises(NotASubgroup, match="does not divide the order 3"):
-        Subgroup(fake, [0, 1])
-
-
 def test_subgroup_as_group_roundtrip(d8):
     z = Subgroup(d8, [0, 1, 2, 3])  # the rotation subgroup
     rot = z.as_group("rotations")

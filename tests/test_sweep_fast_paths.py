@@ -6,8 +6,10 @@ read the same off it as off the greedy set of _generate.  Orders that a
 caller rebinds must not reach that path: only _build sets the table
 orders it reads.
 Subgroup proves closure alone, as closure forces inverses in a finite
-group: every set it accepts, across the corpus, holds the oracle's
-inverses of its members.  full_report names the 4-abelian witness when
+group and a subgroup's order divides |G|: every set it accepts, across the
+corpus, holds the oracle's inverses of its members and has such an order.
+_central_cosets checks no partition, as the cosets of a subgroup W of a
+subgroup U partition U.  full_report names the 4-abelian witness when
 equality holds, and per_coset_analysis sums in int64 only while no sum can
 overflow it.
 """
@@ -32,7 +34,13 @@ from cyclicdensity import (
 )
 from cyclicdensity.sweep import corpus_specs
 from cyclicdensity.verify import per_coset_analysis
-from cyclicdensity.groups import _SCAN_BLOCK, FiniteGroup, _generate, _generators
+from cyclicdensity.groups import (
+    _SCAN_BLOCK,
+    FiniteGroup,
+    _central_cosets,
+    _generate,
+    _generators,
+)
 from table_oracle import four_abelian_witness, with_orders
 
 
@@ -87,8 +95,9 @@ def candidate_sets(g: FiniteGroup, rng: np.random.Generator):
 
 
 def test_every_set_a_subgroup_accepts_holds_its_inverses():
-    # Subgroup checks no inverses: in a finite group a closed set holding a
-    # holds a^(o(a)-1) = a^-1, so no set it accepts can lack one
+    # Subgroup checks no inverses and no order: in a finite group a closed
+    # set holding a holds a^(o(a)-1) = a^-1, so no set it accepts can lack
+    # one, and a closed set is a subgroup, whose order divides |G|
     rng = np.random.default_rng(31)
     routes, rejected = Counter(), 0
     # sets over 128 ids, which Subgroup generates, need the larger groups
@@ -104,10 +113,32 @@ def test_every_set_a_subgroup_accepts_holds_its_inverses():
                 rejected += 1
                 continue
             assert h.bitmap[inv[h.members]].all(), spec
+            assert g.n % len(h) == 0, spec
             routes["all" if len(h) == g.n else "gather" if len(h) ** 2 <= _SCAN_BLOCK
                    else "generate"] += 1
     # each of Subgroup's three closure routes accepts some of the sets
     assert len(routes) == 3 and min(routes.values()) >= 10 and rejected >= 600, routes
+
+
+def test_central_cosets_partition_the_subgroup_with_w_first():
+    # the rows are the cosets y W, W = Z meet U, each named by its least y;
+    # as W is a subgroup of U they partition U, and row 0 is table[0, W] = W
+    rng = np.random.default_rng(32)
+    checked = 0
+    for spec in corpus_specs(SweepConfig(max_order=64)):
+        g = build_group(spec)
+        z = center(g)
+        for members in [None, *candidate_sets(g, rng)]:
+            try:
+                u = None if members is None else Subgroup(g, members)
+            except NotASubgroup:
+                continue
+            cosets = _central_cosets(g, z, u)
+            umem = np.arange(g.n) if u is None else u.members
+            assert np.array_equal(np.sort(cosets, axis=None), umem), spec
+            assert np.array_equal(cosets[0], np.intersect1d(z.members, umem)), spec
+            checked += 1
+    assert checked >= 1000, checked
 
 
 def test_the_witness_is_named_when_equality_holds_without_4_abelian(monkeypatch):

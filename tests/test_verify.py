@@ -11,6 +11,8 @@ import pytest
 
 from cyclicdensity import (
     AlphaReport,
+    InvalidArgument,
+    Subgroup,
     alpha,
     average_order,
     build_group,
@@ -157,6 +159,16 @@ def test_is_2_central(d8, q8, s3, heis3, pauli16):
     assert is_2_central(pauli16, center(pauli16))
     assert not is_2_central(s3, center(s3))
     assert not is_2_central(heis3, center(heis3))
+
+
+@pytest.mark.parametrize("check", [per_coset_analysis, structural_condition, is_2_central])
+@pytest.mark.parametrize("spec, members", [("cyclic:8", [0, 4]), ("cyclic:6", [0, 2, 4])])
+def test_checks_refuse_a_subgroup_of_another_group(d8, check, spec, members):
+    # read on dihedral:8's ids, the first gave false order-identity findings
+    # and the second cosets that do not partition the group
+    z = Subgroup(build_group(spec), members)
+    with pytest.raises(InvalidArgument, match="does not belong to this group"):
+        check(d8, z)
 
 
 def _pow4(g, x: int) -> int:
