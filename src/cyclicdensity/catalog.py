@@ -34,8 +34,8 @@ from .groups import (
     _build,
     _check_cap,
     _product_of_tables,
+    _validate,
     direct_product,
-    validate_table_with_report,
 )
 
 
@@ -440,7 +440,7 @@ def load_table_with_report(
                              line=line) from None
         table = np.array(_table_rows(text, p, max_size, label), dtype=_ID)
     del data  # the bytes are parsed; validation needs only the table
-    return validate_table_with_report(table, label, max_size=max_size, _own=True)
+    return _validate(table, label)
 
 
 ParamsType = Union[tuple[int, ...], tuple[int, str], tuple[str], tuple["GroupSpec", "GroupSpec"]]

@@ -246,7 +246,7 @@ def _write_sweep_json(result: SweepResult) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    families = tuple(args.families.split(",")) if args.families else SWEEP_FAMILIES
+    families = SWEEP_FAMILIES if args.families is None else tuple(args.families.split(","))
     config = SweepConfig(
         max_order=args.max_order,
         families=families,

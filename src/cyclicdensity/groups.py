@@ -10,11 +10,11 @@ Each group carries one generating set S, and the center and the closure of
 sets over 128 ids work from one in O(n |S|) instead of comparing all n^2
 products.  S is one element of order n when the group has one (it is then
 cyclic, so that element generates it), else the greedy set of _generate.
-They assume an associative table: validate_table_with_report proves that
-for imported tables (and S is the set its test found), and the catalog
-builds its tables associative by construction.  A member set that is all
-of its parent is closed with no gather at all.  What a builder proves is
-not checked again, and _first_failure is the one scan for a first witness.
+They assume an associative table: _validate proves that for imported
+tables (and S is the set its test found), and the catalog builds its
+tables associative by construction.  A member set that is all of its
+parent is closed with no gather at all.  What a builder proves is not
+checked again, and _first_failure is the one scan for a first witness.
 """
 
 from __future__ import annotations
@@ -399,39 +399,31 @@ def _element_orders(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _build(table: np.ndarray, label: str) -> FiniteGroup:
-    """Internal builder for tables that are associative by construction.
+    """Internal builder for a table with a two-sided identity at 0 that is
+    associative: _validate proves both for an imported table, and every
+    other builder writes its table so.  It derives the element orders
+    (only here is _table_ord set, which the census and _generators read)
+    and names a non-unit, and proves nothing its callers proved: x^n = e
+    makes x^(n-1) the two-sided inverse of x.  A table that is not
+    C-contiguous, or of any type but _ID, is an internal fault.
 
-    Still checks the identity at 0, that every x^n is it and that the
-    inverse candidate x^(n-1) is two-sided, so constructor bugs cannot slip
-    through silently; associativity is validate_table_with_report's job.
-    Only here is _table_ord set: the orders the census and _generators read.
-    A table that is not C-contiguous, or of any type but _ID, is an
-    internal fault: every builder writes its table in that form.
-
-    An x^n off the identity means no group.  In a finite monoid the units
-    are exactly the rows holding 0 (Howie, Fundamentals of Semigroup Theory,
-    1995, ch. 1), so the first row without 0 is the first id whose powers
-    never reach it; if every row holds 0, the table is not associative.
+    In a finite monoid the units are exactly the rows holding 0 (Howie,
+    Fundamentals of Semigroup Theory, 1995, ch. 1), so when some x^n is not
+    0 the first row without 0 is the first id whose powers never reach it.
+    If every row holds 0, the caller broke the premise: the table is not
+    associative, or its identity is not at 0.
     """
     n = table.shape[0]
     if table.dtype != _ID or not table.flags.c_contiguous:
         raise ValueError(f"table for {label!r} is not a C-contiguous table of "
                          f"{np.dtype(_ID)} ids")
-    ar = np.arange(n, dtype=np.int32)
-    if not ((table[0] == ar).all() and (table[:, 0] == ar).all()):
-        raise NoIdentityAtZero(f"constructed table for {label!r} lacks identity at 0")
-    ord_ = _element_orders(table, ar == 0)
+    ord_ = _element_orders(table, np.arange(n) == 0)
     if not ord_.all():
         lacks = _first_failure(n, 1, _ROW_BLOCK // n, lambda lo, hi: table[lo:hi].all(axis=1))
         if lacks is not None:
             raise NoInverse(f"element {lacks[0]} has no two-sided inverse", element=lacks[0])
-        raise ValueError(f"{label!r} is not associative: every row holds 0, "
+        raise ValueError(f"{label!r} is no group with identity 0: every row holds 0, "
                          f"but x^{n} is not 0 for x = {int(ord_.argmin())}")
-    inv = _powers(table, ar, n - 1)
-    one_sided = (table[ar, inv] != 0) | (table[inv, ar] != 0)
-    if one_sided.any():
-        a = int(one_sided.argmax())
-        raise NoInverse(f"element {a} has only a one-sided inverse {int(inv[a])}", element=a)
     group = FiniteGroup(table, ord_, label)
     group._table_ord = ord_  # the census reads this, not g.ord, which a caller may rebind
     return group
@@ -442,17 +434,21 @@ def validate_table_with_report(
     label: str = "table",
     *,
     max_size: Optional[int] = None,
-    _own: bool = False,
 ) -> tuple[FiniteGroup, list[int]]:
     """Validate a raw Cayley table and wrap it as a group.
 
     Also returns the old->new re-index map applied to move the identity to
     id 0 (the identity map when it was already there).  raw, a nested list
     or an array of any integer type, is copied into an _ID table once its
-    order has met the size cap; only the table loader passes _own=True,
-    handing over a C-contiguous _ID table with entries in [0, n), whose
-    order it has checked, that validation relabels and keeps."""
-    table = raw if _own else _as_table(raw, max_size, label)
+    order has met the size cap, and _validate proves the copy a group."""
+    return _validate(_as_table(raw, max_size, label), label)
+
+
+def _validate(table: np.ndarray, label: str) -> tuple[FiniteGroup, list[int]]:
+    """Prove a C-contiguous _ID table with entries in [0, n) a group: find
+    its identity and relabel the table in place to put it at 0, run Light's
+    test, and build; returns the group and the old->new map.  The table
+    loader calls it on the table it has parsed."""
     n = table.shape[0]
     e = _find_identity(table)
     sigma = _swap_to_zero(table, e) if e else np.arange(n, dtype=np.int32)

@@ -44,7 +44,7 @@ class SweepConfig:
             raise InvalidArgument("families must be nonempty")
         bad = sorted(set(self.families) - set(SWEEP_FAMILIES))
         if bad:
-            raise InvalidArgument(f"cannot sweep families: {', '.join(bad)}")
+            raise InvalidArgument(f"cannot sweep families: {', '.join(f or repr(f) for f in bad)}")
 
 
 @dataclass(frozen=True)

@@ -44,20 +44,22 @@ BUDGET = {
     "almost-extraspecial:64": 143,  # 149 before
 }
 
-# Calls per build_group before the same change -> the budget, which is the
-# count after it: the descent counts misses instead of filling p-parts, a
-# square is one gather, and a circulant view comes from the ndarray
-# constructor, not as_strided.  A sweep builds every group it reports, so a
-# build must not cost a small group a call.
+# Calls per build_group before _build stopped re-proving the identity at 0
+# and the inverses x^(n-1), which its callers own -> the budget, which is
+# the count after it.  Earlier changes took cyclic:12 from 46 calls to 32:
+# the descent counts misses instead of filling p-parts, a square is one
+# gather, and a circulant view comes from the ndarray constructor, not
+# as_strided.  A sweep builds every group it reports, so a build must not
+# cost a small group a call.
 BUILD_BUDGET = {
-    "cyclic:12": 35,  # 46 before
-    "abelian:2,2,4": 41,  # 49 before
-    "dihedral:24": 43,  # 57 before
-    "quaternion:16": 38,  # 46 before
-    "symmetric:4": 38,  # 53 before; 39 while every row took a code
-    "heisenberg:3": 31,  # 39 before
-    "extraspecial:32:-": 31,  # 67 before; 57 as a chain of central products
-    "almost-extraspecial:64": 33,  # 72 before; 60 as a chain of central products
+    "cyclic:12": 23,  # 32 before
+    "abelian:2,2,4": 28,  # 38 before
+    "dihedral:24": 30,  # 40 before
+    "quaternion:16": 25,  # 35 before
+    "symmetric:4": 26,  # 36 before
+    "heisenberg:3": 19,  # 28 before
+    "extraspecial:32:-": 18,  # 29 before
+    "almost-extraspecial:64": 19,  # 31 before
 }
 
 

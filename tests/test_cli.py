@@ -7,9 +7,10 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from cyclicdensity import AlphaReport, build_group, cli
+from cyclicdensity import AlphaReport, build_group, catalog, cli
 from cyclicdensity.verify import CosetCheck
 
 REPORT_KEYS = [
@@ -191,6 +192,13 @@ def test_sweep_unknown_family_exits_2():
     assert "sporadic" in proc.stderr
 
 
+@pytest.mark.parametrize("families", ["", "cyclic,"])
+def test_sweep_empty_family_name_exits_2(capsys, families):
+    # an explicit empty name is refused, not read as "every family"
+    assert cli.main(["sweep", "--families", families, "--max-order", "4"]) == 2
+    assert capsys.readouterr() == ("", "error: cannot sweep families: ''\n")
+
+
 def test_import_identity_at_zero(tmp_path):
     f = tmp_path / "q8.txt"
     rows = build_group("quaternion:8").table.tolist()
@@ -370,6 +378,23 @@ def test_internal_fault_exits_3(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: MemoryError: table too large\n"
+
+
+def test_a_builder_fault_exits_3(monkeypatch, capsys):
+    # a fill that misplaces the identity breaks _build's premise: a fault
+    # of the program, not of its input
+    test, rule, order, fill = catalog._FAMILIES["cyclic"]
+
+    def swapped(n):
+        sigma = np.arange(n, dtype=np.uint16)
+        sigma[[0, 1]] = 1, 0
+        return sigma[fill(n)][np.ix_(sigma, sigma)]
+
+    monkeypatch.setitem(catalog._FAMILIES, "cyclic", (test, rule, order, swapped))
+    assert cli.main(["verify", "--group", "cyclic:4"]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr() == ("", (
+        "internal error: ValueError: 'cyclic:4' is no group with identity 0: "
+        "every row holds 0, but x^4 is not 0 for x = 1\n"))
 
 
 def test_oversized_header_under_size_override_allocates_no_table(tmp_path, capsys):

@@ -30,6 +30,7 @@ from cyclicdensity.groups import (
     _find_identity,
     _swap_to_zero,
 )
+from cyclicdensity.sweep import SweepConfig, corpus_specs
 from table_oracle import (
     NotCentral,
     group_exponent,
@@ -269,6 +270,20 @@ def test_invariants_audit_all_families():
     ]
     for g in groups:
         verify_group_invariants(g)
+
+
+def test_invariants_hold_on_every_sweep_group_and_two_products():
+    # _build takes the identity at 0 and associativity from its callers, so
+    # every catalog group is audited from its raw table: identity at 0,
+    # Latin rows and columns, two-sided inverses and the stored orders
+    specs = [*corpus_specs(SweepConfig()), "product:(dihedral:8)x(cyclic:3)",
+             "product:(quaternion:8)x(symmetric:3)"]
+    assert len(specs) == 977
+    for spec in specs:
+        try:
+            verify_group_invariants(build_group(spec))
+        except Exception as exc:
+            raise AssertionError(spec) from exc
 
 
 def test_invariants_catch_tampered_orders(d8):

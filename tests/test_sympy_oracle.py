@@ -1,0 +1,82 @@
+"""full_report against sympy's own facts on permutation groups that no
+catalog family builds: A4, A5, S5, the transitive subgroups of S4 and S5,
+and D10 x C3.
+
+Each group's Cayley table is written in a seeded shuffle of its elements
+with the identity off id 0, so it reaches full_report through
+validate_table_with_report's identity search, relabeling and Light's test.
+Every expected value comes from sympy: the order, |Z| by center(), |C(G)|
+as the sum of 1/phi(o(x)), alpha(Z), the average orders of G and Z, and
+exp(G/Z) as the lcm over x of the least k with x^k in Z.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from sympy import totient
+from sympy.combinatorics.galois import S4TransitiveSubgroups, S5TransitiveSubgroups
+from sympy.combinatorics.group_constructs import DirectProduct
+from sympy.combinatorics.named_groups import (
+    AlternatingGroup,
+    CyclicGroup,
+    DihedralGroup,
+    SymmetricGroup,
+)
+
+from cyclicdensity import full_report, validate_table_with_report
+
+GROUPS = {
+    "A4": lambda: AlternatingGroup(4),
+    "A5": lambda: AlternatingGroup(5),
+    "S5": lambda: SymmetricGroup(5),
+    **{f"S4-{m.name}": m.get_perm_group for m in S4TransitiveSubgroups},
+    **{f"S5-{m.name}": m.get_perm_group for m in S5TransitiveSubgroups},
+    "D10xC3": lambda: DirectProduct(DihedralGroup(5), CyclicGroup(3)),
+}
+
+
+def shuffled_table(elems: list, seed: int) -> tuple[np.ndarray, int]:
+    """The Cayley table of elems in a seeded shuffle, and the id it gives
+    the identity, which is never 0."""
+    random.Random(seed).shuffle(elems)
+    e = next(i for i, x in enumerate(elems) if x.is_Identity)
+    if e == 0:
+        elems[0], elems[1] = elems[1], elems[0]
+        e = 1
+    index = {x: i for i, x in enumerate(elems)}
+    return np.array([[index[x * y] for y in elems] for x in elems]), e
+
+
+def sympy_facts(group) -> dict:
+    elems = list(group.generate())
+    z = set(group.center().generate())
+
+    def count_and_mean(xs) -> tuple[int, Fraction]:
+        count = sum(Fraction(1, int(totient(x.order()))) for x in xs)
+        assert count.denominator == 1
+        return int(count), Fraction(sum(x.order() for x in xs), len(xs))
+
+    c_g, o_g = count_and_mean(elems)
+    c_z, o_z = count_and_mean(z)
+    qexp = math.lcm(*(next(k for k in range(1, x.order() + 1) if x ** k in z) for x in elems))
+    return {"order": group.order(), "center_order": len(z), "cyclic_count": c_g,
+            "alpha_z": Fraction(c_z, len(z)), "avg_order_g": o_g, "avg_order_z": o_z,
+            "quotient_exponent": qexp}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_full_report_matches_sympy(name):
+    group = GROUPS[name]()
+    table, e = shuffled_table(list(group.generate()), seed=sorted(GROUPS).index(name))
+    g, reindex = validate_table_with_report(table, name)
+    assert reindex[e] == 0 and reindex[0] == e
+    report = full_report(g)
+    want = sympy_facts(group)
+    assert {k: getattr(report, k) for k in want} == want
+    assert report.alpha_g == Fraction(want["cyclic_count"], want["order"])
+    assert report.findings == ()

@@ -120,7 +120,7 @@ def refuse_fills(monkeypatch):
     allocating gigabytes."""
     monkeypatch.setitem(catalog._FAMILIES, "cyclic", (*catalog._FAMILIES["cyclic"][:3], refuse))
     monkeypatch.setattr(groups, "_product_of_tables", refuse)
-    monkeypatch.setattr(catalog, "validate_table_with_report", refuse)
+    monkeypatch.setattr(catalog, "_validate", refuse)
     monkeypatch.setattr(sweep, "build_group", refuse)
 
 
