@@ -363,10 +363,11 @@ def _canonical_table(data: bytes, max_size: Optional[int], label: str) -> Option
     return table if table.shape == (n, n) and table.max() < n else None
 
 
-def _table_rows(text: str, p: Path, max_size: Optional[int], label: str) -> list[list[int]]:
-    """The table rows of a file's text by a per-token loop; ParseError names
-    the line and column of the first fault."""
-    rows: list[list[int]] = []
+def _table_rows(text: str, p: Path, max_size: Optional[int], label: str) -> list[np.ndarray]:
+    """The table rows of a file's text by a per-token loop, each an _ID
+    array once it is read, so only one row is ever held as Python ints;
+    ParseError names the line and column of the first fault."""
+    rows: list[np.ndarray] = []
     n: Optional[int] = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -405,7 +406,7 @@ def _table_rows(text: str, p: Path, max_size: Optional[int], label: str) -> list
         if len(row) != n:
             raise ParseError(f"line {lineno}: expected {n} entries, got {len(row)}",
                              line=lineno, column=1)
-        rows.append(row)
+        rows.append(np.array(row, dtype=_ID))
     if n is None:
         raise ParseError(f"{p}: empty file")
     if len(rows) != n:
@@ -489,8 +490,6 @@ def _split_product_body(body: str, pos: int) -> tuple[str, str]:
                         "product spec must look like (SPEC)x(SPEC)", position=pos + i + 1
                     )
                 return body[1:i], rest[2:-1]
-            if depth < 0:
-                break
     raise SpecSyntaxError("unbalanced parentheses in product spec", position=pos)
 
 

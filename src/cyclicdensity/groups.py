@@ -6,15 +6,16 @@ Element ids are 0..n-1 with the identity always at 0.  Tables loaded from
 external sources are re-indexed to honor that convention.  Every table
 holds its ids as _ID (uint16), so no group has an order over MAX_ORDER.
 
-Each group carries one generating set S, and the center and the closure of
-sets over 128 ids work from one in O(n |S|) instead of comparing all n^2
-products.  S is one element of order n when the group has one (it is then
-cyclic, so that element generates it), else the greedy set of _generate.
-They assume an associative table: _validate proves that for imported
-tables (and S is the set its test found), and the catalog builds its
-tables associative by construction.  A member set that is all of its
-parent is closed with no gather at all.  What a builder proves is not
-checked again, and _first_failure is the one scan for a first witness.
+Each group carries one generating set S, and the center works from it in
+O(n |S|) instead of comparing all n^2 products.  S is one element of order
+n when the group has one (it is then cyclic, so that element generates
+it), else the greedy set of _generate.  That assumes an associative table:
+_validate proves it for imported tables (and S is the set its test
+found), and the catalog builds its tables associative by construction.
+A member set is proven closed by its |H|^2 products, a block at a time,
+or, when it is all of its parent, with no gather at all.  What a builder
+proves is not checked again, and _first_failure is the one scan for a
+first witness.
 """
 
 from __future__ import annotations
@@ -119,9 +120,9 @@ class Subgroup:
     """Sorted subset of a parent group, verified closed under product, which
     in a finite group makes it a subgroup: it holds each a^-1 = a^(o(a)-1),
     so its order divides the parent's.  All of the parent is closed as it
-    stands; a smaller set with |H|^2 <= _SCAN_BLOCK (128 ids) when its
-    witness scan, one block, finds no pair; a larger one when _generate
-    reaches it from inside."""
+    stands; a proper subset when _first_failure, scanning its |H|^2
+    products _SCAN_BLOCK ids at a time, finds none outside it, so its cost
+    grows as |H|^2."""
 
     __slots__ = ("parent", "members", "bitmap")
 
@@ -144,8 +145,7 @@ class Subgroup:
             raise NotASubgroup("a subgroup must contain the identity 0")
         bitmap = np.zeros(parent.n, dtype=bool)
         bitmap[arr] = True
-        if arr.size < parent.n and (arr.size ** 2 <= _SCAN_BLOCK
-                                    or _generate(parent.table, bitmap) is None):
+        if arr.size < parent.n:
             pair = _first_failure(arr.size, arr.size, _SCAN_BLOCK, lambda lo, hi: (
                 ~bitmap[parent.table[arr[lo:hi, None], arr]]))
             if pair is not None:
@@ -229,64 +229,48 @@ def _swap_to_zero(table: np.ndarray, e: int) -> np.ndarray:
     return sigma
 
 
-def _generate(table: np.ndarray, inside: Optional[np.ndarray] = None,
-              check: Optional[Callable[[int], None]] = None) -> Optional[np.ndarray]:
-    """Greedy generating set of the ids where inside holds (all ids by
-    default), or None if a product of reached ids leaves that set.
+def _generate(table: np.ndarray, check: Optional[Callable[[int], None]] = None) -> np.ndarray:
+    """Greedy generating set of a group table, or of a table that Light's
+    test, as check, is still proving associative.
 
-    The least id of the set not yet reached becomes the next generator c,
-    and check(c) runs before c is used.  The reached set R then grows to
-    R<c>: it is multiplied on the right by c, c^2, c^4, ... (each the square
-    of the last) while that adds ids, and the ids added since c are then
+    The least id not yet reached becomes the next generator c, and check(c)
+    runs before c is used.  The reached set R then grows to R<c>: it is
+    multiplied on the right by c, c^2, c^4, ... (each the square of the
+    last) while that adds ids, and the ids added since c are then
     multiplied by every generator, layer by layer, until a layer adds none.
     So a cyclic group of order n takes about log2 n steps, not n.
 
-    Every reached id is a product of generators.  In a group table the
-    reached set is the subgroup the generators generate, so the result
-    proves the set is that subgroup, and None proves it is not closed; both
-    rest on associativity.  Each new generator at least doubles a group's
-    reached subgroup, so a group needs at most log2 n of them.
+    Every reached id is a product of generators, so in a group table the
+    reached set is the subgroup they generate, and the loop ends when it is
+    the whole group.  Each new generator at least doubles that subgroup, so
+    a group needs at most log2 n of them.
     """
     n = table.shape[0]
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
-    outside = None if inside is None else ~inside
     gens: list[int] = []
-
-    def absorb(new: np.ndarray) -> Optional[np.ndarray]:
-        """Mark the ids new, none of them reached yet, and return them."""
-        if outside is not None and outside[new].any():
-            return None
-        reached[new] = True
-        return new
-
-    while True:
-        left = ~reached if inside is None else inside & ~reached
-        if not left.any():
-            out = np.array(gens, dtype=np.intp)
-            out.setflags(write=False)
-            return out
-        c = int(left.argmax())
+    while not reached[c := int(reached.argmin())]:  # argmin is 0 once all are reached
         if check is not None:
             check(c)
         gens.append(c)
         added, power = [], c
         while power:  # the identity as a power adds nothing
             products = table[reached.nonzero()[0], power]  # in a group, each once
-            fresh = absorb(products[~reached[products]])
-            if fresh is None:
-                return None
+            fresh = products[~reached[products]]
             if not fresh.size:
                 break
+            reached[fresh] = True
             added.append(fresh)
             power = int(table[power, power])
         fresh = np.concatenate(added)
         while fresh.size:  # x g = x' g' repeats a product: keep each once
             new = np.zeros(n, dtype=bool)
             new[table[fresh[:, None], gens]] = True
-            fresh = absorb((new & ~reached).nonzero()[0])
-            if fresh is None:
-                return None
+            fresh = (new & ~reached).nonzero()[0]
+            reached[fresh] = True
+    out = np.array(gens, dtype=np.intp)
+    out.setflags(write=False)
+    return out
 
 
 def _check_associativity(table: np.ndarray) -> np.ndarray:
@@ -323,7 +307,7 @@ def _check_associativity(table: np.ndarray) -> np.ndarray:
     return _generate(table, check=light)
 
 
-_SCAN_BLOCK = 1 << 14  # ids per block of a failure-path scan; the least _block_budget
+_SCAN_BLOCK = 1 << 14  # ids per block of a closure or witness scan; the least _block_budget
 _ROW_BLOCK = 1 << 16  # entries per block of validation's n^2 passes, by measurement:
 # at n = 1024 Light's test took 25% less time in 2^16 blocks than in one pass, 8% in 2^14
 

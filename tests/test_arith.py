@@ -30,6 +30,11 @@ def test_factorize_reconstructs():
         assert all(_strong_probable_prime(p) for p in f)
 
 
+def test_factorize_rejects_nonpositive():
+    with pytest.raises(InvalidArgument, match=r"^factorize requires k >= 1, got 0$"):
+        factorize(0)
+
+
 # primality below _MR_BOUND, where _strong_probable_prime is exact
 
 def test_is_prime_small():

@@ -528,9 +528,10 @@ def test_family_parameters_must_be_integers(monkeypatch, spec, message):
     (GroupSpec("table", (5,)), r"table takes one str or PathLike path, got \(5,\)"),
     (GroupSpec("cyclic", 4), "cyclic parameters must be a tuple, got 4"),
     (GroupSpec("torus", (4,)), "unknown group family 'torus'"),
+    (42, "expected a spec string or a GroupSpec, got 42"),
 ], ids=["no-parameter", "two-parameters", "extraspecial-none", "extraspecial-no-type",
         "extraspecial-int-type", "numpy-bool", "product-empty", "product-of-strings",
-        "product-malformed-right", "table-int", "not-a-tuple", "unknown-family"])
+        "product-malformed-right", "table-int", "not-a-tuple", "unknown-family", "not-a-spec"])
 def test_malformed_parameters_raise_spec_syntax_error(monkeypatch, spec, message):
     # before the rule runs or formats p[0], and before any fill
     def refuse(*args):

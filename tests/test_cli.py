@@ -199,14 +199,14 @@ def test_sweep_empty_family_name_exits_2(capsys, families):
     assert capsys.readouterr() == ("", "error: cannot sweep families: ''\n")
 
 
-def test_import_identity_at_zero(tmp_path):
+def test_import_identity_at_zero(tmp_path, capsys):
+    # in process, so a line trace of the tests reaches the unchanged-labels branch
     f = tmp_path / "q8.txt"
     rows = build_group("quaternion:8").table.tolist()
     f.write_text("8\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
-    proc = run_cli("import", "--table", str(f))
-    assert proc.returncode == 0
-    assert "order: 8" in proc.stdout
-    assert "identity already at id 0" in proc.stdout
+    assert cli.main(["import", "--table", str(f)]) == 0
+    assert capsys.readouterr() == (
+        f"loaded: table:{f}\norder: 8\nidentity already at id 0; labels unchanged\n", "")
 
 
 def test_import_reindexes(tmp_path):

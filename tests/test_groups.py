@@ -376,6 +376,22 @@ def test_import_peaks_near_its_file_plus_its_table(tmp_path):
         assert peak < 1.15 * both, (repr(end), peak, both)
 
 
+def test_loop_import_peaks_under_three_times_its_file_plus_its_table(tmp_path):
+    # a non-ASCII blank sends a valid file to the per-token loop, which holds
+    # the text, its lines and each finished row as an _ID array: 2.4x the
+    # file plus the table measured, where rows of Python ints took 7x
+    table = relabeled_table("almost-extraspecial:1024", 1)
+    path = tmp_path / "t.txt"
+    path.write_text(f"{table.shape[0]}\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in table.tolist())[:-1] + "\u00a0\n",
+        encoding="utf-8")
+    assert _canonical_table(path.read_bytes(), None, "t") is None
+    (g, reindex), peak = traced_peak(load_table_with_report, path)
+    assert reindex[0] != 0
+    both = path.stat().st_size + g.table.nbytes
+    assert peak < 3 * both, (peak, both)
+
+
 @pytest.mark.parametrize("end", ["\r", "\x0b", "\x1c"], ids=["cr", "vt", "fs"])
 def test_translated_import_peaks_under_twice_its_file_plus_its_table(tmp_path, end):
     # a bare CR, VT or FS line break is translated to LF first: one more

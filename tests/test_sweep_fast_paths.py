@@ -100,7 +100,8 @@ def test_every_set_a_subgroup_accepts_holds_its_inverses():
     # one, and a closed set is a subgroup, whose order divides |G|
     rng = np.random.default_rng(31)
     routes, rejected = Counter(), 0
-    # sets over 128 ids, which Subgroup generates, need the larger groups
+    # sets over 128 ids, whose closure scan takes several blocks, need the
+    # larger groups
     larger = ("cyclic:768", "abelian:2,256", "dihedral:512", "quaternion:512",
               "heisenberg:7", "product:(symmetric:5)x(cyclic:3)")
     for spec in corpus_specs(SweepConfig(max_order=64)) + larger:
@@ -114,9 +115,10 @@ def test_every_set_a_subgroup_accepts_holds_its_inverses():
                 continue
             assert h.bitmap[inv[h.members]].all(), spec
             assert g.n % len(h) == 0, spec
-            routes["all" if len(h) == g.n else "gather" if len(h) ** 2 <= _SCAN_BLOCK
-                   else "generate"] += 1
-    # each of Subgroup's three closure routes accepts some of the sets
+            routes["whole group" if len(h) == g.n else "one scan block"
+                   if len(h) ** 2 <= _SCAN_BLOCK else "several blocks"] += 1
+    # Subgroup accepts some sets of each size: the whole group, which needs
+    # no scan, and proper subsets whose scan takes one block or several
     assert len(routes) == 3 and min(routes.values()) >= 10 and rejected >= 600, routes
 
 

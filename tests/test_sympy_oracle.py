@@ -1,6 +1,8 @@
 """full_report against sympy's own facts on permutation groups that no
 catalog family builds: A4, A5, S5, the transitive subgroups of S4 and S5,
-and D10 x C3.
+those of S6 up to order 120 (all but A6 and S6), D10 x C3, and six
+metacyclic groups <a, b | a^m, b^k a^-s, b a b^-1 a^-r>, whose permutations
+sympy finds by coset enumeration of the presentation.
 
 Each group's Cayley table is written in a seeded shuffle of its elements
 with the identity off id 0, so it reaches full_report through
@@ -14,12 +16,19 @@ from __future__ import annotations
 
 import math
 import random
+import zlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from sympy import totient
-from sympy.combinatorics.galois import S4TransitiveSubgroups, S5TransitiveSubgroups
+from sympy.combinatorics.fp_groups import FpGroup
+from sympy.combinatorics.free_groups import free_group
+from sympy.combinatorics.galois import (
+    S4TransitiveSubgroups,
+    S5TransitiveSubgroups,
+    S6TransitiveSubgroups,
+)
 from sympy.combinatorics.group_constructs import DirectProduct
 from sympy.combinatorics.named_groups import (
     AlternatingGroup,
@@ -30,13 +39,31 @@ from sympy.combinatorics.named_groups import (
 
 from cyclicdensity import full_report, validate_table_with_report
 
+
+def metacyclic(m: int, k: int, s: int, r: int):
+    """<a, b | a^m, b^k a^-s, b a b^-1 a^-r> as a permutation group; its order
+    is m k when r^k = 1 and s (r - 1) = 0 mod m (Hempel, Comm. Algebra 28,
+    2000)."""
+    free, a, b = free_group("a, b")
+    group = FpGroup(free, [a ** m, b ** k * a ** -s, b * a * b ** -1 * a ** -r])
+    perms = group._to_perm_group()[0]
+    assert perms.order() == m * k
+    return perms
+
+
+# (m, k, s, r): C7 : C3, Q16, SD16, M16, C9 : C3 and the Frobenius group F20
+METACYCLIC = [(7, 3, 0, 2), (8, 2, 4, 7), (8, 2, 0, 3), (8, 2, 0, 5), (9, 3, 0, 4), (5, 4, 0, 2)]
+
 GROUPS = {
     "A4": lambda: AlternatingGroup(4),
     "A5": lambda: AlternatingGroup(5),
     "S5": lambda: SymmetricGroup(5),
     **{f"S4-{m.name}": m.get_perm_group for m in S4TransitiveSubgroups},
     **{f"S5-{m.name}": m.get_perm_group for m in S5TransitiveSubgroups},
+    **{f"S6-{m.name}": m.get_perm_group for m in S6TransitiveSubgroups
+       if m.name not in ("A6", "S6")},
     "D10xC3": lambda: DirectProduct(DihedralGroup(5), CyclicGroup(3)),
+    **{"metacyclic:" + ",".join(map(str, p)): lambda p=p: metacyclic(*p) for p in METACYCLIC},
 }
 
 
@@ -72,7 +99,8 @@ def sympy_facts(group) -> dict:
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_full_report_matches_sympy(name):
     group = GROUPS[name]()
-    table, e = shuffled_table(list(group.generate()), seed=sorted(GROUPS).index(name))
+    # a seed per name, which adding a group does not shift
+    table, e = shuffled_table(list(group.generate()), seed=zlib.crc32(name.encode()))
     g, reindex = validate_table_with_report(table, name)
     assert reindex[e] == 0 and reindex[0] == e
     report = full_report(g)

@@ -1,5 +1,5 @@
-"""The failure paths of the generating-set checks (subgroup closure,
-centrality and the structural criterion on tampered orders) against the
+"""The failure paths of subgroup closure and of the generating-set checks
+(centrality and the structural criterion on tampered orders) against the
 n^2 table oracles, witness strings included."""
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ def test_closure_matches_oracle_on_random_sets(spec, seed):
 
 @pytest.mark.parametrize("spec", ["dihedral:512", "quaternion:512", "abelian:2,4,64"])
 def test_closure_matches_oracle_on_large_sets(spec):
-    # over 128 ids, Subgroup proves closure by _generate, not by one |H|^2 gather;
-    # a bool mask of the same ids gets the same verdict
+    # over 128 ids, Subgroup's closure scan takes several blocks of its |H|^2
+    # products; a bool mask of the same ids gets the same verdict
     g = group(spec)
     rng = np.random.default_rng(0)
     verdicts = []
