@@ -60,15 +60,6 @@ def _strong_probable_prime(k: int) -> bool:
     return True
 
 
-def is_power_of(k: int, base: int) -> bool:
-    """True when k is base**e for some e >= 0."""
-    if k < 1:
-        return False
-    while k % base == 0:
-        k //= base
-    return k == 1
-
-
 @lru_cache(maxsize=1024, typed=True)
 def unit_generators(n: int) -> tuple[tuple[int, int], ...]:
     """Generators u of (Z/n)^* with their exact orders m mod n, as ((u, m), ...).
@@ -93,4 +84,4 @@ def unit_generators(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(gens)
 
 
-__all__ = ["factorize", "euler_phi", "is_power_of", "unit_generators"]
+__all__ = ["factorize", "euler_phi", "unit_generators"]

@@ -25,12 +25,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .arith import _strong_probable_prime, factorize, is_power_of
+from .arith import _strong_probable_prime, factorize
 from .errors import ParseError, SpecSyntaxError
 from .groups import (
     _ID,
     FiniteGroup,
-    _block_budget,
+    _blocks,
     _build,
     _check_cap,
     _product_of_tables,
@@ -124,8 +124,8 @@ def _symmetric(degree: int) -> np.ndarray:
     (h q) y = h (q y), row k t! + r is row k t! gathered at row r, a block
     of rows at a time.  The d(d-1)/2 rows h go by codes: p's code sum
     p[x] * w[x], w[x] = d^(d-2-x) and w[d-1] = 0, reads its first d - 1
-    entries as a number, so lut[code] is its id.  A block is a quarter of
-    _block_budget, for the index's intp cast.
+    entries as a number, so lut[code] is its id.  A row of a block costs
+    4n entries, for the index's intp cast.
     """
     n = math.factorial(degree)
     # one row per permutation, with no list of n tuples alive on the way
@@ -137,14 +137,12 @@ def _symmetric(degree: int) -> np.ndarray:
     lut[perms @ w] = ids
     table = np.empty((n, n), dtype=ids.dtype)
     table[0] = ids
-    step = max(1, _block_budget(n) // (4 * n))
     for t in range(1, degree):
         f = math.factorial(t)
         for k in range(f, (t + 1) * f, f):
             table[k] = lut[perms[k][perms] @ w]  # h p_j is x -> h[p_j[x]]
-            for lo in range(1, f, step):
-                hi = min(lo + step, f)
-                table[k + lo : k + hi] = table[k][table[lo:hi]]
+            for lo, hi in _blocks(f - 1, 4 * n):  # rows k+1..k+f-1 from rows 1..f-1
+                table[k + 1 + lo : k + 1 + hi] = table[k][table[1 + lo : 1 + hi]]
     return table
 
 
@@ -162,9 +160,7 @@ def _heisenberg(p: int) -> np.ndarray:
     c, rem = np.divmod(np.arange(n, dtype=_ID), pp)
     a, b = np.divmod(rem, p)
     table = np.empty((n, n), dtype=c.dtype)
-    step = max(1, _block_budget(n) // n)
-    for lo in range(0, pp, step):
-        hi = min(lo + step, pp)
+    for lo, hi in _blocks(pp, n):
         # (a,b,0) * (a',b',c') = (a+a', b+b', c'+a*b')
         a1, b1 = a[lo:hi, None], b[lo:hi, None]
         table[lo:hi] = ((c + a1 * b) % p * p + (a1 + a) % p) * p + (b1 + b) % p
@@ -232,11 +228,11 @@ _FAMILIES = {
                   math.factorial, _symmetric),
     # 2^(1+2m) and 2^(2m+2) with m >= 1: powers of two from 8 and 16 with odd
     # and even exponents
-    "extraspecial": (lambda n, _: n >= 8 and is_power_of(n, 2) and (n.bit_length() - 1) % 2,
+    "extraspecial": (lambda n, _: n >= 8 and n.bit_count() == 1 and (n.bit_length() - 1) % 2,
                      "extraspecial order must be 2^(1+2m) with m >= 1, got {p[0]}",
                      _same, _extraspecial),
     "almost-extraspecial": (
-        lambda n: n >= 16 and is_power_of(n, 2) and (n.bit_length() - 1) % 2 == 0,
+        lambda n: n >= 16 and n.bit_count() == 1 and (n.bit_length() - 1) % 2 == 0,
         "almost-extraspecial order must be 2^(2m+2) with m >= 1, got {p[0]}",
         _same, _extraspecial),
     # exact below arith._MR_BOUND; past it, a strong pseudoprime to every
@@ -363,13 +359,14 @@ def _canonical_table(data: bytes, max_size: Optional[int], label: str) -> Option
     return table if table.shape == (n, n) and table.max() < n else None
 
 
-def _table_rows(text: str, p: Path, max_size: Optional[int], label: str) -> list[np.ndarray]:
-    """The table rows of a file's text by a per-token loop, each an _ID
+def _table_rows(lines: list[str], p: Path, max_size: Optional[int],
+                label: str) -> list[np.ndarray]:
+    """The table rows of a file's lines by a per-token loop, each an _ID
     array once it is read, so only one row is ever held as Python ints;
     ParseError names the line and column of the first fault."""
     rows: list[np.ndarray] = []
     n: Optional[int] = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         tokens = line.split()
@@ -439,8 +436,12 @@ def load_table_with_report(
             line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
             raise ParseError(f"{p}: byte {exc.start} is not valid UTF-8",
                              line=line) from None
-        table = np.array(_table_rows(text, p, max_size, label), dtype=_ID)
-    del data  # the bytes are parsed; validation needs only the table
+        del data  # each copy of the file goes once the next is made
+        lines = text.splitlines()
+        del text
+        table = np.array(_table_rows(lines, p, max_size, label), dtype=_ID)
+    else:
+        del data  # the bytes are parsed; validation needs only the table
     return _validate(table, label)
 
 

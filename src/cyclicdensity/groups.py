@@ -15,14 +15,15 @@ found), and the catalog builds its tables associative by construction.
 A member set is proven closed by its |H|^2 products, a block at a time,
 or, when it is all of its parent, with no gather at all.  What a builder
 proves is not checked again, and _first_failure is the one scan for a
-first witness.
+first witness.  Every pass over rows, here and in the catalog's fills,
+takes its blocks from _blocks, which sizes them by what a row costs.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -121,8 +122,9 @@ class Subgroup:
     in a finite group makes it a subgroup: it holds each a^-1 = a^(o(a)-1),
     so its order divides the parent's.  All of the parent is closed as it
     stands; a proper subset when _first_failure, scanning its |H|^2
-    products _SCAN_BLOCK ids at a time, finds none outside it, so its cost
-    grows as |H|^2."""
+    products a block of rows at a time, finds none outside it, so its cost
+    grows as |H|^2.  A row of |H| products costs 4|H| entries: the bitmap
+    lookup copies its ids to intp, 4 times their bytes."""
 
     __slots__ = ("parent", "members", "bitmap")
 
@@ -146,7 +148,7 @@ class Subgroup:
         bitmap = np.zeros(parent.n, dtype=bool)
         bitmap[arr] = True
         if arr.size < parent.n:
-            pair = _first_failure(arr.size, arr.size, _SCAN_BLOCK, lambda lo, hi: (
+            pair = _first_failure(arr.size, arr.size, 4 * arr.size, lambda lo, hi: (
                 ~bitmap[parent.table[arr[lo:hi, None], arr]]))
             if pair is not None:
                 a, b = int(arr[pair[0]]), int(arr[pair[1]])
@@ -209,7 +211,7 @@ def _find_identity(table: np.ndarray) -> int:
     too.  No later row can be: a left identity f beside a two-sided e is f = f e = e."""
     n = table.shape[0]
     ar = np.arange(n, dtype=table.dtype)
-    e = _first_failure(n, 1, _ROW_BLOCK // n, lambda lo, hi: (table[lo:hi] == ar).all(axis=1))
+    e = _first_failure(n, 1, n, lambda lo, hi: (table[lo:hi] == ar).all(axis=1))
     if e is None or not (table[:, e[0]] == ar).all():
         raise NoIdentityAtZero("no element acts as a two-sided identity")
     return e[0]
@@ -221,9 +223,8 @@ def _swap_to_zero(table: np.ndarray, e: int) -> np.ndarray:
     n = table.shape[0]
     sigma = np.arange(n, dtype=table.dtype)
     sigma[e], sigma[0] = 0, e
-    step = max(1, _ROW_BLOCK // n)
-    for lo in range(0, n, step):
-        table[lo:lo + step] = sigma.take(table[lo:lo + step])
+    for lo, hi in _blocks(n, n):
+        table[lo:hi] = sigma.take(table[lo:hi])
     table[[0, e]] = table[[e, 0]]
     table[:, [0, e]] = table[:, [e, 0]]
     return sigma
@@ -283,21 +284,21 @@ def _check_associativity(table: np.ndarray) -> np.ndarray:
     (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)).  So once every
     generator of _generate passes, every id it reaches lies in R, and when
     those cover all n ids the table is associative.  Each generator is
-    checked a block of _ROW_BLOCK products at a time, so the first bad
-    block holds the row-major first witness.  A group needs at most log2 n
-    generators; a non-group magma may need up to n, which costs O(n^3), no
-    worse than checking every triple.
+    checked a block of rows at a time, so the first bad block holds the
+    row-major first witness.  A group needs at most log2 n generators; a
+    non-group magma may need up to n, which costs O(n^3), no worse than
+    checking every triple.
 
     take copies each block's ids to intp, 4 times the block's bytes, so a
-    block holds _ROW_BLOCK / 2 entries: that copy is then 2^17 / n^2 of the
-    table.
+    row of n products costs 2n entries and a block holds _ROW_BLOCK / 2:
+    that copy is then 2^17 / n^2 of the table.
     """
     n = table.shape[0]
 
     def light(c: int) -> None:
         col = table[:, c]
         # (a*b)*c = col[table[a, b]] and a*(b*c) = table[a, col[b]]; entries are < n
-        bad = _first_failure(n, n, _ROW_BLOCK // 2, lambda lo, hi: (
+        bad = _first_failure(n, n, 2 * n, lambda lo, hi: (
             col.take(table[lo:hi], mode="clip") != table[lo:hi].take(col, axis=1, mode="clip")))
         if bad is not None:
             a, b = bad
@@ -307,25 +308,27 @@ def _check_associativity(table: np.ndarray) -> np.ndarray:
     return _generate(table, check=light)
 
 
-_SCAN_BLOCK = 1 << 14  # ids per block of a closure or witness scan; the least _block_budget
-_ROW_BLOCK = 1 << 16  # entries per block of validation's n^2 passes, by measurement:
+_ROW_BLOCK = 1 << 16  # entries per block of a pass over rows, by measurement:
 # at n = 1024 Light's test took 25% less time in 2^16 blocks than in one pass, 8% in 2^14
 
 
-def _block_budget(n: int) -> int:
-    """Ids per block of a pass over an (n, n) table: max(_SCAN_BLOCK, n^2/64)."""
-    return max(_SCAN_BLOCK, n * n // 64)
+def _blocks(rows: int, cost: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) for rows 0..rows-1 in blocks of max(1, _ROW_BLOCK // cost)
+    rows, where a row costs cost entries: the one block rule of every pass
+    over the rows of a table or of a gather from one."""
+    step = max(1, _ROW_BLOCK // cost)
+    for lo in range(0, rows, step):
+        yield lo, min(lo + step, rows)
 
 
-def _first_failure(rows: int, width: int, budget: int,
+def _first_failure(rows: int, width: int, cost: int,
                    bad: Callable[[int, int], np.ndarray]) -> Optional[tuple[int, int]]:
     """Row-major first True entry (i, j) of a rows x width bool matrix, or
-    None; bad(lo, hi) builds its rows lo..hi-1, max(1, budget // width) at a
-    time, until a block holds one.  A test of whole rows has width 1 and
-    budget rows per block."""
-    step = max(1, budget // width)
-    for lo in range(0, rows, step):
-        block = bad(lo, min(lo + step, rows))
+    None; bad(lo, hi) builds its rows lo..hi-1, in the _blocks of a row
+    that costs cost entries, until a block holds one.  A test of whole rows
+    has width 1."""
+    for lo, hi in _blocks(rows, cost):
+        block = bad(lo, hi)
         if block.any():
             i, j = divmod(int(block.argmax()), width)
             return lo + i, j
@@ -403,7 +406,7 @@ def _build(table: np.ndarray, label: str) -> FiniteGroup:
                          f"{np.dtype(_ID)} ids")
     ord_ = _element_orders(table, np.arange(n) == 0)
     if not ord_.all():
-        lacks = _first_failure(n, 1, _ROW_BLOCK // n, lambda lo, hi: table[lo:hi].all(axis=1))
+        lacks = _first_failure(n, 1, n, lambda lo, hi: table[lo:hi].all(axis=1))
         if lacks is not None:
             raise NoInverse(f"element {lacks[0]} has no two-sided inverse", element=lacks[0])
         raise ValueError(f"{label!r} is no group with identity 0: every row holds 0, "
@@ -471,18 +474,18 @@ def _central_cosets(g: FiniteGroup, z: Subgroup, u: Optional[Subgroup] = None) -
     """Cosets of W = Z meet U, for Z central and U a subgroup (all of g by
     default): rows g.table[y, W], W in increasing id order, ordered by their
     least member y, so row 0 is table[0, W] = W.  y starts a row when it is
-    the least id of yW, the minimum of its |W| products y w, gathered for a
-    block of rows at a time (max(_SCAN_BLOCK, n^2/64) products) so that
-    memory stays O(n^2/64); one coset (W = U, as when Z = G) needs none.
+    the least id of yW, the minimum of its |W| products y w, gathered a
+    block of rows at a time, a row costing |W| entries, so that no gather
+    holds more than max(_ROW_BLOCK, |W|) ids; one coset (W = U, as when
+    Z = G) needs none.
     The rows partition U when z and u belong to g, as the callers check.
     """
     members = np.arange(g.n) if u is None else u.members
     w = z.members if u is None else (z.bitmap & u.bitmap).nonzero()[0]
     starts = members[:1]
     if w.size < members.size:
-        step = max(1, _block_budget(g.n) // w.size)
-        least = np.concatenate([g.table[members[lo:lo + step, None], w].min(axis=1)
-                                for lo in range(0, members.size, step)])
+        least = np.concatenate([g.table[members[lo:hi, None], w].min(axis=1)
+                                for lo, hi in _blocks(members.size, w.size)])
         starts = members[least == members]
     return g.table[starts[:, None], w]
 

@@ -23,7 +23,6 @@ from .errors import NotASubgroup
 from .groups import (
     FiniteGroup,
     Subgroup,
-    _SCAN_BLOCK,
     _central_cosets,
     _element_orders,
     _first_failure,
@@ -226,7 +225,7 @@ def four_abelian_failure(g: FiniteGroup) -> Optional[tuple[int, int]]:
     s = _generators(g)
     if np.array_equal(f4[g.table[:, s]], g.table[f4[:, None], f4[s]]):
         return None
-    return _first_failure(g.n, g.n, _SCAN_BLOCK, lambda lo, hi: (
+    return _first_failure(g.n, g.n, 4 * g.n, lambda lo, hi: (
         f4[g.table[lo:hi]] != g.table[np.ix_(f4[lo:hi], f4)]))
 
 

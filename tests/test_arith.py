@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from cyclicdensity import InvalidArgument
 from cyclicdensity.arith import _MR_BOUND, _strong_probable_prime, euler_phi, factorize
-from cyclicdensity.arith import is_power_of, unit_generators
+from cyclicdensity.arith import unit_generators
 
 
 def test_phi_small_values():
@@ -69,11 +69,6 @@ def test_past_the_bound_a_failed_base_proves_a_composite():
     assert m89 * m61 > _MR_BOUND and _strong_probable_prime(m89)
     assert not _strong_probable_prime(m89 * m61)
     assert not _strong_probable_prime(_MR_BOUND + 1)
-
-
-def test_is_power_of():
-    assert is_power_of(1, 2) and is_power_of(64, 2) and is_power_of(27, 3)
-    assert not is_power_of(24, 2) and not is_power_of(0, 2)
 
 
 @given(st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=500))

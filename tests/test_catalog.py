@@ -201,6 +201,21 @@ def test_almost_extraspecial_rejects_bad_shapes():
             build_group(GroupSpec("almost-extraspecial", (bad,)))
 
 
+@pytest.mark.parametrize("spec, accepted", [
+    ("extraspecial:4:+", False), ("extraspecial:8:+", True), ("extraspecial:32:-", True),
+    (f"extraspecial:{2 ** 13}:+", True), ("almost-extraspecial:8", False),
+    ("almost-extraspecial:16", True), ("almost-extraspecial:64", True),
+])
+def test_extraspecial_rules_at_their_boundaries(spec, accepted):
+    # the least order of each family, and 2^13, which meets the rule though
+    # its table is over the size cap
+    if accepted:
+        assert parse_group_spec(spec).canonical() == spec
+    else:
+        with pytest.raises(SpecSyntaxError, match=r"order must be 2\^\("):
+            parse_group_spec(spec)
+
+
 # The central product that the chain below is made of, against its
 # definition: build G x H, then divide out <(zg, zh)> for any central
 # involutions zg and zh.

@@ -35,7 +35,7 @@ from cyclicdensity import (
 from cyclicdensity.sweep import corpus_specs
 from cyclicdensity.verify import per_coset_analysis
 from cyclicdensity.groups import (
-    _SCAN_BLOCK,
+    _ROW_BLOCK,
     FiniteGroup,
     _central_cosets,
     _generate,
@@ -116,7 +116,7 @@ def test_every_set_a_subgroup_accepts_holds_its_inverses():
             assert h.bitmap[inv[h.members]].all(), spec
             assert g.n % len(h) == 0, spec
             routes["whole group" if len(h) == g.n else "one scan block"
-                   if len(h) ** 2 <= _SCAN_BLOCK else "several blocks"] += 1
+                   if 4 * len(h) ** 2 <= _ROW_BLOCK else "several blocks"] += 1
     # Subgroup accepts some sets of each size: the whole group, which needs
     # no scan, and proper subsets whose scan takes one block or several
     assert len(routes) == 3 and min(routes.values()) >= 10 and rejected >= 600, routes

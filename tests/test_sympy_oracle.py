@@ -1,19 +1,25 @@
 """full_report against sympy's own facts on permutation groups that no
 catalog family builds: A4, A5, S5, the transitive subgroups of S4 and S5,
-those of S6 up to order 120 (all but A6 and S6), D10 x C3, and six
-metacyclic groups <a, b | a^m, b^k a^-s, b a b^-1 a^-r>, whose permutations
-sympy finds by coset enumeration of the presentation.
+those of S6 up to order 120 (all but A6 and S6), D10 x C3, six metacyclic
+groups <a, b | a^m, b^k a^-s, b a b^-1 a^-r>, and the groups G = T x O of
+the paper's equality shape with O nontrivial and T non-abelian: T the
+central product C4 o D8 and O one of C3, C5 and C9.  Q8 x C3 and D8 x C3
+have that shape up to the last clause of the criterion, which they fail.
+sympy finds the permutations of a presented group by coset enumeration.
 
 Each group's Cayley table is written in a seeded shuffle of its elements
 with the identity off id 0, so it reaches full_report through
 validate_table_with_report's identity search, relabeling and Light's test.
 Every expected value comes from sympy: the order, |Z| by center(), |C(G)|
-as the sum of 1/phi(o(x)), alpha(Z), the average orders of G and Z, and
-exp(G/Z) as the lcm over x of the least k with x^k in Z.
+as the sum of 1/phi(o(x)), alpha(Z), the average orders of G and Z,
+exp(G/Z) as the lcm over x of the least k with x^k in Z, and whether
+alpha(G) = alpha(Z), which both the equality and the structural verdict
+must match.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import zlib
@@ -37,18 +43,33 @@ from sympy.combinatorics.named_groups import (
     SymmetricGroup,
 )
 
-from cyclicdensity import full_report, validate_table_with_report
+from cyclicdensity import center, full_report, validate_table_with_report
+from cyclicdensity.verify import structural_condition
+
+
+def presented(names: str, relators, order: int):
+    """<names | relators(*generators)> as a permutation group of the given
+    order."""
+    free, *gens = free_group(names)
+    perms = FpGroup(free, relators(*gens))._to_perm_group()[0]
+    assert perms.order() == order
+    return perms
 
 
 def metacyclic(m: int, k: int, s: int, r: int):
-    """<a, b | a^m, b^k a^-s, b a b^-1 a^-r> as a permutation group; its order
-    is m k when r^k = 1 and s (r - 1) = 0 mod m (Hempel, Comm. Algebra 28,
-    2000)."""
-    free, a, b = free_group("a, b")
-    group = FpGroup(free, [a ** m, b ** k * a ** -s, b * a * b ** -1 * a ** -r])
-    perms = group._to_perm_group()[0]
-    assert perms.order() == m * k
-    return perms
+    """<a, b | a^m, b^k a^-s, b a b^-1 a^-r>, of order m k when r^k = 1 and
+    s (r - 1) = 0 mod m (Hempel, Comm. Algebra 28, 2000)."""
+    return presented("a, b", lambda a, b: [a ** m, b ** k * a ** -s,
+                                           b * a * b ** -1 * a ** -r], m * k)
+
+
+@functools.cache  # its coset enumeration is most of a test's time
+def c4_d8():
+    """The central product C4 o D8 = <a, x, y | a^4, x^2, y^2, (x y)^2 a^-2,
+    [a, x], [a, y]>, of order 16."""
+    return presented("a, x, y", lambda a, x, y: [
+        a ** 4, x ** 2, y ** 2, (x * y) ** 2 * a ** -2,
+        a ** -1 * x ** -1 * a * x, a ** -1 * y ** -1 * a * y], 16)
 
 
 # (m, k, s, r): C7 : C3, Q16, SD16, M16, C9 : C3 and the Frobenius group F20
@@ -64,6 +85,9 @@ GROUPS = {
        if m.name not in ("A6", "S6")},
     "D10xC3": lambda: DirectProduct(DihedralGroup(5), CyclicGroup(3)),
     **{"metacyclic:" + ",".join(map(str, p)): lambda p=p: metacyclic(*p) for p in METACYCLIC},
+    **{f"C4oD8xC{q}": lambda q=q: DirectProduct(c4_d8(), CyclicGroup(q)) for q in (3, 5, 9)},
+    "Q8xC3": lambda: DirectProduct(metacyclic(4, 2, 2, 3), CyclicGroup(3)),
+    "D8xC3": lambda: DirectProduct(DihedralGroup(4), CyclicGroup(3)),
 }
 
 
@@ -107,4 +131,10 @@ def test_full_report_matches_sympy(name):
     want = sympy_facts(group)
     assert {k: getattr(report, k) for k in want} == want
     assert report.alpha_g == Fraction(want["cyclic_count"], want["order"])
+    equal = Fraction(want["cyclic_count"], want["order"]) == want["alpha_z"]
+    assert report.equality == report.structural == equal
     assert report.findings == ()
+    if name.startswith("C4oD8"):
+        assert equal
+    elif name in ("Q8xC3", "D8xC3"):  # clauses (a) and (b) hold, (c) fails
+        assert structural_condition(g, center(g)).startswith("coset of ")
