@@ -11,6 +11,7 @@ its generators do, so the invariants of H are read off G's census.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,21 +36,25 @@ class CyclicCensus:
 
 def cyclic_subgroups(g: FiniteGroup) -> CyclicCensus:
     """Census of the cyclic subgroups by least generator: a minimum over
-    orbits of the unit group (Z/n)^*, in O(n) memory, with no power walk.
+    orbits of the unit group (Z/e)^*, e = exp(G), in O(n) memory, with no
+    power walk.
 
     The orders are the ones the builder derived from the table
-    (g._table_ord), never g.ord, which a caller may rebind.  The units mod n
-    map onto the units mod o(x), so the orbit of x under x -> x^u is the set
-    of generators of <x>.  For each generator u of (Z/n)^*, of order m,
-    pi = x -> x^u and ceil(log2 m) steps key = min(key, key[pi]),
-    pi = pi[pi] cover each cycle of pi, whose length divides m.  As (Z/n)^*
-    is abelian, its generators in turn cover each orbit of a group table.
+    (g._table_ord), never g.ord, which a caller may rebind; e is their lcm.
+    Every o(x) divides e, and the units mod e map onto the units mod o(x),
+    so the orbit of x under x -> x^u is the set of generators of <x>.  For
+    each generator u of (Z/e)^*, of order m, pi = x -> x^u and
+    ceil(log2 m) steps key = min(key, key[pi]), pi = pi[pi] cover each
+    cycle of pi, whose length divides m.  As (Z/e)^* is abelian, its
+    generators in turn cover each orbit of a group table.  At e <= 2 there
+    is no generator: each x is the one generator of <x>.
     """
     if g._census is not None:
         return g._census
     n, ords = g.n, g._table_ord
     key = ids = np.arange(n, dtype=np.int32)
-    for u, m in unit_generators(n):
+    # a memoryview yields the orders as ints without tolist()'s list of n
+    for u, m in unit_generators(math.lcm(*set(memoryview(ords)))):
         pi = _powers(g.table, ids, u)
         for _ in range((m - 1).bit_length()):  # ceil(log2 m) doublings
             key = np.minimum(key, key[pi])

@@ -470,18 +470,19 @@ def center(g: FiniteGroup) -> Subgroup:
     return Subgroup(g, (g.table[:, s] == g.table[s].T).all(axis=1))
 
 
-def _central_cosets(g: FiniteGroup, z: Subgroup, u: Optional[Subgroup] = None) -> np.ndarray:
-    """Cosets of W = Z meet U, for Z central and U a subgroup (all of g by
-    default): rows g.table[y, W], W in increasing id order, ordered by their
-    least member y, so row 0 is table[0, W] = W.  y starts a row when it is
-    the least id of yW, the minimum of its |W| products y w, gathered a
-    block of rows at a time, a row costing |W| entries, so that no gather
-    holds more than max(_ROW_BLOCK, |W|) ids; one coset (W = U, as when
-    Z = G) needs none.
-    The rows partition U when z and u belong to g, as the callers check.
+def _central_cosets(g: FiniteGroup, z: Subgroup, u: Optional[np.ndarray] = None) -> np.ndarray:
+    """Cosets of W = Z meet U, for Z central and U a subgroup given as a
+    bool mask over g's ids (all of g by default): rows g.table[y, W], W in
+    increasing id order, ordered by their least member y, so row 0 is
+    table[0, W] = W.  y starts a row when it is the least id of yW, the
+    minimum of its |W| products y w, gathered a block of rows at a time, a
+    row costing |W| entries, so that no gather holds more than
+    max(_ROW_BLOCK, |W|) ids; one coset (W = U, as when Z = G) needs none.
+    The rows partition U when z belongs to g and u is a subgroup of it, as
+    the callers prove.
     """
-    members = np.arange(g.n) if u is None else u.members
-    w = z.members if u is None else (z.bitmap & u.bitmap).nonzero()[0]
+    members = np.arange(g.n) if u is None else u.nonzero()[0]
+    w = z.members if u is None else (z.bitmap & u).nonzero()[0]
     starts = members[:1]
     if w.size < members.size:
         least = np.concatenate([g.table[members[lo:hi, None], w].min(axis=1)

@@ -170,7 +170,21 @@ def structural_condition(g: FiniteGroup, z: Subgroup) -> Optional[str]:
     (b) 2-power-order elements form a subgroup T meeting O trivially with
         |T| * |O| = |G|,
     (c) every coset of Z(T) in T contains an element of order at most 2.
-    Returns the witness of the first clause that fails, or None."""
+    Returns the witness of the first clause that fails, or None.
+
+    With the orders the builder derived (g.ord is g._table_ord), O and T
+    are proven by count, with no closure scan.  Once (a) puts O in Z(G),
+    which is abelian, O is closed: x y has order dividing lcm(o(x), o(y)).
+    It holds every Sylow p-subgroup for odd p, so |O| is the odd part of n.
+    T holds every Sylow 2-subgroup.  A closed T is a 2-group, so it is the
+    Sylow 2-subgroup and |T| is the 2-part of n; a T of that order is one
+    Sylow 2-subgroup, so it is closed (Sylow; Isaacs, Finite Group Theory,
+    2008, ch. 1).  So T is closed exactly when |T| |O| = |G|, which the
+    factor test reads off the two mask counts.  Under (a) that always
+    holds: P O = G with O central makes a Sylow 2-subgroup P normal, and P
+    is then T.  Orders a caller rebinds prove nothing, so O and then T are
+    scanned for a closure witness.
+    """
     _members(g, z)
     zbit, ords = z.bitmap, g.ord
     odd_mask = (ords % 2) == 1
@@ -178,21 +192,20 @@ def structural_condition(g: FiniteGroup, z: Subgroup) -> Optional[str]:
     if bad.size:
         x = int(bad[0])
         return f"element {x} has odd order {int(ords[x])} but is not central"
-    try:
-        odd_part = Subgroup(g, odd_mask)
-    except NotASubgroup as exc:
-        return f"odd-order elements do not form a subgroup: {exc}"
     two_mask = (ords & (ords - 1)) == 0
-    try:
-        two_part = Subgroup(g, two_mask)
-    except NotASubgroup as exc:
-        return f"2-power-order elements do not form a subgroup: {exc}"
+    if ords is not g._table_ord:
+        for part, mask in (("odd", odd_mask), ("2-power", two_mask)):
+            try:
+                Subgroup(g, mask)
+            except NotASubgroup as exc:
+                return f"{part}-order elements do not form a subgroup: {exc}"
+    t, o = int(two_mask.sum()), int(odd_mask.sum())
     overlap = int((two_mask & odd_mask).sum())
-    if overlap != 1 or len(two_part) * len(odd_part) != g.n:
-        return (f"parts do not factor the group: |T| = {len(two_part)}, "
-                f"|O| = {len(odd_part)}, |T meet O| = {overlap}, |G| = {g.n}")
+    if overlap != 1 or t * o != g.n:
+        return (f"parts do not factor the group: |T| = {t}, "
+                f"|O| = {o}, |T meet O| = {overlap}, |G| = {g.n}")
     # G = T x O with O central, so Z(T) = Z(G) meet T
-    y, k = _minimal_reps(ords, _central_cosets(g, z, two_part))
+    y, k = _minimal_reps(ords, _central_cosets(g, z, two_mask))
     bare = np.flatnonzero(k > 2)
     if bare.size:
         y, k = int(y[bare[0]]), int(k[bare[0]])
@@ -211,21 +224,29 @@ def is_2_central(g: FiniteGroup, z: Subgroup) -> bool:
     return bool(z.bitmap[_squares(g)].all())
 
 
-def four_abelian_failure(g: FiniteGroup) -> Optional[tuple[int, int]]:
-    """The first (x, y) in row-major order with (x y)^4 != x^4 y^4, or None.
+def _four_abelian(g: FiniteGroup) -> bool:
+    """True when (x y)^4 = x^4 y^4 for every pair, by a test of g's
+    generating set S alone.
 
     With f(x) = x^4, the y with f(x y) = f(x) f(y) for all x contain 0 and
     are closed under products: f(x y y') = f(x y) f(y') = f(x) f(y) f(y')
-    and f(y y') = f(y) f(y') (take x = 0).  So checking y over g's
-    generating set S is exact; the premise is associativity.  Only a group
-    that fails it scans the pairs, a block of rows at a time.
+    and f(y y') = f(y) f(y') (take x = 0).  So checking y over S is exact;
+    the premise is associativity.
+    """
+    sq = _squares(g)
+    f4, s = sq[sq], _generators(g)
+    return np.array_equal(f4[g.table[:, s]], g.table[f4[:, None], f4[s]])
+
+
+def four_abelian_failure(g: FiniteGroup) -> Optional[tuple[int, int]]:
+    """The first (x, y) in row-major order with (x y)^4 != x^4 y^4, or None.
+
+    A group that passes the generator test of _four_abelian is 4-abelian;
+    only one that fails it scans the pairs, a block of rows at a time.
     """
     sq = _squares(g)
     f4 = sq[sq]
-    s = _generators(g)
-    if np.array_equal(f4[g.table[:, s]], g.table[f4[:, None], f4[s]]):
-        return None
-    return _first_failure(g.n, g.n, 4 * g.n, lambda lo, hi: (
+    return None if _four_abelian(g) else _first_failure(g.n, g.n, 4 * g.n, lambda lo, hi: (
         f4[g.table[lo:hi]] != g.table[np.ix_(f4[lo:hi], f4)]))
 
 
@@ -234,7 +255,10 @@ def full_report(g: FiniteGroup) -> AlphaReport:
 
     The center is proven once here and passed to each check about it.  The
     count identity |C(G)| = sum of 1/phi(o(x)) reads the totient sum off
-    the per-coset sums, which cover every element once."""
+    the per-coset sums, which cover every element once.  The 4-abelian
+    verdict is the generator test; the pairs are scanned for the first
+    failing one only when a finding prints it, that is when equality holds
+    in a group that is not 4-abelian."""
     census = cyclic_subgroups(g)
     z = center(g)
     a_g, a_z = alpha(g), alpha(g, z)
@@ -248,7 +272,7 @@ def full_report(g: FiniteGroup) -> AlphaReport:
     # (a set, not np.unique, whose first plain call imports numpy.ma)
     qexp = math.lcm(*set(_element_orders(g.table, z.bitmap).tolist()))
     two_c = is_2_central(g, z)
-    pair = four_abelian_failure(g)
+    four = _four_abelian(g)
 
     findings: list[str] = []
     if not count_ok:
@@ -279,10 +303,9 @@ def full_report(g: FiniteGroup) -> AlphaReport:
             )
         if not two_c:
             findings.append("2-central: equality holds yet some square is not central")
-        if pair is not None:
-            findings.append(
-                f"4-abelian: equality holds yet (x y)^4 != x^4 y^4 for (x, y) = {pair}"
-            )
+        if not four:
+            findings.append(f"4-abelian: equality holds yet (x y)^4 != x^4 y^4 "
+                            f"for (x, y) = {four_abelian_failure(g)}")
         if g.n % 2 == 1 and len(z) < g.n:
             findings.append("odd-order: equality holds for an odd-order non-abelian group")
     if avg_g < avg_z:
@@ -300,7 +323,7 @@ def full_report(g: FiniteGroup) -> AlphaReport:
         structural=structural,
         quotient_exponent=qexp,
         two_central=two_c,
-        four_abelian=pair is None,
+        four_abelian=four,
         avg_order_g=avg_g,
         avg_order_z=avg_z,
         count_identity=count_ok,

@@ -26,22 +26,23 @@ from cyclicdensity import build_group, full_report
 PKG = os.path.dirname(cyclicdensity.__file__) + os.sep
 NP = os.path.dirname(np.__file__) + os.sep
 
-# Calls per report before _central_cosets stopped re-checking that its
-# rows partition the subgroup, three calls per cosets table (numpy 2.4,
-# CPython 3.11) -> the budget, which is the count after it.  Earlier
-# changes took cyclic:12 from 129 calls to 90: an element of order n as the
-# generating set, no closure gather for a center that is the whole group,
-# no 4-abelian witness scan outside equality, and squares read off the
-# table's diagonal.
+# Calls per report before the structural condition proved its odd part
+# and 2-part by count, the 4-abelian pair scan ran only when a finding
+# prints it and the census walked the units of exp(G), not of n (numpy
+# 2.4, CPython 3.11) -> the budget, which is the count after it.  Earlier
+# changes took cyclic:12 from 129 calls to 84: an element of order n as
+# the generating set, no closure gather for a center that is the whole
+# group, squares read off the table's diagonal, and no re-check that the
+# rows of _central_cosets partition the subgroup.
 BUDGET = {
-    "cyclic:12": 84,  # 90 before
-    "abelian:2,2,4": 108,  # 114 before
-    "dihedral:24": 106,  # 109 before
-    "quaternion:16": 122,  # 128 before
-    "symmetric:4": 115,  # 118 before
-    "heisenberg:3": 98,  # 101 before
-    "extraspecial:32:-": 134,  # 140 before
-    "almost-extraspecial:64": 143,  # 149 before
+    "cyclic:12": 75,  # 84 before
+    "abelian:2,2,4": 90,  # 101 before
+    "dihedral:24": 94,  # 101 before
+    "quaternion:16": 105,  # 117 before
+    "symmetric:4": 101,  # 108 before
+    "heisenberg:3": 93,  # 93 before
+    "extraspecial:32:-": 113,  # 125 before
+    "almost-extraspecial:64": 119,  # 132 before
 }
 
 # Calls per build_group before _build stopped re-proving the identity at 0

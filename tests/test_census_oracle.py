@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from census_oracle import (
     by_order,
     cyclic_subgroup_sets,
+    least_generator,
     per_coset_findings,
     quotient_table,
     rebuilt_center_values,
@@ -28,6 +29,7 @@ from cyclicdensity import (
     four_abelian_failure,
     full_report,
 )
+from cyclicdensity.arith import unit_generators
 from cyclicdensity.sweep import corpus_specs
 from cyclicdensity.verify import per_coset_analysis, structural_condition
 from table_oracle import (
@@ -96,6 +98,25 @@ def test_census_matches_oracle_on_relabelings(spec, seed):
     assert cyclic_subgroups(h).count == cyclic_subgroups(g).count
     assert alpha(h, center(h)) == alpha(g, center(g))
 
+
+
+# The census walks the units of exp(G), not of n: exponents 1 and 2, where
+# no unit generator is left, odd exponents, and mixed ones
+@pytest.mark.parametrize("spec", [
+    "cyclic:1", "abelian:2,2,2,2", "abelian:3,3,3", "heisenberg:5",
+    "product:(quaternion:8)x(cyclic:9)", "symmetric:5",
+])
+def test_census_over_the_units_of_the_exponent_matches_oracle(spec):
+    g = build_group(spec)
+    e = group_exponent(g)
+    assert e < g.n or g.n == 1, spec
+    assert (unit_generators(e) == ()) == (e <= 2), spec
+    for h in (g, relabeled_copy(g, np.random.default_rng(36).permutation(g.n))):
+        sets = cyclic_subgroup_sets(h)
+        census = cyclic_subgroups(h)
+        assert census.by_order == by_order(sets), (spec, h.label)
+        assert (np.flatnonzero(census.roots).tolist()
+                == sorted(least_generator(h, c) for c in sets)), (spec, h.label)
 
 
 @pytest.mark.parametrize("spec", [

@@ -9,19 +9,23 @@ Subgroup proves closure alone, as closure forces inverses in a finite
 group and a subgroup's order divides |G|: every set it accepts, across the
 corpus, holds the oracle's inverses of its members and has such an order.
 _central_cosets checks no partition, as the cosets of a subgroup W of a
-subgroup U partition U.  full_report names the 4-abelian witness when
-equality holds, and per_coset_analysis sums in int64 only while no sum can
-overflow it.
+subgroup U partition U.  structural_condition proves the odd part O and
+the 2-part T by count, with no closure scan, for the orders the builder
+derived; orders a caller rebinds are scanned.  full_report scans for the
+4-abelian witness only when equality holds and prints it, and
+per_coset_analysis sums in int64 only while no sum can overflow it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import random
+from collections import Counter, defaultdict
 
 import numpy as np
+import pytest
 
 import power_oracle
-from census_oracle import per_coset_findings
+from census_oracle import per_coset_findings, structural
 from cyclicdensity import (
     NotASubgroup,
     Subgroup,
@@ -33,7 +37,6 @@ from cyclicdensity import (
     verify,
 )
 from cyclicdensity.sweep import corpus_specs
-from cyclicdensity.verify import per_coset_analysis
 from cyclicdensity.groups import (
     _ROW_BLOCK,
     FiniteGroup,
@@ -41,7 +44,8 @@ from cyclicdensity.groups import (
     _generate,
     _generators,
 )
-from table_oracle import four_abelian_witness, with_orders
+from cyclicdensity.verify import per_coset_analysis, structural_condition
+from table_oracle import center_members, four_abelian_witness, with_orders
 
 
 def with_greedy_generators(spec: str) -> FiniteGroup:
@@ -135,7 +139,7 @@ def test_central_cosets_partition_the_subgroup_with_w_first():
                 u = None if members is None else Subgroup(g, members)
             except NotASubgroup:
                 continue
-            cosets = _central_cosets(g, z, u)
+            cosets = _central_cosets(g, z, None if u is None else u.bitmap)
             umem = np.arange(g.n) if u is None else u.members
             assert np.array_equal(np.sort(cosets, axis=None), umem), spec
             assert np.array_equal(cosets[0], np.intersect1d(z.members, umem)), spec
@@ -163,3 +167,87 @@ def test_per_coset_sums_past_int64_match_the_oracle():
     ords[1], ords[3] = 1869493123, 1869493259
     fake = with_orders(g, ords)
     assert per_coset_analysis(fake, center(fake)) == per_coset_findings(fake)
+
+
+def subgroups_made(monkeypatch) -> list:
+    """Record the member ids of every Subgroup constructed from now on,
+    whether or not it proves closed; src/ hands Subgroup bool masks."""
+    made, real = [], Subgroup.__init__
+
+    def recording(self, parent, members):
+        made.append(np.flatnonzero(members).tolist())
+        real(self, parent, members)
+
+    monkeypatch.setattr(Subgroup, "__init__", recording)
+    return made
+
+
+def test_a_sweep_report_makes_no_subgroup_but_its_center(monkeypatch):
+    # with the builder's orders, O and T are proven by count: the center is
+    # the one member set a report proves closed
+    made = subgroups_made(monkeypatch)
+    for spec in corpus_specs(SweepConfig()):
+        g = build_group(spec)
+        made.clear()
+        full_report(g)
+        assert made == [center_members(g)], spec
+
+
+def test_structural_by_count_matches_the_oracle_past_the_sweep():
+    # a seeded sample of each family of the corpus of orders 257 to 2048
+    small = set(corpus_specs(SweepConfig()))
+    families = defaultdict(list)
+    for spec in corpus_specs(SweepConfig(max_order=2048)):
+        if spec not in small:
+            families[spec.split(":")[0]].append(spec)
+    rng, reached = random.Random(36), Counter()
+    for specs in families.values():
+        for spec in rng.sample(specs, min(8, len(specs))):
+            g = build_group(spec)
+            why = structural_condition(g, center(g))
+            assert why == structural(g), spec
+            reached[why if why is None else why.split()[0]] += 1
+    # clause (a) fails, the criterion holds, and clause (c) fails
+    assert set(reached) == {"element", None, "coset"}, reached
+
+
+@pytest.mark.parametrize("spec, changes", [
+    ("cyclic:12", {}),
+    ("product:(dihedral:8)x(cyclic:3)", {}),
+    ("almost-extraspecial:16", {}),
+    ("cyclic:12", {1: 4}),
+    ("cyclic:12", {1: 3}),
+    ("cyclic:12", {2: 5}),
+])
+def test_rebound_orders_scan_both_parts(monkeypatch, spec, changes):
+    # orders a caller rebinds prove nothing, so O and then T are scanned,
+    # even when they equal the builder's; the verdict and witness are the
+    # oracle's, and for equal orders the count route's too
+    g = build_group(spec)
+    ords = g.ord.copy()
+    for x, o in changes.items():
+        ords[x] = o
+    fake = with_orders(g, ords)
+    z = center(fake)
+    made = subgroups_made(monkeypatch)
+    why = structural_condition(fake, z)
+    made = made[:]  # the oracle makes Subgroups of its own
+    assert why == structural(fake), (spec, changes)
+    odd, two = np.flatnonzero(ords % 2 == 1), np.flatnonzero((ords & (ords - 1)) == 0)
+    assert made == [odd.tolist(), two.tolist()][:len(made)], (spec, changes)
+    if changes:
+        assert len(made) == 1 + (not why.startswith("odd")), (spec, why)
+    else:
+        assert len(made) == 2 and why == structural_condition(g, center(g)), spec
+
+
+@pytest.mark.parametrize("spec", ["dihedral:24", "quaternion:16"])
+def test_the_4_abelian_pair_is_not_scanned_unless_printed(monkeypatch, spec):
+    # neither group is 4-abelian or an equality case, so no finding prints
+    # the first failing pair and the report must not look for it
+    def refuse(g):
+        raise AssertionError("the 4-abelian pair scan ran")
+
+    monkeypatch.setattr(verify, "four_abelian_failure", refuse)
+    report = full_report(build_group(spec))
+    assert not report.four_abelian and not report.equality and report.clean
