@@ -176,7 +176,7 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
     g = _build_from_args(args)
     census = cyclic_subgroups(g)
     z = center(g)
-    a_enum, a_tot = alpha(g), per_coset_analysis(g, z).total / g.n
+    a_enum, a_tot = Fraction(census.count, g.n), per_coset_analysis(g, z).total / g.n
     rows = (  # JSON key, text caption, kind, value
         ("label", "group", _STR, g.label),
         ("order", "order", _INT, g.n),

@@ -122,6 +122,8 @@ def per_coset_analysis(g: FiniteGroup, z: Subgroup) -> PerCosetFindings:
     checked on whole m x |Z| arrays of products y x, and the sums of
     1/phi(o) are exact integer numerators over one common denominator L:
     int64 while no sum, at most n L, can reach 2^62, Python ints otherwise.
+    The center's own sum is row 0's: that row is Z, so its representative
+    y lies in Z and y Z = Z, whatever the orders are.
     """
     zmem = _members(g, z)
     # the distinct orders; return_counts keeps np.unique off its plain
@@ -140,7 +142,7 @@ def per_coset_analysis(g: FiniteGroup, z: Subgroup) -> PerCosetFindings:
     L = math.lcm(*phis)
     numer = np.array([L // p for p in phis], dtype=np.int64 if L * g.n < 2 ** 62 else object)
     sums = numer[at[prods]].sum(axis=1).tolist()
-    center_numer = int(numer[at[zmem]].sum())
+    center_numer = sums[0]
     k, findings = k.tolist(), []
     if not (all(ok_identity) and all(ok_divides) and max(sums) <= center_numer):
         for yi, ki, s, ok_i, ok_d in zip(y.tolist(), k, sums, ok_identity, ok_divides):
@@ -218,12 +220,6 @@ def _squares(g: FiniteGroup) -> np.ndarray:
     return g.table.ravel()[::g.n + 1]
 
 
-def is_2_central(g: FiniteGroup, z: Subgroup) -> bool:
-    """True when every square lies in the center z."""
-    _members(g, z)
-    return bool(z.bitmap[_squares(g)].all())
-
-
 def _four_abelian(g: FiniteGroup) -> bool:
     """True when (x y)^4 = x^4 y^4 for every pair, by a test of g's
     generating set S alone.
@@ -253,15 +249,17 @@ def four_abelian_failure(g: FiniteGroup) -> Optional[tuple[int, int]]:
 def full_report(g: FiniteGroup) -> AlphaReport:
     """Run every check on one group and fold the results into an AlphaReport.
 
-    The center is proven once here and passed to each check about it.  The
-    count identity |C(G)| = sum of 1/phi(o(x)) reads the totient sum off
-    the per-coset sums, which cover every element once.  The 4-abelian
-    verdict is the generator test; the pairs are scanned for the first
-    failing one only when a finding prints it, that is when equality holds
-    in a group that is not 4-abelian."""
+    The center is proven once here and passed to each check about it.
+    alpha(G) is the census count over n; the count identity |C(G)| = sum
+    of 1/phi(o(x)) reads the totient sum off the per-coset sums, which
+    cover every element once.  Every square is central exactly when
+    exp(G/Z) <= 2, so two_central is read off the quotient orders.  The
+    4-abelian verdict is the generator test; the pairs are scanned for the
+    first failing one only when a finding prints it, that is when equality
+    holds in a group that is not 4-abelian."""
     census = cyclic_subgroups(g)
     z = center(g)
-    a_g, a_z = alpha(g), alpha(g, z)
+    a_g, a_z = Fraction(census.count, g.n), alpha(g, z)
     avg_g, avg_z = average_order(g), average_order(g, z)
     pc = per_coset_analysis(g, z)
     count_ok = pc.total == census.count
@@ -271,7 +269,6 @@ def full_report(g: FiniteGroup) -> AlphaReport:
     # the coset xZ has order min{k : x^k in Z}, so exp(G/Z) is their lcm
     # (a set, not np.unique, whose first plain call imports numpy.ma)
     qexp = math.lcm(*set(_element_orders(g.table, z.bitmap).tolist()))
-    two_c = is_2_central(g, z)
     four = _four_abelian(g)
 
     findings: list[str] = []
@@ -298,11 +295,8 @@ def full_report(g: FiniteGroup) -> AlphaReport:
                      f"cosets have minimal order {k}, expected 2"
                      for k, count in sorted(bare.items())]
         if qexp > 2:
-            findings.append(
-                f"equality-quotient: equality holds yet exp(G/Z) = {qexp} > 2"
-            )
-        if not two_c:
-            findings.append("2-central: equality holds yet some square is not central")
+            findings += [f"equality-quotient: equality holds yet exp(G/Z) = {qexp} > 2",
+                         "2-central: equality holds yet some square is not central"]
         if not four:
             findings.append(f"4-abelian: equality holds yet (x y)^4 != x^4 y^4 "
                             f"for (x, y) = {four_abelian_failure(g)}")
@@ -322,7 +316,7 @@ def full_report(g: FiniteGroup) -> AlphaReport:
         alpha_z=a_z,
         structural=structural,
         quotient_exponent=qexp,
-        two_central=two_c,
+        two_central=qexp <= 2,
         four_abelian=four,
         avg_order_g=avg_g,
         avg_order_z=avg_z,
@@ -338,7 +332,6 @@ __all__ = [
     "AlphaReport",
     "per_coset_analysis",
     "structural_condition",
-    "is_2_central",
     "four_abelian_failure",
     "full_report",
 ]

@@ -26,23 +26,24 @@ from cyclicdensity import build_group, full_report
 PKG = os.path.dirname(cyclicdensity.__file__) + os.sep
 NP = os.path.dirname(np.__file__) + os.sep
 
-# Calls per report before the structural condition proved its odd part
-# and 2-part by count, the 4-abelian pair scan ran only when a finding
-# prints it and the census walked the units of exp(G), not of n (numpy
-# 2.4, CPython 3.11) -> the budget, which is the count after it.  Earlier
-# changes took cyclic:12 from 129 calls to 84: an element of order n as
-# the generating set, no closure gather for a center that is the whole
-# group, squares read off the table's diagonal, and no re-check that the
-# rows of _central_cosets partition the subgroup.
+# Calls per report before the report read 2-centrality off exp(G/Z),
+# alpha(G) off the census count and the center's totient sum off its own
+# coset row (numpy 2.4, CPython 3.11) -> the budget, which is the count
+# after it.  Earlier changes took cyclic:12 from 129 calls to 75: an
+# element of order n as the generating set, no closure gather for a center
+# that is the whole group, squares read off the table's diagonal, no
+# re-check that the rows of _central_cosets partition the subgroup, the
+# structural parts proven by count, and the census over the units of
+# exp(G).
 BUDGET = {
-    "cyclic:12": 75,  # 84 before
-    "abelian:2,2,4": 90,  # 101 before
-    "dihedral:24": 94,  # 101 before
-    "quaternion:16": 105,  # 117 before
-    "symmetric:4": 101,  # 108 before
-    "heisenberg:3": 93,  # 93 before
-    "extraspecial:32:-": 113,  # 125 before
-    "almost-extraspecial:64": 119,  # 132 before
+    "cyclic:12": 68,  # 75 before
+    "abelian:2,2,4": 83,  # 90 before
+    "dihedral:24": 87,  # 94 before
+    "quaternion:16": 98,  # 105 before
+    "symmetric:4": 94,  # 101 before
+    "heisenberg:3": 86,  # 93 before
+    "extraspecial:32:-": 106,  # 113 before
+    "almost-extraspecial:64": 112,  # 119 before
 }
 
 # Calls per build_group before _build stopped re-proving the identity at 0

@@ -64,6 +64,12 @@ def assert_matches_oracle(g):
     assert report.quotient_exponent == group_exponent(quotient), g.label
     assert np.array_equal(quotient.table, quotient_table(g, z.members)), g.label
     assert per_coset_analysis(g, center(g)) == per_coset_findings(g), g.label
+    # 2-central read off exp(G/Z), against the squares tested on the n^2
+    # center; and the center's coset row, a totient sum, against |C(Z)|
+    # from the rebuilt center's census
+    assert report.two_central == bool(
+        np.isin(np.diagonal(g.table), center_members(g)).all()), g.label
+    assert report.proof_steps[0].coset_sum == a_z * z_order, g.label
 
     assert four_abelian_failure(g) == four_abelian_witness(g), g.label
     assert structural_condition(g, center(g)) == structural(g), g.label

@@ -117,7 +117,7 @@ def sympy_facts(group) -> dict:
     qexp = math.lcm(*(next(k for k in range(1, x.order() + 1) if x ** k in z) for x in elems))
     return {"order": group.order(), "center_order": len(z), "cyclic_count": c_g,
             "alpha_z": Fraction(c_z, len(z)), "avg_order_g": o_g, "avg_order_z": o_z,
-            "quotient_exponent": qexp}
+            "quotient_exponent": qexp, "two_central": all(x ** 2 in z for x in elems)}
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
