@@ -1,8 +1,8 @@
-"""The seven findings of full_report that no valid table can produce, made
-to fire by six injected faults: a tampered g.ord, or one layer of verify
+"""The seven findings of full_report that no valid table can produce, each
+made to fire by an injected fault: a tampered g.ord, or one layer of verify
 replaced by a wrong one.  equality-quotient and 2-central both read
-exp(G/Z), so one fault fires the two.  Each test pins the finding's text
-and its place among the findings."""
+exp(G/Z), so a fault that fires one fires the other too.  Each test pins
+the finding's text and its place among the findings."""
 
 import dataclasses
 from fractions import Fraction
@@ -52,13 +52,23 @@ def test_equality_minimal_order_fires_for_a_coset_without_an_involution(monkeypa
 
 
 def test_equality_quotient_fires_for_a_quotient_exponent_of_3(monkeypatch):
-    # 3, not 4: the bound is exp(G/Z) > 2, and > 3 would pass it; a square
-    # is central exactly when exp(G/Z) <= 2, so 2-central fires with it
+    # 3, not 4: the bound is exp(G/Z) > 2, and > 3 would pass it
     monkeypatch.setattr(verify, "_element_orders", lambda table, mask: np.array([1, 3]))
     report = verify.full_report(build_group("dihedral:4"))
     assert report.equality and report.quotient_exponent == 3
     assert not report.two_central
     assert report.findings == ("equality-quotient: equality holds yet exp(G/Z) = 3 > 2",
+                               "2-central: equality holds yet some square is not central")
+
+
+def test_2_central_fires_when_a_square_is_not_central(monkeypatch):
+    # a coset of order 4 in G/Z: its squares lie outside Z, and a square is
+    # central exactly when exp(G/Z) <= 2
+    monkeypatch.setattr(verify, "_element_orders",
+                        lambda table, mask: np.array([1, 2, 4, 4]))
+    report = verify.full_report(build_group("almost-extraspecial:16"))
+    assert report.equality and not report.two_central
+    assert report.findings == ("equality-quotient: equality holds yet exp(G/Z) = 4 > 2",
                                "2-central: equality holds yet some square is not central")
 
 
