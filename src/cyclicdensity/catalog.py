@@ -460,8 +460,6 @@ class GroupSpec:
         if f == "product":
             left, right = p
             return f"product:({left.canonical()})x({right.canonical()})"
-        if f == "table":
-            return f"table:{p[0]}"
         if f == "extraspecial":
             return f"extraspecial:{p[0]}:{p[1]}"
         return f"{f}:{','.join(str(v) for v in p)}"

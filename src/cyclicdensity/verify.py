@@ -2,9 +2,10 @@
 characterization, the per-coset decomposition behind it, and the corollaries.
 
 Every boolean this module reports is recomputed from raw group data; nothing
-is taken on faith from a constructor.  full_report() aggregates all checks
-and collects human-readable findings for any that fail, so a clean group
-always yields an empty findings tuple.
+is taken on faith from a constructor.  full_report() runs one ordered table
+of named checks and collects a Finding for each failure: a str holding the
+human-readable line, with the check's name and the values the line prints
+as attributes.  A clean group always yields an empty findings tuple.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -29,6 +31,22 @@ from .groups import (
     _generators,
     center,
 )
+
+
+class Finding(str):
+    """One failed check: str() is its line, "<check>: <text>"; check is the
+    name before ": ", and witness the values the text prints, in order.  A
+    plain str subclass, so it compares, prints and pickles as its line."""
+
+    check: str
+    witness: tuple
+
+
+def _finding(check: str, template: str, *witness) -> Finding:
+    """The finding of check whose text is template filled in with witness."""
+    f = Finding(f"{check}: {template.format(*witness)}")
+    f.check, f.witness = check, witness
+    return f
 
 
 @dataclass(frozen=True)
@@ -54,7 +72,7 @@ class PerCosetFindings:
 
     per_coset: tuple[CosetCheck, ...]
     total: Fraction
-    findings: tuple[str, ...]
+    findings: tuple[Finding, ...]
 
 
 @dataclass(frozen=True)
@@ -80,7 +98,7 @@ class AlphaReport:
     avg_order_z: Fraction
     count_identity: bool
     proof_steps: tuple[CosetCheck, ...]
-    findings: tuple[str, ...]
+    findings: tuple[Finding, ...]
 
     def __post_init__(self):
         if self.center_order < 1 or self.order % self.center_order != 0:
@@ -147,14 +165,15 @@ def per_coset_analysis(g: FiniteGroup, z: Subgroup) -> PerCosetFindings:
     if not (all(ok_identity) and all(ok_divides) and max(sums) <= center_numer):
         for yi, ki, s, ok_i, ok_d in zip(y.tolist(), k, sums, ok_identity, ok_divides):
             if not ok_i:
-                findings.append(f"order-identity: coset of {yi} (k = {ki}) violates "
-                                f"o(y x) = (k / gcd(k, o(x))) o(x) for some central x")
+                findings.append(_finding("order-identity", "coset of {} (k = {}) violates o(y x) "
+                                         "= (k / gcd(k, o(x))) o(x) for some central x", yi, ki))
             if not ok_d:
-                findings.append(f"totient-divisibility: coset of {yi} has some phi(o(x)) "
-                                f"not dividing phi(o(y x))")
+                findings.append(_finding("totient-divisibility", "coset of {} has some "
+                                         "phi(o(x)) not dividing phi(o(y x))", yi))
             if s > center_numer:
-                findings.append(f"coset-inequality: coset of {yi} sums to {Fraction(s, L)}, "
-                                f"over the center sum {Fraction(center_numer, L)}")
+                findings.append(_finding(
+                    "coset-inequality", "coset of {} sums to {}, over the center sum {}",
+                    yi, Fraction(s, L), Fraction(center_numer, L)))
     # the rest sorted by (k, coset_sum, flags); cosets with equal keys have
     # equal checks, so each key's check is made once
     rest = Counter(zip(k[1:], sums[1:], ok_identity[1:], ok_divides[1:]))
@@ -256,7 +275,14 @@ def full_report(g: FiniteGroup) -> AlphaReport:
     exp(G/Z) <= 2, so two_central is read off the quotient orders.  The
     4-abelian verdict is the generator test; the pairs are scanned for the
     first failing one only when a finding prints it, that is when equality
-    holds in a group that is not 4-abelian."""
+    holds in a group that is not 4-abelian.
+
+    The findings come from one ordered table of (check, function) rows.
+    Each function takes its check's finding factory, the check bound to
+    _finding, and returns the findings of that check; the per-coset row
+    returns those per_coset_analysis made.  Each row reads the facts above
+    and looks up module functions when it runs; the minimal-order counts
+    are made only under equality."""
     census = cyclic_subgroups(g)
     z = center(g)
     a_g, a_z = Fraction(census.count, g.n), alpha(g, z)
@@ -271,41 +297,32 @@ def full_report(g: FiniteGroup) -> AlphaReport:
     qexp = math.lcm(*set(_element_orders(g.table, z.bitmap).tolist()))
     four = _four_abelian(g)
 
-    findings: list[str] = []
-    if not count_ok:
-        findings.append(f"count-identity: enumeration finds {census.count} cyclic "
-                        f"subgroups, totient sum gives {pc.total}")
-    if not census_matches_orders(g):
-        findings.append(
-            "census-orders: subgroup counts by order disagree with the "
-            "phi(d)-generators-per-subgroup identity"
-        )
-    findings.extend(pc.findings)
-    if a_g > a_z:
-        findings.append(f"alpha-inequality: alpha(G) = {a_g} exceeds alpha(Z) = {a_z}")
-    if eq != structural:
-        detail = f" ({why})" if why else ""
-        findings.append(
-            f"equality-equivalence: equality is {eq} but the structural "
-            f"condition is {structural}{detail}"
-        )
-    if eq:
-        bare = Counter(c.k for c in pc.per_coset[1:] if c.k != 2)
-        findings += [f"equality-minimal-order: equality holds yet {count} non-center "
-                     f"cosets have minimal order {k}, expected 2"
-                     for k, count in sorted(bare.items())]
-        if qexp > 2:
-            findings += [f"equality-quotient: equality holds yet exp(G/Z) = {qexp} > 2",
-                         "2-central: equality holds yet some square is not central"]
-        if not four:
-            findings.append(f"4-abelian: equality holds yet (x y)^4 != x^4 y^4 "
-                            f"for (x, y) = {four_abelian_failure(g)}")
-        if g.n % 2 == 1 and len(z) < g.n:
-            findings.append("odd-order: equality holds for an odd-order non-abelian group")
-    if avg_g < avg_z:
-        findings.append(
-            f"avg-order-inequality: o(G) = {avg_g} is below o(Z) = {avg_z}"
-        )
+    rows = (
+        ("count-identity", lambda f: () if count_ok else (f(
+            "enumeration finds {} cyclic subgroups, totient sum gives {}", census.count, pc.total),)),
+        ("census-orders", lambda f: () if census_matches_orders(g) else (f(
+            "subgroup counts by order disagree with the phi(d)-generators-per-subgroup identity"),)),
+        ("per-coset", lambda f: pc.findings),
+        ("alpha-inequality", lambda f: (
+            f("alpha(G) = {} exceeds alpha(Z) = {}", a_g, a_z),) if a_g > a_z else ()),
+        ("equality-equivalence", lambda f: () if eq == structural else (
+            f("equality is {} but the structural condition is {} ({})", eq, structural, why) if why
+            else f("equality is {} but the structural condition is {}", eq, structural),)),
+        ("equality-minimal-order", lambda f: [
+            f("equality holds yet {} non-center cosets have minimal order {}, expected 2", count, k)
+            for k, count in sorted(Counter(c.k for c in pc.per_coset[1:] if c.k != 2).items())
+        ] if eq else ()),
+        ("equality-quotient", lambda f: (
+            f("equality holds yet exp(G/Z) = {} > 2", qexp),) if eq and qexp > 2 else ()),
+        ("2-central", lambda f: (
+            f("equality holds yet some square is not central"),) if eq and qexp > 2 else ()),
+        ("4-abelian", lambda f: (f("equality holds yet (x y)^4 != x^4 y^4 for (x, y) = ({}, {})",
+                                   *four_abelian_failure(g)),) if eq and not four else ()),
+        ("odd-order", lambda f: (f("equality holds for an odd-order non-abelian group"),)
+         if eq and g.n % 2 == 1 and len(z) < g.n else ()),
+        ("avg-order-inequality", lambda f: (
+            f("o(G) = {} is below o(Z) = {}", avg_g, avg_z),) if avg_g < avg_z else ()),
+    )
 
     return AlphaReport(
         label=g.label,
@@ -322,11 +339,12 @@ def full_report(g: FiniteGroup) -> AlphaReport:
         avg_order_z=avg_z,
         count_identity=count_ok,
         proof_steps=pc.per_coset,
-        findings=tuple(findings),
+        findings=tuple(f for check, run in rows for f in run(partial(_finding, check))),
     )
 
 
 __all__ = [
+    "Finding",
     "CosetCheck",
     "PerCosetFindings",
     "AlphaReport",

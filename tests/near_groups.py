@@ -13,6 +13,15 @@ imported from the library.
   exchanges the two symbols of one, which keeps a Latin square with the
   same identity row and column.  A group table has one exactly when the
   group has an involution: x = b^-1 a then satisfies x = x^-1.
+- cycle_switches(table): rows a, b (neither the identity) and one cycle of
+  the column permutation that sends c to the column where row b holds
+  table[a, c], other than the cycle through column 0; switch(table, q)
+  exchanges rows a and b on that cycle's columns, which keeps a Latin
+  square with the same identity row and column.  In a group the cycles are
+  the cosets <b^-1 a> c, so an odd-order group, which has no intercalate,
+  has switches wherever n / o(b^-1 a) > 1 (I. M. Wanless, "Cycle switches
+  in Latin squares", Graphs Combin. 20, 2004).  An intercalate is a switch
+  on a 2-cycle.
 """
 
 from __future__ import annotations
@@ -66,9 +75,42 @@ def intercalates(table: np.ndarray) -> np.ndarray:
 def swap(table: np.ndarray, q) -> np.ndarray:
     """A copy of table with the two symbols of the intercalate q exchanged."""
     a, b, c, d = (int(v) for v in q)
-    out = np.array(table, dtype=np.int64)
-    out[a, c], out[a, d] = out[a, d], out[a, c]
-    out[b, c], out[b, d] = out[b, d], out[b, c]
+    return switch(table, (a, b, (c, d)))
+
+
+def _cycle(step: list[int], c: int) -> list[int]:
+    cycle = [c]
+    while step[cycle[-1]] != c:
+        cycle.append(step[cycle[-1]])
+    return cycle
+
+
+def cycle_switches(table: np.ndarray) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Every row cycle switch avoiding id 0 as (a, b, cols), 0 < a < b, with
+    cols a cycle from its least column, in lexicographic order of (a, b) and
+    then of that column."""
+    t = np.asarray(table, dtype=np.int64)
+    n = t.shape[0]
+    col_of = np.argsort(t, axis=1)
+    found = []
+    for a in range(1, n):
+        for b in range(a + 1, n):
+            step = col_of[b, t[a]].tolist()  # row b holds t[a, c] in column step[c]
+            seen = set(_cycle(step, 0))
+            for c in range(1, n):
+                if c not in seen:
+                    cycle = _cycle(step, c)
+                    seen.update(cycle)
+                    found.append((a, b, tuple(cycle)))
+    return found
+
+
+def switch(table: np.ndarray, q) -> np.ndarray:
+    """A copy of table with rows a and b exchanged on the columns of q = (a, b, cols)."""
+    a, b, cols = q
+    t = np.array(table, dtype=np.int64)
+    out, cols = t.copy(), list(cols)
+    out[a, cols], out[b, cols] = t[b, cols], t[a, cols]
     return out
 
 

@@ -353,6 +353,14 @@ def test_parse_round_trips():
         assert parse_group_spec(spec.canonical()) == spec
 
 
+@pytest.mark.parametrize("path", ["a,b:c.txt", Path("a,b:c.txt")], ids=["str", "Path"])
+def test_table_spec_round_trips_a_path_with_commas_and_colons(path):
+    # one table parameter is written as it is, never split on "," or ":"
+    spec = GroupSpec("table", (path,))
+    assert spec.canonical() == "table:a,b:c.txt"
+    assert parse_group_spec(spec.canonical()) == GroupSpec("table", ("a,b:c.txt",))
+
+
 def test_parse_unknown_family():
     with pytest.raises(SpecSyntaxError, match="^unknown group family 'alternating'$"):
         parse_group_spec("alternating:5")

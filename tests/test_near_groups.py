@@ -1,8 +1,10 @@
 """Loops that are not groups: a Latin square with its identity at id 0 is
 the hardest table for the loader, as only associativity tells it from a
-group.  Each rejection must name a triple that fails in the table, and the
-brute-force scan of tests/assoc_oracle.py must agree with every verdict on
-a swapped group table.  A loop the library accepts is a library fault."""
+group.  They come from Cayley-Dickson algebras, and from group tables by an
+intercalate swap or, for odd orders, a row cycle switch.  Each rejection
+must name a triple that fails in the table, and the brute-force scan of
+tests/assoc_oracle.py must agree with every verdict on a swapped or
+switched group table.  A loop the library accepts is a library fault."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import pytest
 
 from assoc_oracle import check_associativity_full
 from cyclicdensity import NotAssociative, build_group, cli, full_report, validate_table_with_report
-from near_groups import cayley_dickson_loop, fails, intercalates, swap
+from near_groups import cayley_dickson_loop, cycle_switches, fails, intercalates, swap, switch
 
 
 def verdict(table, label):
@@ -80,6 +82,22 @@ def test_sampled_swaps_of_order_64_are_rejected(spec, count):
         loop = swap(table, q)
         assert verdict(loop, spec) is not None, (spec, q)
         assert not reference_accepts(loop), (spec, q)
+
+
+@pytest.mark.parametrize("spec, count, sample", [
+    ("cyclic:9", 14, 14), ("abelian:3,3", 56, 56), ("cyclic:15", 104, 104),
+    ("heisenberg:3", 2600, 50)])
+def test_cycle_switches_of_odd_order_groups_are_rejected(spec, count, sample):
+    # an odd-order group has no intercalate, so its loops come from longer
+    # cycles; row and column 0 stay, so only associativity rejects them
+    table = build_group(spec).table
+    switches = cycle_switches(table)
+    assert len(switches) == count and len(intercalates(table)) == 0
+    rng = np.random.default_rng(sum(map(ord, spec)))
+    for i in np.sort(rng.choice(count, size=sample, replace=False)):
+        loop = switch(table, switches[i])
+        assert verdict(loop, spec) is not None, (spec, switches[i])
+        assert not reference_accepts(loop), (spec, switches[i])
 
 
 @pytest.mark.parametrize("argv", [
