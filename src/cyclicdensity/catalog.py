@@ -86,6 +86,30 @@ def _abelian(*orders: int) -> np.ndarray:
     return _product_of_tables(table, _abelian_table(rest)) if rest else table.copy()
 
 
+def _abelian_facts(*orders: int) -> tuple[np.ndarray, np.ndarray]:
+    """Element orders and generating set of _abelian's group: its id
+    (a1, a2, ...), a1 most significant, has order lcm(n_i / gcd(a_i, n_i)),
+    and the unit vectors, at ids w_i = n_(i+1) * n_(i+2) * ... for each
+    n_i > 1, generate it.  gcd(a_i, n_i) is gcd(id // w_i, n_i), as the
+    digits above a_i add a multiple of n_i."""
+    weights = [math.prod(orders[i + 1:]) for i in range(len(orders))]
+    ids, ord_ = np.arange(math.prod(orders), dtype=np.int32), 1
+    for n, w in zip(orders, weights):
+        ord_ = np.lcm(ord_, n // np.gcd(ids // w, n))
+    return ord_, np.array([w for n, w in zip(orders, weights) if n > 1], dtype=np.intp)
+
+
+def _rotation_facts(order: int, rest: int) -> tuple[np.ndarray, np.ndarray]:
+    """Element orders and generating set of _dihedral's (rest 2) or
+    _quaternion's (rest 4) group: ids 0..h-1, h = order/2, are the powers
+    r^i, numbered as in cyclic:h, every other id has order rest, and r = 1
+    with the id h generate it."""
+    h = order // 2
+    ord_ = np.full(order, rest, dtype=np.int32)
+    ord_[:h] = _abelian_facts(h)[0]
+    return ord_, np.array([1, h], dtype=np.intp)
+
+
 def _dihedral(order: int) -> np.ndarray:
     """Dihedral group with `order` elements: rotations at 0..n-1, reflections at n..2n-1."""
     n = order // 2
@@ -241,6 +265,12 @@ _FAMILIES = {
                    "heisenberg parameter must be an odd prime, got {p[0]}",
                    lambda p: p ** 3, _heisenberg),
 }
+
+# fill: the element orders and generating set its numbering has by
+# construction, for _build in place of the descent; keyed by the fill, as
+# they hold for its table alone
+_FACTS = {_abelian: _abelian_facts, _dihedral: lambda n: _rotation_facts(n, 2),
+          _quaternion: lambda n: _rotation_facts(n, 4)}
 
 FAMILY_NAMES = (*_FAMILIES, "product", "table")
 _SIGNS = ("+", "-")  # the extraspecial types
@@ -533,7 +563,9 @@ def parse_group_spec(text: str, _pos: int = 0) -> GroupSpec:
 
 def build_group(spec: Union[str, GroupSpec], *, max_size: Optional[int] = None) -> FiniteGroup:
     """Build the group a spec describes.  A family's parameters meet its
-    rule, and its order the size cap, before its table is filled."""
+    rule, and its order the size cap, before its table is filled.  A fill
+    with _FACTS hands _build the orders and generating set it has by
+    construction; the others' orders come by the descent."""
     spec = parse_group_spec(spec) if isinstance(spec, str) else _require(spec)
     f, p = spec.family, spec.params
     if f == "product":
@@ -544,7 +576,7 @@ def build_group(spec: Union[str, GroupSpec], *, max_size: Optional[int] = None) 
     _, _, order, fill = _FAMILIES[f]
     label = spec.canonical()
     _check_cap(order(*p), max_size, label)
-    return _build(fill(*p), label)
+    return _build(fill(*p), label, *_FACTS.get(fill, lambda *_: ())(*p))
 
 
 __all__ = ["FAMILY_NAMES", "GroupSpec", "parse_group_spec", "build_group",

@@ -39,8 +39,9 @@ def cyclic_subgroups(g: FiniteGroup) -> CyclicCensus:
     orbits of the unit group (Z/e)^*, e = exp(G), in O(n) memory, with no
     power walk.
 
-    The orders are the ones the builder derived from the table
-    (g._table_ord), never g.ord, which a caller may rebind; e is their lcm.
+    The orders are the ones the builder set (g._table_ord), derived from
+    the table or known by construction, never g.ord, which a caller may
+    rebind; e is their lcm.
     Every o(x) divides e, and the units mod e map onto the units mod o(x),
     so the orbit of x under x -> x^u is the set of generators of <x>.  For
     each generator u of (Z/e)^*, of order m, pi = x -> x^u and

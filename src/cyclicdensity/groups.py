@@ -7,11 +7,13 @@ external sources are re-indexed to honor that convention.  Every table
 holds its ids as _ID (uint16), so no group has an order over MAX_ORDER.
 
 Each group carries one generating set S, and the center works from it in
-O(n |S|) instead of comparing all n^2 products.  S is one element of order
-n when the group has one (it is then cyclic, so that element generates
-it), else the greedy set of _generate.  That assumes an associative table:
-_validate proves it for imported tables (and S is the set its test
-found), and the catalog builds its tables associative by construction.
+O(n |S|) instead of comparing all n^2 products.  A builder that knows S by
+construction hands it to _build with the element orders (the catalog's
+abelian, dihedral and quaternion fills, and direct_product from its
+factors); any other group takes the greedy set of _generate.  That assumes
+an associative table: _validate proves it for imported tables (and S is
+the set its test found), and the catalog builds its tables associative by
+construction.
 A member set is proven closed by its |H|^2 products, a block at a time,
 or, when it is all of its parent, with no gather at all.  What a builder
 proves is not checked again, and _first_failure is the one scan for a
@@ -96,21 +98,22 @@ class FiniteGroup:
     table is a read-only, C-contiguous (n, n) array of _ID ids and ord an
     int32 vector of element orders.  Only the builders construct a group:
     validate_table_with_report, build_group, direct_product and
-    Subgroup.as_group.  They derive the orders the census reads, which a
-    group constructed directly lacks; the constructor checks nothing and is
-    not public API.
+    Subgroup.as_group.  They set the orders the census reads, derived from
+    the table or known by construction, which a group constructed directly
+    lacks; the constructor checks nothing and is not public API.
     """
 
     __slots__ = ("n", "table", "ord", "label", "_gens", "_census", "_table_ord", "__weakref__")
 
-    def __init__(self, table: np.ndarray, ord_: np.ndarray, label: str):
+    def __init__(self, table: np.ndarray, ord_: np.ndarray, label: str,
+                 gens: Optional[np.ndarray] = None):
         self.n = int(table.shape[0])
         self.table = table
         self.ord = ord_
         self.label = label
-        for arr in (table, ord_):
+        self._gens = gens  # the builder's generating set, else filled lazily by _generators
+        for arr in (table, ord_) if gens is None else (table, ord_, gens):
             arr.setflags(write=False)
-        self._gens: Optional[np.ndarray] = None  # filled lazily by _generators
         self._census = None  # filled lazily by density.cyclic_subgroups
 
     def __repr__(self) -> str:
@@ -385,14 +388,18 @@ def _element_orders(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return ords
 
 
-def _build(table: np.ndarray, label: str) -> FiniteGroup:
+def _build(table: np.ndarray, label: str, ord_: Optional[np.ndarray] = None,
+           gens: Optional[np.ndarray] = None) -> FiniteGroup:
     """Internal builder for a table with a two-sided identity at 0 that is
     associative: _validate proves both for an imported table, and every
-    other builder writes its table so.  It derives the element orders
-    (only here is _table_ord set, which the census and _generators read)
-    and names a non-unit, and proves nothing its callers proved: x^n = e
-    makes x^(n-1) the two-sided inverse of x.  A table that is not
-    C-contiguous, or of any type but _ID, is an internal fault.
+    other builder writes its table so.  Only here is _table_ord set, which
+    the census reads.  A builder that knows the element orders by
+    construction passes them as ord_ (int32) and its generating set as gens
+    (intp), made read-only with the table; otherwise it derives the orders
+    from the table and names a non-unit, and _generators finds a set.  It
+    proves nothing its callers proved: x^n = e makes x^(n-1) the two-sided
+    inverse of x.  A table that is not C-contiguous, or of any type but
+    _ID, is an internal fault.
 
     In a finite monoid the units are exactly the rows holding 0 (Howie,
     Fundamentals of Semigroup Theory, 1995, ch. 1), so when some x^n is not
@@ -404,14 +411,15 @@ def _build(table: np.ndarray, label: str) -> FiniteGroup:
     if table.dtype != _ID or not table.flags.c_contiguous:
         raise ValueError(f"table for {label!r} is not a C-contiguous table of "
                          f"{np.dtype(_ID)} ids")
-    ord_ = _element_orders(table, np.arange(n) == 0)
-    if not ord_.all():
-        lacks = _first_failure(n, 1, n, lambda lo, hi: table[lo:hi].all(axis=1))
-        if lacks is not None:
-            raise NoInverse(f"element {lacks[0]} has no two-sided inverse", element=lacks[0])
-        raise ValueError(f"{label!r} is no group with identity 0: every row holds 0, "
-                         f"but x^{n} is not 0 for x = {int(ord_.argmin())}")
-    group = FiniteGroup(table, ord_, label)
+    if ord_ is None:
+        ord_ = _element_orders(table, np.arange(n) == 0)
+        if not ord_.all():
+            lacks = _first_failure(n, 1, n, lambda lo, hi: table[lo:hi].all(axis=1))
+            if lacks is not None:
+                raise NoInverse(f"element {lacks[0]} has no two-sided inverse", element=lacks[0])
+            raise ValueError(f"{label!r} is no group with identity 0: every row holds 0, "
+                             f"but x^{n} is not 0 for x = {int(ord_.argmin())}")
+    group = FiniteGroup(table, ord_, label, gens)
     group._table_ord = ord_  # the census reads this, not g.ord, which a caller may rebind
     return group
 
@@ -439,24 +447,15 @@ def _validate(table: np.ndarray, label: str) -> tuple[FiniteGroup, list[int]]:
     n = table.shape[0]
     e = _find_identity(table)
     sigma = _swap_to_zero(table, e) if e else np.arange(n, dtype=np.int32)
-    gens = _check_associativity(table)
-    group = _build(table, label)
-    group._gens = gens
+    group = _build(table, label, gens=_check_associativity(table))
     return group, [int(v) for v in sigma]
 
 
 def _generators(g: FiniteGroup) -> np.ndarray:
-    """g's generating set, found once per group: an element of order n when
-    the orders _build derived from the table hold one (its n powers are the
-    whole group), else the greedy set of _generate.  g.ord, which a caller
-    may rebind, is never read."""
+    """g's generating set: the one its builder proved, else the greedy set
+    of _generate, found once per group."""
     if g._gens is None:
-        top = int(g._table_ord.argmax())
-        if g._table_ord[top] == g.n:
-            g._gens = np.array([top], dtype=np.intp)
-            g._gens.setflags(write=False)
-        else:
-            g._gens = _generate(g.table)
+        g._gens = _generate(g.table)
     return g._gens
 
 
@@ -504,10 +503,13 @@ def _product_of_tables(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, *, max_size: Optional[int] = None,
                    label: Optional[str] = None) -> FiniteGroup:
-    """Direct product with pairs (a, b) encoded as a * |H| + b."""
+    """Direct product with pairs (a, b) encoded as a * |H| + b.  (a, b) has
+    order lcm(o(a), o(b)), read off the factors' table orders, and
+    (s, 0) for s in S_G with (0, s) for s in S_H generate it."""
     _check_cap(g.n * h.n, max_size, f"product of {g.label!r} and {h.label!r}")
-    return _build(_product_of_tables(g.table, h.table),
-                  label or f"product:({g.label})x({h.label})")
+    return _build(_product_of_tables(g.table, h.table), label or f"product:({g.label})x({h.label})",
+                  np.lcm(g._table_ord[:, None], h._table_ord).ravel(),
+                  np.concatenate([_generators(g) * h.n, _generators(h)]))
 
 
 __all__ = [

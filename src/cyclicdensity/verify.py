@@ -193,7 +193,7 @@ def structural_condition(g: FiniteGroup, z: Subgroup) -> Optional[str]:
     (c) every coset of Z(T) in T contains an element of order at most 2.
     Returns the witness of the first clause that fails, or None.
 
-    With the orders the builder derived (g.ord is g._table_ord), O and T
+    With the orders the builder set (g.ord is g._table_ord), O and T
     are proven by count, with no closure scan.  Once (a) puts O in Z(G),
     which is abelian, O is closed: x y has order dividing lcm(o(x), o(y)).
     It holds every Sylow p-subgroup for odd p, so |O| is the odd part of n.

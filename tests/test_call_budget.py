@@ -26,42 +26,45 @@ from cyclicdensity import build_group, full_report
 PKG = os.path.dirname(cyclicdensity.__file__) + os.sep
 NP = os.path.dirname(np.__file__) + os.sep
 
-# Calls per report before the report read 2-centrality off exp(G/Z),
-# alpha(G) off the census count and the center's totient sum off its own
-# coset row (numpy 2.4, CPython 3.11) -> the budget, which is the count
-# after it.  Earlier changes took cyclic:12 from 129 calls to 75: an
-# element of order n as the generating set, no closure gather for a center
-# that is the whole group, squares read off the table's diagonal, no
-# re-check that the rows of _central_cosets partition the subgroup, the
-# structural parts proven by count, and the census over the units of
-# exp(G).
+# Calls per report before the catalog and direct_product handed _build the
+# element orders and generating set S they know by construction (numpy
+# 2.4, CPython 3.11) -> the budget, which is the count after it; a group
+# whose S is greedy saves the test for an element of order n.  Earlier
+# changes took cyclic:12 from 129 calls to 68: an element of order n as
+# the generating set, no closure gather for a center that is the whole
+# group, squares read off the table's diagonal, no re-check that the rows
+# of _central_cosets partition the subgroup, the structural parts proven
+# by count, the census over the units of exp(G), and 2-centrality,
+# alpha(G) and the center's totient sum read off facts the report has.
 BUDGET = {
-    "cyclic:12": 68,  # 75 before
-    "abelian:2,2,4": 83,  # 90 before
-    "dihedral:24": 87,  # 94 before
-    "quaternion:16": 98,  # 105 before
-    "symmetric:4": 94,  # 101 before
-    "heisenberg:3": 86,  # 93 before
-    "extraspecial:32:-": 106,  # 113 before
-    "almost-extraspecial:64": 112,  # 119 before
+    "cyclic:12": 65,  # 68 before
+    "abelian:2,2,4": 62,  # 83 before
+    "dihedral:24": 68,  # 87 before
+    "quaternion:16": 80,  # 98 before
+    "symmetric:4": 93,  # 94 before
+    "heisenberg:3": 85,  # 86 before
+    "extraspecial:32:-": 105,  # 106 before
+    "almost-extraspecial:64": 111,  # 112 before
 }
 
-# Calls per build_group before _build stopped re-proving the identity at 0
-# and the inverses x^(n-1), which its callers own -> the budget, which is
-# the count after it.  Earlier changes took cyclic:12 from 46 calls to 32:
-# the descent counts misses instead of filling p-parts, a square is one
-# gather, and a circulant view comes from the ndarray constructor, not
-# as_strided.  A sweep builds every group it reports, so a build must not
-# cost a small group a call.
+# Calls per build_group before the same change -> the budget, which is the
+# count after it: a cyclic, abelian, dihedral or quaternion build runs no
+# descent, and the other families build as they did.  Earlier changes took
+# cyclic:12 from 46 calls to 23: the descent counts misses instead of
+# filling p-parts, a square is one gather, a circulant view comes from the
+# ndarray constructor, not as_strided, and _build stopped re-proving the
+# identity at 0 and the inverses x^(n-1), which its callers own.  A sweep
+# builds every group it reports, so a build must not cost a small group a
+# call.
 BUILD_BUDGET = {
-    "cyclic:12": 23,  # 32 before
-    "abelian:2,2,4": 28,  # 38 before
-    "dihedral:24": 30,  # 40 before
-    "quaternion:16": 25,  # 35 before
-    "symmetric:4": 26,  # 36 before
-    "heisenberg:3": 19,  # 28 before
-    "extraspecial:32:-": 18,  # 29 before
-    "almost-extraspecial:64": 19,  # 31 before
+    "cyclic:12": 9,  # 23 before
+    "abelian:2,2,4": 18,  # 28 before
+    "dihedral:24": 17,  # 30 before
+    "quaternion:16": 17,  # 25 before
+    "symmetric:4": 26,  # 26 before
+    "heisenberg:3": 19,  # 19 before
+    "extraspecial:32:-": 18,  # 18 before
+    "almost-extraspecial:64": 19,  # 19 before
 }
 
 

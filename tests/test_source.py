@@ -109,8 +109,9 @@ def test_only_build_constructs_a_group():
 
 
 def test_only_build_sets_the_table_orders():
-    # the census and the generating set trust _table_ord without a check, so
-    # only _build, which derives it from the table, may write it
+    # the census, the structural count and direct_product trust _table_ord
+    # without a check, so only _build, which derives it from the table or
+    # takes it from a builder that knows it by construction, may write it
     found = [
         f"{path.relative_to(SRC)}:{node.lineno}"
         for path in sorted(SRC.rglob("*.py"))
@@ -225,7 +226,7 @@ def test_readme_library_names_are_exported():
 # comment, a line break or an indent, outside the module, class and function
 # docstrings.  Each simplicity change should lower it, so the ceiling is the
 # count at the last one; adding code means editing this figure.
-SRC_CODE_LINES = 1406
+SRC_CODE_LINES = 1416
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER}
 
