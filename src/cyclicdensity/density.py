@@ -56,7 +56,7 @@ def cyclic_subgroups(g: FiniteGroup) -> CyclicCensus:
     key = ids = np.arange(n, dtype=np.int32)
     # a memoryview yields the orders as ints without tolist()'s list of n
     for u, m in unit_generators(math.lcm(*set(memoryview(ords)))):
-        pi = _powers(g.table, ids, u)
+        pi = _powers(g, ids, u)
         for _ in range((m - 1).bit_length()):  # ceil(log2 m) doublings
             key = np.minimum(key, key[pi])
             pi = pi[pi]

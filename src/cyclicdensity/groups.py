@@ -14,11 +14,7 @@ factors); any other group takes the greedy set of _generate.  That assumes
 an associative table: _validate proves it for imported tables (and S is
 the set its test found), and the catalog builds its tables associative by
 construction.
-A member set is proven closed by its |H|^2 products, a block at a time,
-or, when it is all of its parent, with no gather at all.  What a builder
-proves is not checked again, and _first_failure is the one scan for a
-first witness.  Every pass over rows, here and in the catalog's fills,
-takes its blocks from _blocks, which sizes them by what a row costs.
+Only this module reads a group's table: elsewhere a product is g[x, y].
 """
 
 from __future__ import annotations
@@ -105,16 +101,18 @@ class FiniteGroup:
 
     __slots__ = ("n", "table", "ord", "label", "_gens", "_census", "_table_ord", "__weakref__")
 
-    def __init__(self, table: np.ndarray, ord_: np.ndarray, label: str,
-                 gens: Optional[np.ndarray] = None):
+    def __init__(self, table: np.ndarray, label: str, gens: Optional[np.ndarray] = None):
         self.n = int(table.shape[0])
         self.table = table
-        self.ord = ord_
         self.label = label
         self._gens = gens  # the builder's generating set, else filled lazily by _generators
-        for arr in (table, ord_) if gens is None else (table, ord_, gens):
+        for arr in (table,) if gens is None else (table, gens):
             arr.setflags(write=False)
         self._census = None  # filled lazily by density.cyclic_subgroups
+
+    def __getitem__(self, xy) -> np.ndarray:
+        """The products x y for a pair (x, y) of NumPy indexes that broadcast."""
+        return self.table[xy]
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, n={self.n})"
@@ -152,10 +150,10 @@ class Subgroup:
         bitmap[arr] = True
         if arr.size < parent.n:
             pair = _first_failure(arr.size, arr.size, 4 * arr.size, lambda lo, hi: (
-                ~bitmap[parent.table[arr[lo:hi, None], arr]]))
+                ~bitmap[parent[arr[lo:hi, None], arr]]))
             if pair is not None:
                 a, b = int(arr[pair[0]]), int(arr[pair[1]])
-                raise NotASubgroup(f"set is not closed: {a}*{b} = {int(parent.table[a, b])} "
+                raise NotASubgroup(f"set is not closed: {a}*{b} = {int(parent[a, b])} "
                                    "is outside it", witness=(a, b))
         arr.setflags(write=False)
         bitmap.setflags(write=False)
@@ -168,7 +166,7 @@ class Subgroup:
         """Standalone group on re-indexed members (identity stays at 0)."""
         pos = np.zeros(self.parent.n, dtype=_ID)  # ids outside the members are never read
         pos[self.members] = np.arange(len(self), dtype=_ID)
-        table = pos[self.parent.table[np.ix_(self.members, self.members)]]
+        table = pos[self.parent[np.ix_(self.members, self.members)]]
         return _build(table, label or f"subgroup of {self.parent.label}")
 
     def __repr__(self) -> str:
@@ -338,17 +336,21 @@ def _first_failure(rows: int, width: int, cost: int,
     return None
 
 
-def _powers(table: np.ndarray, xs: np.ndarray, e: int) -> np.ndarray:
+def _squares(g: FiniteGroup) -> np.ndarray:
+    """x x for every id x: the diagonal of the table, a view."""
+    return g.table.ravel()[::g.n + 1]
+
+
+def _powers(g: FiniteGroup, xs: np.ndarray, e: int) -> np.ndarray:
     """x^e for every x in xs, by square-and-multiply on the bits of e >= 0.
 
-    A square x x is read off the diagonal, the view table.ravel()[::n + 1],
-    by one gather of xs.size ids; a multiply gathers x y at x * n + y, in
-    int32 while n^2 <= 2^31 and in intp above, never in the table's type.
-    The multiply names that type itself, as uint16 ids times a Python int n
-    stay uint16.  The result holds ids in the table's type, or is xs itself
-    for e = 1.
+    A square x x is one gather of xs.size ids off the diagonal, as in
+    _squares; a multiply gathers x y at x * n + y, in int32 while n^2 <=
+    2^31 and in intp above, never in the table's type.  The multiply names
+    that type itself, as uint16 ids times a Python int n stay uint16.  The
+    result holds ids in the table's type, or is xs itself for e = 1.
     """
-    n, flat, out = table.shape[0], table.ravel(), xs if e else np.zeros_like(xs)
+    n, flat, out = g.n, g.table.ravel(), xs if e else np.zeros_like(xs)
     diag = flat[::n + 1]
     at = np.int32 if n * n <= 2 ** 31 else np.intp  # x * n + y is below n^2
     for bit in bin(e)[3:]:
@@ -358,10 +360,10 @@ def _powers(table: np.ndarray, xs: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def _element_orders(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _element_orders(g: FiniteGroup, mask: np.ndarray) -> np.ndarray:
     """For every x, the least k >= 1 with x^k in mask; mask is {0} or a
-    central subgroup Z, and its x have k = 1.  If some x^n misses mask the
-    table is no group: those x get 0 and the other entries mean nothing.
+    central subgroup Z, and its x have k = 1.  If some x^n misses mask, g
+    is no group: those x get 0 and the other entries mean nothing.
 
     Divisor descent (Cohen, A Course in Computational Algebraic Number
     Theory, 1993, 1.4): for each p^a exactly dividing n, with y = x^(n/p^a),
@@ -372,14 +374,14 @@ def _element_orders(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
     with x^j in mask are then the multiples of k, so k is the product of
     the p^b and divides n.
     """
-    n = table.shape[0]
+    n = g.n
     xs = (~mask).nonzero()[0].astype(np.int32)
     ords = np.ones(n, dtype=np.int32)
     for p, a in factorize(n).items() if xs.size else ():  # mask = all ids: all ones
-        y, miss = _powers(table, xs, n // p ** a), 0
+        y, miss = _powers(g, xs, n // p ** a), 0
         for _ in range(a):
             miss += ~mask[y]
-            y = _powers(table, y, p)
+            y = _powers(g, y, p)
         hit = mask[y]  # y is now x^n
         if not hit.all():
             ords[xs[~hit]] = 0
@@ -411,16 +413,17 @@ def _build(table: np.ndarray, label: str, ord_: Optional[np.ndarray] = None,
     if table.dtype != _ID or not table.flags.c_contiguous:
         raise ValueError(f"table for {label!r} is not a C-contiguous table of "
                          f"{np.dtype(_ID)} ids")
+    group = FiniteGroup(table, label, gens)
     if ord_ is None:
-        ord_ = _element_orders(table, np.arange(n) == 0)
+        ord_ = _element_orders(group, np.arange(n) == 0)
         if not ord_.all():
             lacks = _first_failure(n, 1, n, lambda lo, hi: table[lo:hi].all(axis=1))
             if lacks is not None:
                 raise NoInverse(f"element {lacks[0]} has no two-sided inverse", element=lacks[0])
             raise ValueError(f"{label!r} is no group with identity 0: every row holds 0, "
                              f"but x^{n} is not 0 for x = {int(ord_.argmin())}")
-    group = FiniteGroup(table, ord_, label, gens)
-    group._table_ord = ord_  # the census reads this, not g.ord, which a caller may rebind
+    ord_.setflags(write=False)
+    group.ord = group._table_ord = ord_  # the census reads _table_ord: a caller may rebind g.ord
     return group
 
 
@@ -466,14 +469,14 @@ def center(g: FiniteGroup) -> Subgroup:
     every s in S commutes with every product of them, by associativity.
     """
     s = _generators(g)
-    return Subgroup(g, (g.table[:, s] == g.table[s].T).all(axis=1))
+    return Subgroup(g, (g[:, s] == g[s, :].T).all(axis=1))
 
 
 def _central_cosets(g: FiniteGroup, z: Subgroup, u: Optional[np.ndarray] = None) -> np.ndarray:
     """Cosets of W = Z meet U, for Z central and U a subgroup given as a
-    bool mask over g's ids (all of g by default): rows g.table[y, W], W in
+    bool mask over g's ids (all of g by default): rows g[y, W], W in
     increasing id order, ordered by their least member y, so row 0 is
-    table[0, W] = W.  y starts a row when it is the least id of yW, the
+    g[0, W] = W.  y starts a row when it is the least id of yW, the
     minimum of its |W| products y w, gathered a block of rows at a time, a
     row costing |W| entries, so that no gather holds more than
     max(_ROW_BLOCK, |W|) ids; one coset (W = U, as when Z = G) needs none.
@@ -484,10 +487,10 @@ def _central_cosets(g: FiniteGroup, z: Subgroup, u: Optional[np.ndarray] = None)
     w = z.members if u is None else (z.bitmap & u).nonzero()[0]
     starts = members[:1]
     if w.size < members.size:
-        least = np.concatenate([g.table[members[lo:hi, None], w].min(axis=1)
+        least = np.concatenate([g[members[lo:hi, None], w].min(axis=1)
                                 for lo, hi in _blocks(members.size, w.size)])
         starts = members[least == members]
-    return g.table[starts[:, None], w]
+    return g[starts[:, None], w]
 
 
 def _product_of_tables(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:

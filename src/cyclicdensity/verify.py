@@ -1,8 +1,8 @@
 """Checks for the density inequality alpha(G) <= alpha(Z(G)), its equality
 characterization, the per-coset decomposition behind it, and the corollaries.
 
-Every boolean this module reports is recomputed from raw group data; nothing
-is taken on faith from a constructor.  full_report() runs one ordered table
+All is recomputed from the table save builders' closed-form orders and S,
+proven by tests/test_builder_facts.py.  full_report() runs one ordered table
 of named checks and collects a Finding for each failure: a str holding the
 human-readable line, with the check's name and the values the line prints
 as attributes.  A clean group always yields an empty findings tuple.
@@ -29,6 +29,7 @@ from .groups import (
     _element_orders,
     _first_failure,
     _generators,
+    _squares,
     center,
 )
 
@@ -151,7 +152,7 @@ def per_coset_analysis(g: FiniteGroup, z: Subgroup) -> PerCosetFindings:
     phis = [euler_phi(d) for d in orders.tolist()]
     ords = g.ord.astype(np.int64)
     y, k = _minimal_reps(ords, _central_cosets(g, z))
-    prods = g.table[y[:, None], zmem]  # row i: y_i x for every central x
+    prods = g[y[:, None], zmem]  # row i: y_i x for every central x
     ox, kk = ords[zmem], k[:, None]
     ok_identity = (ords[prods] == kk // np.gcd(kk, ox) * ox).all(axis=1).tolist()
     phi = np.array(phis, dtype=np.int64)
@@ -234,11 +235,6 @@ def structural_condition(g: FiniteGroup, z: Subgroup) -> Optional[str]:
     return None
 
 
-def _squares(g: FiniteGroup) -> np.ndarray:
-    """x x for every id x: the diagonal of the table, a view."""
-    return g.table.ravel()[::g.n + 1]
-
-
 def _four_abelian(g: FiniteGroup) -> bool:
     """True when (x y)^4 = x^4 y^4 for every pair, by a test of g's
     generating set S alone.
@@ -250,7 +246,7 @@ def _four_abelian(g: FiniteGroup) -> bool:
     """
     sq = _squares(g)
     f4, s = sq[sq], _generators(g)
-    return np.array_equal(f4[g.table[:, s]], g.table[f4[:, None], f4[s]])
+    return np.array_equal(f4[g[:, s]], g[f4[:, None], f4[s]])
 
 
 def four_abelian_failure(g: FiniteGroup) -> Optional[tuple[int, int]]:
@@ -262,7 +258,7 @@ def four_abelian_failure(g: FiniteGroup) -> Optional[tuple[int, int]]:
     sq = _squares(g)
     f4 = sq[sq]
     return None if _four_abelian(g) else _first_failure(g.n, g.n, 4 * g.n, lambda lo, hi: (
-        f4[g.table[lo:hi]] != g.table[np.ix_(f4[lo:hi], f4)]))
+        f4[g[lo:hi, :]] != g[np.ix_(f4[lo:hi], f4)]))
 
 
 def full_report(g: FiniteGroup) -> AlphaReport:
@@ -294,7 +290,7 @@ def full_report(g: FiniteGroup) -> AlphaReport:
     structural = why is None
     # the coset xZ has order min{k : x^k in Z}, so exp(G/Z) is their lcm
     # (a set, not np.unique, whose first plain call imports numpy.ma)
-    qexp = math.lcm(*set(_element_orders(g.table, z.bitmap).tolist()))
+    qexp = math.lcm(*set(_element_orders(g, z.bitmap).tolist()))
     four = _four_abelian(g)
 
     rows = (

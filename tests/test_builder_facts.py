@@ -54,7 +54,7 @@ def assert_builder_facts(spec: str) -> FiniteGroup:
     assert generated(g.table, s).all(), spec
     identity = np.arange(g.n) == 0
     assert ords.dtype == np.int32 and g.ord is ords, spec
-    assert np.array_equal(ords, _element_orders(g.table, identity)), spec
+    assert np.array_equal(ords, _element_orders(g, identity)), spec
     assert np.array_equal(ords, power_oracle.element_orders(g.table, identity)), spec
     slow = build_group(spec)
     slow._gens = _generate(slow.table)
@@ -72,7 +72,7 @@ def test_builder_facts_on_the_sweep():
         else:  # symmetric, (almost-)extraspecial, Heisenberg: descent, no S yet
             g = build_group(spec)
             assert g._gens is None, spec
-            assert np.array_equal(g._table_ord, _element_orders(g.table, np.arange(g.n) == 0))
+            assert np.array_equal(g._table_ord, _element_orders(g, np.arange(g.n) == 0))
     assert supplied == 961
 
 

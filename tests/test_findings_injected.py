@@ -65,14 +65,14 @@ def a_coset_of_minimal_order_4(mp):
 
 def a_quotient_exponent_of_3(mp):
     # 3, not 4: the bound is exp(G/Z) > 2, and > 3 would pass it
-    mp.setattr(verify, "_element_orders", lambda table, mask: np.array([1, 3]))
+    mp.setattr(verify, "_element_orders", lambda g, mask: np.array([1, 3]))
     return verify.full_report(build_group("dihedral:4"))
 
 
 def a_quotient_coset_of_order_4(mp):
     # a coset of order 4 in G/Z: its squares lie outside Z, and a square is
     # central exactly when exp(G/Z) <= 2
-    mp.setattr(verify, "_element_orders", lambda table, mask: np.array([1, 2, 4, 4]))
+    mp.setattr(verify, "_element_orders", lambda g, mask: np.array([1, 2, 4, 4]))
     return verify.full_report(build_group("almost-extraspecial:16"))
 
 

@@ -22,18 +22,18 @@ from cyclicdensity import (
 )
 from cyclicdensity.sweep import corpus_specs
 from cyclicdensity.arith import unit_generators
-from cyclicdensity.groups import _build, _element_orders, _powers
+from cyclicdensity.groups import FiniteGroup, _build, _element_orders, _powers
 from table_oracle import prove_orders, relabeled_copy
 
 
 def assert_walks_agree(g):
     t, ident = g.table, np.arange(g.n) == 0
-    ords, inv = _element_orders(t, ident), _powers(t, np.arange(g.n), g.n - 1)
+    ords, inv = _element_orders(g, ident), _powers(g, np.arange(g.n), g.n - 1)
     assert np.array_equal(ords, power_oracle.element_orders(t, ident)), g.label
     assert np.array_equal(ords, g.ord), g.label
     assert np.array_equal(inv, power_oracle.inverses(t)), g.label
     zmask = center(g).bitmap
-    assert np.array_equal(_element_orders(t, zmask),
+    assert np.array_equal(_element_orders(g, zmask),
                           power_oracle.element_orders(t, zmask)), g.label
     roots = power_oracle.least_generators(t, ords) == np.arange(g.n)
     census = cyclic_subgroups(g)
@@ -51,9 +51,9 @@ def test_int32_powering_is_exact_at_the_cap():
     # cyclic:4096, the default cap, where the uint16 ids form the index
     # x * n + y in int32 (in uint16 it would wrap past 2^16); x^e is e * x
     # mod n.  (The intp branch, n > 46,340, would need a 4.3 GB table.)
-    table, ids = build_group("cyclic:4096").table, np.arange(4096, dtype=np.int32)
+    g, ids = build_group("cyclic:4096"), np.arange(4096, dtype=np.int32)
     for e in (0, 1, 2, 4095) + tuple(u for u, _ in unit_generators(4096)):
-        assert np.array_equal(_powers(table, ids, e), e * ids.astype(np.int64) % 4096), e
+        assert np.array_equal(_powers(g, ids, e), e * ids.astype(np.int64) % 4096), e
 
 
 small_specs = st.sampled_from([
@@ -176,7 +176,7 @@ def assert_no_inverse_as_oracle(table):
     want = n2_verdict(table)
     if want is None:
         g, _ = validate_table_with_report(table)
-        assert np.array_equal(_powers(g.table, np.arange(g.n), g.n - 1),
+        assert np.array_equal(_powers(g, np.arange(g.n), g.n - 1),
                               power_oracle.inverses(g.table))
         return None
     with pytest.raises(NoInverse) as err:
@@ -227,7 +227,7 @@ def test_one_sided_inverse_is_rejected():
     # 2 * 1 = 0, but 1 has no right inverse: 2^3 = 2 misses the identity,
     # and the row scan names 1, whose row [1, 2, 1] is the first to lack it
     table = np.array([[0, 1, 2], [1, 2, 1], [2, 0, 0]], dtype=np.uint16)
-    assert not _element_orders(table, np.arange(3) == 0).all()
+    assert not _element_orders(FiniteGroup(table, "one-sided"), np.arange(3) == 0).all()
     with pytest.raises(NoInverse, match="^element 1 has no two-sided inverse$") as err:
         _build(table, "one-sided")
     assert err.value.element == 1
