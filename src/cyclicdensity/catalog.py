@@ -56,8 +56,10 @@ def _circulant(row: np.ndarray, sign: int) -> np.ndarray:
 
 
 # Each fill takes a spec's parameters, which have passed the family's rule,
-# and returns the family's table of _ID ids, associative by
-# construction.
+# and returns (table, orders, S): the family's table of _ID ids, associative
+# by construction, with the element orders (int32) and the generating set
+# (intp) that its numbering has by construction, or None for both, when
+# _build derives the orders by the descent and S is found on first use.
 
 def _abelian_table(orders: tuple[int, ...]) -> np.ndarray:
     """Table of Z_n1 + Z_n2 + ..., a right fold of circulant views; one
@@ -68,7 +70,7 @@ def _abelian_table(orders: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def _abelian(*orders: int) -> np.ndarray:
+def _abelian(*orders: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Direct sum of cyclic groups Z_n1 + Z_n2 + ... in the given order; for
     one order n, Z_n with id i the i-th power of the generator.
 
@@ -76,6 +78,11 @@ def _abelian(*orders: int) -> np.ndarray:
     is associative, (A x B) x C = A x (B x C).  So the table is the product
     of the prefix whose order is nearest sqrt(n) and the rest, and no factor
     table exceeds about n entries.
+
+    The id (a1, a2, ...) has order lcm(n_i / gcd(a_i, n_i)), and the unit
+    vectors, at ids w_i = n_(i+1) * n_(i+2) * ... for each n_i > 1, generate
+    the group.  gcd(a_i, n_i) is gcd(id // w_i, n_i), as the digits above
+    a_i add a multiple of n_i.
     """
     total = math.prod(orders)
     cut, left = 1, orders[0]
@@ -83,34 +90,27 @@ def _abelian(*orders: int) -> np.ndarray:
         left *= orders[cut]
         cut += 1
     table, rest = _abelian_table(orders[:cut]), orders[cut:]
-    return _product_of_tables(table, _abelian_table(rest)) if rest else table.copy()
-
-
-def _abelian_facts(*orders: int) -> tuple[np.ndarray, np.ndarray]:
-    """Element orders and generating set of _abelian's group: its id
-    (a1, a2, ...), a1 most significant, has order lcm(n_i / gcd(a_i, n_i)),
-    and the unit vectors, at ids w_i = n_(i+1) * n_(i+2) * ... for each
-    n_i > 1, generate it.  gcd(a_i, n_i) is gcd(id // w_i, n_i), as the
-    digits above a_i add a multiple of n_i."""
     weights = [math.prod(orders[i + 1:]) for i in range(len(orders))]
-    ids, ord_ = np.arange(math.prod(orders), dtype=np.int32), 1
+    ids, ord_ = np.arange(total, dtype=np.int32), 1
     for n, w in zip(orders, weights):
         ord_ = np.lcm(ord_, n // np.gcd(ids // w, n))
-    return ord_, np.array([w for n, w in zip(orders, weights) if n > 1], dtype=np.intp)
+    gens = np.array([w for n, w in zip(orders, weights) if n > 1], dtype=np.intp)
+    table = _product_of_tables(table, _abelian_table(rest)) if rest else table.copy()
+    return table, ord_, gens
 
 
 def _rotation_facts(order: int, rest: int) -> tuple[np.ndarray, np.ndarray]:
     """Element orders and generating set of _dihedral's (rest 2) or
     _quaternion's (rest 4) group: ids 0..h-1, h = order/2, are the powers
-    r^i, numbered as in cyclic:h, every other id has order rest, and r = 1
-    with the id h generate it."""
+    r^i, numbered as in cyclic:h, so r^i has order h / gcd(i, h); every
+    other id has order rest, and r = 1 with the id h generate it."""
     h = order // 2
     ord_ = np.full(order, rest, dtype=np.int32)
-    ord_[:h] = _abelian_facts(h)[0]
+    ord_[:h] = h // np.gcd(np.arange(h, dtype=np.int32), h)
     return ord_, np.array([1, h], dtype=np.intp)
 
 
-def _dihedral(order: int) -> np.ndarray:
+def _dihedral(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dihedral group with `order` elements: rotations at 0..n-1, reflections at n..2n-1."""
     n = order // 2
     i = np.arange(n, dtype=_ID)  # n + i stays below the order
@@ -119,10 +119,10 @@ def _dihedral(order: int) -> np.ndarray:
     t[:n, n:] = _circulant(n + i, -1)      # r^a (s r^b) = s r^(b-a)
     t[n:, :n] = _circulant(n + i, 1)       # (s r^a) r^b = s r^(a+b)
     t[n:, n:] = _circulant(i, -1)          # (s r^a)(s r^b) = r^(b-a)
-    return t
+    return (t, *_rotation_facts(order, 2))
 
 
-def _quaternion(order: int) -> np.ndarray:
+def _quaternion(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Generalized quaternion (dicyclic) group of the given order (multiple of 4, >= 8).
 
     Presentation <a, b | a^(2n) = 1, b^2 = a^n, b a b^-1 = a^-1> with
@@ -136,10 +136,10 @@ def _quaternion(order: int) -> np.ndarray:
     t[:two_n, two_n:] = _circulant(two_n + i, 1)                # a^i (a^j b) = a^(i+j) b
     t[two_n:, :two_n] = _circulant(two_n + (-i) % two_n, -1)    # (a^i b) a^j = a^(i-j) b
     t[two_n:, two_n:] = _circulant((n - i) % two_n, -1)         # (a^i b)(a^j b) = a^(i-j+n)
-    return t
+    return (t, *_rotation_facts(order, 4))
 
 
-def _symmetric(degree: int) -> np.ndarray:
+def _symmetric(degree: int) -> tuple[np.ndarray, None, None]:
     """Symmetric group S_degree; ids enumerate permutations in lexicographic
     order, and the product of ids i and j is x -> p_i[p_j[x]].
 
@@ -167,10 +167,10 @@ def _symmetric(degree: int) -> np.ndarray:
             table[k] = lut[perms[k][perms] @ w]  # h p_j is x -> h[p_j[x]]
             for lo, hi in _blocks(f - 1, 4 * n):  # rows k+1..k+f-1 from rows 1..f-1
                 table[k + 1 + lo : k + 1 + hi] = table[k][table[1 + lo : 1 + hi]]
-    return table
+    return table, None, None
 
 
-def _heisenberg(p: int) -> np.ndarray:
+def _heisenberg(p: int) -> tuple[np.ndarray, None, None]:
     """Heisenberg group of order p^3 for an odd prime p: upper unitriangular
     3x3 matrices over Z_p, encoded as (a, b, c) -> c*p^2 + a*p + b.
 
@@ -191,10 +191,10 @@ def _heisenberg(p: int) -> np.ndarray:
     for k in range(pp, n, pp):
         table[k : k + pp, : n - k] = table[:pp, k:]
         table[k : k + pp, n - k :] = table[:pp, :k]
-    return table
+    return table, None, None
 
 
-def _extraspecial(order: int, sign: str = "+") -> np.ndarray:
+def _extraspecial(order: int, sign: str = "+") -> tuple[np.ndarray, None, None]:
     """Extraspecial 2-group of order 2^(1+2m) and the given type, or the
     almost-extraspecial one of order 2^(2m+2): a central extension of an
     F_2-space by <z> through a bilinear form beta (Griess 1973; Huppert,
@@ -228,7 +228,7 @@ def _extraspecial(order: int, sign: str = "+") -> np.ndarray:
         row <<= 1
         row ^= e
         np.bitwise_xor(table[:e], row, out=table[e : 2 * e])
-    return table
+    return table, None, None
 
 
 def _same(n: int, *_) -> int:
@@ -265,12 +265,6 @@ _FAMILIES = {
                    "heisenberg parameter must be an odd prime, got {p[0]}",
                    lambda p: p ** 3, _heisenberg),
 }
-
-# fill: the element orders and generating set its numbering has by
-# construction, for _build in place of the descent; keyed by the fill, as
-# they hold for its table alone
-_FACTS = {_abelian: _abelian_facts, _dihedral: lambda n: _rotation_facts(n, 2),
-          _quaternion: lambda n: _rotation_facts(n, 4)}
 
 FAMILY_NAMES = (*_FAMILIES, "product", "table")
 _SIGNS = ("+", "-")  # the extraspecial types
@@ -563,9 +557,10 @@ def parse_group_spec(text: str, _pos: int = 0) -> GroupSpec:
 
 def build_group(spec: Union[str, GroupSpec], *, max_size: Optional[int] = None) -> FiniteGroup:
     """Build the group a spec describes.  A family's parameters meet its
-    rule, and its order the size cap, before its table is filled.  A fill
-    with _FACTS hands _build the orders and generating set it has by
-    construction; the others' orders come by the descent."""
+    rule, and its order the size cap, before its table is filled.  The fill
+    returns (table, orders, S), and _build takes all three: a fill that
+    knows the orders and generating set by construction returns them, and
+    one that returns None for both gets its orders by the descent."""
     spec = parse_group_spec(spec) if isinstance(spec, str) else _require(spec)
     f, p = spec.family, spec.params
     if f == "product":
@@ -576,7 +571,8 @@ def build_group(spec: Union[str, GroupSpec], *, max_size: Optional[int] = None) 
     _, _, order, fill = _FAMILIES[f]
     label = spec.canonical()
     _check_cap(order(*p), max_size, label)
-    return _build(fill(*p), label, *_FACTS.get(fill, lambda *_: ())(*p))
+    table, ord_, gens = fill(*p)
+    return _build(table, label, ord_, gens)
 
 
 __all__ = ["FAMILY_NAMES", "GroupSpec", "parse_group_spec", "build_group",

@@ -292,11 +292,17 @@ def _cmd_import(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_format_flags(p: argparse.ArgumentParser, csv_too: bool = True) -> None:
+def _end_subcommand(p: argparse.ArgumentParser, noun: str, func: Callable[..., int],
+                    csv_too: bool = True) -> None:
+    """Add the options every subcommand ends with, after its own:
+    --size-override, whose help names what the cap bounds (noun), and
+    --json, with --csv when csv_too; then route the subcommand to func."""
+    p.add_argument("--size-override", action="store_true", help=f"allow {noun} over {_CAP_HELP}")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="machine-readable JSON")
     if csv_too:
         fmt.add_argument("--csv", action="store_true", help="one CSV row per group")
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,19 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
         "alpha", help="compute the density of one group by both routes"
     )
     p_alpha.add_argument("--group", required=True, help="group spec, e.g. dihedral:8")
-    p_alpha.add_argument("--size-override", action="store_true",
-                         help=f"allow groups over {_CAP_HELP}")
-    _add_format_flags(p_alpha, csv_too=False)
-    p_alpha.set_defaults(func=_cmd_alpha)
+    _end_subcommand(p_alpha, "groups", _cmd_alpha, csv_too=False)
 
     p_verify = sub.add_parser(
         "verify", help="run every identity and inequality check on one group"
     )
     p_verify.add_argument("--group", required=True, help="group spec, e.g. quaternion:16")
-    p_verify.add_argument("--size-override", action="store_true",
-                          help=f"allow groups over {_CAP_HELP}")
-    _add_format_flags(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
+    _end_subcommand(p_verify, "groups", _cmd_verify)
 
     p_sweep = sub.add_parser(
         "sweep", help="verify the whole catalog up to a size bound"
@@ -338,19 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--fail-fast", action="store_true",
                          help="stop at the first counterexample")
     p_sweep.add_argument("--parallelism", type=int, default=1)
-    p_sweep.add_argument("--size-override", action="store_true",
-                         help=f"allow max-order over {_CAP_HELP}")
-    _add_format_flags(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
+    _end_subcommand(p_sweep, "max-order", _cmd_sweep)
 
     p_import = sub.add_parser(
         "import", help="validate a Cayley-table file and report the re-indexing"
     )
     p_import.add_argument("--table", required=True, help="path to the table file")
-    p_import.add_argument("--size-override", action="store_true",
-                          help=f"allow tables over {_CAP_HELP}")
-    _add_format_flags(p_import, csv_too=False)
-    p_import.set_defaults(func=_cmd_import)
+    _end_subcommand(p_import, "tables", _cmd_import, csv_too=False)
 
     return parser
 

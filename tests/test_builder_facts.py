@@ -1,13 +1,14 @@
 """The element orders and the generating set S that a builder hands _build
 by construction, against the routes they replace.
 
-The cyclic, abelian, dihedral and quaternion fills of the catalog and
-direct_product supply both.  Their orders must be those of the divisor
-descent on the table and of power_oracle's lockstep walk; the center and
-the first 4-abelian failure read off their S must be those read off the
-greedy set of _generate.  S must be a read-only intp array whose products
-reach every id, by a closure taken here.  Every other family, and every
-imported table, keeps the descent and the greedy (or Light's) set.
+The cyclic, abelian, dihedral and quaternion fills of the catalog return
+both with their tables, and direct_product supplies both.  Their orders
+must be those of the divisor descent on the table and of power_oracle's
+lockstep walk; the center and the first 4-abelian failure read off their S
+must be those read off the greedy set of _generate.  S must be a read-only
+intp array whose products reach every id, by a closure taken here.  Every
+other family, and every imported table, keeps the descent and the greedy
+(or Light's) set.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import power_oracle
 from cyclicdensity import (
     SweepConfig,
     build_group,
+    catalog,
     center,
     four_abelian_failure,
     parse_group_spec,
@@ -74,6 +76,28 @@ def test_builder_facts_on_the_sweep():
             assert g._gens is None, spec
             assert np.array_equal(g._table_ord, _element_orders(g, np.arange(g.n) == 0))
     assert supplied == 961
+
+
+@pytest.mark.parametrize("spec", ["cyclic:12", "abelian:2,2,4", "dihedral:24", "quaternion:16"])
+def test_a_wrapped_fill_keeps_its_facts(monkeypatch, spec):
+    # a fill returns its group's orders and S with its table, so a build
+    # through a wrapper around it keeps them: no descent, no greedy S
+    family = spec.split(":")[0]
+    want = build_group(spec)
+    *head, fill = catalog._FAMILIES[family]
+    monkeypatch.setitem(catalog._FAMILIES, family, (*head, lambda *p: fill(*p)))
+    g = build_group(spec)
+    assert g._gens is not None and g._gens.tolist() == want._gens.tolist(), spec
+    assert np.array_equal(g._table_ord, want._table_ord), spec
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "extraspecial:32:-", "extraspecial:8:+",
+                                  "almost-extraspecial:64", "heisenberg:3"])
+def test_the_other_fills_return_no_facts(spec):
+    parsed = parse_group_spec(spec)
+    table, ords, s = catalog._FAMILIES[parsed.family][3](*parsed.params)
+    assert ords is None and s is None, spec
+    assert np.array_equal(table, build_group(spec).table), spec
 
 
 @pytest.mark.parametrize("spec", ["cyclic:4096", "dihedral:4096", "abelian:" + ",".join(["2"] * 12)])

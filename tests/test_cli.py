@@ -1,5 +1,6 @@
 """CLI contract: output formats, exit codes, determinism."""
 
+import argparse
 import dataclasses
 import json
 import subprocess
@@ -388,13 +389,35 @@ def test_a_builder_fault_exits_3(monkeypatch, capsys):
     def swapped(n):
         sigma = np.arange(n, dtype=np.uint16)
         sigma[[0, 1]] = 1, 0
-        return sigma[fill(n)][np.ix_(sigma, sigma)]
+        return sigma[fill(n)[0]][np.ix_(sigma, sigma)], None, None  # the descent names it
 
     monkeypatch.setitem(catalog._FAMILIES, "cyclic", (test, rule, order, swapped))
     assert cli.main(["verify", "--group", "cyclic:4"]) == cli.EXIT_INTERNAL
     assert capsys.readouterr() == ("", (
         "internal error: ValueError: 'cyclic:4' is no group with identity 0: "
         "every row holds 0, but x^4 is not 0 for x = 1\n"))
+
+
+def test_each_subcommand_has_its_options_in_order():
+    # an option added or dropped edits this table, as PUBLIC_NAMES does for
+    # exports; each --size-override help names what the cap bounds
+    options = {
+        "alpha": (["--group", "--size-override", "--json"], "groups"),
+        "verify": (["--group", "--size-override", "--json", "--csv"], "groups"),
+        "sweep": (["--max-order", "--families", "--include-table", "--fail-fast",
+                   "--parallelism", "--size-override", "--json", "--csv"], "max-order"),
+        "import": (["--table", "--size-override", "--json"], "tables"),
+    }
+    parser = cli.build_parser()
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(options)
+    for name, p in sub.choices.items():
+        flags, noun = options[name]
+        actions = [a for a in p._actions if a.option_strings != ["-h", "--help"]]
+        assert [s for a in actions for s in a.option_strings] == flags, name
+        override, = (a for a in actions if a.option_strings == ["--size-override"])
+        assert override.help.startswith(f"allow {noun} over the size cap ("), name
+        assert p.get_default("func") is getattr(cli, f"_cmd_{name}"), name
 
 
 def test_oversized_header_under_size_override_allocates_no_table(tmp_path, capsys):

@@ -242,7 +242,7 @@ def test_readme_library_names_are_exported():
 # comment, a line break or an indent, outside the module, class and function
 # docstrings.  Each simplicity change should lower it, so the ceiling is the
 # count at the last one; adding code means editing this figure.
-SRC_CODE_LINES = 1418
+SRC_CODE_LINES = 1408
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER}
 
